@@ -230,10 +230,7 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     legs = rel.span
     dp = polyfun.polynomial_product(legs.left, legs.right, bundle)
-    sizes = "/".join(
-        str(sum(1 for el in dp.result.total if dp.result.map(el) == b))
-        for b in rel.dst
-    )
+    sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.dst)
     text = [
         f"polynomial jet bundle over {rel.dst.name}: "
         f"{len(dp.result.total)} elements, fibers {sizes}"
@@ -288,6 +285,11 @@ def _cmd_check(args, out) -> int:
         raise WorkspaceError(
             f"unknown suite {args.suite!r}; known: {', '.join(SUITES)} or 'all'"
         )
+    for flag in ("trials", "max_obj", "max_fiber", "jobs"):
+        bound = getattr(args, flag)
+        if bound < 1:
+            option = "--" + flag.replace("_", "-")
+            raise WorkspaceError(f"{option} must be at least 1, got {bound}")
     reports = run_suites(
         names,
         seed=args.seed,

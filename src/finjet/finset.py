@@ -101,6 +101,17 @@ class FinMap:
     def __call__(self, element: str) -> str:
         return self.values[self.dom.index[element]]
 
+    @cached_property
+    def fibers(self) -> Mapping[str, tuple[str, ...]]:
+        """The fiber index: every codomain element's preimage, in domain order."""
+        out: dict[str, list[str]] = {c: [] for c in self.cod}
+        for x, c in zip(self.dom.elements, self.values):
+            out[c].append(x)
+        return {c: tuple(xs) for c, xs in out.items()}
+
+    def fiber(self, c: str) -> tuple[str, ...]:
+        return self.fibers[c]
+
     def __repr__(self) -> str:
         entries = ", ".join(f"{k}->{v}" for k, v in zip(self.dom.elements, self.values))
         return f"FinMap({self.dom.name}->{self.cod.name}: {entries})"
@@ -185,7 +196,8 @@ def pullback(f: FinMap, p: FinMap) -> PullbackResult:
     """Canonical pullback of f: A -> C against p: B -> C.
 
     Apex elements are exactly the matching pairs, in lexicographic order of
-    (index of a in A, index of b in B).
+    (index of a in A, index of b in B): a hash join that walks A in order and
+    reads each a's partners off p's fiber index, which keeps B order.
     """
     if f.cod != p.cod:
         raise CompositionMismatch(
@@ -193,9 +205,8 @@ def pullback(f: FinMap, p: FinMap) -> PullbackResult:
         )
     pairs = [
         (a, b)
-        for a in f.dom
-        for b in p.dom
-        if f(a) == p(b)
+        for a, c in zip(f.dom.elements, f.values)
+        for b in p.fiber(c)
     ]
     apex = FinSet(
         f"pb({f.dom.name},{p.dom.name})",
@@ -261,7 +272,5 @@ def is_pullback_square(
         if key in seen:
             return False
         seen.add(key)
-    matching = sum(
-        1 for a in bottom.dom for b in right.dom if bottom(a) == right(b)
-    )
+    matching = sum(len(right.fiber(c)) for c in bottom.values)
     return len(seen) == matching

@@ -84,10 +84,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     if p.cod != r.src:
         raise ShapeMismatch("bundle does not live over the relation's source")
     support = monad(r, b)
-    fibers: dict[str, tuple[str, ...]] = {}
-    for a in r.src:
-        fibers[a] = tuple(e for e in p.dom if p(e) == a)
-    options = [fibers[a] for a, _ in support.pairs]
+    options = [p.fiber(a) for a, _ in support.pairs]
     jets = []
     for choice in itertools.product(*options):
         table = dict(zip(support.pairs, choice))
@@ -237,40 +234,23 @@ class JetBundle:
     def generic_jet(self) -> SectionJet:
         return SectionJet(self.relation, self.projection, self.generic)
 
-    @cached_property
-    def fibers(self) -> Mapping[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {a0: [] for a0 in self.relation.dst}
-        for t in self.total:
-            out[self.projection(t)].append(t)
-        return {a0: tuple(ts) for a0, ts in out.items()}
-
     def fiber(self, a0: str) -> tuple[str, ...]:
-        return self.fibers[a0]
+        return self.projection.fiber(a0)
 
     def table_of(self, t: str) -> dict[str, str]:
-        a0 = self.projection(t)
+        """The section table of t, keyed in the relation's source order."""
         gen = self.generic.underlying.table
-        return {
-            a: gen[(a, t)]
-            for a in self.relation.src
-            if (a, a0) in self.relation.pair_set
-        }
+        return {a: gen[(a, t)] for a in self.relation.column(self.projection(t))}
 
     @cached_property
     def _by_table(self) -> Mapping[tuple[str, tuple[tuple[str, str], ...]], str]:
-        out = {}
-        for t in self.total:
-            a0 = self.projection(t)
-            tab = tuple(sorted(self.table_of(t).items(), key=lambda kv: self.relation.src.index[kv[0]]))
-            out[(a0, tab)] = t
-        return out
+        return {
+            (self.projection(t), tuple(self.table_of(t).items())): t
+            for t in self.total
+        }
 
     def element_for(self, a0: str, table: Mapping[str, str]) -> str:
-        ordered = tuple(
-            (a, table[a])
-            for a in self.relation.src
-            if (a, a0) in self.relation.pair_set
-        )
+        ordered = tuple((a, table[a]) for a in self.relation.column(a0))
         return self._by_table[(a0, ordered)]
 
     def point_jet(self, t: str) -> SectionJet:
@@ -281,13 +261,12 @@ class JetBundle:
 def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
     if p.cod != r.src:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    fibers = {a: tuple(e for e in p.dom if p(e) == a) for a in r.src}
     names: list[str] = []
     bases: list[str] = []
     tables: dict[str, dict[str, str]] = {}
     for a0 in r.dst:
-        around = tuple(a for a in r.src if (a, a0) in r.pair_set)
-        for choice in itertools.product(*(fibers[a] for a in around)):
+        around = r.column(a0)
+        for choice in itertools.product(*(p.fiber(a) for a in around)):
             tab = tuple(zip(around, choice))
             name = table_label(a0, tab)
             names.append(name)
@@ -311,11 +290,7 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
     values = []
     for x in j.stage:
         a0 = j.at(x)
-        at_x = {
-            a: table[(a, x)]
-            for a in jb.relation.src
-            if (a, a0) in jb.relation.pair_set
-        }
+        at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
         values.append(jb.element_for(a0, at_x))
     result = FinMap(j.stage, jb.total, tuple(values))
     if restrict_jet(jb.generic_jet, result) != j:
@@ -344,12 +319,7 @@ def maps_over(
     pb: PullbackResult, a0: FinMap
 ) -> tuple[FinMap, ...]:
     """All maps from a0's stage into a pullback apex whose left leg is a0."""
-    per_point = []
-    index: dict[str, list[str]] = {}
-    for m in pb.apex:
-        index.setdefault(pb.to_left(m), []).append(m)
-    for x in a0.dom:
-        per_point.append(tuple(index.get(a0(x), ())))
+    per_point = [pb.to_left.fiber(a) for a in a0.values]
     out = []
     for values in itertools.product(*per_point):
         out.append(FinMap(a0.dom, pb.apex, values))

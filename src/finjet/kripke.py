@@ -82,6 +82,14 @@ class SubobjectAtStage:
         return Span(left, right)
 
     @cached_property
+    def columns(self) -> Mapping[str, tuple[str, ...]]:
+        return column_index(self.pairs, self.stage)
+
+    def column(self, x: str) -> tuple[str, ...]:
+        """Every a with (a, x) in the subobject, in the order of `over`."""
+        return self.columns[x]
+
+    @cached_property
     def apex_index(self) -> Mapping[tuple[str, str], str]:
         return {
             (a, x): name
@@ -96,6 +104,21 @@ def _sort_pairs(over, stage, pairs):
     return tuple(
         sorted(pairs, key=lambda p: (over.index[p[0]], stage.index[p[1]]))
     )
+
+
+def column_index(
+    pairs: tuple[tuple[str, str], ...], ends: FinSet
+) -> dict[str, tuple[str, ...]]:
+    """The column index of a canonical pair-set inside S x ends.
+
+    Maps every element of `ends` to the first coordinates paired with it; the
+    canonical sort keeps each column in the order of S.  Relations and
+    subobjects at a stage share it.
+    """
+    out: dict[str, list[str]] = {x: [] for x in ends}
+    for a, x in pairs:
+        out[x].append(a)
+    return {x: tuple(col) for x, col in out.items()}
 
 
 def canonicalize(s: Span) -> SubobjectAtStage:
@@ -122,7 +145,9 @@ def change_of_stage(u: SubobjectAtStage, alpha: FinMap) -> SubobjectAtStage:
             f"map into {alpha.cod.name!r} cannot change stage {u.stage.name!r}"
         )
     return SubobjectAtStage.from_pairs(
-        u.over, alpha.dom, ((a, y) for y in alpha.dom for a in u.over if (a, alpha(y)) in u.pair_set)
+        u.over,
+        alpha.dom,
+        ((a, y) for y, x in zip(alpha.dom.elements, alpha.values) for a in u.column(x)),
     )
 
 
@@ -133,7 +158,9 @@ def counterimage(f: FinMap, u: SubobjectAtStage) -> SubobjectAtStage:
             f"map into {f.cod.name!r} cannot take counterimage over {u.over.name!r}"
         )
     return SubobjectAtStage.from_pairs(
-        f.dom, u.stage, ((a2, x) for a2 in f.dom for x in u.stage if (f(a2), x) in u.pair_set)
+        f.dom,
+        u.stage,
+        ((a2, x) for x in u.stage for a in u.column(x) for a2 in f.fiber(a)),
     )
 
 

@@ -44,15 +44,8 @@ class Bundle:
     def identity(cls, a: FinSet) -> "Bundle":
         return cls(FinMap.identity(a))
 
-    @cached_property
-    def fibers(self) -> Mapping[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {a: [] for a in self.base}
-        for e in self.total:
-            out[self.map(e)].append(e)
-        return {a: tuple(es) for a, es in out.items()}
-
     def fiber(self, a: str) -> tuple[str, ...]:
-        return self.fibers[a]
+        return self.map.fiber(a)
 
 
 @dataclass(frozen=True)
@@ -108,10 +101,6 @@ def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
     if f.cod != p.base:
         raise ShapeMismatch("pullback along a map into a different base")
     return Bundle(pullback(f, p.map).to_left)
-
-
-def pullback_square(f: FinMap, p: Bundle) -> PullbackResult:
-    return pullback(f, p.map)
 
 
 def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
@@ -182,7 +171,7 @@ class DependentProduct:
         return self.sections[el]
 
     def element_for(self, b: str, table: Mapping[str, str]) -> str:
-        ordered = tuple((m, table[m]) for m in self.along.dom if self.along(m) == b)
+        ordered = tuple((m, table[m]) for m in self.along.fiber(b))
         return self._by_table[(b, ordered)]
 
 
@@ -193,7 +182,7 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
     bases: list[str] = []
     entries: list[tuple[str, str, tuple[tuple[str, str], ...]]] = []
     for b in d.cod:
-        fiber_points = [m for m in d.dom if d(m) == b]
+        fiber_points = d.fiber(b)
         options = [q.fiber(m) for m in fiber_points]
         for choice in itertools.product(*options):
             tab = tuple(zip(fiber_points, choice))
@@ -244,9 +233,7 @@ def adjunction_unit(d: FinMap, y: Bundle) -> SliceMorphism:
     values = []
     for w in y.total:
         b = y.map(w)
-        table = {
-            m: sq.pair_index[(m, w)] for m in d.dom if d(m) == b
-        }
+        table = {m: sq.pair_index[(m, w)] for m in d.fiber(b)}
         values.append(dp.element_for(b, table))
     arrow = FinMap(y.total, dp.result.total, tuple(values))
     return SliceMorphism(y, dp.result, arrow)
@@ -275,8 +262,7 @@ class AdjunctionBijection:
             b = self.left.map(w)
             table = {
                 mm: m.arrow(self.square.pair_index[(mm, w)])
-                for mm in self.along.dom
-                if self.along(mm) == b
+                for mm in self.along.fiber(b)
             }
             values.append(self.product.element_for(b, table))
         arrow = FinMap(self.left.total, self.product.result.total, tuple(values))
@@ -379,9 +365,7 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
         t = sq_g.to_right(x)
         section = dp.section_of(t)
         table = {}
-        for m2 in sm.src_right.dom:
-            if sm.src_right(m2) != b2:
-                continue
+        for m2 in sm.src_right.fiber(b2):
             m = sm.on_mid(m2)
             e = sq_c.to_right(section[m])
             inner = sq_f.pair_index[(sm.src_left(m2), e)]

@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
 from .finset import FinMap, FinSet, Span, all_maps, compose, element, pair_name
-from .kripke import SubobjectAtStage, counterimage, sub_leq
+from .kripke import SubobjectAtStage, column_index, counterimage, sub_leq
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,14 @@ class Relation:
         return frozenset(self.pairs)
 
     @cached_property
+    def columns(self) -> Mapping[str, tuple[str, ...]]:
+        return column_index(self.pairs, self.dst)
+
+    def column(self, b: str) -> tuple[str, ...]:
+        """Every a related to b, in the order of `src`."""
+        return self.columns[b]
+
+    @cached_property
     def span(self) -> Span:
         """Canonical representing span src <- apex -> dst."""
         apex = FinSet(
@@ -75,7 +83,7 @@ def monad(r: Relation, b: FinMap) -> SubobjectAtStage:
     return SubobjectAtStage.from_pairs(
         r.src,
         b.dom,
-        ((a, x) for x in b.dom for a in r.src if (a, b(x)) in r.pair_set),
+        ((a, x) for x, b0 in zip(b.dom.elements, b.values) for a in r.column(b0)),
     )
 
 
@@ -99,7 +107,7 @@ def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
     _require_endo(r)
     for size in range(max_stage + 1):
         stage = _probe_stage(size)
-        for a0 in _all_stage_maps(stage, r.src):
+        for a0 in all_maps(stage, r.src):
             u = monad(r, a0)
             if not all((a0(x), x) in u.pair_set for x in stage):
                 return False
@@ -111,8 +119,8 @@ def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
     _require_endo(r)
     for size in range(max_stage + 1):
         stage = _probe_stage(size)
-        for a in _all_stage_maps(stage, r.src):
-            for b in _all_stage_maps(stage, r.src):
+        for a in all_maps(stage, r.src):
+            for b in all_maps(stage, r.src):
                 left = all((a(x), x) in monad(r, b).pair_set for x in stage)
                 right = all((b(x), x) in monad(r, a).pair_set for x in stage)
                 if left != right:
@@ -127,10 +135,6 @@ def _require_endo(r: Relation) -> None:
 
 def _probe_stage(size: int) -> FinSet:
     return FinSet(f"stage{size}", tuple(f"x{i}" for i in range(size)))
-
-
-def _all_stage_maps(stage: FinSet, cod: FinSet):
-    return all_maps(stage, cod)
 
 
 @dataclass(frozen=True)

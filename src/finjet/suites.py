@@ -596,8 +596,10 @@ def check_poly_iso(
     for src, dst in pairs:
         _, jb_dst, iso_dst = jets.polynomial_iso(r, dst.map)
         _, jb_src, iso_src = jets.polynomial_iso(r, src.map)
+        dp_src = polyfun.polynomial_product(legs.left, legs.right, src)
+        dp_dst = polyfun.polynomial_product(legs.left, legs.right, dst)
         for v in slice_homs(src, dst):
-            moved_poly = polyfun.polynomial_map(legs.left, legs.right, v)
+            moved_poly = polyfun.polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
             moved_jets = jets.jet_on_vertical(jb_src, jb_dst, v.arrow)
             lhs = compose(iso_dst.arrow, moved_poly.arrow)
             rhs = compose(moved_jets, iso_src.arrow)

@@ -1,7 +1,12 @@
+import hashlib
 import io
 from pathlib import Path
 
+import pytest
+
 from finjet.cli import main
+from finjet.instances import path_graph_workspace
+from finjet.workspace import serialize_workspace
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws")
 
@@ -224,3 +229,44 @@ def test_check_failure_exits_1(monkeypatch):
     assert code == 1
     assert "result=FAIL" in text
     assert "deliberately failing probe suite" in text
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--trials", "-3"), ("--max-obj", "0"), ("--max-obj", "-1"), ("--max-fiber", "0"), ("--jobs", "0")],
+)
+def test_check_rejects_bounds_below_one(capsys, flag, value):
+    code, text = run(["check", "--suite", "fiber-count", flag, value])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+# sha256 of the records output on generated path graphs, pinned from the
+# nested-scan implementation the fiber and column indexes replaced.
+GOLDEN_PATH_DIGESTS = [
+    (40, ["pullback", "--left", "p", "--right", "p"],
+     "8804ffbb13182ef4962eb94240762256edb27121258c7dc06af14db2ec902d92"),
+    (40, ["jetbundle", "--relation", "R", "--bundle", "p"],
+     "5656764aed6b61ef9069135c5da6a6a8bbd2bc2b80b94c9f07cf03a5199248d9"),
+    (40, ["polyjet", "--relation", "R", "--bundle", "p"],
+     "520b88961531a3370a85ffe8377c33c12feeeac55943df61610362d7826c720e"),
+    (40, ["classify", "--relation", "R", "--bundle", "p", "--point", "v7", "--index", "5"],
+     "1f17794066711396fa10214820b75ac1cd81798991af9e8b18a3755bebb60b77"),
+    (40, ["phi", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--map0", "id",
+          "--bundle", "p", "--point", "v7", "--index", "5"],
+     "5c3070731fddb36a7d615b7f262c088e6a48de47ae08147ced11b9c73646a2e1"),
+    (12, ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+     "ace1893af2463c727ba6222f401d61d66da976991a4d7f129aadd2a7a6646898"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest", GOLDEN_PATH_DIGESTS, ids=[argv[0] for _, argv, _ in GOLDEN_PATH_DIGESTS]
+)
+def test_records_output_on_path_graph_is_pinned(tmp_path, n, argv, digest):
+    path = tmp_path / f"p{n}.ws"
+    path.write_text(serialize_workspace(path_graph_workspace(n, 2)))
+    code, text = run(["-w", str(path), "--format", "records", *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -13,7 +13,9 @@ from finjet.finset import (
     compose,
     is_jointly_monic,
     is_monic,
+    is_pullback_square,
     pair_into_pullback,
+    pair_name,
     product,
     pullback,
     span_leq,
@@ -100,6 +102,63 @@ def test_pullback_universal_property(f, p):
                     if compose(pb.to_left, m) == a and compose(pb.to_right, m) == b
                 ]
                 assert rivals == [med]
+
+
+def shuffled_finsets(name, max_size=4):
+    """Sets of 0..max_size elements declared out of name order."""
+    names = st.integers(0, max_size).flatmap(
+        lambda n: st.permutations([f"{name.lower()}{i}" for i in range(n)])
+    )
+    return names.map(lambda elements: FinSet(name, tuple(elements)))
+
+
+@st.composite
+def maps_into(draw, name, cod):
+    dom = draw(shuffled_finsets(name, 4 if len(cod) else 0))
+    return FinMap(dom, cod, draw(st.tuples(*(st.sampled_from(cod.elements) for _ in dom))))
+
+
+def assert_pullback_is_nested_loop_join(f, p):
+    pairs = [(a, b) for a in f.dom for b in p.dom if f(a) == p(b)]
+    pb = pullback(f, p)
+    assert pb.apex.elements == tuple(pair_name(a, b) for a, b in pairs)
+    assert pb.to_left.values == tuple(a for a, _ in pairs)
+    assert pb.to_right.values == tuple(b for _, b in pairs)
+    for c in p.cod:
+        assert p.fiber(c) == tuple(b for b in p.dom if p(b) == c)
+    assert is_pullback_square(pb.to_right, pb.to_left, p, f)
+    if pairs:
+        short = FinSet("M", pb.apex.elements[:-1])
+        assert not is_pullback_square(
+            FinMap(short, p.dom, pb.to_right.values[:-1]),
+            FinMap(short, f.dom, pb.to_left.values[:-1]),
+            p,
+            f,
+        )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pullback_equals_nested_loop_join(data):
+    c = data.draw(shuffled_finsets("C"))
+    assert_pullback_is_nested_loop_join(
+        data.draw(maps_into("A", c)), data.draw(maps_into("B", c))
+    )
+
+
+def test_pullback_join_edge_cases():
+    empty = FinSet("E", ())
+    c = FinSet("C", ("c2", "c1", "c0"))
+    b = FinSet("B", ("b1", "b0", "b2"))
+    p = FinMap(b, c, ("c1", "c2", "c1"))  # the fiber over c0 is empty
+    for f in (
+        FinMap(empty, c, ()),
+        FinMap(FinSet("A", ("a0",)), c, ("c0",)),
+        FinMap(FinSet("A", ("a1", "a0")), c, ("c1", "c2")),
+    ):
+        assert_pullback_is_nested_loop_join(f, p)
+        assert_pullback_is_nested_loop_join(p, f)
+    assert_pullback_is_nested_loop_join(FinMap(empty, empty, ()), FinMap(empty, empty, ()))
 
 
 def test_pair_into_pullback_singleton():

@@ -30,6 +30,7 @@ from finjet.kripke import (
     value,
     yoneda_construct,
 )
+from finjet.relations import Relation, monad
 
 A = FinSet("A", ("a1", "a2", "a3"))
 X = FinSet("X", ("x1", "x2"))
@@ -142,6 +143,73 @@ def test_counterimage_functorial(u):
             assert counterimage(f2, counterimage(f, u)) == counterimage(
                 compose(f, f2), u
             )
+
+
+def shuffled_finsets(name, max_size=4):
+    """Sets of 0..max_size elements declared out of name order."""
+    names = st.integers(0, max_size).flatmap(
+        lambda n: st.permutations([f"{name.lower()}{i}" for i in range(n)])
+    )
+    return names.map(lambda elements: FinSet(name, tuple(elements)))
+
+
+@st.composite
+def maps_into(draw, name, cod):
+    dom = draw(shuffled_finsets(name, 4 if len(cod) else 0))
+    return FinMap(dom, cod, draw(st.tuples(*(st.sampled_from(cod.elements) for _ in dom))))
+
+
+@st.composite
+def pair_sets(draw, left, right):
+    cells = [(a, x) for a in left for x in right]
+    return draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+
+
+def assert_joins_match_nested_loops(r, b, u, alpha, f):
+    """monad, change_of_stage and counterimage against their defining comprehensions."""
+    assert monad(r, b).pairs == tuple(
+        (a, x) for a in r.src for x in b.dom if (a, b(x)) in r.pair_set
+    )
+    assert change_of_stage(u, alpha).pairs == tuple(
+        (a, y) for a in u.over for y in alpha.dom if (a, alpha(y)) in u.pair_set
+    )
+    assert counterimage(f, u).pairs == tuple(
+        (a2, x) for a2 in f.dom for x in u.stage if (f(a2), x) in u.pair_set
+    )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_stage_joins_equal_nested_loops(data):
+    a = data.draw(shuffled_finsets("A"))
+    a0 = data.draw(shuffled_finsets("B"))
+    x = data.draw(shuffled_finsets("X"))
+    r = Relation.from_pairs(a, a0, data.draw(pair_sets(a, a0)))
+    u = SubobjectAtStage.from_pairs(a, x, data.draw(pair_sets(a, x)))
+    assert_joins_match_nested_loops(
+        r,
+        data.draw(maps_into("Y", a0)),
+        u,
+        data.draw(maps_into("Y", x)),
+        data.draw(maps_into("P", a)),
+    )
+
+
+def test_stage_joins_edge_cases():
+    empty = FinSet("Z", ())
+    a = FinSet("A", ("a2", "a0", "a1"))
+    x = FinSet("X", ("x1", "x0"))
+    y = FinSet("Y", ("y1", "y0", "y2"))
+    some = [("a1", "x0"), ("a2", "x0"), ("a0", "x0")]  # the column at x1 is empty
+    for pairs in ([], some):
+        r = Relation.from_pairs(a, x, pairs)
+        u = SubobjectAtStage.from_pairs(a, x, pairs)
+        for alpha in (FinMap(empty, x, ()), FinMap(y, x, ("x0", "x1", "x0"))):
+            for f in (FinMap(empty, a, ()), FinMap(y, a, ("a1", "a1", "a2"))):
+                assert_joins_match_nested_loops(r, alpha, u, alpha, f)
+    nothing = SubobjectAtStage.empty(empty, empty)
+    none = FinMap(empty, empty, ())
+    assert_joins_match_nested_loops(Relation(empty, empty, ()), none, nothing, none, none)
 
 
 def test_member_empty_stage_is_vacuous():

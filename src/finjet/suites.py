@@ -2,14 +2,15 @@
 
 Every suite function takes one instance's generator plus the size bounds and
 returns (checks passed, checks failed, counterexample text or None).  Reports
-assemble in instance order, so runs are byte-identical for a fixed seed and
-bounds regardless of thread count.
+assemble in (suite, instance) order, so runs are byte-identical for a fixed
+seed and bounds regardless of worker process count.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -834,6 +835,30 @@ class SuiteReport:
         return out
 
 
+# Instances per message to a worker.  An instance of the slowest suites takes
+# about 15 ms at the default bounds, so a chunk stays well under a second and
+# the last chunks still spread over the workers.
+CHUNK = 16
+
+
+def _instance(task: tuple[str, int, int, int, int]) -> Outcome:
+    """Run one seeded instance; an exception is one failed check, not a crash."""
+    name, seed, index, max_obj, max_fiber = task
+    try:
+        return SUITES[name](rng_for(seed, name, index), max_obj, max_fiber)
+    except Exception as exc:
+        return 0, 1, f"# instance {index} of {name} raised {type(exc).__name__}: {exc}\n"
+
+
+def _workers(jobs: int) -> int:
+    """`jobs`, clamped to the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
+
+
 def run_suite(
     name: str,
     seed: int = 42,
@@ -842,22 +867,7 @@ def run_suite(
     trials: int = 200,
     jobs: int = 1,
 ) -> SuiteReport:
-    fn = SUITES[name]
-
-    def one(index: int) -> Outcome:
-        return fn(rng_for(seed, name, index), max_obj, max_fiber)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(i) for i in range(trials)]
-    passed = sum(r[0] for r in results)
-    failed = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2] is not None), None)
-    return SuiteReport(
-        name, seed, max_obj, max_fiber, trials, len(results), passed, failed, first
-    )
+    return run_suites([name], seed, max_obj, max_fiber, trials, jobs)[0]
 
 
 def run_suites(
@@ -868,6 +878,22 @@ def run_suites(
     trials: int = 200,
     jobs: int = 1,
 ) -> list[SuiteReport]:
-    return [
-        run_suite(name, seed, max_obj, max_fiber, trials, jobs) for name in names
-    ]
+    """Run `trials` instances of each suite, on one pool of worker processes when
+    `jobs` and the CPUs allow more than one; reports come in `names` order."""
+    tasks = [(name, seed, i, max_obj, max_fiber) for name in names for i in range(trials)]
+    workers = _workers(jobs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_instance, tasks, chunksize=CHUNK))
+    else:
+        results = [_instance(task) for task in tasks]
+    reports = []
+    for k, name in enumerate(names):
+        part = results[k * trials : (k + 1) * trials]
+        passed = sum(r[0] for r in part)
+        failed = sum(r[1] for r in part)
+        first = next((r[2] for r in part if r[2] is not None), None)
+        reports.append(
+            SuiteReport(name, seed, max_obj, max_fiber, trials, len(part), passed, failed, first)
+        )
+    return reports

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -229,6 +231,32 @@ def test_check_failure_exits_1(monkeypatch):
     assert code == 1
     assert "result=FAIL" in text
     assert "deliberately failing probe suite" in text
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a suite patched into SUITES reaches worker processes only when they are forked",
+)
+def test_raising_instance_is_a_counted_failure_at_any_jobs(monkeypatch):
+    import finjet.suites as suites
+    from finjet.instances import rng_for
+
+    def raising(rng, max_obj, max_fiber):
+        if rng.random() < 0.5:
+            raise ValueError("deliberately raising probe suite")
+        return 1, 0, None
+
+    monkeypatch.setitem(suites.SUITES, "raising", raising)
+    # Two CPUs, so --jobs 2 runs on a real pool on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base = ["check", "--suite", "raising", "--seed", "42", "--trials", "8"]
+    code1, text1 = run(base + ["--jobs", "1"])
+    code2, text2 = run(base + ["--jobs", "2"])
+    assert code1 == code2 == 1
+    assert text1 == text2
+    first = next(i for i in range(8) if rng_for(42, "raising", i).random() < 0.5)
+    assert "result=FAIL" in text1
+    assert f"# instance {first} of raising raised ValueError: deliberately raising probe suite" in text1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,12 @@
+import io
+import os
+
+import pytest
+
+import finjet.suites as suites
+from finjet.cli import main
 from finjet.finset import FinSet
-from finjet.suites import SuiteReport, _Checker, run_suite
+from finjet.suites import SUITES, SuiteReport, _Checker, run_suite, run_suites
 from finjet.workspace import Workspace, parse_workspace
 
 
@@ -43,3 +50,60 @@ def test_run_suite_reproducible_and_ordered():
     two = run_suite("membership", seed=9, trials=15, jobs=3)
     assert one == two
     assert one.instances == 15
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool with one that runs tasks inline; list each pool's max_workers."""
+    built = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", InlineExecutor)
+    return built
+
+
+def test_run_suites_on_a_pool_matches_in_process(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    pooled = run_suites(list(SUITES), trials=3, jobs=2)
+    assert [r.suite for r in pooled] == list(SUITES)
+    assert pooled == run_suites(list(SUITES), trials=3, jobs=1)
+
+
+def test_run_suites_builds_one_pool_per_run(monkeypatch, pools):
+    _set_cpus(monkeypatch, 2)
+    reports = run_suites(list(SUITES), trials=2, jobs=2)
+    assert pools == [2]
+    assert [r.instances for r in reports] == [2] * len(SUITES)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, expected",
+    [(3, 8, [3]), (1, 8, []), (None, 4, [4]), (None, None, [])],
+)
+def test_jobs_are_clamped_to_available_cpus(monkeypatch, pools, affinity, cpu_count, expected):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        _set_cpus(monkeypatch, affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    out = io.StringIO()
+    code = main(["check", "--suite", "fiber-count", "--trials", "3", "--jobs", "10000"], out=out)
+    assert code == 0 and "result=PASS" in out.getvalue()
+    assert pools == expected
+

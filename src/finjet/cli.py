@@ -1,6 +1,7 @@
 """Command-line surface: workspace computations and the property-suite runner.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 internal
+error (an exception that is a bug in finjet, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import IO, Optional
 from . import fibdual, jets, polyfun, relations
 from .errors import FinjetError, WorkspaceError
 from .finset import compose, element, pullback
-from .suites import SUITES, run_suites
 from .workspace import Workspace, parse_workspace
 
 
@@ -277,6 +277,9 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    # Imported here so that data commands do not load the process-pool machinery.
+    from .suites import SUITES, run_suites
+
     if args.suite == "all":
         names = list(SUITES)
     elif args.suite in SUITES:
@@ -330,12 +333,12 @@ def main(argv: Optional[list[str]] = None, out: Optional[IO[str]] = None) -> int
             return _cmd_check(args, out)
         ws = _load_workspace(args)
         return _WORKSPACE_COMMANDS[args.command](ws, args, out)
-    except WorkspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FinjetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

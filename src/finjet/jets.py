@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -68,14 +68,6 @@ class SectionJet:
         return self.section.underlying.table
 
 
-def jet_from_table(
-    r: Relation, b: FinMap, p: FinMap, table: Mapping[tuple[str, str], str]
-) -> SectionJet:
-    support = monad(r, b)
-    pm = PartialMapAtStage.from_table(support, p.dom, table)
-    return SectionJet(r, b, PartialSection(pm, p))
-
-
 def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     """All section jets of p at b, in lexicographic order of their value tables.
 
@@ -85,11 +77,10 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
         raise ShapeMismatch("bundle does not live over the relation's source")
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
-    jets = []
-    for choice in itertools.product(*options):
-        table = dict(zip(support.pairs, choice))
-        jets.append(jet_from_table(r, b, p, table))
-    return tuple(jets)
+    return tuple(
+        SectionJet(r, b, PartialSection(PartialMapAtStage(support, p.dom, choice), p))
+        for choice in itertools.product(*options)
+    )
 
 
 def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
@@ -221,7 +212,9 @@ class JetBundle:
     """The bundle over A0 whose fiber at a0 collects all section jets at a0.
 
     Total elements are named "(a0|hash-of-table)"; the generic section jet
-    lives at stage `total` and evaluates each element's own table.
+    lives at stage `total` and evaluates each element's own table.  `index`
+    names every element by its base point and its table in the relation's
+    source order; it is derived from the other fields, so equality ignores it.
     """
 
     relation: Relation  # from A to A0
@@ -229,6 +222,9 @@ class JetBundle:
     total: FinSet
     projection: FinMap  # total -> A0
     generic: PartialSection  # of bundle, at stage total
+    index: Mapping[tuple[str, tuple[tuple[str, str], ...]], str] = field(
+        compare=False, repr=False
+    )
 
     @cached_property
     def generic_jet(self) -> SectionJet:
@@ -242,16 +238,9 @@ class JetBundle:
         gen = self.generic.underlying.table
         return {a: gen[(a, t)] for a in self.relation.column(self.projection(t))}
 
-    @cached_property
-    def _by_table(self) -> Mapping[tuple[str, tuple[tuple[str, str], ...]], str]:
-        return {
-            (self.projection(t), tuple(self.table_of(t).items())): t
-            for t in self.total
-        }
-
     def element_for(self, a0: str, table: Mapping[str, str]) -> str:
         ordered = tuple((a, table[a]) for a in self.relation.column(a0))
-        return self._by_table[(a0, ordered)]
+        return self.index[(a0, ordered)]
 
     def point_jet(self, t: str) -> SectionJet:
         """The jet the total element t stands for, at its own base point."""
@@ -261,7 +250,7 @@ class JetBundle:
 def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
     if p.cod != r.src:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    names: list[str] = []
+    index: dict[tuple[str, tuple[tuple[str, str], ...]], str] = {}
     bases: list[str] = []
     tables: dict[str, dict[str, str]] = {}
     for a0 in r.dst:
@@ -269,17 +258,16 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
         for choice in itertools.product(*(p.fiber(a) for a in around)):
             tab = tuple(zip(around, choice))
             name = table_label(a0, tab)
-            names.append(name)
+            index[(a0, tab)] = name
             bases.append(a0)
             tables[name] = dict(tab)
-    total = FinSet(f"J({p.dom.name})", tuple(names))
+    total = FinSet(f"J({p.dom.name})", tuple(index.values()))
     projection = FinMap(total, r.dst, tuple(bases))
     support = monad(r, projection)
-    generic_table = {(a, t): tables[t][a] for a, t in support.pairs}
     generic = PartialSection(
-        PartialMapAtStage.from_table(support, p.dom, generic_table), p
+        PartialMapAtStage(support, p.dom, tuple(tables[t][a] for a, t in support.pairs)), p
     )
-    return JetBundle(r, p, total, projection, generic)
+    return JetBundle(r, p, total, projection, generic, index)
 
 
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:

@@ -9,6 +9,7 @@ change-of-stage equations then hold as strict equalities of pair-sets.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
@@ -46,21 +47,34 @@ class SubobjectAtStage:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        for a, x in self.pairs:
-            if a not in self.over or x not in self.stage:
-                raise ValueError(f"pair ({a},{x}) escapes {self.over.name} x {self.stage.name}")
-        if self.pairs != _sort_pairs(self.over, self.stage, self.pairs):
-            raise ValueError("pairs not in canonical order; use from_pairs")
+        check_canonical(self.over, self.stage, self.pairs)
 
     @classmethod
     def from_pairs(
         cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
     ) -> "SubobjectAtStage":
-        return cls(over, stage, _sort_pairs(over, stage, set(pairs)))
+        return cls(over, stage, canonical_pairs(over, stage, pairs))
+
+    @classmethod
+    def from_stage_major(
+        cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
+    ) -> "SubobjectAtStage":
+        """The subobject of distinct pairs that give each a's stage elements in stage order.
+
+        Monads, change of stage and counterimages emit their pairs stage by
+        stage, which meets this.  Buckets the pairs by first coordinate and
+        sorts only the rows that occur: O(pairs + rows log rows), however
+        large `over` is.
+        """
+        rows: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
+        for pair in pairs:
+            rows[pair[0]].append(pair)
+        order = sorted(rows, key=over.index.__getitem__)
+        return cls(over, stage, tuple(itertools.chain.from_iterable(rows[a] for a in order)))
 
     @classmethod
     def full(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
-        return cls.from_pairs(over, stage, ((a, x) for a in over for x in stage))
+        return cls(over, stage, tuple((a, x) for a in over for x in stage))
 
     @classmethod
     def empty(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
@@ -100,10 +114,37 @@ class SubobjectAtStage:
         return len(self.pairs)
 
 
-def _sort_pairs(over, stage, pairs):
-    return tuple(
-        sorted(pairs, key=lambda p: (over.index[p[0]], stage.index[p[1]]))
-    )
+def canonical_pairs(
+    left: FinSet, right: FinSet, pairs: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, str], ...]:
+    """The distinct pairs sorted by (index in left, index in right): the canonical form."""
+    li, ri = left.index, right.index
+    return tuple(sorted(set(pairs), key=lambda p: (li[p[0]], ri[p[1]])))
+
+
+def check_canonical(
+    left: FinSet, right: FinSet, pairs: tuple[tuple[str, str], ...]
+) -> None:
+    """Raise ValueError unless `pairs` is in canonical form inside left x right.
+
+    One pass: every pair must lie in left x right, and the keys (index in
+    left, index in right) must never decrease.  An escaping pair is reported
+    in preference to a misordering, wherever the two occur.
+    """
+    li, ri, width = left.index.get, right.index.get, len(right)
+    prev = -1
+    ordered = True
+    for a, x in pairs:
+        i = li(a)
+        j = ri(x)
+        if i is None or j is None:
+            raise ValueError(f"pair ({a},{x}) escapes {left.name} x {right.name}")
+        key = i * width + j
+        if key < prev:
+            ordered = False
+        prev = key
+    if not ordered:
+        raise ValueError("pairs not in canonical order; use from_pairs")
 
 
 def column_index(
@@ -144,7 +185,7 @@ def change_of_stage(u: SubobjectAtStage, alpha: FinMap) -> SubobjectAtStage:
         raise StageMismatch(
             f"map into {alpha.cod.name!r} cannot change stage {u.stage.name!r}"
         )
-    return SubobjectAtStage.from_pairs(
+    return SubobjectAtStage.from_stage_major(
         u.over,
         alpha.dom,
         ((a, y) for y, x in zip(alpha.dom.elements, alpha.values) for a in u.column(x)),
@@ -157,7 +198,7 @@ def counterimage(f: FinMap, u: SubobjectAtStage) -> SubobjectAtStage:
         raise OverMismatch(
             f"map into {f.cod.name!r} cannot take counterimage over {u.over.name!r}"
         )
-    return SubobjectAtStage.from_pairs(
+    return SubobjectAtStage.from_stage_major(
         f.dom,
         u.stage,
         ((a2, x) for x in u.stage for a in u.column(x) for a2 in f.fiber(a)),
@@ -212,9 +253,10 @@ class PartialMapAtStage:
         target: FinSet,
         table: Mapping[tuple[str, str], str],
     ) -> "PartialMapAtStage":
-        if set(table) != set(support.pairs):
+        pairs = support.pairs
+        if len(table) != len(pairs) or not all(map(table.__contains__, pairs)):
             raise ValueError("value table does not match the support pairs")
-        return cls(support, target, tuple(table[p] for p in support.pairs))
+        return cls(support, target, tuple(table[p] for p in pairs))
 
     @cached_property
     def table(self) -> Mapping[tuple[str, str], str]:

@@ -9,7 +9,14 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
 from .finset import FinMap, FinSet, Span, all_maps, compose, element, pair_name
-from .kripke import SubobjectAtStage, column_index, counterimage, sub_leq
+from .kripke import (
+    SubobjectAtStage,
+    canonical_pairs,
+    check_canonical,
+    column_index,
+    counterimage,
+    sub_leq,
+)
 
 
 @dataclass(frozen=True)
@@ -21,25 +28,13 @@ class Relation:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        for a, b in self.pairs:
-            if a not in self.src or b not in self.dst:
-                raise ValueError(f"pair ({a},{b}) escapes {self.src.name} x {self.dst.name}")
-        ordered = tuple(
-            sorted(self.pairs, key=lambda p: (self.src.index[p[0]], self.dst.index[p[1]]))
-        )
-        if self.pairs != ordered:
-            raise ValueError("pairs not in canonical order; use from_pairs")
+        check_canonical(self.src, self.dst, self.pairs)
 
     @classmethod
     def from_pairs(
         cls, src: FinSet, dst: FinSet, pairs: Iterable[tuple[str, str]]
     ) -> "Relation":
-        unique = set(pairs)
-        return cls(
-            src,
-            dst,
-            tuple(sorted(unique, key=lambda p: (src.index[p[0]], dst.index[p[1]]))),
-        )
+        return cls(src, dst, canonical_pairs(src, dst, pairs))
 
     @classmethod
     def diagonal(cls, a: FinSet) -> "Relation":
@@ -47,7 +42,7 @@ class Relation:
 
     @classmethod
     def full(cls, src: FinSet, dst: FinSet) -> "Relation":
-        return cls.from_pairs(src, dst, ((a, b) for a in src for b in dst))
+        return cls(src, dst, tuple((a, b) for a in src for b in dst))
 
     @cached_property
     def pair_set(self) -> frozenset[tuple[str, str]]:
@@ -80,7 +75,7 @@ def monad(r: Relation, b: FinMap) -> SubobjectAtStage:
     """The neighborhood of the element b: X -> dst, as a subobject of src at X."""
     if b.cod != r.dst:
         raise OverMismatch("element does not land in the relation's destination")
-    return SubobjectAtStage.from_pairs(
+    return SubobjectAtStage.from_stage_major(
         r.src,
         b.dom,
         ((a, x) for x, b0 in zip(b.dom.elements, b.values) for a in r.column(b0)),

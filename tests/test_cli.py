@@ -2,12 +2,16 @@ import hashlib
 import io
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import finjet
+
 from finjet.cli import main
-from finjet.instances import path_graph_workspace
+from finjet.instances import complete_graph_workspace, path_graph_workspace
 from finjet.workspace import serialize_workspace
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws")
@@ -259,6 +263,35 @@ def test_raising_instance_is_a_counted_failure_at_any_jobs(monkeypatch):
     assert f"# instance {first} of raising raised ValueError: deliberately raising probe suite" in text1
 
 
+def test_data_commands_do_not_load_the_process_pool():
+    src = Path(finjet.__file__).resolve().parent.parent
+    probe = (
+        "import sys, finjet.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    import finjet.cli as cli
+
+    def broken(ws, args, out):
+        raise KeyError("deliberately missing key")
+
+    monkeypatch.setitem(cli._WORKSPACE_COMMANDS, "jetbundle", broken)
+    code, text = run(["-w", FIXTURE, "jetbundle", "--relation", "R", "--bundle", "p"])
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'deliberately missing key'\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--trials", "-3"), ("--max-obj", "0"), ("--max-obj", "-1"), ("--max-fiber", "0"), ("--jobs", "0")],
@@ -295,6 +328,40 @@ GOLDEN_PATH_DIGESTS = [
 def test_records_output_on_path_graph_is_pinned(tmp_path, n, argv, digest):
     path = tmp_path / f"p{n}.ws"
     path.write_text(serialize_workspace(path_graph_workspace(n, 2)))
+    code, text = run(["-w", str(path), "--format", "records", *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the records output on the complete graph K_5 (K_4 for dualjet),
+# fibers 2, pinned from the implementation before linear canonical pair-sets.
+GOLDEN_COMPLETE_DIGESTS = [
+    ("jetbundle", 5, ["jetbundle", "--relation", "R", "--bundle", "p"],
+     "6556ac93bf631a90fe1552e99851942ebf645f5caceda2c9946d837287fb3b0f"),
+    ("polyjet", 5, ["polyjet", "--relation", "R", "--bundle", "p"],
+     "ae6bab4fddc24969ae532e812c2cb94f9a805fcefca703a5a5237c4ee8c05fd1"),
+    ("classify-first", 5, ["classify", "--relation", "R", "--bundle", "p", "--point", "v2", "--index", "0"],
+     "6964df7e710ff6b93a4cce0f3a00baf0624e710edfe27e03cbb502160059e3be"),
+    ("classify-middle", 5, ["classify", "--relation", "R", "--bundle", "p", "--point", "v2", "--index", "16"],
+     "3d90ea37996a29e69ab05365cb72605deab31184a30997833592f91df06f7a4c"),
+    ("classify-last", 5, ["classify", "--relation", "R", "--bundle", "p", "--point", "v2", "--index", "31"],
+     "2f20321a4e810dad09d7c6d265c89b4d15f47bad76a9213a39623e4f0d8b96eb"),
+    ("phi", 5, ["phi", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--map0", "id",
+                "--bundle", "p", "--point", "v2", "--index", "16"],
+     "7a7644161b5fe239ff24e9930cf35f348122435b0eaca373c523c97ea61769af"),
+    ("dualjet", 4, ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+     "21f47099c80dc09a7acae17a69bc68c515b29a3d25df3d26b0e1f6d3c9849e0d"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest",
+    [case[1:] for case in GOLDEN_COMPLETE_DIGESTS],
+    ids=[case[0] for case in GOLDEN_COMPLETE_DIGESTS],
+)
+def test_records_output_on_complete_graph_is_pinned(tmp_path, n, argv, digest):
+    path = tmp_path / f"k{n}.ws"
+    path.write_text(serialize_workspace(complete_graph_workspace(n, 2)))
     code, text = run(["-w", str(path), "--format", "records", *argv])
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

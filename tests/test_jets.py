@@ -80,6 +80,22 @@ def test_jet_bundle_of_identity_bundle():
     assert all(len(jb.fiber(a0)) == 1 for a0 in A)
 
 
+@pytest.mark.parametrize(
+    "rel", [R, Relation.diagonal(A), Relation.from_pairs(A, A, []), Relation.full(A, A)],
+    ids=["ball", "diagonal", "empty", "full"],
+)
+def test_element_for_names_every_element_by_its_table(rel):
+    jb = jet_bundle(rel, P_MAP)
+    for t in jb.total:
+        a0, table = jb.projection(t), jb.table_of(t)
+        assert jb.element_for(a0, table) == t
+        for a in table:
+            for e in E:
+                if P_MAP(e) != a:
+                    with pytest.raises(KeyError):
+                        jb.element_for(a0, {**table, a: e})
+
+
 def test_classify_singleton_and_empty_stage():
     jb = jet_bundle(R, P_MAP)
     for a0 in A:

@@ -212,6 +212,44 @@ def test_stage_joins_edge_cases():
     assert_joins_match_nested_loops(Relation(empty, empty, ()), none, nothing, none, none)
 
 
+def sort_and_compare_rule(left, right, pairs):
+    """The error the replaced validator raised: membership first, then re-sort and compare."""
+    for a, x in pairs:
+        if a not in left or x not in right:
+            return f"pair ({a},{x}) escapes {left.name} x {right.name}"
+    if pairs != tuple(sorted(pairs, key=lambda p: (left.index[p[0]], right.index[p[1]]))):
+        return "pairs not in canonical order; use from_pairs"
+    return None
+
+
+@st.composite
+def raw_pair_tuples(draw):
+    """(left, right, pairs): shuffled or sorted pairs with duplicates, maybe one escaping pair."""
+    left = draw(shuffled_finsets("A", 3))
+    right = draw(shuffled_finsets("X", 3))
+    cells = [(a, x) for a in left for x in right]
+    pairs = draw(st.lists(st.sampled_from(cells), max_size=6)) if cells else []
+    if draw(st.booleans()):
+        pairs.sort(key=lambda p: (left.index[p[0]], right.index[p[1]]))
+    escaping = [(a, "zz") for a in left] + [("zz", x) for x in right] + [("zz", "zz")]
+    for pair in draw(st.lists(st.sampled_from(escaping), max_size=1)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return left, right, tuple(pairs)
+
+
+@given(raw_pair_tuples())
+@settings(max_examples=300, deadline=None)
+def test_subobject_validator_matches_sort_and_compare(case):
+    over, stage, pairs = case
+    expected = sort_and_compare_rule(over, stage, pairs)
+    if expected is None:
+        assert SubobjectAtStage(over, stage, pairs).pairs == pairs
+    else:
+        with pytest.raises(ValueError) as info:
+            SubobjectAtStage(over, stage, pairs)
+        assert str(info.value) == expected
+
+
 def test_member_empty_stage_is_vacuous():
     u = SubobjectAtStage.empty(A, X)
     empty = FinSet("Y", ())

@@ -29,7 +29,6 @@ from .kripke import (
     PartialSection,
     stage_restrict,
     value,
-    yoneda_construct,
 )
 from .polyfun import (
     Bundle,
@@ -132,8 +131,10 @@ class PhiContext:
 def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
     """Transport a jet of p at f0(a0) to a jet of the pulled-back bundle at a0.
 
-    Built through the tabulation of the value law a |-> <a, j(f(a))>, then
-    cross-checked against the direct table formula; the two must agree.
+    The value at (a, x) of the monad of a0 is the pullback element
+    <a, j(f(a), x)>, the direct table of the value law a |-> <a, j(f(a))>.
+    The `phi-laws` and `global-functor` suites compare it with the law's
+    Yoneda tabulation.
     """
     mor = ctx.morphism
     if a0.cod != mor.rel_src.dst:
@@ -143,26 +144,17 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
     if j.at != compose(mor.f0, a0):
         raise ShapeMismatch("jet is not based at the image of the given element")
     support = monad(mor.rel_src, a0)
+    table = j.table
+    values = []
     for a, x in support.pairs:
-        if (mor.f(a), x) not in j.section.support.pair_set:
+        image = (mor.f(a), x)
+        if image not in table:
             raise PreservationViolated(
                 f"image of ({a},{x}) escapes the jet's support"
             )
-
-    def law(a: FinMap, alpha: FinMap) -> FinMap:
-        image_value = value(j.section.underlying, compose(mor.f, a), alpha)
-        return pair_into_pullback(a, image_value, ctx.square)
-
-    constructed = yoneda_construct(support, law)
-    direct = {
-        (a, x): ctx.square.pair_index[(a, j.table[(mor.f(a), x)])]
-        for a, x in support.pairs
-    }
-    if constructed.table != direct:
-        raise AssertionError("tabulated law disagrees with the direct formula")
-    return SectionJet(
-        mor.rel_src, a0, PartialSection(constructed, ctx.pulled)
-    )
+        values.append(ctx.square.pair_index[(a, table[image])])
+    moved = PartialMapAtStage(support, ctx.square.apex, tuple(values))
+    return SectionJet(mor.rel_src, a0, PartialSection(moved, ctx.pulled))
 
 
 def phi_compose_check(
@@ -271,7 +263,12 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
 
 
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:
-    """The unique map into the total whose pullback of the generic jet is j."""
+    """The unique map into the total whose pullback of the generic jet is j.
+
+    Each stage point is named by one lookup of its base point and table in
+    the jet bundle's element index.  The `classify` suite checks that
+    restricting the generic jet along the result rebuilds j.
+    """
     if j.relation != jb.relation or j.bundle != jb.bundle:
         raise ShapeMismatch("jet does not belong to this jet bundle")
     table = j.table
@@ -280,14 +277,16 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
         a0 = j.at(x)
         at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
         values.append(jb.element_for(a0, at_x))
-    result = FinMap(j.stage, jb.total, tuple(values))
-    if restrict_jet(jb.generic_jet, result) != j:
-        raise AssertionError("classifying map does not reproduce the jet")
-    return result
+    return FinMap(j.stage, jb.total, tuple(values))
 
 
 def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
-    """The jet bundle functor on a vertical map between bundles over A."""
+    """The jet bundle functor on a vertical map between bundles over A.
+
+    Each jet is moved to the element named by its pushed-forward table, which
+    sits over the same base point; `global_jet` (through `SliceMorphism`) and
+    the `poly-iso` suite check that the arrow commutes with the projections.
+    """
     if jb_q.relation != jb_p.relation:
         raise ShapeMismatch("jet bundles built from different relations")
     if compose(jb_p.bundle, r_map) != jb_q.bundle:
@@ -297,10 +296,7 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
         a0 = jb_q.projection(t)
         moved = {a: r_map(e) for a, e in jb_q.table_of(t).items()}
         values.append(jb_p.element_for(a0, moved))
-    arrow = FinMap(jb_q.total, jb_p.total, tuple(values))
-    if compose(jb_p.projection, arrow) != jb_q.projection:
-        raise AssertionError("vertical image does not commute with projections")
-    return arrow
+    return FinMap(jb_q.total, jb_p.total, tuple(values))
 
 
 def maps_over(

@@ -20,6 +20,7 @@ from .finset import (
     FinSet,
     all_maps,
     compose,
+    element,
     is_monic,
     pair_into_pullback,
     pullback,
@@ -71,6 +72,66 @@ class _Checker:
 
     def outcome(self) -> Outcome:
         return self.passed, self.failed, self.counterexample
+
+
+# --------------------------------------------------------------------------
+# second derivations: the library computes each of these results one way;
+# these wrappers compute it a second way and count the comparison as a check.
+
+
+def _phi_tabulated(
+    ctx: jets.PhiContext, a0: FinMap, j: jets.SectionJet
+) -> kripke.PartialMapAtStage:
+    """phi's value law a |-> <a, j(f(a))>, tabulated by Yoneda probes."""
+    mor = ctx.morphism
+
+    def law(a: FinMap, alpha: FinMap) -> FinMap:
+        image_value = kripke.value(j.section.underlying, compose(mor.f, a), alpha)
+        return pair_into_pullback(a, image_value, ctx.square)
+
+    return kripke.yoneda_construct(relations.monad(mor.rel_src, a0), law)
+
+
+def _checked_phi(
+    t: _Checker, ctx: jets.PhiContext, a0: FinMap, j: jets.SectionJet
+) -> jets.SectionJet:
+    """`jets.phi`, checked against the Yoneda tabulation of its value law."""
+    moved = jets.phi(ctx, a0, j)
+    t.check(
+        moved.section.underlying == _phi_tabulated(ctx, a0, j),
+        "transport disagrees with the tabulation of its value law",
+    )
+    return moved
+
+
+def _checked_classify(t: _Checker, jb: jets.JetBundle, j: jets.SectionJet) -> FinMap:
+    """`jets.classify`, checked by pulling the generic jet back along the result."""
+    cl = jets.classify(jb, j)
+    t.check(
+        jets.restrict_jet(jb.generic_jet, cl) == j,
+        "pulling the generic jet back does not rebuild the jet",
+    )
+    return cl
+
+
+def _checked_preserves(
+    t: _Checker, f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation
+) -> Optional[relations.RelationMorphism]:
+    """`relations.check_preserves`, checked against the monad criterion: the
+    monad of every point lands in the counterimage of its image's monad."""
+    morphism = relations.check_preserves(f, f0, rel_src, rel_dst)
+    by_monads = all(
+        kripke.sub_leq(
+            relations.monad_at(rel_src, a0),
+            kripke.counterimage(f, relations.monad_at(rel_dst, f0(a0))),
+        )
+        for a0 in rel_src.dst
+    )
+    t.check(
+        (morphism is not None) == by_monads,
+        "pair-set and monad preservation criteria disagree",
+    )
+    return morphism
 
 
 def _stage(size: int) -> FinSet:
@@ -352,7 +413,7 @@ def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome
     )
     t = _Checker(ws)
     t.check(
-        relations.check_preserves(f, f0, rel_src, rel_dst) is not None,
+        _checked_preserves(t, f, f0, rel_src, rel_dst) is not None,
         "a relation drawn inside the counterimage is not preserved",
     )
     loose = rand_relation(rng, f.dom, f0.dom)
@@ -360,12 +421,12 @@ def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome
         (f(p), f0(p0)) in rel_dst.pair_set for p, p0 in loose.pairs
     )
     t.check(
-        (relations.check_preserves(f, f0, loose, rel_dst) is not None) == oracle,
+        (_checked_preserves(t, f, f0, loose, rel_dst) is not None) == oracle,
         "preservation test disagrees with the direct pairwise scan",
     )
     g, ball_a, ball_b = rand_ball_pair(rng, max_obj)
     t.check(
-        relations.check_preserves(g, g, ball_a.base, ball_b.base) is not None,
+        _checked_preserves(t, g, g, ball_a.base, ball_b.base) is not None,
         "a graph morphism does not preserve equal-radius balls",
     )
     carrier = rand_finset(rng, "G", max_obj, min_size=1)
@@ -471,12 +532,7 @@ def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         jets_here = jets.enumerate_jets(r, base, p.map)
         seen = set()
         for j in jets_here:
-            cl = jets.classify(jb, j)
-            t.check(
-                jets.restrict_jet(jb.generic_jet, cl) == j,
-                "pulling the generic jet back does not rebuild the jet",
-            )
-            seen.add(cl.values)
+            seen.add(_checked_classify(t, jb, j).values)
         t.check(
             len(seen) == len(jets_here) == count,
             "classification at a two-point stage is not a bijection",
@@ -488,8 +544,8 @@ def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
                 continue
             for j in jets_here:
                 t.check(
-                    compose(jets.classify(jb, j), alpha)
-                    == jets.classify(jb, jets.restrict_jet(j, alpha)),
+                    compose(_checked_classify(t, jb, j), alpha)
+                    == _checked_classify(t, jb, jets.restrict_jet(j, alpha)),
                     "classification is not natural in the stage",
                 )
     return t.outcome()
@@ -526,8 +582,8 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         relations={"RA": rel_a, "RB": rel_b, "RC": rel_c},
     )
     t = _Checker(ws)
-    upper = relations.check_preserves(f, f0, rel_a, rel_b)
-    lower = relations.check_preserves(g, g0, rel_b, rel_c)
+    upper = _checked_preserves(t, f, f0, rel_a, rel_b)
+    lower = _checked_preserves(t, g, g0, rel_b, rel_c)
     if upper is None or lower is None:
         t.check(False, "generated morphisms fail preservation")
         return t.outcome()
@@ -538,8 +594,16 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         jets.phi_compose_check(upper, lower, p.map, a0),
         "stacked transports disagree with the composite transport",
     )
+    # The transports phi_compose_check makes, each against its tabulation.
+    ctx_k = jets.PhiContext.of(lower, p.map)
+    ctx_h = jets.PhiContext.of(upper, ctx_k.pulled)
+    ctx_whole = jets.PhiContext.of(upper.then(lower), p.map)
+    mid_base = compose(f0, a0)
+    for j in jets.enumerate_jets(rel_c, compose(g0, mid_base), p.map):
+        _checked_phi(t, ctx_h, a0, _checked_phi(t, ctx_k, mid_base, j))
+        _checked_phi(t, ctx_whole, a0, j)
     fm, ball_a, ball_b = rand_ball_pair(rng, size)
-    classical = relations.check_preserves(fm, fm, ball_a.base, ball_b.base)
+    classical = _checked_preserves(t, fm, fm, ball_a.base, ball_b.base)
     pb_bundle = rand_bundle(rng, fm.cod, min(max_fiber, 2), min_fiber=1, tag="q")
     top = rand_bundle(rng, fm.cod, min(max_fiber, 2), tag="r")
     r_map_values = []
@@ -557,14 +621,20 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
             jets.cluex_check(classical, r_map, pb_bundle.map, a0c),
             "transport does not commute with pushing jets along a vertical",
         )
+        # The transports cluex_check makes, each against its tabulation.
+        ctx_h = jets.PhiContext.of(classical, pb_bundle.map)
+        ctx_k = jets.PhiContext.of(classical, compose(pb_bundle.map, r_map))
+        for j in jets.enumerate_jets(ball_b.base, compose(fm, a0c), ctx_k.bundle):
+            _checked_phi(t, ctx_k, a0c, j)
+            _checked_phi(t, ctx_h, a0c, jets.map_jet(j, r_map, pb_bundle.map))
     naturality_stage = _stage(1)
     base = rand_map(rng, _stage(2), f0.dom)
     alpha = rand_map(rng, naturality_stage, _stage(2))
     ctx = jets.PhiContext.of(upper, rand_bundle(rng, f.cod, min(max_fiber, 2), tag="n").map)
     for j in jets.enumerate_jets(rel_b, compose(f0, base), ctx.bundle)[:4]:
         t.check(
-            jets.restrict_jet(jets.phi(ctx, base, j), alpha)
-            == jets.phi(ctx, compose(base, alpha), jets.restrict_jet(j, alpha)),
+            jets.restrict_jet(_checked_phi(t, ctx, base, j), alpha)
+            == _checked_phi(t, ctx, compose(base, alpha), jets.restrict_jet(j, alpha)),
             "transport is not natural in the base element",
         )
     return t.outcome()
@@ -602,6 +672,10 @@ def check_poly_iso(
         for v in slice_homs(src, dst):
             moved_poly = polyfun.polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
             moved_jets = jets.jet_on_vertical(jb_src, jb_dst, v.arrow)
+            t.check(
+                compose(jb_dst.projection, moved_jets) == jb_src.projection,
+                "jet functor image does not commute with the projections",
+            )
             lhs = compose(iso_dst.arrow, moved_poly.arrow)
             rhs = compose(moved_jets, iso_src.arrow)
             t.check(lhs == rhs, "isomorphism is not natural in the bundle")
@@ -698,6 +772,25 @@ def check_terminality(rng: random.Random, max_obj: int, max_fiber: int) -> Outco
     return t.outcome()
 
 
+def _global_jet_checks(
+    t: _Checker, c: fibdual.Comorphism, rels: fibdual.RelationAssignment
+) -> None:
+    """The second derivations behind `fibdual.global_jet(c, rels)`: the monad
+    criterion for its base map, and the tabulation and classification of each
+    transport its mediating map makes, one per point a0 and jet at f(a0)."""
+    rel_src = rels[c.over.dom].base
+    rel_dst = rels[c.over.cod].base
+    morphism = _checked_preserves(t, c.over, c.over, rel_src, rel_dst)
+    if morphism is None:
+        return
+    ctx = jets.PhiContext.of(morphism, c.dst.map)
+    jb_src = jets.jet_bundle(rel_src, ctx.pulled)
+    for a0 in c.over.dom:
+        point = element(c.over.dom, a0)
+        for j in jets.enumerate_jets(rel_dst, compose(c.over, point), c.dst.map):
+            _checked_classify(t, jb_src, _checked_phi(t, ctx, point, j))
+
+
 def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     size = min(max_obj, 3)
     a4 = rand_finset(rng, "A4", size, min_size=1)
@@ -741,8 +834,11 @@ def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     right_assoc = fibdual.comorphism_compose(c3, fibdual.comorphism_compose(c2, c1))
     t.check(left_assoc == right_assoc, "comorphism composition is not associative")
     jb1 = jets.jet_bundle(rels[a1].base, p1.map)
+    identity = fibdual.identity_comorphism(p1)
+    for c in (identity, right_assoc, c3, c2, c1):
+        _global_jet_checks(t, c, rels)
     t.check(
-        fibdual.global_jet(fibdual.identity_comorphism(p1), rels)
+        fibdual.global_jet(identity, rels)
         == fibdual.identity_comorphism(Bundle(jb1.projection)),
         "jet functor does not preserve the identity comorphism",
     )

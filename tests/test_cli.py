@@ -263,6 +263,95 @@ def test_raising_instance_is_a_counted_failure_at_any_jobs(monkeypatch):
     assert f"# instance {first} of raising raised ValueError: deliberately raising probe suite" in text1
 
 
+def test_phi_and_dualjet_run_without_the_yoneda_tabulation(monkeypatch, tmp_path):
+    import finjet.jets as jets
+    import finjet.kripke as kripke
+
+    path = tmp_path / "p3_id.ws"
+    path.write_text(Path(FIXTURE).read_text() + "map id : A -> A { a -> a ; b -> b ; c -> c }\n")
+    base = ["-w", str(path), "--format", "records"]
+    commands = [
+        base + ["phi", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--map0", "id",
+                "--bundle", "p", "--point", point, "--index", str(index)]
+        for point, count in (("a", 2), ("b", 4), ("c", 2))
+        for index in range(count)
+    ]
+    commands.append(
+        base + ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"]
+    )
+    expected = [run(argv) for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the library tabulated a value law")
+
+    monkeypatch.setattr(kripke, "yoneda_construct", refuse)
+    monkeypatch.setattr(jets, "yoneda_construct", refuse, raising=False)
+    assert [run(argv) for argv in commands] == expected
+    assert all(code == 0 for code, _ in expected)
+
+
+def _phi_off_by_one_value(real):
+    """phi whose first value with a rival in its fiber is replaced by that rival."""
+    from finjet.jets import SectionJet
+    from finjet.kripke import PartialMapAtStage, PartialSection
+
+    def phi(ctx, a0, j):
+        moved = real(ctx, a0, j)
+        values = list(moved.section.underlying.values)
+        for i, v in enumerate(values):
+            rivals = [e for e in ctx.pulled.fiber(ctx.pulled(v)) if e != v]
+            if rivals:
+                values[i] = rivals[0]
+                break
+        wrong = PartialMapAtStage(moved.section.support, ctx.square.apex, tuple(values))
+        return SectionJet(moved.relation, moved.at, PartialSection(wrong, ctx.pulled))
+
+    return phi
+
+
+def _classify_off_by_one_element(real):
+    """classify whose first point with a rival element over its base is sent there."""
+    from finjet.finset import FinMap
+
+    def classify(jb, j):
+        cl = real(jb, j)
+        values = list(cl.values)
+        for i, t in enumerate(values):
+            rivals = [u for u in jb.fiber(jb.projection(t)) if u != t]
+            if rivals:
+                values[i] = rivals[0]
+                break
+        return FinMap(cl.dom, cl.cod, tuple(values))
+
+    return classify
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "suite, name, mutant, reason",
+    [
+        ("phi-laws", "phi", _phi_off_by_one_value,
+         "transport disagrees with the tabulation of its value law"),
+        ("classify", "classify", _classify_off_by_one_element,
+         "classifying map is not the unique one at a point"),
+    ],
+    ids=["phi", "classify"],
+)
+def test_wrong_library_result_is_a_counted_failure(monkeypatch, capsys, jobs, suite, name, mutant, reason):
+    import finjet.jets as jets
+
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patched library function reaches worker processes only when they are forked")
+    monkeypatch.setattr(jets, name, mutant(getattr(jets, name)))
+    # Two CPUs, so --jobs 2 runs on a real pool on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, text = run(["check", "--suite", suite, "--seed", "42", "--trials", "20", "--jobs", jobs])
+    assert code == 1
+    assert "result=FAIL" in text
+    assert f"counterexample:\n  # {reason}\n  object " in text
+    assert "Traceback" not in text + capsys.readouterr().err
+
+
 def test_data_commands_do_not_load_the_process_pool():
     src = Path(finjet.__file__).resolve().parent.parent
     probe = (

@@ -1,8 +1,14 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import finjet.jets as jets_module
+import finjet.kripke as kripke
 from finjet.errors import NotReflexive, NotVertical
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
-from finjet.instances import fixture_p3_parts
+from finjet.instances import fixture_p3_parts, rand_ball_pair, rand_bundle, rand_map
 from finjet.jets import (
     PhiContext,
     beck_chevalley_check,
@@ -27,6 +33,7 @@ from finjet.relations import (
     ball_relation,
     check_preserves,
 )
+from finjet.suites import _phi_tabulated
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -359,3 +366,62 @@ def test_polynomial_iso_diagonal():
     poly, jb, iso = polynomial_iso(diag, P_MAP)
     assert iso.is_iso()
     assert len(poly.total) == len(E)
+
+
+def fixture_transports():
+    """(context, base element, jet) for every transport along the fixture
+    morphisms at stages of size <= 2, the empty-relation one included."""
+    classical, p_big = classical_morphism()
+    identity = check_preserves(FinMap.identity(A), FinMap.identity(A), R, R)
+    empty = check_preserves(
+        classical.f, classical.f0, Relation.from_pairs(A, A, []), classical.rel_dst
+    )
+    for morphism, p in ((identity, P_MAP), (classical, p_big), (empty, p_big)):
+        ctx = PhiContext.of(morphism, p)
+        for size in (0, 1, 2):
+            stage = FinSet("X", tuple(f"x{i}" for i in range(size)))
+            for a0 in all_maps(stage, A):
+                for j in enumerate_jets(morphism.rel_dst, compose(morphism.f0, a0), p):
+                    yield ctx, a0, j
+
+
+def test_phi_equals_yoneda_tabulation_on_fixture_morphisms():
+    empty_monads = 0
+    for ctx, a0, j in fixture_transports():
+        moved = phi(ctx, a0, j)
+        assert moved.section.underlying == _phi_tabulated(ctx, a0, j)
+        empty_monads += not moved.table
+    assert empty_monads > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
+    rng = random.Random(seed)
+    f, ball_a, ball_b = rand_ball_pair(rng, 3)
+    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a.base
+    morphism = check_preserves(f, f, rel_src, ball_b.base)
+    p = rand_bundle(rng, f.cod, 2).map
+    ctx = PhiContext.of(morphism, p)
+    stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
+    a0 = rand_map(rng, stage, f.dom)
+    for j in enumerate_jets(ball_b.base, compose(f, a0), p):
+        moved = phi(ctx, a0, j)
+        assert moved.section.underlying == _phi_tabulated(ctx, a0, j)
+        if empty or stage_size == 0:
+            assert moved.table == {}
+
+
+def test_transport_runs_without_the_yoneda_tabulation(monkeypatch):
+    classical, p_big = classical_morphism()
+    transports = list(fixture_transports())
+    expected = [phi(ctx, a0, j) for ctx, a0, j in transports]
+    mediated = mediating_map(classical, p_big)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the library tabulated a value law")
+
+    monkeypatch.setattr(kripke, "yoneda_construct", refuse)
+    monkeypatch.setattr(jets_module, "yoneda_construct", refuse, raising=False)
+    assert [phi(ctx, a0, j) for ctx, a0, j in transports] == expected
+    assert mediating_map(classical, p_big) == mediated

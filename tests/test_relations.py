@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+
+import finjet.relations as relations_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -249,3 +251,47 @@ def test_relation_validator_matches_sort_and_compare(data):
         with pytest.raises(ValueError) as info:
             Relation(src, dst, pairs)
         assert str(info.value) == expected
+
+
+def monad_criterion(f, f0, rel_src, rel_dst):
+    """Preservation read off monads: the monad of every point lands in the
+    counterimage of its image's monad (the rule check_preserves once also
+    evaluated in line)."""
+    return all(
+        sub_leq(monad_at(rel_src, a0), counterimage(f, monad_at(rel_dst, f0(a0))))
+        for a0 in rel_src.dst
+    )
+
+
+def maps_between(dom, cod):
+    return st.tuples(*[st.sampled_from(cod.elements)] * len(dom)).map(
+        lambda values: FinMap(dom, cod, values)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_preserves_agrees_with_the_monad_criterion(data):
+    f = data.draw(maps_between(A, B))
+    f0 = data.draw(maps_between(X, A))
+    rel_src = data.draw(relations_on(A, X))
+    rel_dst = data.draw(relations_on(B, A))
+    if data.draw(st.booleans()):
+        # Add the image of rel_src, so that preserving pairs are drawn too.
+        image = [(f(a), f0(a0)) for a, a0 in rel_src.pairs]
+        rel_dst = Relation.from_pairs(B, A, list(rel_dst.pairs) + image)
+    got = check_preserves(f, f0, rel_src, rel_dst)
+    assert (got is not None) == monad_criterion(f, f0, rel_src, rel_dst)
+    if got is not None:
+        assert got == RelationMorphism(f, f0, rel_src, rel_dst)
+
+
+def test_check_preserves_runs_without_counterimages(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("check_preserves evaluated the monad criterion")
+
+    monkeypatch.setattr(relations_module, "counterimage", refuse, raising=False)
+    r = Relation.from_pairs(A, B, [("a1", "b1"), ("a2", "b2")])
+    assert check_preserves(FinMap.identity(A), FinMap.identity(B), r, r) is not None
+    full = Relation.full(A, B)
+    assert check_preserves(FinMap.identity(A), FinMap.identity(B), full, r) is None

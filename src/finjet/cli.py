@@ -181,14 +181,7 @@ def _cmd_classify(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
     base = _point(rel.dst, args.point)
-    found = jets.enumerate_jets(rel, base, bundle.map)
-    if not 0 <= args.index < len(found):
-        raise WorkspaceError(
-            f"index {args.index} out of range; {len(found)} jets at {args.point}"
-        )
-    jb = jets.jet_bundle(rel, bundle.map)
-    cl = jets.classify(jb, found[args.index])
-    target = cl("*")
+    target = jets.classify_point(jets.nth_jet(rel, base, bundle.map, args.index))
     _emit(
         out,
         args.format,
@@ -209,12 +202,8 @@ def _cmd_phi(ws: Workspace, args, out) -> int:
         raise WorkspaceError("the maps do not preserve the relations")
     ctx = jets.PhiContext.of(morphism, bundle.map)
     a0 = _point(rel_src.dst, args.point)
-    found = jets.enumerate_jets(rel_dst, compose(f0, a0), bundle.map)
-    if not 0 <= args.index < len(found):
-        raise WorkspaceError(
-            f"index {args.index} out of range; {len(found)} jets at the image point"
-        )
-    moved = jets.phi(ctx, a0, found[args.index])
+    j = jets.nth_jet(rel_dst, compose(f0, a0), bundle.map, args.index, "the image point")
+    moved = jets.phi(ctx, a0, j)
     table = _jet_records(moved)
     _emit(
         out,

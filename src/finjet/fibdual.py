@@ -117,7 +117,7 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
         c.over,
         Bundle(jb_pulled.projection),
         Bundle(jb_dst.projection),
-        mediating_map(morphism, c.dst.map),
+        mediating_map(morphism, c.dst.map, jb_dst=jb_dst, jb_src=jb_pulled),
     )
     return comorphism_compose(cartesian_image, vertical_image)
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping, Optional
 
 from .errors import (
     NotReflexive,
     NotVertical,
     PreservationViolated,
     ShapeMismatch,
+    WorkspaceError,
 )
 from .finset import (
     FinMap,
@@ -47,12 +49,33 @@ class SectionJet:
     section: PartialSection
 
     def __post_init__(self):
+        self._check_shape()
+        if self.section.support != monad(self.relation, self.at):
+            raise ValueError("support is not the monad of the base element")
+
+    def _check_shape(self) -> None:
         if self.at.cod != self.relation.dst:
             raise ShapeMismatch("base element does not land in the relation's destination")
         if self.section.bundle.cod != self.relation.src:
             raise ShapeMismatch("bundle does not live over the relation's source")
-        if self.section.support != monad(self.relation, self.at):
-            raise ValueError("support is not the monad of the base element")
+
+    @classmethod
+    def _trusted(
+        cls, relation: Relation, at: FinMap, section: PartialSection
+    ) -> "SectionJet":
+        """A jet whose caller has just built its support as the monad of `at`.
+
+        Runs the shape checks but not the monad recomputation.  The only
+        callers: `enumerate_jets`, `nth_jet` and `phi`, which take the support
+        from `monad`, and `restrict_jet`, whose support is the change of stage
+        of a jet's monad, which is the monad of the composite base.
+        """
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "relation", relation)
+        object.__setattr__(jet, "at", at)
+        object.__setattr__(jet, "section", section)
+        jet._check_shape()
+        return jet
 
     @property
     def bundle(self) -> FinMap:
@@ -77,8 +100,35 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
     return tuple(
-        SectionJet(r, b, PartialSection(PartialMapAtStage(support, p.dom, choice), p))
+        SectionJet._trusted(r, b, PartialSection(PartialMapAtStage(support, p.dom, choice), p))
         for choice in itertools.product(*options)
+    )
+
+
+def nth_jet(
+    r: Relation, b: FinMap, p: FinMap, i: int, where: Optional[str] = None
+) -> SectionJet:
+    """enumerate_jets(r, b, p)[i], decoded without building the other jets.
+
+    i is read as a mixed-radix number over p's fibers above the monad pairs,
+    last pair fastest, which is the enumeration order.  An i outside the
+    jets raises WorkspaceError with their count (1 for an empty monad, 0
+    when a fiber is empty) and `where` they sit (default: b's values).
+    """
+    if p.cod != r.src:
+        raise ShapeMismatch("bundle does not live over the relation's source")
+    support = monad(r, b)
+    options = [p.fiber(a) for a, _ in support.pairs]
+    count = math.prod(map(len, options))
+    if not 0 <= i < count:
+        place = ",".join(b.values) if where is None else where
+        raise WorkspaceError(f"index {i} out of range; {count} jets at {place}")
+    choice = [""] * len(options)
+    for k in reversed(range(len(options))):
+        i, digit = divmod(i, len(options[k]))
+        choice[k] = options[k][digit]
+    return SectionJet._trusted(
+        r, b, PartialSection(PartialMapAtStage(support, p.dom, tuple(choice)), p)
     )
 
 
@@ -87,7 +137,7 @@ def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
     if alpha.cod != j.stage:
         raise ShapeMismatch("stage change does not land at the jet's stage")
     moved = stage_restrict(j.section.underlying, alpha)
-    return SectionJet(
+    return SectionJet._trusted(
         j.relation, compose(j.at, alpha), PartialSection(moved, j.bundle)
     )
 
@@ -154,7 +204,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
             )
         values.append(ctx.square.pair_index[(a, table[image])])
     moved = PartialMapAtStage(support, ctx.square.apex, tuple(values))
-    return SectionJet(mor.rel_src, a0, PartialSection(moved, ctx.pulled))
+    return SectionJet._trusted(mor.rel_src, a0, PartialSection(moved, ctx.pulled))
 
 
 def phi_compose_check(
@@ -239,17 +289,31 @@ class JetBundle:
         return restrict_jet(self.generic_jet, element(self.total, t))
 
 
+JetTable = tuple[tuple[str, str], ...]
+
+
+def _fiber_entries(r: Relation, p: FinMap, a0: str) -> Iterator[tuple[JetTable, str]]:
+    """Every jet table at the point a0, keyed in the relation's source order,
+    with its element label, in `enumerate_jets` order: the product of p's
+    fibers over r.column(a0), last entry fastest."""
+    around = r.column(a0)
+    for choice in itertools.product(*(p.fiber(a) for a in around)):
+        tab = tuple(zip(around, choice))
+        yield tab, table_label(a0, tab)
+
+
 def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
+    """The jet bundle of p: the fibers over every point of r.dst, in order.
+
+    All labels go into one FinSet, so a label collision raises ValueError.
+    """
     if p.cod != r.src:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    index: dict[tuple[str, tuple[tuple[str, str], ...]], str] = {}
+    index: dict[tuple[str, JetTable], str] = {}
     bases: list[str] = []
     tables: dict[str, dict[str, str]] = {}
     for a0 in r.dst:
-        around = r.column(a0)
-        for choice in itertools.product(*(p.fiber(a) for a in around)):
-            tab = tuple(zip(around, choice))
-            name = table_label(a0, tab)
+        for tab, name in _fiber_entries(r, p, a0):
             index[(a0, tab)] = name
             bases.append(a0)
             tables[name] = dict(tab)
@@ -262,12 +326,43 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
     return JetBundle(r, p, total, projection, generic, index)
 
 
+def jet_fiber(r: Relation, p: FinMap, a0: str) -> Mapping[JetTable, str]:
+    """The fiber of jet_bundle(r, p) over the point a0, built alone: each jet
+    table there, keyed in the relation's source order, with its element label.
+
+    The labels still go into a FinSet, so a collision among them raises
+    ValueError.  Labels over different points cannot collide, since each
+    label "(a0|hash)" starts with its point; so this check is the bundle's
+    check restricted to a0.
+    """
+    if p.cod != r.src:
+        raise ShapeMismatch("bundle does not live over the relation's source")
+    labels = dict(_fiber_entries(r, p, a0))
+    FinSet(f"J({p.dom.name})", tuple(labels.values()))  # the uniqueness check
+    return labels
+
+
+def classify_point(j: SectionJet) -> str:
+    """The element of jet_bundle(j.relation, j.bundle) that a jet at a
+    one-point stage names, that is classify(jb, j)("*"), read off the fiber
+    over its base point alone.  The `classify` tests compare the two.
+    """
+    if len(j.stage) != 1:
+        raise ShapeMismatch("a jet at a one-point stage names one element")
+    (x,) = j.stage.elements
+    a0 = j.at(x)
+    table = j.table
+    tab = tuple((a, table[(a, x)]) for a in j.relation.column(a0))
+    return jet_fiber(j.relation, j.bundle, a0)[tab]
+
+
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:
     """The unique map into the total whose pullback of the generic jet is j.
 
     Each stage point is named by one lookup of its base point and table in
     the jet bundle's element index.  The `classify` suite checks that
-    restricting the generic jet along the result rebuilds j.
+    restricting the generic jet along the result rebuilds j.  For one jet at
+    an ordinary point, `classify_point` needs only that point's fiber.
     """
     if j.relation != jb.relation or j.bundle != jb.bundle:
         raise ShapeMismatch("jet does not belong to this jet bundle")
@@ -334,7 +429,6 @@ def beck_chevalley_check(
         FinSet(f"stage{n}", tuple(f"x{i}" for i in range(n)))
         for n in range(max_stage + 1)
     ]
-    transported: dict[tuple, FinMap] = {}
     for stage in stages:
         for a0 in all_maps(stage, g.dom):
             jets = enumerate_jets(r, compose(g, a0), q)
@@ -408,15 +502,31 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     return value(j.section.underlying, j.at, FinMap.identity(j.stage))
 
 
-def mediating_map(morphism: RelationMorphism, p: FinMap) -> SliceMorphism:
+def _prebuilt(jb: Optional[JetBundle], r: Relation, p: FinMap, role: str) -> JetBundle:
+    """jet_bundle(r, p), or the given jb once it is checked to be built from r and p."""
+    if jb is None:
+        return jet_bundle(r, p)
+    if jb.relation != r or jb.bundle != p:
+        raise ShapeMismatch(f"{role} jet bundle is not built from its relation and bundle")
+    return jb
+
+
+def mediating_map(
+    morphism: RelationMorphism,
+    p: FinMap,
+    jb_dst: Optional[JetBundle] = None,
+    jb_src: Optional[JetBundle] = None,
+) -> SliceMorphism:
     """The bundle-level transport f0*(J(p)) -> J'(f*(p)) induced by phi.
 
     Computed pointwise: each pulled-back total element names a jet at a point,
-    which is transported by phi and classified again.
+    which is transported by phi and classified again.  J(p) and J'(f*(p)) may
+    be passed in when already built; each must come from the target relation
+    and p, or the source relation and f*(p).
     """
-    jb_dst = jet_bundle(morphism.rel_dst, p)
+    jb_dst = _prebuilt(jb_dst, morphism.rel_dst, p, "target")
     ctx = PhiContext.of(morphism, p)
-    jb_src = jet_bundle(morphism.rel_src, ctx.pulled)
+    jb_src = _prebuilt(jb_src, morphism.rel_src, ctx.pulled, "source")
     sq = pullback(morphism.f0, jb_dst.projection)
     values = []
     for el in sq.apex:

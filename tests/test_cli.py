@@ -454,3 +454,68 @@ def test_records_output_on_complete_graph_is_pinned(tmp_path, n, argv, digest):
     code, text = run(["-w", str(path), "--format", "records", *argv])
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, point, index, message",
+    [
+        ("classify", "b", "4", "index 4 out of range; 4 jets at b"),
+        ("classify", "a", "-1", "index -1 out of range; 2 jets at a"),
+        ("classify", "c", "9", "index 9 out of range; 2 jets at c"),
+        ("phi", "b", "4", "index 4 out of range; 4 jets at the image point"),
+        ("phi", "a", "-1", "index -1 out of range; 2 jets at the image point"),
+        ("phi", "c", "2", "index 2 out of range; 2 jets at the image point"),
+    ],
+)
+def test_index_out_of_range_exits_2_with_the_jet_count(tmp_path, capsys, command, point, index, message):
+    path = tmp_path / "p3_id.ws"
+    path.write_text(Path(FIXTURE).read_text() + "map id : A -> A { a -> a ; b -> b ; c -> c }\n")
+    argv = ["-w", str(path), command]
+    if command == "classify":
+        argv += ["--relation", "R", "--bundle", "p"]
+    else:
+        argv += ["--relation-src", "R", "--relation-dst", "R", "--map", "id", "--map0", "id", "--bundle", "p"]
+    code, text = run([*argv, "--point", point, "--index", index])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):
+    import finjet.jets as jets
+
+    monkeypatch.setattr(jets, "table_label", lambda anchor, entries: f"({anchor}|0000000000)")
+    code, text = run(
+        ["-w", FIXTURE, "classify", "--relation", "R", "--bundle", "p", "--point", "b", "--index", "0"]
+    )
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "internal error: ValueError: duplicate elements in finite set 'J(E)'\n"
+    )
+
+
+def test_trusted_jets_match_the_checked_constructor(monkeypatch, tmp_path):
+    from finjet.jets import SectionJet
+
+    for n in (12, 40):
+        (tmp_path / f"p{n}.ws").write_text(serialize_workspace(path_graph_workspace(n, 2)))
+    for n in (4, 5):
+        (tmp_path / f"k{n}.ws").write_text(serialize_workspace(complete_graph_workspace(n, 2)))
+    commands = [["check", "--suite", "all", "--seed", "42", "--trials", "20"]]
+    commands += [["-w", str(tmp_path / f"p{n}.ws"), "--format", "records", *argv]
+                 for n, argv, _ in GOLDEN_PATH_DIGESTS]
+    commands += [["-w", str(tmp_path / f"k{n}.ws"), "--format", "records", *argv]
+                 for _, n, argv, _ in GOLDEN_COMPLETE_DIGESTS]
+    commands += [["-w", str(tmp_path / "k5.ws"), "jets", "--relation", "R", "--bundle", "p", "--point", "v1"]]
+    expected = [run(argv) for argv in commands]
+    assert all(code == 0 for code, _ in expected)
+    checked = []
+
+    def trusted_by_check(cls, relation, at, section):
+        checked.append(at)
+        return cls(relation, at, section)
+
+    monkeypatch.setattr(SectionJet, "_trusted", classmethod(trusted_by_check))
+    assert [run(argv) for argv in commands] == expected
+    assert checked

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,19 +7,32 @@ from hypothesis import strategies as st
 
 import finjet.jets as jets_module
 import finjet.kripke as kripke
-from finjet.errors import NotReflexive, NotVertical
+from finjet.errors import NotReflexive, NotVertical, ShapeMismatch, WorkspaceError
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
-from finjet.instances import fixture_p3_parts, rand_ball_pair, rand_bundle, rand_map
+from finjet.instances import (
+    complete_graph_workspace,
+    fixture_p3_parts,
+    rand_adjacency,
+    rand_ball_pair,
+    rand_bundle,
+    rand_finset,
+    rand_map,
+    rand_relation,
+)
 from finjet.jets import (
     PhiContext,
+    SectionJet,
     beck_chevalley_check,
     classify,
+    classify_point,
     cluex_check,
     enumerate_jets,
     jet_bundle,
+    jet_fiber,
     jet_on_vertical,
     map_jet,
     mediating_map,
+    nth_jet,
     phi,
     phi_compose_check,
     polynomial_iso,
@@ -34,6 +48,7 @@ from finjet.relations import (
     check_preserves,
 )
 from finjet.suites import _phi_tabulated
+from finjet.workspace import parse_workspace
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -425,3 +440,113 @@ def test_transport_runs_without_the_yoneda_tabulation(monkeypatch):
     monkeypatch.setattr(jets_module, "yoneda_construct", refuse, raising=False)
     assert [phi(ctx, a0, j) for ctx, a0, j in transports] == expected
     assert mediating_map(classical, p_big) == mediated
+
+
+RELATION_KINDS = ("ball", "full", "empty", "diagonal", "random")
+
+
+def _relation(kind, rng, a):
+    """A relation of the given kind from `a`; ball and diagonal are endo-relations."""
+    if kind == "ball":
+        return ball_relation(rand_adjacency(rng, a), 1).base
+    if kind == "diagonal":
+        return Relation.diagonal(a)
+    a0 = rand_finset(rng, "A0", 3, min_size=1)
+    if kind == "full":
+        return Relation.full(a, a0)
+    if kind == "empty":
+        return Relation.from_pairs(a, a0, [])
+    return rand_relation(rng, a, a0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(RELATION_KINDS),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+def test_nth_jet_is_the_enumerated_jet(seed, kind, stage_size, max_fiber):
+    rng = random.Random(seed)
+    a = rand_finset(rng, "A", 3, min_size=1)
+    rel = _relation(kind, rng, a)
+    # Fibers of size 0 occur, so some monads meet an empty fiber.
+    p = rand_bundle(rng, a, max_fiber).map
+    stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
+    b = rand_map(rng, stage, rel.dst)
+    enumerated = enumerate_jets(rel, b, p)
+    decoded = [nth_jet(rel, b, p, i) for i in range(len(enumerated))]
+    assert decoded == list(enumerated)
+    for j in decoded:
+        assert SectionJet(j.relation, j.at, j.section) == j
+    for i in (-1, len(enumerated), len(enumerated) + 3):
+        with pytest.raises(WorkspaceError) as info:
+            nth_jet(rel, b, p, i, "there")
+        assert str(info.value) == f"index {i} out of range; {len(enumerated)} jets at there"
+
+
+def test_nth_jet_empty_monad_and_empty_fiber():
+    empty_rel = Relation.from_pairs(A, A, [])
+    assert nth_jet(empty_rel, point(A, "a"), P_MAP, 0).table == {}
+    with pytest.raises(WorkspaceError, match=r"^index 1 out of range; 1 jets at a$"):
+        nth_jet(empty_rel, point(A, "a"), P_MAP, 1)
+    no_b = FinMap(FinSet("E2", ("a0", "c0")), A, ("a", "c"))
+    assert enumerate_jets(R, point(A, "a"), no_b) == ()
+    with pytest.raises(WorkspaceError, match=r"^index 0 out of range; 0 jets at a$"):
+        nth_jet(R, point(A, "a"), no_b, 0)
+    with pytest.raises(ShapeMismatch):
+        nth_jet(R, point(A, "a"), FinMap.identity(E), 0)
+
+
+FIXTURE_WS = parse_workspace(
+    (Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws").read_text()
+)
+K4_WS = complete_graph_workspace(4, 2)
+
+
+@pytest.mark.parametrize("ws", [FIXTURE_WS, K4_WS], ids=["p3", "k4"])
+def test_classify_point_matches_the_full_bundle(ws):
+    rel, p = ws.relations["R"], ws.maps["p"]
+    jb = jet_bundle(rel, p)
+    for a0 in rel.dst:
+        here = enumerate_jets(rel, point(rel.dst, a0), p)
+        named = [classify_point(j) for j in here]
+        assert named == [classify(jb, j)("*") for j in here]
+        assert named == list(jb.fiber(a0))
+        assert dict(jet_fiber(rel, p, a0)) == {
+tuple(jb.table_of(t).items()): t for t in jb.fiber(a0)
+        }
+
+
+def test_classify_point_needs_a_one_point_stage():
+    stage = FinSet("X", ("x0", "x1"))
+    j = enumerate_jets(R, FinMap(stage, A, ("a", "b")), P_MAP)[0]
+    with pytest.raises(ShapeMismatch):
+        classify_point(j)
+
+
+def test_label_collision_inside_one_fiber_still_raises(monkeypatch):
+    monkeypatch.setattr(jets_module, "table_label", lambda anchor, entries: f"({anchor}|0000000000)")
+    j = nth_jet(R, point(A, "b"), P_MAP, 0)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        classify_point(j)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        jet_bundle(R, P_MAP)
+    # One jet per point: the labels differ across fibers, so nothing collides.
+    empty_rel = Relation.from_pairs(A, A, [])
+    assert [classify_point(nth_jet(empty_rel, point(A, a0), P_MAP, 0)) for a0 in A] == [
+        "(a|0000000000)", "(b|0000000000)", "(c|0000000000)"
+    ]
+
+
+def test_mediating_map_takes_prebuilt_jet_bundles():
+    classical, p_big = classical_morphism()
+    ctx = PhiContext.of(classical, p_big)
+    jb_dst = jet_bundle(classical.rel_dst, p_big)
+    jb_src = jet_bundle(classical.rel_src, ctx.pulled)
+    expected = mediating_map(classical, p_big)
+    assert mediating_map(classical, p_big, jb_dst=jb_dst, jb_src=jb_src) == expected
+    with pytest.raises(ShapeMismatch, match="target jet bundle"):
+        mediating_map(classical, p_big, jb_dst=jb_src)
+    with pytest.raises(ShapeMismatch, match="source jet bundle"):
+        mediating_map(classical, p_big, jb_src=jb_dst)

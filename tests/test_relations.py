@@ -86,7 +86,8 @@ def test_check_preserves_dual_criteria_exhaustive_small():
         for n in range(len(cells_src) + 1)
         for sub in itertools.combinations(cells_src, n)
     ]
-    # The monad-vs-pairs agreement is asserted inside check_preserves; sweep
+    # check_preserves evaluates only the pairwise rule; compare it with the
+    # pairwise oracle and, where it holds, the monad criterion at "u", over
     # every (f, f0, source, target) combination at this size.
     for f, f0 in itertools.product(maps_a[:2], maps_a0[:2]):
         for rel_src in src_rels:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ChainMismatch, NotJointlyMonic, PreservationViolated, ShapeMismatch
-from .finset import FinMap, FinSet, Span, compose, is_jointly_monic, pullback
-from .jets import jet_bundle, jet_on_vertical, mediating_map
+from .finset import FinMap, FinSet, Span, _trusted, compose, is_jointly_monic, pullback
+from .jets import PhiContext, jet_bundle, jet_on_vertical, mediating_map
 from .polyfun import (
     Bundle,
     SliceMorphism,
@@ -81,7 +81,9 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     nested = nest_pullback(c2.over, c1.over, c2.dst)
     lifted = pullback_vertical(c1.over, c2.vertical)
     vertical = compose_slice(c1.vertical, compose_slice(lifted, nested))
-    return Comorphism(base, c1.src, c2.dst, vertical)
+    # nested starts at the canonical pullback along base and c1.vertical ends
+    # at c1.src, so the vertical part is in canonical form.
+    return _trusted(Comorphism, base, c1.src, c2.dst, vertical)
 
 
 RelationAssignment = Mapping[FinSet, EndoRelation]
@@ -103,8 +105,8 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     morphism = check_preserves(c.over, c.over, rel_src.base, rel_dst.base)
     if morphism is None:
         raise PreservationViolated("base map does not preserve the endo-relations")
-    pulled = pullback_bundle(c.over, c.dst)
-    jb_pulled = jet_bundle(rel_src.base, pulled.map)
+    ctx = PhiContext.of(morphism, c.dst.map)
+    jb_pulled = jet_bundle(rel_src.base, ctx.pulled)
     jb_src = jet_bundle(rel_src.base, c.src.map)
     jb_dst = jet_bundle(rel_dst.base, c.dst.map)
     moved_vertical = SliceMorphism(
@@ -117,7 +119,7 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
         c.over,
         Bundle(jb_pulled.projection),
         Bundle(jb_dst.projection),
-        mediating_map(morphism, c.dst.map, jb_dst=jb_dst, jb_src=jb_pulled),
+        mediating_map(morphism, c.dst.map, jb_dst=jb_dst, jb_src=jb_pulled, ctx=ctx),
     )
     return comorphism_compose(cartesian_image, vertical_image)
 
@@ -164,7 +166,8 @@ def distributivity_terminal(
     Enumerates every bundle over d's codomain with at most max_total elements
     (plus the jet bundle itself) and every vertical from its pullback into
     c*(p), and requires exactly one mediating vertical through the candidate
-    (by default the true generic section jet).
+    (by default the true generic section jet).  A candidate that does not run
+    from d*(J(p)) to c*(p) raises ShapeMismatch.
     """
     relation = _span_relation(c, d)
     jb = jet_bundle(relation, p.map)
@@ -172,6 +175,8 @@ def distributivity_terminal(
     epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)
     sq_eps = pullback(d, jb.projection)
     pulled_c = Bundle(pullback(c, p.map).to_left)
+    if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
+        raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
     eps_lookup = dict(zip(epsilon.arrow.dom.elements, epsilon.arrow.values))
     base = d.cod
     candidates: list[Bundle] = [jet_total]

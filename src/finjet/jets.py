@@ -19,6 +19,7 @@ from .finset import (
     FinMap,
     FinSet,
     PullbackResult,
+    _trusted,
     all_maps,
     compose,
     element,
@@ -29,6 +30,7 @@ from .finset import (
 from .kripke import (
     PartialMapAtStage,
     PartialSection,
+    SubobjectAtStage,
     stage_restrict,
     value,
 )
@@ -70,10 +72,7 @@ class SectionJet:
         from `monad`, and `restrict_jet`, whose support is the change of stage
         of a jet's monad, which is the monad of the composite base.
         """
-        jet = object.__new__(cls)
-        object.__setattr__(jet, "relation", relation)
-        object.__setattr__(jet, "at", at)
-        object.__setattr__(jet, "section", section)
+        jet = _trusted(cls, relation, at, section)
         jet._check_shape()
         return jet
 
@@ -90,6 +89,14 @@ class SectionJet:
         return self.section.underlying.table
 
 
+def _trusted_section(
+    support: SubobjectAtStage, p: FinMap, values: tuple[str, ...]
+) -> PartialSection:
+    """The partial section of p on `support` whose value at each pair (a, x)
+    the caller took from p's fiber over a; built unchecked."""
+    return _trusted(PartialSection, _trusted(PartialMapAtStage, support, p.dom, values), p)
+
+
 def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     """All section jets of p at b, in lexicographic order of their value tables.
 
@@ -100,7 +107,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
     return tuple(
-        SectionJet._trusted(r, b, PartialSection(PartialMapAtStage(support, p.dom, choice), p))
+        SectionJet._trusted(r, b, _trusted_section(support, p, choice))
         for choice in itertools.product(*options)
     )
 
@@ -127,9 +134,7 @@ def nth_jet(
     for k in reversed(range(len(options))):
         i, digit = divmod(i, len(options[k]))
         choice[k] = options[k][digit]
-    return SectionJet._trusted(
-        r, b, PartialSection(PartialMapAtStage(support, p.dom, tuple(choice)), p)
-    )
+    return SectionJet._trusted(r, b, _trusted_section(support, p, tuple(choice)))
 
 
 def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
@@ -170,7 +175,9 @@ class PhiContext:
 
     @classmethod
     def of(cls, morphism: RelationMorphism, bundle: FinMap) -> "PhiContext":
-        return cls(morphism, bundle, pullback(morphism.f, bundle))
+        """The context with its canonical pullback built here, so not rebuilt
+        for comparison; a bundle off f's codomain fails in `pullback`."""
+        return _trusted(cls, morphism, bundle, pullback(morphism.f, bundle))
 
     @property
     def pulled(self) -> FinMap:
@@ -318,11 +325,9 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
             bases.append(a0)
             tables[name] = dict(tab)
     total = FinSet(f"J({p.dom.name})", tuple(index.values()))
-    projection = FinMap(total, r.dst, tuple(bases))
+    projection = _trusted(FinMap, total, r.dst, tuple(bases))
     support = monad(r, projection)
-    generic = PartialSection(
-        PartialMapAtStage(support, p.dom, tuple(tables[t][a] for a, t in support.pairs)), p
-    )
+    generic = _trusted_section(support, p, tuple(tables[t][a] for a, t in support.pairs))
     return JetBundle(r, p, total, projection, generic, index)
 
 
@@ -372,7 +377,7 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
         a0 = j.at(x)
         at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
         values.append(jb.element_for(a0, at_x))
-    return FinMap(j.stage, jb.total, tuple(values))
+    return _trusted(FinMap, j.stage, jb.total, tuple(values))
 
 
 def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
@@ -391,7 +396,7 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
         a0 = jb_q.projection(t)
         moved = {a: r_map(e) for a, e in jb_q.table_of(t).items()}
         values.append(jb_p.element_for(a0, moved))
-    return FinMap(jb_q.total, jb_p.total, tuple(values))
+    return _trusted(FinMap, jb_q.total, jb_p.total, tuple(values))
 
 
 def maps_over(
@@ -401,7 +406,7 @@ def maps_over(
     per_point = [pb.to_left.fiber(a) for a in a0.values]
     out = []
     for values in itertools.product(*per_point):
-        out.append(FinMap(a0.dom, pb.apex, values))
+        out.append(_trusted(FinMap, a0.dom, pb.apex, values))
     return tuple(out)
 
 
@@ -516,16 +521,21 @@ def mediating_map(
     p: FinMap,
     jb_dst: Optional[JetBundle] = None,
     jb_src: Optional[JetBundle] = None,
+    ctx: Optional[PhiContext] = None,
 ) -> SliceMorphism:
     """The bundle-level transport f0*(J(p)) -> J'(f*(p)) induced by phi.
 
     Computed pointwise: each pulled-back total element names a jet at a point,
-    which is transported by phi and classified again.  J(p) and J'(f*(p)) may
-    be passed in when already built; each must come from the target relation
-    and p, or the source relation and f*(p).
+    which is transported by phi and classified again.  J(p), J'(f*(p)) and the
+    transport context may be passed in when already built; each must come
+    from the target relation and p, the source relation and f*(p), or the
+    morphism and p.
     """
     jb_dst = _prebuilt(jb_dst, morphism.rel_dst, p, "target")
-    ctx = PhiContext.of(morphism, p)
+    if ctx is None:
+        ctx = PhiContext.of(morphism, p)
+    elif ctx.morphism != morphism or ctx.bundle != p:
+        raise ShapeMismatch("transport context is not built from the morphism and bundle")
     jb_src = _prebuilt(jb_src, morphism.rel_src, ctx.pulled, "source")
     sq = pullback(morphism.f0, jb_dst.projection)
     values = []
@@ -535,7 +545,7 @@ def mediating_map(
         point = element(morphism.f0.dom, a0)
         moved = phi(ctx, point, jb_dst.point_jet(t))
         values.append(classify(jb_src, moved)("*"))
-    arrow = FinMap(sq.apex, jb_src.total, tuple(values))
+    arrow = _trusted(FinMap, sq.apex, jb_src.total, tuple(values))
     return SliceMorphism(
         Bundle(sq.to_left), Bundle(jb_src.projection), arrow
     )
@@ -557,6 +567,6 @@ def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorp
         for m, z in tab:
             table[legs.left(m)] = sq_c.to_right(z)
         values.append(jb.element_for(a0, table))
-    arrow = FinMap(dp.result.total, jb.total, tuple(values))
+    arrow = _trusted(FinMap, dp.result.total, jb.total, tuple(values))
     iso = SliceMorphism(dp.result, Bundle(jb.projection), arrow)
     return dp.result, jb, iso

@@ -27,6 +27,7 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
+    _trusted,
     compose,
     is_jointly_monic,
     pair_name,
@@ -56,21 +57,25 @@ class SubobjectAtStage:
         return cls(over, stage, canonical_pairs(over, stage, pairs))
 
     @classmethod
-    def from_stage_major(
+    def _from_stage_major(
         cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
     ) -> "SubobjectAtStage":
-        """The subobject of distinct pairs that give each a's stage elements in stage order.
+        """The subobject of distinct pairs inside over x stage that give each
+        a's stage elements in stage order, trusted to be so.
 
         Monads, change of stage and counterimages emit their pairs stage by
-        stage, which meets this.  Buckets the pairs by first coordinate and
-        sorts only the rows that occur: O(pairs + rows log rows), however
-        large `over` is.
+        stage, which meets this, and they are its only callers; the result
+        skips the canonical-form check.  Buckets the pairs by first
+        coordinate and sorts only the rows that occur: O(pairs + rows log
+        rows), however large `over` is.
         """
         rows: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
         for pair in pairs:
             rows[pair[0]].append(pair)
         order = sorted(rows, key=over.index.__getitem__)
-        return cls(over, stage, tuple(itertools.chain.from_iterable(rows[a] for a in order)))
+        return _trusted(
+            cls, over, stage, tuple(itertools.chain.from_iterable(rows[a] for a in order))
+        )
 
     @classmethod
     def full(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
@@ -91,8 +96,8 @@ class SubobjectAtStage:
             f"sub({self.over.name},{self.stage.name})",
             tuple(pair_name(a, x) for a, x in self.pairs),
         )
-        left = FinMap(apex, self.over, tuple(a for a, _ in self.pairs))
-        right = FinMap(apex, self.stage, tuple(x for _, x in self.pairs))
+        left = _trusted(FinMap, apex, self.over, tuple(a for a, _ in self.pairs))
+        right = _trusted(FinMap, apex, self.stage, tuple(x for _, x in self.pairs))
         return Span(left, right)
 
     @cached_property
@@ -185,7 +190,7 @@ def change_of_stage(u: SubobjectAtStage, alpha: FinMap) -> SubobjectAtStage:
         raise StageMismatch(
             f"map into {alpha.cod.name!r} cannot change stage {u.stage.name!r}"
         )
-    return SubobjectAtStage.from_stage_major(
+    return SubobjectAtStage._from_stage_major(
         u.over,
         alpha.dom,
         ((a, y) for y, x in zip(alpha.dom.elements, alpha.values) for a in u.column(x)),
@@ -198,7 +203,7 @@ def counterimage(f: FinMap, u: SubobjectAtStage) -> SubobjectAtStage:
         raise OverMismatch(
             f"map into {f.cod.name!r} cannot take counterimage over {u.over.name!r}"
         )
-    return SubobjectAtStage.from_stage_major(
+    return SubobjectAtStage._from_stage_major(
         f.dom,
         u.stage,
         ((a2, x) for x in u.stage for a in u.column(x) for a2 in f.fiber(a)),

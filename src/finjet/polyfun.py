@@ -18,6 +18,7 @@ from .finset import (
     FinMap,
     FinSet,
     PullbackResult,
+    _trusted,
     compose,
     is_pullback_square,
     pair_into_pullback,
@@ -66,7 +67,7 @@ class SliceMorphism:
 
     @classmethod
     def identity(cls, b: Bundle) -> "SliceMorphism":
-        return cls(b, b, FinMap.identity(b.total))
+        return _trusted(cls, b, b, FinMap.identity(b.total))
 
     def is_iso(self) -> bool:
         return len(set(self.arrow.values)) == len(self.dst.total) == len(self.src.total)
@@ -75,7 +76,7 @@ class SliceMorphism:
 def compose_slice(g: SliceMorphism, f: SliceMorphism) -> SliceMorphism:
     if f.dst != g.src:
         raise ShapeMismatch("slice morphisms do not chain")
-    return SliceMorphism(f.src, g.dst, compose(g.arrow, f.arrow))
+    return _trusted(SliceMorphism, f.src, g.dst, compose(g.arrow, f.arrow))
 
 
 def invert_slice(m: SliceMorphism) -> SliceMorphism:
@@ -93,7 +94,7 @@ def slice_homs(src: Bundle, dst: Bundle) -> Iterator[SliceMorphism]:
     if any(len(c) == 0 for c in candidates):
         return
     for values in itertools.product(*candidates):
-        yield SliceMorphism(src, dst, FinMap(src.total, dst.total, values))
+        yield _trusted(SliceMorphism, src, dst, _trusted(FinMap, src.total, dst.total, values))
 
 
 def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
@@ -191,15 +192,16 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
             bases.append(b)
             entries.append((name, b, tab))
     total = FinSet(f"sec({d.dom.name}->{d.cod.name};{q.total.name})", tuple(names))
-    result = Bundle(FinMap(total, d.cod, tuple(bases)))
+    result = Bundle(_trusted(FinMap, total, d.cod, tuple(bases)))
     sq = pullback(d, result.map)
     tables = {el: dict(tab) for el, _, tab in entries}
-    counit_arrow = FinMap(
+    counit_arrow = _trusted(
+        FinMap,
         sq.apex,
         q.total,
         tuple(tables[sq.to_right(x)][sq.to_left(x)] for x in sq.apex),
     )
-    counit = SliceMorphism(Bundle(sq.to_left), q, counit_arrow)
+    counit = _trusted(SliceMorphism, Bundle(sq.to_left), q, counit_arrow)
     return DependentProduct(d, q, result, counit, tuple(entries))
 
 
@@ -224,12 +226,21 @@ def dependent_product_map(
     return SliceMorphism(dp_src.result, dp_dst.result, arrow)
 
 
-def adjunction_unit(d: FinMap, y: Bundle) -> SliceMorphism:
-    """The unit y -> product-along-d of d*(y)."""
+def adjunction_unit(
+    d: FinMap, y: Bundle, dp: "DependentProduct | None" = None
+) -> SliceMorphism:
+    """The unit y -> product-along-d of d*(y).
+
+    The product of d*(y) along d may be passed in when already built; it must
+    be taken along d of d*(y).
+    """
     if y.base != d.cod:
         raise ShapeMismatch("unit requires a bundle over the map's codomain")
     sq = pullback(d, y.map)
-    dp = dependent_product(d, Bundle(sq.to_left))
+    if dp is None:
+        dp = dependent_product(d, Bundle(sq.to_left))
+    elif dp.along != d or dp.input != Bundle(sq.to_left):
+        raise ShapeMismatch("unit product is not the product of d*(y) along d")
     values = []
     for w in y.total:
         b = y.map(w)

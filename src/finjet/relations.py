@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, Span, all_maps, compose, element, pair_name
+from .finset import FinMap, FinSet, Span, _trusted, all_maps, compose, element, pair_name
 from .kripke import SubobjectAtStage, canonical_pairs, check_canonical, column_index
 
 
@@ -56,8 +56,8 @@ class Relation:
             f"rel({self.src.name},{self.dst.name})",
             tuple(pair_name(a, b) for a, b in self.pairs),
         )
-        left = FinMap(apex, self.src, tuple(a for a, _ in self.pairs))
-        right = FinMap(apex, self.dst, tuple(b for _, b in self.pairs))
+        left = _trusted(FinMap, apex, self.src, tuple(a for a, _ in self.pairs))
+        right = _trusted(FinMap, apex, self.dst, tuple(b for _, b in self.pairs))
         return Span(left, right)
 
     def __len__(self) -> int:
@@ -68,7 +68,7 @@ def monad(r: Relation, b: FinMap) -> SubobjectAtStage:
     """The neighborhood of the element b: X -> dst, as a subobject of src at X."""
     if b.cod != r.dst:
         raise OverMismatch("element does not land in the relation's destination")
-    return SubobjectAtStage.from_stage_major(
+    return SubobjectAtStage._from_stage_major(
         r.src,
         b.dom,
         ((a, x) for x, b0 in zip(b.dom.elements, b.values) for a in r.column(b0)),

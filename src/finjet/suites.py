@@ -709,15 +709,16 @@ def adjunction_instance_ok(d: FinMap, y: Bundle, q: Bundle) -> bool:
     for hom in upper:
         if bij.to_base(bij.to_total(hom)) != hom:
             return False
-    unit = polyfun.adjunction_unit(d, y)
-    lifted_unit = polyfun.pullback_vertical(d, unit)
     dp_pulled = polyfun.dependent_product(d, pulled)
+    unit = polyfun.adjunction_unit(d, y, dp_pulled)
+    lifted_unit = polyfun.pullback_vertical(d, unit)
     tri1 = polyfun.compose_slice(dp_pulled.counit, lifted_unit)
     if tri1 != SliceMorphism.identity(pulled):
         return False
     dp = bij.product
-    unit_at = polyfun.adjunction_unit(d, dp.result)
-    moved_counit = polyfun.dependent_product_map(d, dp.counit)
+    dp_unit = polyfun.dependent_product(d, dp.counit.src)
+    unit_at = polyfun.adjunction_unit(d, dp.result, dp_unit)
+    moved_counit = polyfun.dependent_product_map(d, dp.counit, dp_unit, dp)
     tri2 = polyfun.compose_slice(moved_counit, unit_at)
     if tri2 != SliceMorphism.identity(dp.result):
         return False

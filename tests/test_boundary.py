@@ -1,0 +1,129 @@
+"""Validation at the boundary: the checked constructors keep rejecting bad
+input with their messages, and the modules that take outside input never
+build values through the unchecked `finset._trusted` path."""
+
+from pathlib import Path
+
+import pytest
+
+import finjet
+from finjet.errors import CompositionMismatch, NotVertical, ShapeMismatch
+from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
+from finjet.finset import FinMap, FinSet, Span, element, pullback
+from finjet.instances import fixture_p3_parts
+from finjet.jets import PhiContext, SectionJet, enumerate_jets
+from finjet.kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
+from finjet.polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
+from finjet.relations import Relation, RelationMorphism
+
+A, E, P_MAP, BALL = fixture_p3_parts()
+R = BALL.base
+X = FinSet("X", ("x",))
+ONE_A = FinSet("A1", ("a",))
+IDENTITY = RelationMorphism.identity(R)
+SUPPORT = SubobjectAtStage(A, X, (("a", "x"), ("b", "x")))
+PARTIAL = PartialMapAtStage(SUPPORT, E, ("a0", "b0"))
+ID_A = FinMap.identity(A)
+PULLED = pullback_bundle(ID_A, Bundle(P_MAP))  # id*(p), over A
+
+
+def _jet():
+    return enumerate_jets(R, element(A, "b"), P_MAP)[0]
+
+
+REJECTIONS = [
+    ("finset-duplicates", lambda: FinSet("A", ("a", "a")),
+     ValueError, "duplicate elements in finite set 'A'"),
+    ("finmap-short", lambda: FinMap(A, A, ("a",)),
+     ValueError, "map table does not cover the domain"),
+    ("finmap-escapes", lambda: FinMap(A, A, ("a", "b", "z")),
+     ValueError, "value 'z' not in codomain 'A'"),
+    ("finmap-from-table", lambda: FinMap.from_table(A, A, {"a": "a", "b": "b"}),
+     ValueError, "map table missing 'c'"),
+    ("element", lambda: element(A, "z"),
+     ValueError, "value 'z' not in codomain 'A'"),
+    ("span", lambda: Span(FinMap.identity(A), FinMap.identity(E)),
+     ValueError, "span legs must share their domain"),
+    ("subobject-escapes", lambda: SubobjectAtStage(A, X, (("z", "x"),)),
+     ValueError, "pair (z,x) escapes A x X"),
+    ("subobject-order", lambda: SubobjectAtStage(A, X, (("b", "x"), ("a", "x"))),
+     ValueError, "pairs not in canonical order; use from_pairs"),
+    ("relation-escapes", lambda: Relation(A, A, (("a", "z"),)),
+     ValueError, "pair (a,z) escapes A x A"),
+    ("relation-order", lambda: Relation(A, A, (("b", "a"), ("a", "a"))),
+     ValueError, "pairs not in canonical order; use from_pairs"),
+    ("partial-map-short", lambda: PartialMapAtStage(SUPPORT, E, ("a0",)),
+     ValueError, "value table does not cover the support"),
+    ("partial-map-escapes", lambda: PartialMapAtStage(SUPPORT, E, ("a0", "zz")),
+     ValueError, "value 'zz' not in target 'E'"),
+    ("partial-map-from-table", lambda: PartialMapAtStage.from_table(SUPPORT, E, {("a", "x"): "a0"}),
+     ValueError, "value table does not match the support pairs"),
+    ("partial-section-total", lambda: PartialSection(PARTIAL, ID_A),
+     ValueError, "bundle total is not the partial map's target"),
+    ("partial-section-base",
+     lambda: PartialSection(PARTIAL, FinMap(E, ONE_A, ("a",) * 5)),
+     ValueError, "bundle base is not the partial map's object"),
+    ("partial-section-fiber",
+     lambda: PartialSection(PartialMapAtStage(SUPPORT, E, ("a0", "c0")), P_MAP),
+     ValueError, "value 'c0' is not in the fiber over 'b'"),
+    ("section-jet-base",
+     lambda: SectionJet(R, FinMap(X, ONE_A, ("a",)), _jet().section),
+     ShapeMismatch, "base element does not land in the relation's destination"),
+    ("section-jet-bundle",
+     lambda: SectionJet(Relation.full(E, A), element(A, "b"), _jet().section),
+     ShapeMismatch, "bundle does not live over the relation's source"),
+    ("section-jet-support",
+     lambda: SectionJet(R, element(A, "a"), _jet().section),
+     ValueError, "support is not the monad of the base element"),
+    ("phi-context-bundle", lambda: PhiContext(IDENTITY, FinMap.identity(E), pullback(P_MAP, P_MAP)),
+     ShapeMismatch, "bundle does not live over the target relation's source"),
+    ("phi-context-square", lambda: PhiContext(IDENTITY, P_MAP, pullback(P_MAP, P_MAP)),
+     ShapeMismatch, "square is not the canonical pullback of the bundle"),
+    ("phi-context-of", lambda: PhiContext.of(IDENTITY, FinMap.identity(E)),
+     CompositionMismatch, "pullback legs land in 'A' and 'E'"),
+    ("slice-morphism-bases",
+     lambda: SliceMorphism(Bundle(P_MAP), Bundle.identity(E), FinMap.identity(E)),
+     ShapeMismatch, "slice morphism between bundles over different bases"),
+    ("slice-morphism-totals",
+     lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), FinMap.identity(A)),
+     ShapeMismatch, "arrow does not run between the bundle totals"),
+    ("slice-morphism-vertical",
+     lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), FinMap.constant(E, E, "b0")),
+     NotVertical, "arrow does not commute over the base"),
+    ("comorphism-ends",
+     lambda: Comorphism(ID_A, Bundle.identity(E), Bundle(P_MAP), SliceMorphism.identity(PULLED)),
+     ShapeMismatch, "bundles do not sit over the ends of the base map"),
+    ("comorphism-start",
+     lambda: Comorphism(ID_A, Bundle(P_MAP), Bundle(P_MAP), SliceMorphism.identity(Bundle(P_MAP))),
+     ShapeMismatch, "vertical part does not start at the canonical pullback"),
+    ("comorphism-end",
+     lambda: Comorphism(ID_A, PULLED, Bundle(P_MAP), relabel_identity(Bundle(P_MAP))),
+     ShapeMismatch, "vertical part does not end at the source bundle"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in REJECTIONS],
+    ids=[case[0] for case in REJECTIONS],
+)
+def test_public_constructors_reject_bad_input(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("module", ["cli", "workspace", "instances"])
+def test_outside_input_never_takes_the_trusted_path(module):
+    source = (Path(finjet.__file__).parent / f"{module}.py").read_text()
+    assert "_trusted" not in source
+
+
+def test_distributivity_rejects_a_wrong_ended_candidate():
+    legs = R.span
+    eps = generic_section_vertical(legs.left, legs.right, Bundle(P_MAP))
+    with pytest.raises(ShapeMismatch, match=r"candidate does not run from d\*\(J\(p\)\) to c\*\(p\)"):
+        distributivity_terminal(
+            legs.left, legs.right, Bundle(P_MAP), candidate=SliceMorphism.identity(eps.dst)
+        )

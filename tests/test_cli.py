@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import io
 import multiprocessing
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -495,8 +497,8 @@ def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):
     )
 
 
-def test_trusted_jets_match_the_checked_constructor(monkeypatch, tmp_path):
-    from finjet.jets import SectionJet
+def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
+    from finjet import finset
 
     for n in (12, 40):
         (tmp_path / f"p{n}.ws").write_text(serialize_workspace(path_graph_workspace(n, 2)))
@@ -510,12 +512,19 @@ def test_trusted_jets_match_the_checked_constructor(monkeypatch, tmp_path):
     commands += [["-w", str(tmp_path / "k5.ws"), "jets", "--relation", "R", "--bundle", "p", "--point", "v1"]]
     expected = [run(argv) for argv in commands]
     assert all(code == 0 for code, _ in expected)
-    checked = []
+    checked = set()
 
-    def trusted_by_check(cls, relation, at, section):
-        checked.append(at)
-        return cls(relation, at, section)
+    def by_constructor(cls, *fields):
+        checked.add(cls.__name__)
+        return cls(*fields)
 
-    monkeypatch.setattr(SectionJet, "_trusted", classmethod(trusted_by_check))
+    trusted = finset._trusted
+    for info in pkgutil.iter_modules(finjet.__path__):
+        module = importlib.import_module(f"finjet.{info.name}")
+        if getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", by_constructor)
     assert [run(argv) for argv in commands] == expected
-    assert checked
+    assert checked == {
+        "FinMap", "SubobjectAtStage", "PartialMapAtStage", "PartialSection",
+        "SectionJet", "PhiContext", "SliceMorphism", "Comorphism",
+    }

@@ -550,3 +550,6 @@ def test_mediating_map_takes_prebuilt_jet_bundles():
         mediating_map(classical, p_big, jb_dst=jb_src)
     with pytest.raises(ShapeMismatch, match="source jet bundle"):
         mediating_map(classical, p_big, jb_src=jb_dst)
+    assert mediating_map(classical, p_big, ctx=ctx) == expected
+    with pytest.raises(ShapeMismatch, match="transport context"):
+        mediating_map(classical, p_big, ctx=PhiContext.of(classical, FinMap.identity(p_big.cod)))

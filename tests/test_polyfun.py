@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from finjet.errors import NotVertical, SquaresNotCommuting
+from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
 from finjet.instances import fixture_p3_parts
 from finjet.polyfun import (
@@ -187,6 +187,17 @@ def test_triangle_identities():
         dependent_product_map(d, dp.counit), adjunction_unit(d, dp.result)
     )
     assert tri2 == SliceMorphism.identity(dp.result)
+
+
+def test_adjunction_unit_takes_a_prebuilt_product():
+    d = FinMap(M, B, ("u", "v", "u"))
+    y = small_bundle(B, (2, 1), tag="y")
+    dp_pulled = dependent_product(d, pullback_bundle(d, y))
+    assert adjunction_unit(d, y, dp_pulled) == adjunction_unit(d, y)
+    with pytest.raises(ShapeMismatch, match="unit product"):
+        adjunction_unit(d, y, dependent_product(d, Bundle.identity(M)))
+    with pytest.raises(ShapeMismatch, match="unit product"):
+        adjunction_unit(FinMap(M, B, ("v", "u", "u")), y, dp_pulled)
 
 
 def test_polynomial_jet_diagonal_span():

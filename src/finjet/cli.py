@@ -128,7 +128,7 @@ def _monad_element(ws: Workspace, args):
     rel = ws.relation(args.relation)
     if args.at:
         return rel, ws.map(args.at)
-    return rel, _point(rel.dst, args.point)
+    return rel, _point(rel.stage, args.point)
 
 
 def _cmd_monad(ws: Workspace, args, out) -> int:
@@ -150,7 +150,7 @@ def _jet_records(j: jets.SectionJet) -> str:
 def _cmd_jets(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
-    base = _point(rel.dst, args.point)
+    base = _point(rel.stage, args.point)
     found = jets.enumerate_jets(rel, base, bundle.map)
     text = [f"jets at {args.point}: {len(found)}"]
     records = []
@@ -166,13 +166,13 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
     jb = jets.jet_bundle(rel, bundle.map)
-    sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.dst)
-    text = [f"jet bundle over {rel.dst.name}: {len(jb.total)} elements, fibers {sizes}"]
+    sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.stage)
+    text = [f"jet bundle over {rel.stage.name}: {len(jb.total)} elements, fibers {sizes}"]
     records = []
-    for t in jb.total:
-        table = " ".join(f"{a}->{e}" for a, e in sorted(jb.table_of(t).items()))
-        records.append(("element", t, jb.projection(t), table))
-        text.append(f"  {t} over {jb.projection(t)}: {table}")
+    for t, a0, tab in jb.sections.entries():
+        table = " ".join(f"{a}->{e}" for a, e in sorted(tab))
+        records.append(("element", t, a0, table))
+        text.append(f"  {t} over {a0}: {table}")
     _emit(out, args.format, records, text)
     return 0
 
@@ -180,7 +180,7 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
 def _cmd_classify(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
-    base = _point(rel.dst, args.point)
+    base = _point(rel.stage, args.point)
     target = jets.classify_point(jets.nth_jet(rel, base, bundle.map, args.index))
     _emit(
         out,
@@ -201,7 +201,7 @@ def _cmd_phi(ws: Workspace, args, out) -> int:
     if morphism is None:
         raise WorkspaceError("the maps do not preserve the relations")
     ctx = jets.PhiContext.of(morphism, bundle.map)
-    a0 = _point(rel_src.dst, args.point)
+    a0 = _point(rel_src.stage, args.point)
     j = jets.nth_jet(rel_dst, compose(f0, a0), bundle.map, args.index, "the image point")
     moved = jets.phi(ctx, a0, j)
     table = _jet_records(moved)
@@ -219,13 +219,13 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     legs = rel.span
     dp = polyfun.polynomial_product(legs.left, legs.right, bundle)
-    sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.dst)
+    sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
     text = [
-        f"polynomial jet bundle over {rel.dst.name}: "
+        f"polynomial jet bundle over {rel.stage.name}: "
         f"{len(dp.result.total)} elements, fibers {sizes}"
     ]
     records = []
-    for el, b, tab in dp.entries:
+    for el, b, tab in dp.sections.entries():
         flat = " ".join(f"{m}->{v}" for m, v in tab)
         records.append(("element", el, b, flat))
         text.append(f"  {el} over {b}: {flat}")
@@ -239,8 +239,8 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
     f = ws.map(args.map)
     bundle = ws.bundle(args.bundle)
     rels = {
-        rel_src.src: relations.EndoRelation.of(rel_src),
-        rel_dst.src: relations.EndoRelation.of(rel_dst),
+        rel_src.over: relations.EndoRelation.of(rel_src),
+        rel_dst.over: relations.EndoRelation.of(rel_dst),
     }
     if args.vertical:
         if not args.src_bundle:

@@ -11,9 +11,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import ChainMismatch, NotJointlyMonic, PreservationViolated, ShapeMismatch
-from .finset import FinMap, FinSet, Span, _trusted, compose, is_jointly_monic, pullback
+from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
+from .finset import FinMap, FinSet, Span, _trusted, compose, pullback
 from .jets import PhiContext, jet_bundle, jet_on_vertical, mediating_map
+from .kripke import canonicalize
 from .polyfun import (
     Bundle,
     SliceMorphism,
@@ -23,7 +24,7 @@ from .polyfun import (
     pullback_vertical,
     relabel_identity,
 )
-from .relations import EndoRelation, Relation, check_preserves
+from .relations import EndoRelation, check_preserves
 
 
 @dataclass(frozen=True)
@@ -133,25 +134,17 @@ def generic_section_vertical(
     the span point it is paired with.
     """
     if jb is None:
-        jb = jet_bundle(_span_relation(c, d), p.map)
+        jb = jet_bundle(canonicalize(Span(c, d)), p.map)
     sq_d = pullback(d, jb.projection)
     sq_c = pullback(c, p.map)
     values = []
     for x in sq_d.apex:
         m = sq_d.to_left(x)
         t = sq_d.to_right(x)
-        e = jb.table_of(t)[c(m)]
+        e = jb.sections.table_of(t)[c(m)]
         values.append(sq_c.pair_index[(m, e)])
     arrow = FinMap(sq_d.apex, sq_c.apex, tuple(values))
     return SliceMorphism(Bundle(sq_d.to_left), Bundle(sq_c.to_left), arrow)
-
-
-def _span_relation(c: FinMap, d: FinMap) -> Relation:
-    if c.dom != d.dom:
-        raise ShapeMismatch("span legs must share their apex")
-    if not is_jointly_monic(Span(c, d)):
-        raise NotJointlyMonic("span does not present a relation")
-    return Relation.from_pairs(c.cod, d.cod, ((c(m), d(m)) for m in c.dom))
 
 
 def distributivity_terminal(
@@ -169,7 +162,7 @@ def distributivity_terminal(
     (by default the true generic section jet).  A candidate that does not run
     from d*(J(p)) to c*(p) raises ShapeMismatch.
     """
-    relation = _span_relation(c, d)
+    relation = canonicalize(Span(c, d))
     jb = jet_bundle(relation, p.map)
     jet_total = Bundle(jb.projection)
     epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)

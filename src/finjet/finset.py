@@ -31,17 +31,19 @@ def _trusted(cls: type[_T], *fields) -> _T:
 
     - finset: `compose`, `pullback` (both legs), `pair_into_pullback`,
       `product` (both projections), `all_maps`, `FinMap.identity`;
-    - kripke: `SubobjectAtStage.span` (both legs) and
-      `SubobjectAtStage._from_stage_major` (the subobjects that `monad`,
-      `change_of_stage` and `counterimage` emit in canonical order);
-    - relations: `Relation.span` (both legs);
+    - kripke: `SubobjectAtStage.span` (both legs, for relations too) and
+      `SubobjectAtStage._from_stage_major` (the subobjects that
+      `change_of_stage`, and so every `monad`, and `counterimage` emit in
+      canonical order);
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet` and
-      `jet_bundle`; the maps of `jet_bundle` (projection), `classify`,
-      `jet_on_vertical`, `maps_over`, `mediating_map` and `polynomial_iso`;
-      `PhiContext.of`, which builds its own pullback; `SectionJet._trusted`,
-      which still runs the jet's shape checks;
-    - polyfun: `slice_homs`, `compose_slice`, `SliceMorphism.identity` and
-      the result map and counit of `dependent_product`;
+      `jet_bundle`; the maps of `classify`, `jet_on_vertical`, `maps_over`,
+      `mediating_map` and `polynomial_iso`; `PhiContext.of`, which builds its
+      own pullback; `SectionJet._trusted`, which still runs the jet's shape
+      checks;
+    - polyfun: the projection of `section_tables` (the projection of every
+      jet bundle, jet fiber and dependent product), `slice_homs`,
+      `compose_slice`, `SliceMorphism.identity` and the counit of
+      `dependent_product`;
     - fibdual: `comorphism_compose`, whose vertical starts at the canonical
       pullback by construction.
 

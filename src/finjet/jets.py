@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
     NotReflexive,
@@ -25,7 +25,6 @@ from .finset import (
     element,
     pair_into_pullback,
     pullback,
-    table_label,
 )
 from .kripke import (
     PartialMapAtStage,
@@ -36,8 +35,10 @@ from .kripke import (
 )
 from .polyfun import (
     Bundle,
+    SectionTables,
     SliceMorphism,
     polynomial_product,
+    section_tables,
 )
 from .relations import EndoRelation, Relation, RelationMorphism, monad
 
@@ -56,9 +57,9 @@ class SectionJet:
             raise ValueError("support is not the monad of the base element")
 
     def _check_shape(self) -> None:
-        if self.at.cod != self.relation.dst:
+        if self.at.cod != self.relation.stage:
             raise ShapeMismatch("base element does not land in the relation's destination")
-        if self.section.bundle.cod != self.relation.src:
+        if self.section.bundle.cod != self.relation.over:
             raise ShapeMismatch("bundle does not live over the relation's source")
 
     @classmethod
@@ -102,7 +103,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
 
     An empty monad contributes exactly one jet, the empty section.
     """
-    if p.cod != r.src:
+    if p.cod != r.over:
         raise ShapeMismatch("bundle does not live over the relation's source")
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
@@ -122,7 +123,7 @@ def nth_jet(
     jets raises WorkspaceError with their count (1 for an empty monad, 0
     when a fiber is empty) and `where` they sit (default: b's values).
     """
-    if p.cod != r.src:
+    if p.cod != r.over:
         raise ShapeMismatch("bundle does not live over the relation's source")
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
@@ -168,7 +169,7 @@ class PhiContext:
     square: PullbackResult  # canonical pullback of (f, p)
 
     def __post_init__(self):
-        if self.bundle.cod != self.morphism.rel_dst.src:
+        if self.bundle.cod != self.morphism.rel_dst.over:
             raise ShapeMismatch("bundle does not live over the target relation's source")
         if self.square != pullback(self.morphism.f, self.bundle):
             raise ShapeMismatch("square is not the canonical pullback of the bundle")
@@ -194,7 +195,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
     Yoneda tabulation.
     """
     mor = ctx.morphism
-    if a0.cod != mor.rel_src.dst:
+    if a0.cod != mor.rel_src.stage:
         raise ShapeMismatch("base element does not land in the source relation's destination")
     if j.relation != mor.rel_dst or j.bundle != ctx.bundle:
         raise ShapeMismatch("jet does not belong to the context's target data")
@@ -260,20 +261,24 @@ def phi_compose_check(
 class JetBundle:
     """The bundle over A0 whose fiber at a0 collects all section jets at a0.
 
-    Total elements are named "(a0|hash-of-table)"; the generic section jet
-    lives at stage `total` and evaluates each element's own table.  `index`
-    names every element by its base point and its table in the relation's
-    source order; it is derived from the other fields, so equality ignores it.
+    `sections` holds every jet table over the relation's columns, keyed in
+    the relation's source order; its elements, named "(a0|hash-of-table)",
+    are the `total`.  The generic section jet lives at stage `total` and
+    evaluates each element's own table.
     """
 
     relation: Relation  # from A to A0
     bundle: FinMap  # p: E -> A
-    total: FinSet
-    projection: FinMap  # total -> A0
+    sections: SectionTables  # over the columns of the relation
     generic: PartialSection  # of bundle, at stage total
-    index: Mapping[tuple[str, tuple[tuple[str, str], ...]], str] = field(
-        compare=False, repr=False
-    )
+
+    @property
+    def total(self) -> FinSet:
+        return self.projection.dom
+
+    @property
+    def projection(self) -> FinMap:
+        return self.sections.projection
 
     @cached_property
     def generic_jet(self) -> SectionJet:
@@ -282,69 +287,36 @@ class JetBundle:
     def fiber(self, a0: str) -> tuple[str, ...]:
         return self.projection.fiber(a0)
 
-    def table_of(self, t: str) -> dict[str, str]:
-        """The section table of t, keyed in the relation's source order."""
-        gen = self.generic.underlying.table
-        return {a: gen[(a, t)] for a in self.relation.column(self.projection(t))}
-
-    def element_for(self, a0: str, table: Mapping[str, str]) -> str:
-        ordered = tuple((a, table[a]) for a in self.relation.column(a0))
-        return self.index[(a0, ordered)]
-
     def point_jet(self, t: str) -> SectionJet:
         """The jet the total element t stands for, at its own base point."""
         return restrict_jet(self.generic_jet, element(self.total, t))
 
 
-JetTable = tuple[tuple[str, str], ...]
-
-
-def _fiber_entries(r: Relation, p: FinMap, a0: str) -> Iterator[tuple[JetTable, str]]:
-    """Every jet table at the point a0, keyed in the relation's source order,
-    with its element label, in `enumerate_jets` order: the product of p's
-    fibers over r.column(a0), last entry fastest."""
-    around = r.column(a0)
-    for choice in itertools.product(*(p.fiber(a) for a in around)):
-        tab = tuple(zip(around, choice))
-        yield tab, table_label(a0, tab)
-
-
 def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
-    """The jet bundle of p: the fibers over every point of r.dst, in order.
+    """The jet bundle of p: the fibers over every point of r.stage, in order.
 
     All labels go into one FinSet, so a label collision raises ValueError.
     """
-    if p.cod != r.src:
+    if p.cod != r.over:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    index: dict[tuple[str, JetTable], str] = {}
-    bases: list[str] = []
-    tables: dict[str, dict[str, str]] = {}
-    for a0 in r.dst:
-        for tab, name in _fiber_entries(r, p, a0):
-            index[(a0, tab)] = name
-            bases.append(a0)
-            tables[name] = dict(tab)
-    total = FinSet(f"J({p.dom.name})", tuple(index.values()))
-    projection = _trusted(FinMap, total, r.dst, tuple(bases))
-    support = monad(r, projection)
-    generic = _trusted_section(support, p, tuple(tables[t][a] for a, t in support.pairs))
-    return JetBundle(r, p, total, projection, generic, index)
+    sections = section_tables(f"J({p.dom.name})", r.stage, r.columns, p)
+    support = monad(r, sections.projection)
+    generic = _trusted_section(support, p, sections.evaluations(r.over))
+    return JetBundle(r, p, sections, generic)
 
 
-def jet_fiber(r: Relation, p: FinMap, a0: str) -> Mapping[JetTable, str]:
-    """The fiber of jet_bundle(r, p) over the point a0, built alone: each jet
-    table there, keyed in the relation's source order, with its element label.
+def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:
+    """The fiber of jet_bundle(r, p) over the point a0, built alone: the
+    section tables of its jets, with the bundle's element labels.
 
     The labels still go into a FinSet, so a collision among them raises
     ValueError.  Labels over different points cannot collide, since each
     label "(a0|hash)" starts with its point; so this check is the bundle's
     check restricted to a0.
     """
-    if p.cod != r.src:
+    if p.cod != r.over:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    labels = dict(_fiber_entries(r, p, a0))
-    FinSet(f"J({p.dom.name})", tuple(labels.values()))  # the uniqueness check
-    return labels
+    return section_tables(f"J({p.dom.name})", r.stage, {a0: r.column(a0)}, p)
 
 
 def classify_point(j: SectionJet) -> str:
@@ -357,8 +329,8 @@ def classify_point(j: SectionJet) -> str:
     (x,) = j.stage.elements
     a0 = j.at(x)
     table = j.table
-    tab = tuple((a, table[(a, x)]) for a in j.relation.column(a0))
-    return jet_fiber(j.relation, j.bundle, a0)[tab]
+    at_x = {a: table[(a, x)] for a in j.relation.column(a0)}
+    return jet_fiber(j.relation, j.bundle, a0).element_for(a0, at_x)
 
 
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:
@@ -376,7 +348,7 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
     for x in j.stage:
         a0 = j.at(x)
         at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
-        values.append(jb.element_for(a0, at_x))
+        values.append(jb.sections.element_for(a0, at_x))
     return _trusted(FinMap, j.stage, jb.total, tuple(values))
 
 
@@ -392,10 +364,9 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
     if compose(jb_p.bundle, r_map) != jb_q.bundle:
         raise NotVertical("map does not commute over the base")
     values = []
-    for t in jb_q.total:
-        a0 = jb_q.projection(t)
-        moved = {a: r_map(e) for a, e in jb_q.table_of(t).items()}
-        values.append(jb_p.element_for(a0, moved))
+    for _, a0, tab in jb_q.sections.entries():
+        moved = {a: r_map(e) for a, e in tab}
+        values.append(jb_p.sections.element_for(a0, moved))
     return _trusted(FinMap, jb_q.total, jb_p.total, tuple(values))
 
 
@@ -419,7 +390,7 @@ def beck_chevalley_check(
     transposition maps between jets at the image and maps into the canonical
     pullback, and checks that they are mutually inverse and natural.
     """
-    if g.cod != r.dst:
+    if g.cod != r.stage:
         raise ShapeMismatch("map does not land in the relation's destination")
     jb = jet_bundle(r, q)
     sq = pullback(g, jb.projection)
@@ -562,11 +533,9 @@ def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorp
     jb = jet_bundle(r, p)
     sq_c = pullback(legs.left, p)
     values = []
-    for el, a0, tab in dp.entries:
-        table = {}
-        for m, z in tab:
-            table[legs.left(m)] = sq_c.to_right(z)
-        values.append(jb.element_for(a0, table))
+    for _, a0, tab in dp.sections.entries():
+        table = {legs.left(m): sq_c.to_right(z) for m, z in tab}
+        values.append(jb.sections.element_for(a0, table))
     arrow = _trusted(FinMap, dp.result.total, jb.total, tuple(values))
     iso = SliceMorphism(dp.result, Bundle(jb.projection), arrow)
     return dp.result, jb, iso

@@ -41,6 +41,8 @@ class SubobjectAtStage:
 
     `pairs` is sorted by (index in over, index in stage); it is the one
     representative of the whole equivalence class of jointly monic spans.
+    A relation from A to A0 is the subobject of A at stage A0, so this is
+    also `relations.Relation`.
     """
 
     over: FinSet
@@ -48,13 +50,36 @@ class SubobjectAtStage:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        check_canonical(self.over, self.stage, self.pairs)
+        """Raise ValueError unless `pairs` is in canonical form inside over x stage.
+
+        One pass: every pair must lie in over x stage, and the keys (index in
+        over, index in stage) must never decrease.  An escaping pair is
+        reported in preference to a misordering, wherever the two occur.
+        """
+        oi, si, width = self.over.index.get, self.stage.index.get, len(self.stage)
+        prev = -1
+        ordered = True
+        for a, x in self.pairs:
+            i = oi(a)
+            j = si(x)
+            if i is None or j is None:
+                raise ValueError(
+                    f"pair ({a},{x}) escapes {self.over.name} x {self.stage.name}"
+                )
+            key = i * width + j
+            if key < prev:
+                ordered = False
+            prev = key
+        if not ordered:
+            raise ValueError("pairs not in canonical order; use from_pairs")
 
     @classmethod
     def from_pairs(
         cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
     ) -> "SubobjectAtStage":
-        return cls(over, stage, canonical_pairs(over, stage, pairs))
+        """The distinct pairs, sorted into canonical form."""
+        oi, si = over.index, stage.index
+        return cls(over, stage, tuple(sorted(set(pairs), key=lambda p: (oi[p[0]], si[p[1]]))))
 
     @classmethod
     def _from_stage_major(
@@ -63,11 +88,11 @@ class SubobjectAtStage:
         """The subobject of distinct pairs inside over x stage that give each
         a's stage elements in stage order, trusted to be so.
 
-        Monads, change of stage and counterimages emit their pairs stage by
-        stage, which meets this, and they are its only callers; the result
-        skips the canonical-form check.  Buckets the pairs by first
-        coordinate and sorts only the rows that occur: O(pairs + rows log
-        rows), however large `over` is.
+        Change of stage (and so every monad) and counterimages emit their
+        pairs stage by stage, which meets this, and they are its only
+        callers; the result skips the canonical-form check.  Buckets the
+        pairs by first coordinate and sorts only the rows that occur:
+        O(pairs + rows log rows), however large `over` is.
         """
         rows: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
         for pair in pairs:
@@ -84,6 +109,10 @@ class SubobjectAtStage:
     @classmethod
     def empty(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
         return cls(over, stage, ())
+
+    @classmethod
+    def diagonal(cls, a: FinSet) -> "SubobjectAtStage":
+        return cls(a, a, tuple((x, x) for x in a))
 
     @cached_property
     def pair_set(self) -> frozenset[tuple[str, str]]:
@@ -102,7 +131,12 @@ class SubobjectAtStage:
 
     @cached_property
     def columns(self) -> Mapping[str, tuple[str, ...]]:
-        return column_index(self.pairs, self.stage)
+        """Every x of the stage with the a paired with it; the canonical sort
+        keeps each column in the order of `over`."""
+        out: dict[str, list[str]] = {x: [] for x in self.stage}
+        for a, x in self.pairs:
+            out[x].append(a)
+        return {x: tuple(col) for x, col in out.items()}
 
     def column(self, x: str) -> tuple[str, ...]:
         """Every a with (a, x) in the subobject, in the order of `over`."""
@@ -117,54 +151,6 @@ class SubobjectAtStage:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def canonical_pairs(
-    left: FinSet, right: FinSet, pairs: Iterable[tuple[str, str]]
-) -> tuple[tuple[str, str], ...]:
-    """The distinct pairs sorted by (index in left, index in right): the canonical form."""
-    li, ri = left.index, right.index
-    return tuple(sorted(set(pairs), key=lambda p: (li[p[0]], ri[p[1]])))
-
-
-def check_canonical(
-    left: FinSet, right: FinSet, pairs: tuple[tuple[str, str], ...]
-) -> None:
-    """Raise ValueError unless `pairs` is in canonical form inside left x right.
-
-    One pass: every pair must lie in left x right, and the keys (index in
-    left, index in right) must never decrease.  An escaping pair is reported
-    in preference to a misordering, wherever the two occur.
-    """
-    li, ri, width = left.index.get, right.index.get, len(right)
-    prev = -1
-    ordered = True
-    for a, x in pairs:
-        i = li(a)
-        j = ri(x)
-        if i is None or j is None:
-            raise ValueError(f"pair ({a},{x}) escapes {left.name} x {right.name}")
-        key = i * width + j
-        if key < prev:
-            ordered = False
-        prev = key
-    if not ordered:
-        raise ValueError("pairs not in canonical order; use from_pairs")
-
-
-def column_index(
-    pairs: tuple[tuple[str, str], ...], ends: FinSet
-) -> dict[str, tuple[str, ...]]:
-    """The column index of a canonical pair-set inside S x ends.
-
-    Maps every element of `ends` to the first coordinates paired with it; the
-    canonical sort keeps each column in the order of S.  Relations and
-    subobjects at a stage share it.
-    """
-    out: dict[str, list[str]] = {x: [] for x in ends}
-    for a, x in pairs:
-        out[x].append(a)
-    return {x: tuple(col) for x, col in out.items()}
 
 
 def canonicalize(s: Span) -> SubobjectAtStage:

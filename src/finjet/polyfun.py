@@ -145,6 +145,72 @@ def nest_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
     return SliceMorphism(Bundle(sq_whole.to_left), Bundle(sq_inner.to_left), arrow)
 
 
+SectionTable = tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class SectionTables:
+    """Every section of a bundle over each fiber of a family, with its table.
+
+    `fibers` maps each base point b to the points its sections are defined
+    on, in order.  The sections are the elements of `projection.dom`, named
+    "(b|hash-of-table)" and projected to b; `tables` holds each one's table,
+    aligned with them and keyed in fiber order.  Jet bundles and dependent
+    products are both built on this.
+    """
+
+    fibers: Mapping[str, tuple[str, ...]]
+    projection: FinMap  # sections -> base points
+    tables: tuple[SectionTable, ...]
+
+    @cached_property
+    def _by_table(self) -> Mapping[tuple[str, SectionTable], str]:
+        return {(b, tab): el for el, b, tab in self.entries()}
+
+    def entries(self) -> Iterator[tuple[str, str, SectionTable]]:
+        """(section, base point, table) for every section, in order."""
+        return zip(self.projection.dom.elements, self.projection.values, self.tables)
+
+    def table_of(self, el: str) -> dict[str, str]:
+        return dict(self.tables[self.projection.dom.index[el]])
+
+    def element_for(self, b: str, table: Mapping[str, str]) -> str:
+        """The section over b with the given value at each point of b's fiber;
+        KeyError when there is none."""
+        return self._by_table[(b, tuple((m, table[m]) for m in self.fibers[b]))]
+
+    def evaluations(self, points: FinSet) -> tuple[str, ...]:
+        """Every section's value at every point of its fiber, by point in the
+        order of `points`, then by section: the order of the canonical
+        pullback of `projection` along the map that sends each point to its
+        base point."""
+        rows: dict[str, list[str]] = {m: [] for m in points}
+        for tab in self.tables:
+            for m, v in tab:
+                rows[m].append(v)
+        return tuple(itertools.chain.from_iterable(rows.values()))
+
+
+def section_tables(
+    name: str, base: FinSet, fibers: Mapping[str, tuple[str, ...]], q: FinMap
+) -> SectionTables:
+    """Every section of q over fibers[b], for each base point b in the order
+    of `fibers`: the product of q's fibers over b's points, last point
+    fastest.  The labels go into one FinSet called `name`, so a label
+    collision raises ValueError."""
+    labels: list[str] = []
+    bases: list[str] = []
+    tables: list[SectionTable] = []
+    for b, points in fibers.items():
+        for choice in itertools.product(*(q.fiber(m) for m in points)):
+            tab = tuple(zip(points, choice))
+            labels.append(table_label(b, tab))
+            bases.append(b)
+            tables.append(tab)
+    total = FinSet(name, tuple(labels))
+    return SectionTables(fibers, _trusted(FinMap, total, base, tuple(bases)), tuple(tables))
+
+
 @dataclass(frozen=True)
 class DependentProduct:
     """The right adjoint to pullback along `along`, applied to `input`.
@@ -155,54 +221,24 @@ class DependentProduct:
 
     along: FinMap  # d: M -> B
     input: Bundle  # q over M
-    result: Bundle  # over B
+    sections: SectionTables  # over the fibers of d
     counit: SliceMorphism  # d*(result) -> input, over M
-    entries: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
-    # (element of result.total, base point, section table in M order)
 
-    @cached_property
-    def sections(self) -> Mapping[str, dict[str, str]]:
-        return {el: dict(tab) for el, _, tab in self.entries}
-
-    @cached_property
-    def _by_table(self) -> Mapping[tuple[str, tuple[tuple[str, str], ...]], str]:
-        return {(b, tab): el for el, b, tab in self.entries}
-
-    def section_of(self, el: str) -> dict[str, str]:
-        return self.sections[el]
-
-    def element_for(self, b: str, table: Mapping[str, str]) -> str:
-        ordered = tuple((m, table[m]) for m in self.along.fiber(b))
-        return self._by_table[(b, ordered)]
+    @property
+    def result(self) -> Bundle:
+        return Bundle(self.sections.projection)
 
 
 def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
     if q.base != d.dom:
         raise ShapeMismatch("dependent product input must live over the map's domain")
-    names: list[str] = []
-    bases: list[str] = []
-    entries: list[tuple[str, str, tuple[tuple[str, str], ...]]] = []
-    for b in d.cod:
-        fiber_points = d.fiber(b)
-        options = [q.fiber(m) for m in fiber_points]
-        for choice in itertools.product(*options):
-            tab = tuple(zip(fiber_points, choice))
-            name = table_label(b, tab)
-            names.append(name)
-            bases.append(b)
-            entries.append((name, b, tab))
-    total = FinSet(f"sec({d.dom.name}->{d.cod.name};{q.total.name})", tuple(names))
-    result = Bundle(_trusted(FinMap, total, d.cod, tuple(bases)))
-    sq = pullback(d, result.map)
-    tables = {el: dict(tab) for el, _, tab in entries}
-    counit_arrow = _trusted(
-        FinMap,
-        sq.apex,
-        q.total,
-        tuple(tables[sq.to_right(x)][sq.to_left(x)] for x in sq.apex),
+    sections = section_tables(
+        f"sec({d.dom.name}->{d.cod.name};{q.total.name})", d.cod, d.fibers, q.map
     )
+    sq = pullback(d, sections.projection)
+    counit_arrow = _trusted(FinMap, sq.apex, q.total, sections.evaluations(d.dom))
     counit = _trusted(SliceMorphism, Bundle(sq.to_left), q, counit_arrow)
-    return DependentProduct(d, q, result, counit, tuple(entries))
+    return DependentProduct(d, q, sections, counit)
 
 
 def dependent_product_map(
@@ -219,35 +255,11 @@ def dependent_product_map(
     dp_src = dp_src if dp_src is not None else dependent_product(d, v.src)
     dp_dst = dp_dst if dp_dst is not None else dependent_product(d, v.dst)
     values = []
-    for el, b, tab in dp_src.entries:
+    for _, b, tab in dp_src.sections.entries():
         moved = {m: v.arrow(e) for m, e in tab}
-        values.append(dp_dst.element_for(b, moved))
+        values.append(dp_dst.sections.element_for(b, moved))
     arrow = FinMap(dp_src.result.total, dp_dst.result.total, tuple(values))
     return SliceMorphism(dp_src.result, dp_dst.result, arrow)
-
-
-def adjunction_unit(
-    d: FinMap, y: Bundle, dp: "DependentProduct | None" = None
-) -> SliceMorphism:
-    """The unit y -> product-along-d of d*(y).
-
-    The product of d*(y) along d may be passed in when already built; it must
-    be taken along d of d*(y).
-    """
-    if y.base != d.cod:
-        raise ShapeMismatch("unit requires a bundle over the map's codomain")
-    sq = pullback(d, y.map)
-    if dp is None:
-        dp = dependent_product(d, Bundle(sq.to_left))
-    elif dp.along != d or dp.input != Bundle(sq.to_left):
-        raise ShapeMismatch("unit product is not the product of d*(y) along d")
-    values = []
-    for w in y.total:
-        b = y.map(w)
-        table = {m: sq.pair_index[(m, w)] for m in d.fiber(b)}
-        values.append(dp.element_for(b, table))
-    arrow = FinMap(y.total, dp.result.total, tuple(values))
-    return SliceMorphism(y, dp.result, arrow)
 
 
 @dataclass(frozen=True)
@@ -275,7 +287,7 @@ class AdjunctionBijection:
                 mm: m.arrow(self.square.pair_index[(mm, w)])
                 for mm in self.along.fiber(b)
             }
-            values.append(self.product.element_for(b, table))
+            values.append(self.product.sections.element_for(b, table))
         arrow = FinMap(self.left.total, self.product.result.total, tuple(values))
         return SliceMorphism(self.left, self.product.result, arrow)
 
@@ -287,9 +299,30 @@ class AdjunctionBijection:
         for x in self.square.apex:
             m = self.square.to_left(x)
             w = self.square.to_right(x)
-            values.append(self.product.section_of(n.arrow(w))[m])
+            values.append(self.product.sections.table_of(n.arrow(w))[m])
         arrow = FinMap(self.square.apex, self.right.total, tuple(values))
         return SliceMorphism(self.pulled_left, self.right, arrow)
+
+
+def adjunction_unit(
+    d: FinMap, y: Bundle, dp: "DependentProduct | None" = None
+) -> SliceMorphism:
+    """The unit y -> product-along-d of d*(y): the transpose of the identity
+    on d*(y).
+
+    The product of d*(y) along d may be passed in when already built; it must
+    be taken along d of d*(y).
+    """
+    if y.base != d.cod:
+        raise ShapeMismatch("unit requires a bundle over the map's codomain")
+    sq = pullback(d, y.map)
+    pulled = Bundle(sq.to_left)
+    if dp is None:
+        dp = dependent_product(d, pulled)
+    elif dp.along != d or dp.input != pulled:
+        raise ShapeMismatch("unit product is not the product of d*(y) along d")
+    bij = AdjunctionBijection(d, y, pulled, dp, sq)
+    return bij.to_base(SliceMorphism.identity(pulled))
 
 
 def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection:
@@ -374,13 +407,13 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
     for x in sq_g.apex:
         b2 = sq_g.to_left(x)
         t = sq_g.to_right(x)
-        section = dp.section_of(t)
+        section = dp.sections.table_of(t)
         table = {}
         for m2 in sm.src_right.fiber(b2):
             m = sm.on_mid(m2)
             e = sq_c.to_right(section[m])
             inner = sq_f.pair_index[(sm.src_left(m2), e)]
             table[m2] = sq_c2.pair_index[(m2, inner)]
-        values.append(dp2.element_for(b2, table))
+        values.append(dp2.sections.element_for(b2, table))
     arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
     return SliceMorphism(Bundle(sq_g.to_left), dp2.result, arrow)

@@ -125,7 +125,7 @@ def _checked_preserves(
             relations.monad_at(rel_src, a0),
             kripke.counterimage(f, relations.monad_at(rel_dst, f0(a0))),
         )
-        for a0 in rel_src.dst
+        for a0 in rel_src.stage
     )
     t.check(
         (morphism is not None) == by_monads,
@@ -710,7 +710,10 @@ def adjunction_instance_ok(d: FinMap, y: Bundle, q: Bundle) -> bool:
         if bij.to_base(bij.to_total(hom)) != hom:
             return False
     dp_pulled = polyfun.dependent_product(d, pulled)
-    unit = polyfun.adjunction_unit(d, y, dp_pulled)
+    # The first unit is the transpose of the identity on d*(y), taken on the
+    # square the bijection already holds.
+    unit_bij = polyfun.AdjunctionBijection(d, y, pulled, dp_pulled, bij.square)
+    unit = unit_bij.to_base(SliceMorphism.identity(pulled))
     lifted_unit = polyfun.pullback_vertical(d, unit)
     tri1 = polyfun.compose_slice(dp_pulled.counit, lifted_unit)
     if tri1 != SliceMorphism.identity(pulled):

@@ -219,7 +219,7 @@ def serialize_workspace(ws: Workspace) -> str:
         lines.append(f"map {name} : {fmap.dom.name} -> {fmap.cod.name} {{ {entries} }}".replace("{  }", "{ }"))
     for name, rel in ws.relations.items():
         pairs = " ".join(f"({a},{b})" for a, b in rel.pairs)
-        lines.append(f"relation {name} : {rel.src.name} ~ {rel.dst.name} {{ {pairs} }}".replace("{  }", "{ }"))
+        lines.append(f"relation {name} : {rel.over.name} ~ {rel.stage.name} {{ {pairs} }}".replace("{  }", "{ }"))
     for name, bundle in ws.bundles.items():
         map_name = next(
             (n for n, m in ws.maps.items() if m == bundle.map), None

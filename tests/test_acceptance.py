@@ -78,9 +78,9 @@ def test_criterion_1_product_of_fibers():
     started = time.monotonic()
     for r, p in criterion1_instances():
         jb = jet_bundle(r, p.map)
-        for a0 in r.dst:
+        for a0 in r.stage:
             assert len(jb.fiber(a0)) == product_of_fibers(r, p.map, a0)
-        assert len(jb.total) == sum(product_of_fibers(r, p.map, a0) for a0 in r.dst)
+        assert len(jb.total) == sum(product_of_fibers(r, p.map, a0) for a0 in r.stage)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     _report(1, "product-of-fibers law, 200 instances")
@@ -271,7 +271,7 @@ def test_criterion_7_classifying_universality():
         jb = jet_bundle(r, p.map)
         for size in (0, 1, 2):
             stage = FinSet("X", tuple(f"x{i}" for i in range(size)))
-            bases = list(all_maps(stage, r.dst))
+            bases = list(all_maps(stage, r.stage))
             if size == 2 and len(jb.total) ** 2 > 4000:
                 bases = bases[:2]
             else:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import finjet.jets as jets_module
 import finjet.kripke as kripke
+import finjet.polyfun as polyfun_module
 from finjet.errors import NotReflexive, NotVertical, ShapeMismatch, WorkspaceError
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
 from finjet.instances import (
@@ -39,7 +40,7 @@ from finjet.jets import (
     reflexive_value,
     restrict_jet,
 )
-from finjet.polyfun import Bundle
+from finjet.polyfun import Bundle, polynomial_product
 from finjet.relations import (
     EndoRelation,
     Relation,
@@ -93,7 +94,7 @@ def test_jet_bundle_diagonal_relation_is_the_bundle():
     assert [len(jb.fiber(a0)) for a0 in A] == [2, 1, 2]
     for t in jb.total:
         a0 = jb.projection(t)
-        (entry,) = jb.table_of(t).items()
+        (entry,) = jb.sections.table_of(t).items()
         assert entry[0] == a0 and P_MAP(entry[1]) == a0
 
 
@@ -102,20 +103,40 @@ def test_jet_bundle_of_identity_bundle():
     assert all(len(jb.fiber(a0)) == 1 for a0 in A)
 
 
+RELATIONS = {
+    "ball": R,
+    "diagonal": Relation.diagonal(A),
+    "empty": Relation.from_pairs(A, A, []),
+    "full": Relation.full(A, A),
+}
+
+
+def _jet_sections(rel):
+    return jet_bundle(rel, P_MAP).sections, P_MAP
+
+
+def _poly_sections(rel):
+    dp = polynomial_product(rel.span.left, rel.span.right, Bundle(P_MAP))
+    return dp.sections, dp.input.map
+
+
 @pytest.mark.parametrize(
-    "rel", [R, Relation.diagonal(A), Relation.from_pairs(A, A, []), Relation.full(A, A)],
-    ids=["ball", "diagonal", "empty", "full"],
+    "rel, build",
+    [(rel, _jet_sections) for rel in RELATIONS.values()]
+    + [(rel, _poly_sections) for rel in RELATIONS.values()],
+    ids=list(RELATIONS) + [f"{name}-poly" for name in RELATIONS],
 )
-def test_element_for_names_every_element_by_its_table(rel):
-    jb = jet_bundle(rel, P_MAP)
-    for t in jb.total:
-        a0, table = jb.projection(t), jb.table_of(t)
-        assert jb.element_for(a0, table) == t
-        for a in table:
-            for e in E:
-                if P_MAP(e) != a:
+def test_element_for_names_every_element_by_its_table(rel, build):
+    sections, q = build(rel)
+    for t, b, tab in sections.entries():
+        table = sections.table_of(t)
+        assert table == dict(tab)
+        assert sections.element_for(b, table) == t
+        for m in table:
+            for e in q.dom:
+                if q(e) != m:
                     with pytest.raises(KeyError):
-                        jb.element_for(a0, {**table, a: e})
+                        sections.element_for(b, {**table, m: e})
 
 
 def test_classify_singleton_and_empty_stage():
@@ -192,7 +213,7 @@ def test_phi_identity_morphism_repacks_pairs():
 
 def test_phi_empty_monad():
     morphism, p_big = classical_morphism()
-    sparse = Relation.from_pairs(morphism.rel_src.src, morphism.rel_src.dst, [])
+    sparse = Relation.from_pairs(morphism.rel_src.over, morphism.rel_src.stage, [])
     trimmed = check_preserves(morphism.f, morphism.f0, sparse, morphism.rel_dst)
     ctx = PhiContext.of(trimmed, p_big)
     j = enumerate_jets(morphism.rel_dst, compose(morphism.f0, point(A, "a")), p_big)[0]
@@ -234,8 +255,8 @@ def test_phi_preservation_violation_raises():
 def test_phi_compose_on_fixture_chain():
     morphism, p_big = classical_morphism()
     ident = check_preserves(
-        FinMap.identity(morphism.rel_src.src),
-        FinMap.identity(morphism.rel_src.dst),
+        FinMap.identity(morphism.rel_src.over),
+        FinMap.identity(morphism.rel_src.stage),
         morphism.rel_src,
         morphism.rel_src,
     )
@@ -248,7 +269,7 @@ def test_phi_compose_on_fixture_chain():
 def test_cluex_on_fixture():
     morphism, p_big = classical_morphism()
     f_total = FinSet("FT", ("u.f0", "v.f0"))
-    q_map_total = FinMap(f_total, morphism.rel_dst.src, ("u", "v"))
+    q_map_total = FinMap(f_total, morphism.rel_dst.over, ("u", "v"))
     r_map = FinMap(f_total, p_big.dom, ("u.1", "v.0"))
     assert compose(p_big, r_map) == q_map_total
     for size in (0, 1, 2):
@@ -473,7 +494,7 @@ def test_nth_jet_is_the_enumerated_jet(seed, kind, stage_size, max_fiber):
     # Fibers of size 0 occur, so some monads meet an empty fiber.
     p = rand_bundle(rng, a, max_fiber).map
     stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
-    b = rand_map(rng, stage, rel.dst)
+    b = rand_map(rng, stage, rel.stage)
     enumerated = enumerate_jets(rel, b, p)
     decoded = [nth_jet(rel, b, p, i) for i in range(len(enumerated))]
     assert decoded == list(enumerated)
@@ -508,14 +529,14 @@ K4_WS = complete_graph_workspace(4, 2)
 def test_classify_point_matches_the_full_bundle(ws):
     rel, p = ws.relations["R"], ws.maps["p"]
     jb = jet_bundle(rel, p)
-    for a0 in rel.dst:
-        here = enumerate_jets(rel, point(rel.dst, a0), p)
+    for a0 in rel.stage:
+        here = enumerate_jets(rel, point(rel.stage, a0), p)
         named = [classify_point(j) for j in here]
         assert named == [classify(jb, j)("*") for j in here]
         assert named == list(jb.fiber(a0))
-        assert dict(jet_fiber(rel, p, a0)) == {
-tuple(jb.table_of(t).items()): t for t in jb.fiber(a0)
-        }
+        assert list(jet_fiber(rel, p, a0).entries()) == [
+            (t, a0, tuple(jb.sections.table_of(t).items())) for t in jb.fiber(a0)
+        ]
 
 
 def test_classify_point_needs_a_one_point_stage():
@@ -526,7 +547,7 @@ def test_classify_point_needs_a_one_point_stage():
 
 
 def test_label_collision_inside_one_fiber_still_raises(monkeypatch):
-    monkeypatch.setattr(jets_module, "table_label", lambda anchor, entries: f"({anchor}|0000000000)")
+    monkeypatch.setattr(polyfun_module, "table_label", lambda anchor, entries: f"({anchor}|0000000000)")
     j = nth_jet(R, point(A, "b"), P_MAP, 0)
     with pytest.raises(ValueError, match="duplicate elements"):
         classify_point(j)

@@ -168,7 +168,7 @@ def pair_sets(draw, left, right):
 def assert_joins_match_nested_loops(r, b, u, alpha, f):
     """monad, change_of_stage and counterimage against their defining comprehensions."""
     assert monad(r, b).pairs == tuple(
-        (a, x) for a in r.src for x in b.dom if (a, b(x)) in r.pair_set
+        (a, x) for a in r.over for x in b.dom if (a, b(x)) in r.pair_set
     )
     assert change_of_stage(u, alpha).pairs == tuple(
         (a, y) for a in u.over for y in alpha.dom if (a, alpha(y)) in u.pair_set

@@ -85,7 +85,7 @@ def test_dependent_product_identity_map():
     q = small_bundle(M, (2, 1, 1))
     dp = dependent_product(FinMap.identity(M), q)
     assert len(dp.result.total) == len(q.total)
-    for el, b, tab in dp.entries:
+    for el, b, tab in dp.sections.entries():
         assert len(tab) == 1 and tab[0][0] == b
 
 
@@ -118,7 +118,7 @@ def test_dependent_product_counit_evaluates():
     for x in sq.apex:
         m = sq.to_left(x)
         el = sq.to_right(x)
-        assert dp.counit.arrow(x) == dp.section_of(el)[m]
+        assert dp.counit.arrow(x) == dp.sections.table_of(el)[m]
 
 
 def test_dependent_product_functorial():

@@ -33,9 +33,8 @@ TARGETS = (FinSet("T", ()), FinSet("T", ("t1", "t0")))
 
 def relations_on(src, dst):
     cells = [(a, b) for a in src for b in dst]
-    return st.lists(st.sampled_from(cells), unique=True).map(
-        lambda pairs: Relation.from_pairs(src, dst, pairs)
-    )
+    pair_lists = st.lists(st.sampled_from(cells), unique=True) if cells else st.just([])
+    return pair_lists.map(lambda pairs: Relation.from_pairs(src, dst, pairs))
 
 
 def test_monad_diagonal_is_graph_of_element():
@@ -51,6 +50,21 @@ def test_monad_full_relation():
         monad(full, FinMap.identity(B)), b
     )
     assert len(monad(full, b)) == len(A) * len(X)
+
+
+STAGES = (FinSet("Y", ()), FinSet("Y", ("y1",)), FinSet("Y", ("y1", "y0", "y2")))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_monad_is_the_relation_at_a_later_stage(data):
+    src = data.draw(st.sampled_from(SHUFFLED))
+    dst = data.draw(st.sampled_from(TARGETS))
+    r = data.draw(relations_on(src, dst))
+    stage = data.draw(st.sampled_from(STAGES if len(dst) else STAGES[:1]))
+    b = data.draw(maps_between(stage, dst))
+    assert monad(r, b) == change_of_stage(r, b)
+    assert monad(r, FinMap.identity(r.stage)) == r
 
 
 @given(relations_on(A, B))
@@ -260,7 +274,7 @@ def monad_criterion(f, f0, rel_src, rel_dst):
     evaluated in line)."""
     return all(
         sub_leq(monad_at(rel_src, a0), counterimage(f, monad_at(rel_dst, f0(a0))))
-        for a0 in rel_src.dst
+        for a0 in rel_src.stage
     )
 
 

@@ -238,6 +238,11 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
     rel_dst = ws.relation(args.relation_dst)
     f = ws.map(args.map)
     bundle = ws.bundle(args.bundle)
+    if rel_src.over == rel_dst.over and rel_src != rel_dst:
+        raise WorkspaceError(
+            f"relations {args.relation_src} and {args.relation_dst} both live on object "
+            f"{rel_src.over.name}, which carries one endo-relation"
+        )
     rels = {
         rel_src.over: relations.EndoRelation.of(rel_src),
         rel_dst.over: relations.EndoRelation.of(rel_dst),

@@ -120,7 +120,7 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
         c.over,
         Bundle(jb_pulled.projection),
         Bundle(jb_dst.projection),
-        mediating_map(morphism, c.dst.map, jb_dst=jb_dst, jb_src=jb_pulled, ctx=ctx),
+        mediating_map(ctx, jb_dst, jb_pulled),
     )
     return comorphism_compose(cartesian_image, vertical_image)
 

@@ -35,11 +35,11 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `SubobjectAtStage._from_stage_major` (the subobjects that
       `change_of_stage`, and so every `monad`, and `counterimage` emit in
       canonical order);
-    - jets: the partial maps and sections of `enumerate_jets`, `nth_jet` and
-      `jet_bundle`; the maps of `classify`, `jet_on_vertical`, `maps_over`,
-      `mediating_map` and `polynomial_iso`; `PhiContext.of`, which builds its
-      own pullback; `SectionJet._trusted`, which still runs the jet's shape
-      checks;
+    - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
+      `jet_bundle` and `phi`; the maps of `classify`, `jet_on_vertical`,
+      `maps_over`, `mediating_map` and `polynomial_iso`; `PhiContext.of`,
+      which builds its own pullback; `SectionJet._trusted`, which still runs
+      the jet's shape checks;
     - polyfun: the projection of `section_tables` (the projection of every
       jet bundle, jet fiber and dependent product), `slice_homs`,
       `compose_slice`, `SliceMorphism.identity` and the counit of
@@ -100,6 +100,12 @@ class FinSet:
 
 # The stage used for ordinary points a: 1 -> A.
 UNIT = FinSet("1", ("*",))
+
+
+def probe_stage(size: int) -> FinSet:
+    """The stage {x0, ..., x(size-1)}, named "stage<size>", that probes
+    generalized elements of that size."""
+    return FinSet(f"stage{size}", tuple(f"x{i}" for i in range(size)))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from .finset import (
     _trusted,
     all_maps,
     compose,
-    element,
     pair_into_pullback,
+    probe_stage,
     pullback,
 )
 from .kripke import (
@@ -70,8 +70,10 @@ class SectionJet:
 
         Runs the shape checks but not the monad recomputation.  The only
         callers: `enumerate_jets`, `nth_jet` and `phi`, which take the support
-        from `monad`, and `restrict_jet`, whose support is the change of stage
-        of a jet's monad, which is the monad of the composite base.
+        from `monad`; `restrict_jet`, whose support is the change of stage of
+        a jet's monad, which is the monad of the composite base; and
+        `JetBundle.generic_jet`, whose support `jet_bundle` built as the monad
+        of the projection.
         """
         jet = _trusted(cls, relation, at, section)
         jet._check_shape()
@@ -211,50 +213,9 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
                 f"image of ({a},{x}) escapes the jet's support"
             )
         values.append(ctx.square.pair_index[(a, table[image])])
-    moved = PartialMapAtStage(support, ctx.square.apex, tuple(values))
-    return SectionJet._trusted(mor.rel_src, a0, PartialSection(moved, ctx.pulled))
-
-
-def phi_compose_check(
-    upper: RelationMorphism, lower: RelationMorphism, p: FinMap, a0: FinMap
-) -> bool:
-    """Whether transporting along two stacked morphisms equals one composite step.
-
-    The composite transport is computed with the canonical pullback along the
-    composite base map and carried into the stacked apex by the comparison
-    isomorphism, which the value law commutes with.
-    """
-    if upper.rel_dst != lower.rel_src:
-        raise ShapeMismatch("relation morphisms do not chain")
-    ctx_k = PhiContext.of(lower, p)
-    ctx_h = PhiContext.of(upper, ctx_k.pulled)
-    composite = upper.then(lower)
-    ctx_whole = PhiContext.of(composite, p)
-    tau = FinMap(
-        ctx_whole.square.apex,
-        ctx_h.square.apex,
-        tuple(
-            ctx_h.square.pair_index[
-                (
-                    ctx_whole.square.to_left(el),
-                    ctx_k.square.pair_index[
-                        (
-                            upper.f(ctx_whole.square.to_left(el)),
-                            ctx_whole.square.to_right(el),
-                        )
-                    ],
-                )
-            ]
-            for el in ctx_whole.square.apex
-        ),
+    return SectionJet._trusted(
+        mor.rel_src, a0, _trusted_section(support, ctx.pulled, tuple(values))
     )
-    mid_base = compose(upper.f0, a0)
-    for j in enumerate_jets(lower.rel_dst, compose(lower.f0, mid_base), p):
-        two_steps = phi(ctx_h, a0, phi(ctx_k, mid_base, j))
-        one_step = map_jet(phi(ctx_whole, a0, j), tau, ctx_h.pulled)
-        if two_steps != one_step:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -282,14 +243,10 @@ class JetBundle:
 
     @cached_property
     def generic_jet(self) -> SectionJet:
-        return SectionJet(self.relation, self.projection, self.generic)
+        return SectionJet._trusted(self.relation, self.projection, self.generic)
 
     def fiber(self, a0: str) -> tuple[str, ...]:
         return self.projection.fiber(a0)
-
-    def point_jet(self, t: str) -> SectionJet:
-        """The jet the total element t stands for, at its own base point."""
-        return restrict_jet(self.generic_jet, element(self.total, t))
 
 
 def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
@@ -401,10 +358,7 @@ def beck_chevalley_check(
     def backward(m: FinMap) -> SectionJet:
         return restrict_jet(jb.generic_jet, compose(sq.to_right, m))
 
-    stages = [
-        FinSet(f"stage{n}", tuple(f"x{i}" for i in range(n)))
-        for n in range(max_stage + 1)
-    ]
+    stages = [probe_stage(n) for n in range(max_stage + 1)]
     for stage in stages:
         for a0 in all_maps(stage, g.dom):
             jets = enumerate_jets(r, compose(g, a0), q)
@@ -437,38 +391,6 @@ def beck_chevalley_check(
     return True
 
 
-def cluex_check(
-    morphism: RelationMorphism, r_map: FinMap, p: FinMap, a0: FinMap
-) -> bool:
-    """Whether transport commutes with pushing jets along a vertical map.
-
-    The classical regime: one map acting on both ends of uniform
-    endo-relations, a bundle p over the target, and a vertical r_map into it.
-    """
-    if morphism.f != morphism.f0:
-        raise ShapeMismatch("classical check needs one map acting on both ends")
-    q = compose(p, r_map)
-    ctx_h = PhiContext.of(morphism, p)
-    ctx_k = PhiContext.of(morphism, q)
-    lifted = FinMap(
-        ctx_k.square.apex,
-        ctx_h.square.apex,
-        tuple(
-            ctx_h.square.pair_index[
-                (ctx_k.square.to_left(el), r_map(ctx_k.square.to_right(el)))
-            ]
-            for el in ctx_k.square.apex
-        ),
-    )
-    base_image = compose(morphism.f0, a0)
-    for j in enumerate_jets(morphism.rel_dst, base_image, q):
-        left = map_jet(phi(ctx_k, a0, j), lifted, ctx_h.pulled)
-        right = phi(ctx_h, a0, map_jet(j, r_map, p))
-        if left != right:
-            return False
-    return True
-
-
 def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     """The value of a jet at its own base point, available by reflexivity."""
     if not r.reflexive:
@@ -478,48 +400,28 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     return value(j.section.underlying, j.at, FinMap.identity(j.stage))
 
 
-def _prebuilt(jb: Optional[JetBundle], r: Relation, p: FinMap, role: str) -> JetBundle:
-    """jet_bundle(r, p), or the given jb once it is checked to be built from r and p."""
-    if jb is None:
-        return jet_bundle(r, p)
-    if jb.relation != r or jb.bundle != p:
-        raise ShapeMismatch(f"{role} jet bundle is not built from its relation and bundle")
-    return jb
-
-
-def mediating_map(
-    morphism: RelationMorphism,
-    p: FinMap,
-    jb_dst: Optional[JetBundle] = None,
-    jb_src: Optional[JetBundle] = None,
-    ctx: Optional[PhiContext] = None,
-) -> SliceMorphism:
+def mediating_map(ctx: PhiContext, jb_dst: JetBundle, jb_src: JetBundle) -> SliceMorphism:
     """The bundle-level transport f0*(J(p)) -> J'(f*(p)) induced by phi.
 
-    Computed pointwise: each pulled-back total element names a jet at a point,
-    which is transported by phi and classified again.  J(p), J'(f*(p)) and the
-    transport context may be passed in when already built; each must come
-    from the target relation and p, the source relation and f*(p), or the
-    morphism and p.
+    jb_dst is J(p), built from the target relation and the context's bundle;
+    jb_src is J'(f*(p)), built from the source relation and the pulled-back
+    bundle.  Each pulled-back element <a0, t> goes to the element over a0
+    whose table is phi's value law on t's table, a |-> <a, t(f(a))>, named by
+    one lookup.  The tests compare it with phi and classify, element by element.
     """
-    jb_dst = _prebuilt(jb_dst, morphism.rel_dst, p, "target")
-    if ctx is None:
-        ctx = PhiContext.of(morphism, p)
-    elif ctx.morphism != morphism or ctx.bundle != p:
-        raise ShapeMismatch("transport context is not built from the morphism and bundle")
-    jb_src = _prebuilt(jb_src, morphism.rel_src, ctx.pulled, "source")
-    sq = pullback(morphism.f0, jb_dst.projection)
+    mor = ctx.morphism
+    if jb_dst.relation != mor.rel_dst or jb_dst.bundle != ctx.bundle:
+        raise ShapeMismatch("target jet bundle is not built from its relation and bundle")
+    if jb_src.relation != mor.rel_src or jb_src.bundle != ctx.pulled:
+        raise ShapeMismatch("source jet bundle is not built from its relation and bundle")
+    sq = pullback(mor.f0, jb_dst.projection)
     values = []
-    for el in sq.apex:
-        a0 = sq.to_left(el)
-        t = sq.to_right(el)
-        point = element(morphism.f0.dom, a0)
-        moved = phi(ctx, point, jb_dst.point_jet(t))
-        values.append(classify(jb_src, moved)("*"))
+    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+        tab = jb_dst.sections.table_of(t)
+        moved = {a: ctx.square.pair_index[(a, tab[mor.f(a)])] for a in mor.rel_src.column(a0)}
+        values.append(jb_src.sections.element_for(a0, moved))
     arrow = _trusted(FinMap, sq.apex, jb_src.total, tuple(values))
-    return SliceMorphism(
-        Bundle(sq.to_left), Bundle(jb_src.projection), arrow
-    )
+    return SliceMorphism(Bundle(sq.to_left), Bundle(jb_src.projection), arrow)
 
 
 def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorphism]:

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, all_maps, compose, element
+from .finset import FinMap, FinSet, all_maps, compose, element, probe_stage
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -43,7 +43,7 @@ def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
     """Reflexivity read off generalized elements: a0 is in its own monad."""
     _require_endo(r)
     for size in range(max_stage + 1):
-        stage = _probe_stage(size)
+        stage = probe_stage(size)
         for a0 in all_maps(stage, r.over):
             u = monad(r, a0)
             if not all((a0(x), x) in u.pair_set for x in stage):
@@ -55,7 +55,7 @@ def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
     """Symmetry read off generalized elements: membership swaps sides."""
     _require_endo(r)
     for size in range(max_stage + 1):
-        stage = _probe_stage(size)
+        stage = probe_stage(size)
         for a in all_maps(stage, r.over):
             for b in all_maps(stage, r.over):
                 left = all((a(x), x) in monad(r, b).pair_set for x in stage)
@@ -68,10 +68,6 @@ def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
 def _require_endo(r: Relation) -> None:
     if r.over != r.stage:
         raise ShapeMismatch("operation requires an endo-relation")
-
-
-def _probe_stage(size: int) -> FinSet:
-    return FinSet(f"stage{size}", tuple(f"x{i}" for i in range(size)))
 
 
 @dataclass(frozen=True)

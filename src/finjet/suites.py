@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import fibdual, jets, kripke, polyfun, relations
+from .errors import ShapeMismatch
 from .finset import (
     FinMap,
-    FinSet,
     all_maps,
     compose,
     element,
     is_monic,
     pair_into_pullback,
+    probe_stage,
     pullback,
     span_leq,
 )
@@ -134,10 +135,6 @@ def _checked_preserves(
     return morphism
 
 
-def _stage(size: int) -> FinSet:
-    return FinSet(f"stage{size}", tuple(f"x{i}" for i in range(size)))
-
-
 def _register(ws: Workspace, **kinds) -> None:
     for kind, entries in kinds.items():
         getattr(ws, kind).update(entries)
@@ -170,7 +167,7 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
     if is_monic(p):
         t.check(is_monic(pb.to_left), "pullback of a monic is not monic")
     for size in range(3):
-        stage = _stage(size)
+        stage = probe_stage(size)
         cones = [
             (ca, cb)
             for ca in all_maps(stage, a)
@@ -233,7 +230,7 @@ def brute_force_leq(
     """
     probes: set[frozenset] = set()
     for size in range(max_stage + 1):
-        stage = _stage(size)
+        stage = probe_stage(size)
         for alpha in all_maps(stage, u.stage):
             for a in all_maps(stage, u.over):
                 probes.add(frozenset(zip(a.values, alpha.values)))
@@ -336,8 +333,8 @@ def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         rival = kripke.PartialMapAtStage(u, e, rival_values)
         idx = next(i for i, (rv, sv) in enumerate(zip(rival_values, s.values)) if rv != sv)
         pa, px = u.pairs[idx]
-        probe_a = FinMap(_stage(1), a, (pa,))
-        probe_x = FinMap(_stage(1), x, (px,))
+        probe_a = FinMap(probe_stage(1), a, (pa,))
+        probe_x = FinMap(probe_stage(1), x, (px,))
         t.check(
             kripke.value(rival, probe_a, probe_x) != kripke.value(s, probe_a, probe_x),
             "a rival partial map agrees with the law on a deciding probe",
@@ -511,7 +508,7 @@ def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     _register(ws, objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
     t = _Checker(ws)
     jb = jets.jet_bundle(r, p.map)
-    stage1 = _stage(1)
+    stage1 = probe_stage(1)
     for base in all_maps(stage1, a0):
         for j in jets.enumerate_jets(r, base, p.map):
             cl = jets.classify(jb, j)
@@ -522,7 +519,7 @@ def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
                 and jets.restrict_jet(jb.generic_jet, m) == j
             ]
             t.check(matches == [cl], "classifying map is not the unique one at a point")
-    stage2 = _stage(2)
+    stage2 = probe_stage(2)
     for base in all_maps(stage2, a0):
         count = 1
         for x in stage2:
@@ -563,6 +560,78 @@ def _random_vertical(
     return SliceMorphism(src, dst, FinMap(src.total, dst.total, tuple(values)))
 
 
+def phi_compose_law(
+    t: _Checker,
+    upper: relations.RelationMorphism,
+    lower: relations.RelationMorphism,
+    p: FinMap,
+    a0: FinMap,
+) -> None:
+    """Transporting along two stacked morphisms equals one composite step.
+
+    The composite transport is computed with the canonical pullback along the
+    composite base map and carried into the stacked apex by the comparison
+    isomorphism, which the value law commutes with.  Every transport is
+    checked against its tabulation; the law is one check after them.
+    """
+    composite = upper.then(lower)
+    ctx_k = jets.PhiContext.of(lower, p)
+    ctx_h = jets.PhiContext.of(upper, ctx_k.pulled)
+    ctx_whole = jets.PhiContext.of(composite, p)
+    whole = ctx_whole.square
+    tau = FinMap(
+        whole.apex,
+        ctx_h.square.apex,
+        tuple(
+            ctx_h.square.pair_index[
+                (a, ctx_k.square.pair_index[(upper.f(a), e)])
+            ]
+            for a, e in zip(whole.to_left.values, whole.to_right.values)
+        ),
+    )
+    mid_base = compose(upper.f0, a0)
+    ok = True
+    for j in jets.enumerate_jets(lower.rel_dst, compose(lower.f0, mid_base), p):
+        two_steps = _checked_phi(t, ctx_h, a0, _checked_phi(t, ctx_k, mid_base, j))
+        one_step = jets.map_jet(_checked_phi(t, ctx_whole, a0, j), tau, ctx_h.pulled)
+        ok = ok and two_steps == one_step
+    t.check(ok, "stacked transports disagree with the composite transport")
+
+
+def cluex_law(
+    t: _Checker,
+    morphism: relations.RelationMorphism,
+    r_map: FinMap,
+    p: FinMap,
+    a0: FinMap,
+) -> None:
+    """Transport commutes with pushing jets along a vertical map.
+
+    The classical regime: one map acting on both ends of uniform
+    endo-relations, a bundle p over the target, and a vertical r_map into it.
+    Every transport is checked against its tabulation; the law is one check
+    after them.
+    """
+    if morphism.f != morphism.f0:
+        raise ShapeMismatch("classical check needs one map acting on both ends")
+    ctx_h = jets.PhiContext.of(morphism, p)
+    ctx_k = jets.PhiContext.of(morphism, compose(p, r_map))
+    lifted = FinMap(
+        ctx_k.square.apex,
+        ctx_h.square.apex,
+        tuple(
+            ctx_h.square.pair_index[(a, r_map(e))]
+            for a, e in zip(ctx_k.square.to_left.values, ctx_k.square.to_right.values)
+        ),
+    )
+    ok = True
+    for j in jets.enumerate_jets(morphism.rel_dst, compose(morphism.f0, a0), ctx_k.bundle):
+        left = jets.map_jet(_checked_phi(t, ctx_k, a0, j), lifted, ctx_h.pulled)
+        right = _checked_phi(t, ctx_h, a0, jets.map_jet(j, r_map, p))
+        ok = ok and left == right
+    t.check(ok, "transport does not commute with pushing jets along a vertical")
+
+
 def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     size = max(2, min(max_obj, 3))
     f, f0, rel_a, rel_b = rand_preserving_relations(rng, size)
@@ -588,20 +657,9 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         t.check(False, "generated morphisms fail preservation")
         return t.outcome()
     p = rand_bundle(rng, c_src, min(max_fiber, 2), tag="p")
-    stage = _stage(rng.randint(0, 2))
+    stage = probe_stage(rng.randint(0, 2))
     a0 = rand_map(rng, stage, f0.dom)
-    t.check(
-        jets.phi_compose_check(upper, lower, p.map, a0),
-        "stacked transports disagree with the composite transport",
-    )
-    # The transports phi_compose_check makes, each against its tabulation.
-    ctx_k = jets.PhiContext.of(lower, p.map)
-    ctx_h = jets.PhiContext.of(upper, ctx_k.pulled)
-    ctx_whole = jets.PhiContext.of(upper.then(lower), p.map)
-    mid_base = compose(f0, a0)
-    for j in jets.enumerate_jets(rel_c, compose(g0, mid_base), p.map):
-        _checked_phi(t, ctx_h, a0, _checked_phi(t, ctx_k, mid_base, j))
-        _checked_phi(t, ctx_whole, a0, j)
+    phi_compose_law(t, upper, lower, p.map, a0)
     fm, ball_a, ball_b = rand_ball_pair(rng, size)
     classical = _checked_preserves(t, fm, fm, ball_a.base, ball_b.base)
     pb_bundle = rand_bundle(rng, fm.cod, min(max_fiber, 2), min_fiber=1, tag="q")
@@ -616,20 +674,11 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         r_map_values.append(rng.choice(fiber))
     if ok and classical is not None:
         r_map = FinMap(top.total, pb_bundle.total, tuple(r_map_values))
-        a0c = rand_map(rng, _stage(rng.randint(0, 2)), fm.dom)
-        t.check(
-            jets.cluex_check(classical, r_map, pb_bundle.map, a0c),
-            "transport does not commute with pushing jets along a vertical",
-        )
-        # The transports cluex_check makes, each against its tabulation.
-        ctx_h = jets.PhiContext.of(classical, pb_bundle.map)
-        ctx_k = jets.PhiContext.of(classical, compose(pb_bundle.map, r_map))
-        for j in jets.enumerate_jets(ball_b.base, compose(fm, a0c), ctx_k.bundle):
-            _checked_phi(t, ctx_k, a0c, j)
-            _checked_phi(t, ctx_h, a0c, jets.map_jet(j, r_map, pb_bundle.map))
-    naturality_stage = _stage(1)
-    base = rand_map(rng, _stage(2), f0.dom)
-    alpha = rand_map(rng, naturality_stage, _stage(2))
+        a0c = rand_map(rng, probe_stage(rng.randint(0, 2)), fm.dom)
+        cluex_law(t, classical, r_map, pb_bundle.map, a0c)
+    naturality_stage = probe_stage(1)
+    base = rand_map(rng, probe_stage(2), f0.dom)
+    alpha = rand_map(rng, naturality_stage, probe_stage(2))
     ctx = jets.PhiContext.of(upper, rand_bundle(rng, f.cod, min(max_fiber, 2), tag="n").map)
     for j in jets.enumerate_jets(rel_b, compose(f0, base), ctx.bundle)[:4]:
         t.check(
@@ -780,8 +829,11 @@ def _global_jet_checks(
     t: _Checker, c: fibdual.Comorphism, rels: fibdual.RelationAssignment
 ) -> None:
     """The second derivations behind `fibdual.global_jet(c, rels)`: the monad
-    criterion for its base map, and the tabulation and classification of each
-    transport its mediating map makes, one per point a0 and jet at f(a0)."""
+    criterion for its base map, and the pointwise transports its mediating
+    map stands for, one per point a0 and jet at f(a0), each `phi` checked
+    against its tabulation and each `classify` by rebuilding the jet.
+    `global_jet` itself reads these transports off section tables without
+    calling `phi` or `classify`; the tests compare the two routes."""
     rel_src = rels[c.over.dom].base
     rel_dst = rels[c.over.cod].base
     morphism = _checked_preserves(t, c.over, c.over, rel_src, rel_dst)
@@ -957,17 +1009,6 @@ def _workers(jobs: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     return min(jobs, cpus)
-
-
-def run_suite(
-    name: str,
-    seed: int = 42,
-    max_obj: int = 3,
-    max_fiber: int = 3,
-    trials: int = 200,
-    jobs: int = 1,
-) -> SuiteReport:
-    return run_suites([name], seed, max_obj, max_fiber, trials, jobs)[0]
 
 
 def run_suites(

@@ -165,6 +165,45 @@ def test_dualjet_cartesian_mode():
         path.unlink()
 
 
+# `dualjet --relation-src R --relation-dst R --map id` on p3 plus an `id` map.
+DUALJET_R_R = """\
+jet comorphism over A -> A: 8 -> 8 vertical
+  (a,(a|fe488a5feb)) -> (a|f99ee25737)
+  (a,(a|0d86ec8d14)) -> (a|d23e615fb2)
+  (b,(b|78befa6287)) -> (b|20b8ccb0a2)
+  (b,(b|b8604f118e)) -> (b|55ad75759e)
+  (b,(b|73eece53f6)) -> (b|99d7ffa119)
+  (b,(b|ee6198b4b6)) -> (b|4563e95528)
+  (c,(c|f43841a77c)) -> (c|2b1ef1da8f)
+  (c,(c|be6a829bbb)) -> (c|8602241ae4)
+"""
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        ("R", "R", None),
+        ("D", "R", "relations D and R both live on object A, which carries one endo-relation"),
+        ("R", "D", "relations R and D both live on object A, which carries one endo-relation"),
+    ],
+)
+def test_dualjet_takes_one_relation_per_object(tmp_path, capsys, src, dst, message):
+    path = tmp_path / "p3_diag.ws"
+    path.write_text(
+        Path(FIXTURE).read_text()
+        + "map id : A -> A { a -> a ; b -> b ; c -> c }\n"
+        + "relation D : A ~ A { (a,a) (b,b) (c,c) }\n"
+    )
+    code, text = run(
+        ["-w", str(path), "dualjet", "--relation-src", src, "--relation-dst", dst, "--map", "id", "--bundle", "p"]
+    )
+    if message is None:
+        assert (code, text) == (0, DUALJET_R_R)
+    else:
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_point_element_exits_2():
     code, _ = run(["-w", FIXTURE, "monad", "--relation", "R", "--point", "zz"])
     assert code == 2

@@ -26,7 +26,6 @@ from finjet.jets import (
     beck_chevalley_check,
     classify,
     classify_point,
-    cluex_check,
     enumerate_jets,
     jet_bundle,
     jet_fiber,
@@ -35,7 +34,6 @@ from finjet.jets import (
     mediating_map,
     nth_jet,
     phi,
-    phi_compose_check,
     polynomial_iso,
     reflexive_value,
     restrict_jet,
@@ -48,8 +46,8 @@ from finjet.relations import (
     ball_relation,
     check_preserves,
 )
-from finjet.suites import _phi_tabulated
-from finjet.workspace import parse_workspace
+from finjet.suites import _Checker, _phi_tabulated, cluex_law, phi_compose_law
+from finjet.workspace import Workspace, parse_workspace
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -252,6 +250,13 @@ def test_phi_preservation_violation_raises():
         RelationMorphism(FinMap.identity(A), FinMap.identity(A), loose, sparse)
 
 
+def assert_law_holds(law, *args):
+    """Run a phi-laws law on its own checker: no failed check, at least one pass."""
+    t = _Checker(Workspace())
+    law(t, *args)
+    assert t.failed == 0 and t.passed >= 1, t.counterexample
+
+
 def test_phi_compose_on_fixture_chain():
     morphism, p_big = classical_morphism()
     ident = check_preserves(
@@ -263,7 +268,7 @@ def test_phi_compose_on_fixture_chain():
     for size in (0, 1, 2):
         stage = FinSet("X", tuple(f"x{i}" for i in range(size)))
         for a0 in list(all_maps(stage, A))[:4]:
-            assert phi_compose_check(ident, morphism, p_big, a0)
+            assert_law_holds(phi_compose_law, ident, morphism, p_big, a0)
 
 
 def test_cluex_on_fixture():
@@ -275,18 +280,17 @@ def test_cluex_on_fixture():
     for size in (0, 1, 2):
         stage = FinSet("X", tuple(f"x{i}" for i in range(size)))
         for a0 in list(all_maps(stage, A))[:4]:
-            assert cluex_check(morphism, r_map, p_big, a0)
+            assert_law_holds(cluex_law, morphism, r_map, p_big, a0)
 
 
 def test_cluex_identity_vertical_reduces_to_phi_equality():
     morphism, p_big = classical_morphism()
     r_map = FinMap.identity(p_big.dom)
-    assert cluex_check(morphism, r_map, p_big, point(A, "b"))
+    assert_law_holds(cluex_law, morphism, r_map, p_big, point(A, "b"))
 
 
 def test_map_jet_requires_verticality():
-    jb = jet_bundle(R, P_MAP)
-    j = jb.point_jet(jb.total.elements[0])
+    j = nth_jet(R, point(A, "a"), P_MAP, 0)
     with pytest.raises(NotVertical):
         map_jet(j, FinMap.identity(E), FinMap(E, A, tuple("a" for _ in E)))
 
@@ -328,9 +332,8 @@ def test_reflexive_value_diagonal_is_the_jet():
 
 def test_reflexive_value_requires_reflexivity():
     not_reflexive = EndoRelation.of(Relation.from_pairs(A, A, [("a", "b"), ("b", "a")]))
-    jb = jet_bundle(R, P_MAP)
     with pytest.raises(NotReflexive):
-        reflexive_value(not_reflexive, jb.point_jet(jb.total.elements[0]))
+        reflexive_value(not_reflexive, nth_jet(R, point(A, "a"), P_MAP, 0))
 
 
 def test_reflexive_value_empty_stage():
@@ -352,18 +355,52 @@ def test_beck_chevalley_random_shape():
     assert beck_chevalley_check(g, R, P_MAP, max_stage=2)
 
 
+def mediating_parts(morphism, p):
+    """The context and the two jet bundles mediating_map transports between."""
+    ctx = PhiContext.of(morphism, p)
+    return ctx, jet_bundle(morphism.rel_dst, p), jet_bundle(morphism.rel_src, ctx.pulled)
+
+
+def pointwise_transport(ctx, jb_dst, jb_src, el):
+    """The image of one pulled-back element <a0, t>: the jet t names, transported
+    by phi at a0 and classified again."""
+    sq = pullback(ctx.morphism.f0, jb_dst.projection)
+    a0 = element(sq.to_left.cod, sq.to_left(el))
+    jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, sq.to_right(el)))
+    return classify(jb_src, phi(ctx, a0, jet))("*")
+
+
 def test_mediating_map_matches_pointwise_phi():
-    morphism, p_big = classical_morphism()
-    ctx = PhiContext.of(morphism, p_big)
-    jb_dst = jet_bundle(morphism.rel_dst, p_big)
-    jb_src = jet_bundle(morphism.rel_src, ctx.pulled)
-    mediated = mediating_map(morphism, p_big)
-    sq = pullback(morphism.f0, jb_dst.projection)
-    for el in sq.apex:
-        a0 = sq.to_left(el)
-        jet = jb_dst.point_jet(sq.to_right(el))
-        expected = classify(jb_src, phi(ctx, point(A, a0), jet))("*")
-        assert mediated.arrow(el) == expected
+    parts = mediating_parts(*classical_morphism())
+    mediated = mediating_map(*parts)
+    assert len(mediated.arrow.dom) > 0
+    for el in mediated.arrow.dom:
+        assert mediated.arrow(el) == pointwise_transport(*parts, el)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_mediating_map_matches_pointwise_phi_on_ball_pairs(seed, stage_size, empty):
+    rng = random.Random(seed)
+    f, ball_a, ball_b = rand_ball_pair(rng, 3)
+    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a.base
+    morphism = check_preserves(f, f, rel_src, ball_b.base)
+    # Fibers of size 0 occur, so some monads meet an empty fiber.
+    parts = mediating_parts(morphism, rand_bundle(rng, f.cod, 2).map)
+    ctx, jb_dst, jb_src = parts
+    mediated = mediating_map(*parts)
+    for el in mediated.arrow.dom:
+        assert mediated.arrow(el) == pointwise_transport(*parts, el)
+    # At a stage of any size: transporting a generalized element of the
+    # pulled-back total agrees with phi and classify on the jet it names.
+    sq = pullback(f, jb_dst.projection)
+    stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
+    if stage_size and not len(sq.apex):
+        return
+    h = rand_map(rng, stage, sq.apex)
+    jet = restrict_jet(jb_dst.generic_jet, compose(sq.to_right, h))
+    moved = phi(ctx, compose(sq.to_left, h), jet)
+    assert compose(mediated.arrow, h) == classify(jb_src, moved)
 
 
 def test_mate_agrees_with_jet_transport_through_iso():
@@ -380,9 +417,9 @@ def test_mate_agrees_with_jet_transport_through_iso():
         on_right=morphism.f0,
     )
     mate = mate_transform(sm, Bundle(p_big))
-    mediated = mediating_map(morphism, p_big)
+    ctx, jb_dst, jb_pulled = mediating_parts(morphism, p_big)
+    mediated = mediating_map(ctx, jb_dst, jb_pulled)
     _, _, iso_dst = polynomial_iso(morphism.rel_dst, p_big)
-    ctx = PhiContext.of(morphism, p_big)
     _, _, iso_src = polynomial_iso(morphism.rel_src, ctx.pulled)
     lifted = pullback_vertical(morphism.f0, iso_dst)
     assert compose(mediated.arrow, lifted.arrow) == compose(
@@ -449,10 +486,10 @@ def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
 
 
 def test_transport_runs_without_the_yoneda_tabulation(monkeypatch):
-    classical, p_big = classical_morphism()
+    parts = mediating_parts(*classical_morphism())
     transports = list(fixture_transports())
     expected = [phi(ctx, a0, j) for ctx, a0, j in transports]
-    mediated = mediating_map(classical, p_big)
+    mediated = mediating_map(*parts)
 
     def refuse(*args, **kwargs):
         raise RuntimeError("the library tabulated a value law")
@@ -460,7 +497,7 @@ def test_transport_runs_without_the_yoneda_tabulation(monkeypatch):
     monkeypatch.setattr(kripke, "yoneda_construct", refuse)
     monkeypatch.setattr(jets_module, "yoneda_construct", refuse, raising=False)
     assert [phi(ctx, a0, j) for ctx, a0, j in transports] == expected
-    assert mediating_map(classical, p_big) == mediated
+    assert mediating_map(*parts) == mediated
 
 
 RELATION_KINDS = ("ball", "full", "empty", "diagonal", "random")
@@ -560,17 +597,9 @@ def test_label_collision_inside_one_fiber_still_raises(monkeypatch):
     ]
 
 
-def test_mediating_map_takes_prebuilt_jet_bundles():
-    classical, p_big = classical_morphism()
-    ctx = PhiContext.of(classical, p_big)
-    jb_dst = jet_bundle(classical.rel_dst, p_big)
-    jb_src = jet_bundle(classical.rel_src, ctx.pulled)
-    expected = mediating_map(classical, p_big)
-    assert mediating_map(classical, p_big, jb_dst=jb_dst, jb_src=jb_src) == expected
+def test_mediating_map_rejects_foreign_jet_bundles():
+    ctx, jb_dst, jb_src = mediating_parts(*classical_morphism())
     with pytest.raises(ShapeMismatch, match="target jet bundle"):
-        mediating_map(classical, p_big, jb_dst=jb_src)
+        mediating_map(ctx, jb_src, jb_src)
     with pytest.raises(ShapeMismatch, match="source jet bundle"):
-        mediating_map(classical, p_big, jb_src=jb_dst)
-    assert mediating_map(classical, p_big, ctx=ctx) == expected
-    with pytest.raises(ShapeMismatch, match="transport context"):
-        mediating_map(classical, p_big, ctx=PhiContext.of(classical, FinMap.identity(p_big.cod)))
+        mediating_map(ctx, jb_dst, jb_dst)

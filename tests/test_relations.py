@@ -236,38 +236,6 @@ def test_monad_at_point():
     assert [a for a, _ in u.pairs] == ["a", "b"]
 
 
-def sort_and_compare_rule(src, dst, pairs):
-    """The error the replaced validator raised: membership first, then re-sort and compare."""
-    for a, b in pairs:
-        if a not in src or b not in dst:
-            return f"pair ({a},{b}) escapes {src.name} x {dst.name}"
-    if pairs != tuple(sorted(pairs, key=lambda p: (src.index[p[0]], dst.index[p[1]]))):
-        return "pairs not in canonical order; use from_pairs"
-    return None
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_relation_validator_matches_sort_and_compare(data):
-    src = data.draw(st.sampled_from(SHUFFLED))
-    dst = data.draw(st.sampled_from(TARGETS))
-    cells = [(a, b) for a in src for b in dst]
-    pairs = data.draw(st.lists(st.sampled_from(cells), max_size=6)) if cells else []
-    if data.draw(st.booleans()):
-        pairs.sort(key=lambda p: (src.index[p[0]], dst.index[p[1]]))
-    escaping = [(a, "zz") for a in src] + [("zz", b) for b in dst] + [("zz", "zz")]
-    for pair in data.draw(st.lists(st.sampled_from(escaping), max_size=1)):
-        pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
-    pairs = tuple(pairs)
-    expected = sort_and_compare_rule(src, dst, pairs)
-    if expected is None:
-        assert Relation(src, dst, pairs).pairs == pairs
-    else:
-        with pytest.raises(ValueError) as info:
-            Relation(src, dst, pairs)
-        assert str(info.value) == expected
-
-
 def monad_criterion(f, f0, rel_src, rel_dst):
     """Preservation read off monads: the monad of every point lands in the
     counterimage of its image's monad (the rule check_preserves once also

@@ -6,7 +6,7 @@ import pytest
 import finjet.suites as suites
 from finjet.cli import main
 from finjet.finset import FinSet
-from finjet.suites import SUITES, SuiteReport, _Checker, run_suite, run_suites
+from finjet.suites import SUITES, SuiteReport, _Checker, run_suites
 from finjet.workspace import Workspace, parse_workspace
 
 
@@ -46,8 +46,8 @@ def test_failing_report_render_modes():
 
 
 def test_run_suite_reproducible_and_ordered():
-    one = run_suite("membership", seed=9, trials=15)
-    two = run_suite("membership", seed=9, trials=15, jobs=3)
+    one = run_suites(["membership"], seed=9, trials=15)[0]
+    two = run_suites(["membership"], seed=9, trials=15, jobs=3)[0]
     assert one == two
     assert one.instances == 15
 

@@ -243,6 +243,14 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
             f"relations {args.relation_src} and {args.relation_dst} both live on object "
             f"{rel_src.over.name}, which carries one endo-relation"
         )
+    if (f.dom, f.cod) != (rel_src.over, rel_dst.over):
+        raise WorkspaceError(
+            f"map {args.map} runs from {f.dom.name} to {f.cod.name}, but relations "
+            f"{args.relation_src} and {args.relation_dst} need a map from "
+            f"{rel_src.over.name} to {rel_dst.over.name}"
+        )
+    if args.src_bundle and not args.vertical:
+        raise WorkspaceError("--src-bundle needs --vertical")
     rels = {
         rel_src.over: relations.EndoRelation.of(rel_src),
         rel_dst.over: relations.EndoRelation.of(rel_dst),

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
-from .finset import FinMap, FinSet, Span, _trusted, compose, pullback
-from .jets import PhiContext, jet_bundle, jet_on_vertical, mediating_map
+from .finset import FinMap, FinSet, Span, _trusted, compose, pair_name, pullback
+from .jets import jet_bundle
 from .kripke import canonicalize
 from .polyfun import (
     Bundle,
     SliceMorphism,
     compose_slice,
-    nest_pullback,
     pullback_bundle,
-    pullback_vertical,
     relabel_identity,
 )
 from .relations import EndoRelation, check_preserves
@@ -73,17 +71,26 @@ def is_cartesian(c: Comorphism) -> bool:
 
 
 def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
-    """Span composition: c1 from p'' to p' over f, then c2 from p' to p over g."""
+    """Span composition: c1 from p'' to p' over f, then c2 from p' to p over g.
+
+    Each <a'', e> of (g o f)*(p) goes to c1's vertical at <a'', e'>, where e'
+    is c2's vertical at <f(a''), e>.  Canonical apexes name their elements by
+    `pair_name`, so neither intermediate pullback is built; the tests compare
+    the result with the route through `nest_pullback` and `pullback_vertical`.
+    """
     if c1.dst != c2.src:
         raise ChainMismatch("comorphisms do not chain end to end")
     if c1.over.cod != c2.over.dom:
         raise ChainMismatch("base maps do not compose")
-    base = compose(c2.over, c1.over)
-    nested = nest_pullback(c2.over, c1.over, c2.dst)
-    lifted = pullback_vertical(c1.over, c2.vertical)
-    vertical = compose_slice(c1.vertical, compose_slice(lifted, nested))
-    # nested starts at the canonical pullback along base and c1.vertical ends
-    # at c1.src, so the vertical part is in canonical form.
+    f, v1, v2 = c1.over, c1.vertical.arrow, c2.vertical.arrow
+    base = compose(c2.over, f)
+    sq = pullback(base, c2.dst.map)
+    values = tuple(
+        v1(pair_name(a, v2(pair_name(f(a), e))))
+        for a, e in zip(sq.to_left.values, sq.to_right.values)
+    )
+    arrow = _trusted(FinMap, sq.apex, c1.src.total, values)
+    vertical = _trusted(SliceMorphism, Bundle(sq.to_left), c1.src, arrow)
     return _trusted(Comorphism, base, c1.src, c2.dst, vertical)
 
 
@@ -93,36 +100,36 @@ RelationAssignment = Mapping[FinSet, EndoRelation]
 def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     """The jet functor on the fibrewise dual, one comorphism at a time.
 
-    Every object in play carries an endo-relation; the base map must preserve
-    them.  Vertical comorphisms go to the (opposite-variance) jet functor of
-    the fiber, Cartesian ones to the mediating transport, and the general
-    case is the composite of the two.
+    Every object in play carries an endo-relation; the base map f must
+    preserve them.  The image runs from J(p') to J(p) over f, where p' and p
+    are c's source and target bundles.  Its vertical part is the composite
+    of the mediating transport (the Cartesian image, phi's value law
+    a |-> <a, t(f(a))>) and the jet functor of the fiber on c's vertical v:
+    each <a0, t> of f*(J(p)) goes to the jet over a0 with table
+    a |-> v(<a, t(f(a))>), named by one lookup.  Preservation puts every
+    f(a) in t's table.  The tests compare this with the composite of `phi`
+    and `classify` and of `jet_on_vertical`.
     """
     try:
         rel_src = relations[c.over.dom]
         rel_dst = relations[c.over.cod]
     except KeyError as exc:
-        raise ShapeMismatch(f"no endo-relation assigned to {exc.args[0]!r}")
-    morphism = check_preserves(c.over, c.over, rel_src.base, rel_dst.base)
-    if morphism is None:
+        raise ShapeMismatch(f"no endo-relation assigned to object {exc.args[0].name!r}")
+    if check_preserves(c.over, c.over, rel_src.base, rel_dst.base) is None:
         raise PreservationViolated("base map does not preserve the endo-relations")
-    ctx = PhiContext.of(morphism, c.dst.map)
-    jb_pulled = jet_bundle(rel_src.base, ctx.pulled)
+    f, v = c.over, c.vertical.arrow
     jb_src = jet_bundle(rel_src.base, c.src.map)
     jb_dst = jet_bundle(rel_dst.base, c.dst.map)
-    moved_vertical = SliceMorphism(
-        Bundle(jb_pulled.projection),
-        Bundle(jb_src.projection),
-        jet_on_vertical(jb_pulled, jb_src, c.vertical.arrow),
-    )
-    vertical_image = vertical_comorphism(moved_vertical)
-    cartesian_image = Comorphism(
-        c.over,
-        Bundle(jb_pulled.projection),
-        Bundle(jb_dst.projection),
-        mediating_map(ctx, jb_dst, jb_pulled),
-    )
-    return comorphism_compose(cartesian_image, vertical_image)
+    sq = pullback(f, jb_dst.projection)
+    values = []
+    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+        tab = jb_dst.sections.table_of(t)
+        moved = {a: v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0)}
+        values.append(jb_src.sections.element_for(a0, moved))
+    src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
+    arrow = _trusted(FinMap, sq.apex, src.total, tuple(values))
+    vertical = _trusted(SliceMorphism, Bundle(sq.to_left), src, arrow)
+    return _trusted(Comorphism, f, src, dst, vertical)
 
 
 def generic_section_vertical(

@@ -31,21 +31,24 @@ def _trusted(cls: type[_T], *fields) -> _T:
 
     - finset: `compose`, `pullback` (both legs), `pair_into_pullback`,
       `product` (both projections), `all_maps`, `FinMap.identity`;
-    - kripke: `SubobjectAtStage.span` (both legs, for relations too) and
+    - kripke: `SubobjectAtStage.span` (both legs, for relations too),
       `SubobjectAtStage._from_stage_major` (the subobjects that
       `change_of_stage`, and so every `monad`, and `counterimage` emit in
-      canonical order);
+      canonical order), the witness map of `member` and the partial map of
+      `stage_restrict`;
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
-      `jet_bundle` and `phi`; the maps of `classify`, `jet_on_vertical`,
-      `maps_over`, `mediating_map` and `polynomial_iso`; `PhiContext.of`,
-      which builds its own pullback; `SectionJet._trusted`, which still runs
-      the jet's shape checks;
+      `jet_bundle` and `phi`, and the section of `restrict_jet`; the maps of
+      `classify`, `jet_on_vertical`, `maps_over` and `polynomial_iso`;
+      `PhiContext.of`, which builds its own pullback; `SectionJet._trusted`,
+      which still runs the jet's shape checks;
     - polyfun: the projection of `section_tables` (the projection of every
       jet bundle, jet fiber and dependent product), `slice_homs`,
-      `compose_slice`, `SliceMorphism.identity` and the counit of
-      `dependent_product`;
-    - fibdual: `comorphism_compose`, whose vertical starts at the canonical
-      pullback by construction.
+      `compose_slice`, `SliceMorphism.identity`, the counit of
+      `dependent_product`, the slice morphism of `pullback_vertical`, and
+      the map and slice morphism of `dependent_product_map`;
+    - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
+      and `global_jet`, whose verticals start at the canonical pullback by
+      construction.
 
     A test swaps this helper for the checked constructor and requires
     identical output from the suites and the data commands.

@@ -146,7 +146,7 @@ def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
         raise ShapeMismatch("stage change does not land at the jet's stage")
     moved = stage_restrict(j.section.underlying, alpha)
     return SectionJet._trusted(
-        j.relation, compose(j.at, alpha), PartialSection(moved, j.bundle)
+        j.relation, compose(j.at, alpha), _trusted(PartialSection, moved, j.bundle)
     )
 
 
@@ -313,8 +313,10 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
     """The jet bundle functor on a vertical map between bundles over A.
 
     Each jet is moved to the element named by its pushed-forward table, which
-    sits over the same base point; `global_jet` (through `SliceMorphism`) and
-    the `poly-iso` suite check that the arrow commutes with the projections.
+    sits over the same base point; the `poly-iso` suite checks that the arrow
+    commutes with the projections.  `global_jet` pushes tables along the
+    vertical part of a comorphism in the same way, fused with the mediating
+    transport; the tests compare the two on every vertical comorphism.
     """
     if jb_q.relation != jb_p.relation:
         raise ShapeMismatch("jet bundles built from different relations")
@@ -398,30 +400,6 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     if j.relation != r.base:
         raise ShapeMismatch("jet does not belong to this relation")
     return value(j.section.underlying, j.at, FinMap.identity(j.stage))
-
-
-def mediating_map(ctx: PhiContext, jb_dst: JetBundle, jb_src: JetBundle) -> SliceMorphism:
-    """The bundle-level transport f0*(J(p)) -> J'(f*(p)) induced by phi.
-
-    jb_dst is J(p), built from the target relation and the context's bundle;
-    jb_src is J'(f*(p)), built from the source relation and the pulled-back
-    bundle.  Each pulled-back element <a0, t> goes to the element over a0
-    whose table is phi's value law on t's table, a |-> <a, t(f(a))>, named by
-    one lookup.  The tests compare it with phi and classify, element by element.
-    """
-    mor = ctx.morphism
-    if jb_dst.relation != mor.rel_dst or jb_dst.bundle != ctx.bundle:
-        raise ShapeMismatch("target jet bundle is not built from its relation and bundle")
-    if jb_src.relation != mor.rel_src or jb_src.bundle != ctx.pulled:
-        raise ShapeMismatch("source jet bundle is not built from its relation and bundle")
-    sq = pullback(mor.f0, jb_dst.projection)
-    values = []
-    for a0, t in zip(sq.to_left.values, sq.to_right.values):
-        tab = jb_dst.sections.table_of(t)
-        moved = {a: ctx.square.pair_index[(a, tab[mor.f(a)])] for a in mor.rel_src.column(a0)}
-        values.append(jb_src.sections.element_for(a0, moved))
-    arrow = _trusted(FinMap, sq.apex, jb_src.total, tuple(values))
-    return SliceMorphism(Bundle(sq.to_left), Bundle(jb_src.projection), arrow)
 
 
 def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorphism]:

@@ -219,7 +219,7 @@ def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[Witness]:
         if name is None:
             return None
         values.append(name)
-    return Witness(u, FinMap(a.dom, u.span.apex, tuple(values)))
+    return Witness(u, _trusted(FinMap, a.dom, u.span.apex, tuple(values)))
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,11 @@ def precompose(s: PartialMapAtStage, f: FinMap) -> PartialMapAtStage:
 def stage_restrict(s: PartialMapAtStage, alpha: FinMap) -> PartialMapAtStage:
     """The partial map considered at the later stage alpha: Y -> X."""
     support = change_of_stage(s.support, alpha)
-    return PartialMapAtStage(
-        support, s.target, tuple(s.table[(a, alpha(y))] for a, y in support.pairs)
+    return _trusted(
+        PartialMapAtStage,
+        support,
+        s.target,
+        tuple(s.table[(a, alpha(y))] for a, y in support.pairs),
     )
 
 

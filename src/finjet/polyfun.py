@@ -111,7 +111,7 @@ def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
     arrow = pair_into_pullback(
         sq_src.to_left, compose(v.arrow, sq_src.to_right), sq_dst
     )
-    return SliceMorphism(Bundle(sq_src.to_left), Bundle(sq_dst.to_left), arrow)
+    return _trusted(SliceMorphism, Bundle(sq_src.to_left), Bundle(sq_dst.to_left), arrow)
 
 
 def relabel_identity(p: Bundle) -> SliceMorphism:
@@ -242,24 +242,20 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
 
 
 def dependent_product_map(
-    d: FinMap,
-    v: SliceMorphism,
-    dp_src: "DependentProduct | None" = None,
-    dp_dst: "DependentProduct | None" = None,
+    d: FinMap, v: SliceMorphism, dp_src: DependentProduct, dp_dst: DependentProduct
 ) -> SliceMorphism:
     """Functoriality of the dependent product on a vertical map over d's domain.
 
-    The two products may be passed in when already computed; being canonical,
-    they are interchangeable with freshly computed ones.
+    dp_src and dp_dst are the products along d of v's source and target.
     """
-    dp_src = dp_src if dp_src is not None else dependent_product(d, v.src)
-    dp_dst = dp_dst if dp_dst is not None else dependent_product(d, v.dst)
+    if (dp_src.along, dp_src.input, dp_dst.along, dp_dst.input) != (d, v.src, d, v.dst):
+        raise ShapeMismatch("products are not the products of the morphism's ends along d")
     values = []
     for _, b, tab in dp_src.sections.entries():
         moved = {m: v.arrow(e) for m, e in tab}
         values.append(dp_dst.sections.element_for(b, moved))
-    arrow = FinMap(dp_src.result.total, dp_dst.result.total, tuple(values))
-    return SliceMorphism(dp_src.result, dp_dst.result, arrow)
+    arrow = _trusted(FinMap, dp_src.result.total, dp_dst.result.total, tuple(values))
+    return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
 
 
 @dataclass(frozen=True)
@@ -304,22 +300,15 @@ class AdjunctionBijection:
         return SliceMorphism(self.pulled_left, self.right, arrow)
 
 
-def adjunction_unit(
-    d: FinMap, y: Bundle, dp: "DependentProduct | None" = None
-) -> SliceMorphism:
+def adjunction_unit(d: FinMap, y: Bundle, dp: DependentProduct) -> SliceMorphism:
     """The unit y -> product-along-d of d*(y): the transpose of the identity
-    on d*(y).
-
-    The product of d*(y) along d may be passed in when already built; it must
-    be taken along d of d*(y).
+    on d*(y).  dp is the product of d*(y) along d.
     """
     if y.base != d.cod:
         raise ShapeMismatch("unit requires a bundle over the map's codomain")
     sq = pullback(d, y.map)
     pulled = Bundle(sq.to_left)
-    if dp is None:
-        dp = dependent_product(d, pulled)
-    elif dp.along != d or dp.input != pulled:
+    if dp.along != d or dp.input != pulled:
         raise ShapeMismatch("unit product is not the product of d*(y) along d")
     bij = AdjunctionBijection(d, y, pulled, dp, sq)
     return bij.to_base(SliceMorphism.identity(pulled))
@@ -349,10 +338,11 @@ def polynomial_map(
     c: FinMap,
     d: FinMap,
     v: SliceMorphism,
-    dp_src: "DependentProduct | None" = None,
-    dp_dst: "DependentProduct | None" = None,
+    dp_src: DependentProduct,
+    dp_dst: DependentProduct,
 ) -> SliceMorphism:
-    """The polynomial functor on a vertical map over c's codomain."""
+    """The polynomial functor on a vertical map over c's codomain; dp_src and
+    dp_dst are the polynomial products of v's source and target."""
     return dependent_product_map(d, pullback_vertical(c, v), dp_src, dp_dst)
 
 

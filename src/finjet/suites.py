@@ -829,11 +829,12 @@ def _global_jet_checks(
     t: _Checker, c: fibdual.Comorphism, rels: fibdual.RelationAssignment
 ) -> None:
     """The second derivations behind `fibdual.global_jet(c, rels)`: the monad
-    criterion for its base map, and the pointwise transports its mediating
-    map stands for, one per point a0 and jet at f(a0), each `phi` checked
-    against its tabulation and each `classify` by rebuilding the jet.
-    `global_jet` itself reads these transports off section tables without
-    calling `phi` or `classify`; the tests compare the two routes."""
+    criterion for its base map, and the pointwise transports its Cartesian
+    image stands for, one per point a0 and jet at f(a0), each `phi` checked
+    against its tabulation and each `classify` by rebuilding the jet in
+    J(f*(p)).  `global_jet` itself builds neither a `PhiContext` nor
+    J(f*(p)): it reads these transports, pushed along c's vertical part, off
+    section tables; the tests compare the two routes."""
     rel_src = rels[c.over.dom].base
     rel_dst = rels[c.over.cod].base
     morphism = _checked_preserves(t, c.over, c.over, rel_src, rel_dst)

@@ -13,8 +13,10 @@ import pytest
 import finjet
 
 from finjet.cli import main
+from finjet.finset import FinMap, FinSet, pullback
 from finjet.instances import complete_graph_workspace, path_graph_workspace
-from finjet.workspace import serialize_workspace
+from finjet.polyfun import Bundle
+from finjet.workspace import Workspace, parse_workspace, serialize_workspace
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws")
 
@@ -202,6 +204,45 @@ def test_dualjet_takes_one_relation_per_object(tmp_path, capsys, src, dst, messa
     else:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The two-point path B = u - v with its full ball relation S and a bundle pB
+# with fibers 2/1 over it, to append to p3.
+TWO_POINT = (
+    "object B { u v }\n"
+    "object EB { u0 u1 v0 }\n"
+    "map pB : EB -> B { u0 -> u ; u1 -> u ; v0 -> v }\n"
+    "relation S : B ~ B { (u,u) (u,v) (v,u) (v,v) }\n"
+    "bundle pB = pB\n"
+)
+
+
+@pytest.mark.parametrize(
+    "relations, extra, message",
+    [
+        (("R", "R"), ["--map", "p", "--bundle", "p"],
+         "map p runs from E to A, but relations R and R need a map from A to A"),
+        (("R", "S"), ["--map", "id", "--bundle", "pB"],
+         "map id runs from A to A, but relations R and S need a map from A to B"),
+        (("S", "R"), ["--map", "g", "--bundle", "pB"],
+         "map g runs from A to B, but relations S and R need a map from B to A"),
+        (("R", "R"), ["--map", "id", "--bundle", "p", "--src-bundle", "p"],
+         "--src-bundle needs --vertical"),
+    ],
+    ids=["map-from-the-bundle", "wrong-codomain", "reversed", "src-bundle-alone"],
+)
+def test_dualjet_rejects_a_map_off_the_relations_and_a_lone_src_bundle(tmp_path, capsys, relations, extra, message):
+    path = tmp_path / "p3_two_point.ws"
+    path.write_text(
+        Path(FIXTURE).read_text()
+        + TWO_POINT
+        + "map id : A -> A { a -> a ; b -> b ; c -> c }\n"
+        + "map g : A -> B { a -> u ; b -> v ; c -> u }\n"
+    )
+    src, dst = relations
+    code, text = run(["-w", str(path), "dualjet", "--relation-src", src, "--relation-dst", dst, *extra])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_point_element_exits_2():
@@ -497,6 +538,72 @@ def test_records_output_on_complete_graph_is_pinned(tmp_path, n, argv, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def _two_point_workspace() -> Workspace:
+    return parse_workspace(Path(FIXTURE).read_text() + TWO_POINT)
+
+
+def _fold(n: int) -> tuple[str, ...]:
+    """The path graph P_n folded onto its first half: v_i -> v_min(i, n-1-i)."""
+    return tuple(f"v{min(i, n - 1 - i)}" for i in range(n))
+
+
+# Per case: the workspace, the values of a base map g from A into the object
+# of the target relation, that relation and the bundle over its object.
+DUALJET_CASES = {
+    "p12-fold": (lambda: path_graph_workspace(12, 2), _fold(12), "R", "p"),
+    "k4-map": (lambda: complete_graph_workspace(4, 2), ("v0", "v0", "v1", "v3"), "R", "p"),
+    "p3-two-point": (_two_point_workspace, ("u", "v", "u"), "S", "pB"),
+}
+
+
+def _dualjet_case(tmp_path, case: str, vertical: bool) -> list[str]:
+    """Write the case's workspace plus g, and over A the bundle q with one
+    element per point and the vertical v: g*(bundle) -> q that collapses each
+    fiber; return the argv of `dualjet` on the Cartesian comorphism along g,
+    or on the one with vertical part v."""
+    build, g_values, relation, bundle = DUALJET_CASES[case]
+    ws = build()
+    a = ws.objects["A"]
+    g = FinMap(a, ws.relations[relation].over, g_values)
+    sq = pullback(g, ws.bundles[bundle].map)
+    q_total = FinSet("Q", tuple(f"q.{x}" for x in a))
+    ws.objects[sq.apex.name] = sq.apex
+    ws.objects["Q"] = q_total
+    ws.maps["g"] = g
+    ws.maps["q"] = FinMap(q_total, a, a.elements)
+    ws.maps["v"] = FinMap(sq.apex, q_total, tuple(f"q.{x}" for x in sq.to_left.values))
+    ws.bundles["q"] = Bundle(ws.maps["q"])
+    path = tmp_path / f"{case}.ws"
+    path.write_text(serialize_workspace(ws))
+    argv = ["-w", str(path), "--format", "records", "dualjet", "--relation-src", "R",
+            "--relation-dst", relation, "--map", "g", "--bundle", bundle]
+    return argv + ["--vertical", "v", "--src-bundle", "q"] if vertical else argv
+
+
+# sha256 of the `dualjet` records output along non-identity base maps, with
+# and without a collapsing vertical part, pinned from the implementation that
+# composed the Cartesian and vertical images through re-association maps.
+GOLDEN_DUALJET_DIGESTS = [
+    ("p12-fold", False, "6af4c526281d9b5c8a0e14daa47cf30a2e266f9bbe45af7994debfee9c10afd9"),
+    ("p12-fold", True, "7054340bb078d333695037213ed85d38ccb26f58cb728105810adffeb4978364"),
+    ("k4-map", False, "5afefe4e493eaf8b3e86de633e56c1a00e9a7a23071099fdf8b31fd707a0c963"),
+    ("k4-map", True, "242fd742b1e92bb556b31ea34f06451a71c15ad735ed0ab0019fe81f8832ba65"),
+    ("p3-two-point", False, "3169146c5728f70bfac2cb614ee7607c3311f0959a516568c2248069c4bb221e"),
+    ("p3-two-point", True, "21dc9ba503549627ffffe000f700d45970c35e9dff83d5d2f65c684b9a692afa"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, vertical, digest",
+    GOLDEN_DUALJET_DIGESTS,
+    ids=[case + ("-vertical" if vertical else "") for case, vertical, _ in GOLDEN_DUALJET_DIGESTS],
+)
+def test_dualjet_records_along_non_identity_maps_are_pinned(tmp_path, case, vertical, digest):
+    code, text = run(_dualjet_case(tmp_path, case, vertical))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 # sha256 of the `check --suite all --seed 42 --trials 10` reports, pinned
 # while relations and subobjects at a stage were still two classes; they fix
 # every suite's passed= count.
@@ -567,6 +674,7 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
     commands += [["-w", str(tmp_path / f"k{n}.ws"), "--format", "records", *argv]
                  for _, n, argv, _ in GOLDEN_COMPLETE_DIGESTS]
     commands += [["-w", str(tmp_path / "k5.ws"), "jets", "--relation", "R", "--bundle", "p", "--point", "v1"]]
+    commands += [_dualjet_case(tmp_path, case, vertical) for case, vertical, _ in GOLDEN_DUALJET_DIGESTS]
     expected = [run(argv) for argv in commands]
     assert all(code == 0 for code, _ in expected)
     checked = set()

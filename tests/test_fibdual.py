@@ -1,6 +1,10 @@
-import pytest
+import random
 
-from finjet.errors import ChainMismatch, NotJointlyMonic, PreservationViolated
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finjet.errors import ChainMismatch, NotJointlyMonic, PreservationViolated, ShapeMismatch
 from finjet.fibdual import (
     Comorphism,
     cartesian_comorphism,
@@ -12,11 +16,20 @@ from finjet.fibdual import (
     is_cartesian,
     vertical_comorphism,
 )
-from finjet.finset import FinMap, FinSet, compose
-from finjet.instances import fixture_p3_parts
-from finjet.jets import jet_bundle, jet_on_vertical
-from finjet.polyfun import Bundle, SliceMorphism, pullback_bundle, slice_homs
-from finjet.relations import EndoRelation, Relation, ball_relation
+from finjet.finset import FinMap, FinSet, compose, element, pullback
+from finjet.instances import fixture_p3_parts, rand_ball_pair, rand_bundle, rand_finset, rand_map
+from finjet.jets import PhiContext, classify, jet_bundle, jet_on_vertical, phi, restrict_jet
+from finjet.polyfun import (
+    Bundle,
+    SliceMorphism,
+    compose_slice,
+    nest_pullback,
+    pullback_bundle,
+    pullback_vertical,
+    slice_homs,
+)
+from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
+from finjet.suites import _random_vertical
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)
@@ -138,6 +151,81 @@ def test_global_jet_functor_law_on_mixed_chain():
     lhs = global_jet(whole, rels)
     rhs = comorphism_compose(global_jet(cart, rels), global_jet(com_vert, rels))
     assert lhs == rhs
+
+
+def random_comorphism(rng, f, p, tag):
+    """A comorphism into p along f with a random source bundle and vertical
+    part; the source has an empty fiber only where f*(p) has one."""
+    pulled = pullback_bundle(f, p)
+    elements, values = [], []
+    for a in f.dom:
+        for i in range(rng.randint(1 if pulled.fiber(a) else 0, 2)):
+            elements.append(f"{a}.{tag}{i}")
+            values.append(a)
+    src = Bundle(FinMap(FinSet(f"E{tag}", tuple(elements)), f.dom, tuple(values)))
+    return Comorphism(f, src, p, _random_vertical(rng, pulled, src))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_comorphism_compose_matches_the_reassociation_route(seed, n2, n1, n0):
+    rng = random.Random(seed)
+    # Objects may be empty, and so may the fibers of every bundle; a map into
+    # an empty object needs an empty domain.
+    n1 = n1 if n2 else 0
+    n0 = n0 if n1 else 0
+    a2, a1, a0 = (rand_finset(rng, name, n, min_size=n) for name, n in (("A2", n2), ("A1", n1), ("A0", n0)))
+    g, f = rand_map(rng, a1, a2), rand_map(rng, a0, a1)
+    c2 = random_comorphism(rng, g, rand_bundle(rng, a2, 2), "x")
+    c1 = random_comorphism(rng, f, c2.src, "y")
+    route = compose_slice(
+        c1.vertical,
+        compose_slice(pullback_vertical(c1.over, c2.vertical), nest_pullback(c2.over, c1.over, c2.dst)),
+    )
+    assert comorphism_compose(c2, c1) == Comorphism(compose(g, f), c1.src, c2.dst, route)
+
+
+def pointwise_cartesian_image(morphism, p):
+    """J(f*(p)) and the image of the Cartesian comorphism of p along f built
+    one jet at a time: each <a0, t> goes to the class of phi at a0 of the
+    jet t names."""
+    ctx = PhiContext.of(morphism, p.map)
+    jb_dst = jet_bundle(morphism.rel_dst, p.map)
+    jb_pulled = jet_bundle(morphism.rel_src, ctx.pulled)
+    sq = pullback(morphism.f, jb_dst.projection)
+    values = []
+    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+        jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, t))
+        values.append(classify(jb_pulled, phi(ctx, element(morphism.f.dom, a0), jet))("*"))
+    pulled = Bundle(jb_pulled.projection)
+    vertical = SliceMorphism(Bundle(sq.to_left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
+    return jb_pulled, Comorphism(morphism.f, pulled, Bundle(jb_dst.projection), vertical)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_global_jet_is_the_cartesian_image_then_the_fiber_functor(seed, empty):
+    rng = random.Random(seed)
+    f, ball_a, ball_b = rand_ball_pair(rng, 3)
+    rel_src = EndoRelation.of(Relation.from_pairs(f.dom, f.dom, [])) if empty else ball_a
+    morphism = check_preserves(f, f, rel_src.base, ball_b.base)
+    # Fibers of size 0 occur, so some monads meet an empty fiber.
+    c = random_comorphism(rng, f, rand_bundle(rng, f.cod, 2), "s")
+    jb_pulled, cartesian_image = pointwise_cartesian_image(morphism, c.dst)
+    jb_src = jet_bundle(rel_src.base, c.src.map)
+    moved = jet_on_vertical(jb_pulled, jb_src, c.vertical.arrow)
+    vertical_image = vertical_comorphism(
+        SliceMorphism(Bundle(jb_pulled.projection), Bundle(jb_src.projection), moved)
+    )
+    expected = comorphism_compose(cartesian_image, vertical_image)
+    assert global_jet(c, {f.dom: rel_src, f.cod: ball_b}) == expected
+
+
+def test_global_jet_names_an_object_without_a_relation():
+    f, ball_a, ball_b, p_b = two_point_setup()
+    with pytest.raises(ShapeMismatch) as info:
+        global_jet(cartesian_comorphism(f, p_b), {A: ball_a})
+    assert str(info.value) == "no endo-relation assigned to object 'B'"
 
 
 def test_distributivity_terminal_diagonal_trivial():

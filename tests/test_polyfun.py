@@ -20,6 +20,7 @@ from finjet.polyfun import (
     nest_pullback,
     polynomial_jet,
     polynomial_map,
+    polynomial_product,
     pullback_bundle,
     pullback_vertical,
     relabel_identity,
@@ -125,17 +126,30 @@ def test_dependent_product_functorial():
     d = FinMap(M, B, ("u", "v", "u"))
     q1 = small_bundle(M, (2, 1, 1), tag="x")
     q2 = small_bundle(M, (2, 2, 1), tag="y")
-    ident = dependent_product_map(d, SliceMorphism.identity(q1))
+    dp1, dp2 = dependent_product(d, q1), dependent_product(d, q2)
+    ident = dependent_product_map(d, SliceMorphism.identity(q1), dp1, dp1)
     assert ident.arrow == FinMap.identity(ident.src.total)
     homs12 = list(slice_homs(q1, q2))
     homs21 = list(slice_homs(q2, q1))
     for v in homs12[:4]:
         for w in homs21[:4]:
-            lhs = dependent_product_map(d, compose_slice(w, v))
+            lhs = dependent_product_map(d, compose_slice(w, v), dp1, dp1)
             rhs = compose_slice(
-                dependent_product_map(d, w), dependent_product_map(d, v)
+                dependent_product_map(d, w, dp2, dp1), dependent_product_map(d, v, dp1, dp2)
             )
             assert lhs == rhs
+
+
+def test_dependent_product_map_rejects_foreign_products():
+    d = FinMap(M, B, ("u", "v", "u"))
+    q1 = small_bundle(M, (2, 1, 1), tag="x")
+    q2 = small_bundle(M, (2, 2, 1), tag="y")
+    v = next(slice_homs(q1, q2))
+    dp1, dp2 = dependent_product(d, q1), dependent_product(d, q2)
+    other = FinMap(M, B, ("v", "u", "u"))
+    for dp_src, dp_dst in ((dp2, dp2), (dp1, dp1), (dependent_product(other, q1), dp2)):
+        with pytest.raises(ShapeMismatch, match="products are not the products"):
+            dependent_product_map(d, v, dp_src, dp_dst)
 
 
 def test_adjunction_bijection_roundtrips_and_counts():
@@ -178,13 +192,14 @@ def test_triangle_identities():
     y = small_bundle(B, (2, 1), tag="y")
     q = small_bundle(M, (1, 2, 1), tag="q")
     pulled = pullback_bundle(d, y)
-    unit = adjunction_unit(d, y)
     dp_pulled = dependent_product(d, pulled)
+    unit = adjunction_unit(d, y, dp_pulled)
     tri1 = compose_slice(dp_pulled.counit, pullback_vertical(d, unit))
     assert tri1 == SliceMorphism.identity(pulled)
     dp = dependent_product(d, q)
+    dp_unit = dependent_product(d, dp.counit.src)
     tri2 = compose_slice(
-        dependent_product_map(d, dp.counit), adjunction_unit(d, dp.result)
+        dependent_product_map(d, dp.counit, dp_unit, dp), adjunction_unit(d, dp.result, dp_unit)
     )
     assert tri2 == SliceMorphism.identity(dp.result)
 
@@ -193,7 +208,8 @@ def test_adjunction_unit_takes_a_prebuilt_product():
     d = FinMap(M, B, ("u", "v", "u"))
     y = small_bundle(B, (2, 1), tag="y")
     dp_pulled = dependent_product(d, pullback_bundle(d, y))
-    assert adjunction_unit(d, y, dp_pulled) == adjunction_unit(d, y)
+    bij = adjunction_bijection(d, y, pullback_bundle(d, y))
+    assert adjunction_unit(d, y, dp_pulled) == bij.to_base(SliceMorphism.identity(bij.right))
     with pytest.raises(ShapeMismatch, match="unit product"):
         adjunction_unit(d, y, dependent_product(d, Bundle.identity(M)))
     with pytest.raises(ShapeMismatch, match="unit product"):
@@ -301,8 +317,10 @@ def test_polynomial_map_respects_composition():
     legs = BALL.base.span
     q1 = small_bundle(A, (1, 1, 1), tag="x")
     homs = list(slice_homs(q1, P))
+    dp_src = polynomial_product(legs.left, legs.right, q1)
+    dp_dst = polynomial_product(legs.left, legs.right, P)
     for v in homs[:3]:
-        moved = polynomial_map(legs.left, legs.right, v)
+        moved = polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
         assert compose(
             polynomial_jet(legs.left, legs.right, P).map, moved.arrow
         ) == polynomial_jet(legs.left, legs.right, q1).map

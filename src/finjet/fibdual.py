@@ -8,6 +8,7 @@ Equality of comorphisms is then table equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -45,13 +46,13 @@ class Comorphism:
 
 def identity_comorphism(p: Bundle) -> Comorphism:
     ident = FinMap.identity(p.base)
-    return Comorphism(ident, p, p, relabel_identity(p))
+    return _trusted(Comorphism, ident, p, p, relabel_identity(p))
 
 
 def cartesian_comorphism(f: FinMap, p: Bundle) -> Comorphism:
     """The comorphism presented by a bare pullback square (identity vertical)."""
     pulled = pullback_bundle(f, p)
-    return Comorphism(f, pulled, p, SliceMorphism.identity(pulled))
+    return _trusted(Comorphism, f, pulled, p, SliceMorphism.identity(pulled))
 
 
 def vertical_comorphism(v: SliceMorphism) -> Comorphism:
@@ -163,50 +164,52 @@ def distributivity_terminal(
 ) -> bool:
     """Whether the generic section jet is terminal among comorphisms over d from c*(p).
 
-    Enumerates every bundle over d's codomain with at most max_total elements
-    (plus the jet bundle itself) and every vertical from its pullback into
-    c*(p), and requires exactly one mediating vertical through the candidate
-    (by default the true generic section jet).  A candidate that does not run
-    from d*(J(p)) to c*(p) raises ShapeMismatch.
+    The candidate bundles t are J(p) itself and every bundle over d's
+    codomain with at most max_total elements.  The candidate eps (by default
+    the true generic section jet) is terminal when, for every t and every
+    vertical v: d*(t) -> c*(p), exactly one u: t -> J(p) has
+    eps o d*(u) = v.
+
+    This is decided fiber by fiber.  The transpose u |-> eps o d*(u) splits
+    into one block per element x of t, the map at b = t(x)
+
+        phi_b: J(p)_b -> prod over m in d^-1(b) of c*(p)_m,  j |-> (eps<m, j>)_m.
+
+    If some c*(p)_m over t's image is empty, there is no v and t passes
+    vacuously.  Otherwise every block has a nonempty codomain, and a product
+    of such maps is a bijection iff every block is, so t passes iff phi_t(x)
+    is a bijection for every x in t.  Each phi_b is read once off eps's
+    table: eps is vertical, so its values at b lie in the product, and phi_b
+    is a bijection iff they are distinct and as many as the product has
+    elements.  A candidate that does not run from d*(J(p)) to c*(p) raises
+    ShapeMismatch.  `reference.distributivity_terminal_brute` enumerates
+    every u and v instead; the tests compare the two.
     """
     relation = canonicalize(Span(c, d))
     jb = jet_bundle(relation, p.map)
-    jet_total = Bundle(jb.projection)
     epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)
     sq_eps = pullback(d, jb.projection)
     pulled_c = Bundle(pullback(c, p.map).to_left)
     if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
-    eps_lookup = dict(zip(epsilon.arrow.dom.elements, epsilon.arrow.values))
-    base = d.cod
-    candidates: list[Bundle] = [jet_total]
-    for size in range(max_total + 1):
-        carrier = FinSet(f"cand{size}", tuple(f"t{i}" for i in range(size)))
-        if size == 0:
-            candidates.append(Bundle(FinMap(carrier, base, ())))
-            continue
-        if len(base) == 0:
-            continue
-        for values in itertools.product(base.elements, repeat=size):
-            candidates.append(Bundle(FinMap(carrier, base, values)))
-    for t in candidates:
-        sq_t = pullback(d, t.map)
-        points = [(sq_t.to_left(x), sq_t.to_right(x)) for x in sq_t.apex]
-        spots = {tt: i for i, tt in enumerate(t.total.elements)}
-        u_options = [jet_total.fiber(t.map(tt)) for tt in t.total]
-        transposed: dict[tuple[str, ...], int] = {}
-        if all(u_options):
-            for u_values in itertools.product(*u_options):
-                key = tuple(
-                    eps_lookup[sq_eps.pair_index[(m, u_values[spots[tt]])]]
-                    for m, tt in points
-                )
-                transposed[key] = transposed.get(key, 0) + 1
-        v_options = [pulled_c.fiber(m) for m, _ in points]
-        if not all(v_options):
-            # No verticals out of this pullback; nothing to mediate.
-            continue
-        for v_values in itertools.product(*v_options):
-            if transposed.get(v_values, 0) != 1:
-                return False
-    return True
+    eps = epsilon.arrow.table
+    vacuous: dict[str, bool] = {}
+    bijective: dict[str, bool] = {}
+    for b in d.cod:
+        over = d.fiber(b)
+        sizes = [len(pulled_c.fiber(m)) for m in over]
+        jets_b = jb.fiber(b)
+        images = {tuple(eps[sq_eps.pair_index[(m, j)]] for m in over) for j in jets_b}
+        vacuous[b] = 0 in sizes
+        bijective[b] = len(images) == len(jets_b) == math.prod(sizes)
+
+    def passes(image: tuple[str, ...]) -> bool:
+        return any(vacuous[b] for b in image) or all(bijective[b] for b in image)
+
+    # Every map of each size into d's codomain; over an empty codomain only
+    # the empty bundle remains.
+    return passes(jb.projection.values) and all(
+        passes(values)
+        for size in range(max_total + 1)
+        for values in itertools.product(d.cod.elements, repeat=size)
+    )

@@ -47,8 +47,9 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `dependent_product`, the slice morphism of `pullback_vertical`, and
       the map and slice morphism of `dependent_product_map`;
     - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
-      and `global_jet`, whose verticals start at the canonical pullback by
-      construction.
+      and `global_jet`, and the comorphisms of `identity_comorphism` and
+      `cartesian_comorphism`, whose verticals start at the canonical
+      pullback by construction.
 
     A test swaps this helper for the checked constructor and requires
     identical output from the suites and the data commands.

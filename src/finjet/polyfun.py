@@ -321,17 +321,15 @@ def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection
 
 
 def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> DependentProduct:
-    """Dependent product along d of the pullback along c (full structure)."""
+    """Dependent product along d of the pullback along c (full structure).
+
+    Its result is the composite polynomial functor applied to p: sections
+    over the span's fibers."""
     if c.dom != d.dom:
         raise ShapeMismatch("span legs must share their apex")
     if c.cod != p.base:
         raise ShapeMismatch("bundle does not live over the left leg's codomain")
     return dependent_product(d, pullback_bundle(c, p))
-
-
-def polynomial_jet(c: FinMap, d: FinMap, p: Bundle) -> Bundle:
-    """The composite polynomial functor applied to p: sections over span fibers."""
-    return polynomial_product(c, d, p).result
 
 
 def polynomial_map(

@@ -705,19 +705,20 @@ def check_poly_iso(
         compose(jb.projection, iso.arrow) == poly.map,
         "isomorphism does not commute with the projections",
     )
+    # Each bundle's jet bundle, iso and polynomial product, built once.
     legs = r.span
+    whole = (p, jb, iso, polyfun.polynomial_product(legs.left, legs.right, p))
     companion = trim_bundle(p)
-    pairs = [(p, companion), (companion, p)]
+    _, jb_companion, iso_companion = jets.polynomial_iso(r, companion.map)
+    dp_companion = polyfun.polynomial_product(legs.left, legs.right, companion)
+    trimmed = (companion, jb_companion, iso_companion, dp_companion)
+    pairs = [(whole, trimmed), (trimmed, whole)]
     endo_count = 1
     for e in p.total:
         endo_count *= len(p.fiber(p.map(e)))
     if endo_count <= endo_cap:
-        pairs.append((p, p))
-    for src, dst in pairs:
-        _, jb_dst, iso_dst = jets.polynomial_iso(r, dst.map)
-        _, jb_src, iso_src = jets.polynomial_iso(r, src.map)
-        dp_src = polyfun.polynomial_product(legs.left, legs.right, src)
-        dp_dst = polyfun.polynomial_product(legs.left, legs.right, dst)
+        pairs.append((whole, whole))
+    for (src, jb_src, iso_src, dp_src), (dst, jb_dst, iso_dst, dp_dst) in pairs:
         for v in slice_homs(src, dst):
             moved_poly = polyfun.polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
             moved_jets = jets.jet_on_vertical(jb_src, jb_dst, v.arrow)

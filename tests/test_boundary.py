@@ -2,6 +2,7 @@
 input with their messages, and the modules that take outside input never
 build values through the unchecked `finset._trusted` path."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,32 @@ def test_public_constructors_reject_bad_input(build, error, message):
 def test_outside_input_never_takes_the_trusted_path(module):
     source = (Path(finjet.__file__).parent / f"{module}.py").read_text()
     assert "_trusted" not in source
+
+
+def _imports_reference(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "reference":
+                return True
+            if module in ("", "finjet") and any(a.name == "reference" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "reference" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_suites_import_the_reference_routes():
+    package = Path(finjet.__file__).parent
+    importers = {
+        path.name
+        for path in package.glob("*.py")
+        if _imports_reference(ast.parse(path.read_text()))
+    }
+    assert importers <= {"suites.py"}
+    assert _imports_reference(ast.parse("from .reference import distributivity_terminal_brute"))
+    assert _imports_reference(ast.parse("from finjet import reference"))
 
 
 def test_distributivity_rejects_a_wrong_ended_candidate():

@@ -17,7 +17,15 @@ from finjet.fibdual import (
     vertical_comorphism,
 )
 from finjet.finset import FinMap, FinSet, compose, element, pullback
-from finjet.instances import fixture_p3_parts, rand_ball_pair, rand_bundle, rand_finset, rand_map
+from finjet.instances import (
+    fixture_p3_parts,
+    rand_adjacency,
+    rand_ball_pair,
+    rand_bundle,
+    rand_finset,
+    rand_map,
+    rand_relation,
+)
 from finjet.jets import PhiContext, classify, jet_bundle, jet_on_vertical, phi, restrict_jet
 from finjet.polyfun import (
     Bundle,
@@ -26,8 +34,10 @@ from finjet.polyfun import (
     nest_pullback,
     pullback_bundle,
     pullback_vertical,
+    relabel_identity,
     slice_homs,
 )
+from finjet.reference import distributivity_terminal_brute
 from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
 from finjet.suites import _random_vertical
 
@@ -52,6 +62,20 @@ def two_point_setup():
 def test_identity_comorphism_is_cartesian():
     assert is_cartesian(identity_comorphism(P))
     assert is_cartesian(cartesian_comorphism(FinMap.identity(A), P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_trusted_comorphisms_match_the_checked_constructor(seed, n_base, n_dom):
+    rng = random.Random(seed)
+    n_dom = n_dom if n_base else 0
+    base = rand_finset(rng, "A", n_base, min_size=n_base)
+    dom = rand_finset(rng, "A1", n_dom, min_size=n_dom)
+    f = rand_map(rng, dom, base)
+    p = rand_bundle(rng, base, 2)
+    assert identity_comorphism(p) == Comorphism(FinMap.identity(base), p, p, relabel_identity(p))
+    pulled = pullback_bundle(f, p)
+    assert cartesian_comorphism(f, p) == Comorphism(f, pulled, p, SliceMorphism.identity(pulled))
 
 
 def test_vertical_comorphism_not_cartesian_when_collapsing():
@@ -265,3 +289,45 @@ def test_distributivity_requires_jointly_monic_span():
     right = FinMap.constant(two, A, "a")
     with pytest.raises(NotJointlyMonic):
         distributivity_terminal(left, right, P, max_total=1)
+
+
+def single_entry_mutations(epsilon):
+    """Every vertical that differs from epsilon at exactly one element."""
+    values = epsilon.arrow.values
+    out = []
+    for i, value in enumerate(values):
+        for other in epsilon.dst.fiber(epsilon.dst.map(value)):
+            if other != value:
+                moved = values[:i] + (other,) + values[i + 1 :]
+                arrow = FinMap(epsilon.arrow.dom, epsilon.arrow.cod, moved)
+                out.append(SliceMorphism(epsilon.src, epsilon.dst, arrow))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(0, 3),
+    st.none() | st.integers(0, 2**16),
+)
+def test_distributivity_terminal_matches_the_enumeration(seed, ball, max_total, mutation):
+    rng = random.Random(seed)
+    # Zero points give an empty base; fibers of size 0 occur.  Ball relations
+    # are reflexive; an arbitrary relation also leaves points with no span
+    # point over them.
+    carrier = rand_finset(rng, "A", 2)
+    if ball:
+        relation = ball_relation(rand_adjacency(rng, carrier), rng.randint(0, 1)).base
+    else:
+        relation = rand_relation(rng, carrier, carrier)
+    p = rand_bundle(rng, carrier, 2)
+    legs = relation.span
+    mutants = single_entry_mutations(generic_section_vertical(legs.left, legs.right, p))
+    # No mutation, or none possible, checks the true generic section jet.
+    candidate = mutants[mutation % len(mutants)] if mutants and mutation is not None else None
+    assert distributivity_terminal(
+        legs.left, legs.right, p, candidate=candidate, max_total=max_total
+    ) == distributivity_terminal_brute(
+        legs.left, legs.right, p, candidate=candidate, max_total=max_total
+    )

@@ -18,7 +18,6 @@ from finjet.polyfun import (
     invert_slice,
     mate_transform,
     nest_pullback,
-    polynomial_jet,
     polynomial_map,
     polynomial_product,
     pullback_bundle,
@@ -218,10 +217,10 @@ def test_adjunction_unit_takes_a_prebuilt_product():
 
 def test_polynomial_jet_diagonal_span():
     legs = BALL.base.span
-    poly = polynomial_jet(legs.left, legs.right, P)
+    poly = polynomial_product(legs.left, legs.right, P).result
     assert [sum(1 for el in poly.total if poly.map(el) == a0) for a0 in A] == [2, 4, 2]
     ident_span_left = FinMap.identity(A)
-    poly_id = polynomial_jet(ident_span_left, ident_span_left, P)
+    poly_id = polynomial_product(ident_span_left, ident_span_left, P).result
     assert len(poly_id.total) == len(E)
 
 
@@ -229,14 +228,14 @@ def test_polynomial_jet_accepts_non_monic_span():
     doubled = FinSet("M2", ("m1", "m2"))
     left = FinMap.constant(doubled, A, "a")
     right = FinMap.constant(doubled, A, "a")
-    poly = polynomial_jet(left, right, P)
+    poly = polynomial_product(left, right, P).result
     # Two span points over the same pair: sections choose a fiber point twice.
     assert sum(1 for el in poly.total if poly.map(el) == "a") == 4
 
 
 def test_polynomial_jet_identity_bundle():
     legs = BALL.base.span
-    poly = polynomial_jet(legs.left, legs.right, Bundle.identity(A))
+    poly = polynomial_product(legs.left, legs.right, Bundle.identity(A)).result
     assert all(
         sum(1 for el in poly.total if poly.map(el) == a0) == 1 for a0 in A
     )
@@ -321,6 +320,4 @@ def test_polynomial_map_respects_composition():
     dp_dst = polynomial_product(legs.left, legs.right, P)
     for v in homs[:3]:
         moved = polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
-        assert compose(
-            polynomial_jet(legs.left, legs.right, P).map, moved.arrow
-        ) == polynomial_jet(legs.left, legs.right, q1).map
+        assert compose(dp_dst.result.map, moved.arrow) == dp_src.result.map

@@ -19,7 +19,6 @@ from .kripke import canonicalize
 from .polyfun import (
     Bundle,
     SliceMorphism,
-    compose_slice,
     pullback_bundle,
     relabel_identity,
 )
@@ -55,18 +54,6 @@ def cartesian_comorphism(f: FinMap, p: Bundle) -> Comorphism:
     return _trusted(Comorphism, f, pulled, p, SliceMorphism.identity(pulled))
 
 
-def vertical_comorphism(v: SliceMorphism) -> Comorphism:
-    """The comorphism over the identity corresponding to a slice morphism.
-
-    The fiber of the dual fibration is the opposite of the slice, so the
-    slice morphism v: q -> q' becomes a comorphism from q' to q.
-    """
-    ident = FinMap.identity(v.src.base)
-    return Comorphism(
-        ident, v.dst, v.src, compose_slice(v, relabel_identity(v.src))
-    )
-
-
 def is_cartesian(c: Comorphism) -> bool:
     return c.vertical.is_iso()
 
@@ -77,7 +64,8 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     Each <a'', e> of (g o f)*(p) goes to c1's vertical at <a'', e'>, where e'
     is c2's vertical at <f(a''), e>.  Canonical apexes name their elements by
     `pair_name`, so neither intermediate pullback is built; the tests compare
-    the result with the route through `nest_pullback` and `pullback_vertical`.
+    the result with the route through `reference.nest_pullback` and
+    `pullback_vertical`.
     """
     if c1.dst != c2.src:
         raise ChainMismatch("comorphisms do not chain end to end")
@@ -108,8 +96,9 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     a |-> <a, t(f(a))>) and the jet functor of the fiber on c's vertical v:
     each <a0, t> of f*(J(p)) goes to the jet over a0 with table
     a |-> v(<a, t(f(a))>), named by one lookup.  Preservation puts every
-    f(a) in t's table.  The tests compare this with the composite of `phi`
-    and `classify` and of `jet_on_vertical`.
+    f(a) in t's table.  The tests compare this with the composite of
+    `reference.pointwise_cartesian_image` (`phi` then `classify`) and of
+    `jet_on_vertical`.
     """
     try:
         rel_src = relations[c.over.dom]

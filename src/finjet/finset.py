@@ -38,18 +38,20 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `stage_restrict`;
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
       `jet_bundle` and `phi`, and the section of `restrict_jet`; the maps of
-      `classify`, `jet_on_vertical`, `maps_over` and `polynomial_iso`;
-      `PhiContext.of`, which builds its own pullback; `SectionJet._trusted`,
-      which still runs the jet's shape checks;
+      `classify` and `polynomial_iso`; `PhiContext.of`, which builds its own
+      pullback; `SectionJet._trusted`, which still runs the jet's shape
+      checks;
     - polyfun: the projection of `section_tables` (the projection of every
-      jet bundle, jet fiber and dependent product), `slice_homs`,
-      `compose_slice`, `SliceMorphism.identity`, the counit of
-      `dependent_product`, the slice morphism of `pullback_vertical`, and
-      the map and slice morphism of `dependent_product_map`;
+      jet bundle, jet fiber and dependent product), the map of
+      `SectionTables.push_along` (the maps of `jet_on_vertical` and
+      `dependent_product_map`), `slice_homs`, `compose_slice`,
+      `SliceMorphism.identity`, the counit of `dependent_product`, and the
+      slice morphisms of `pullback_vertical` and `dependent_product_map`;
     - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
       and `global_jet`, and the comorphisms of `identity_comorphism` and
       `cartesian_comorphism`, whose verticals start at the canonical
-      pullback by construction.
+      pullback by construction;
+    - suites: the maps of `maps_over`, in `beck_chevalley_check`.
 
     A test swaps this helper for the checked constructor and requires
     identical output from the suites and the data commands.

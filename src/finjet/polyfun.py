@@ -120,31 +120,6 @@ def relabel_identity(p: Bundle) -> SliceMorphism:
     return SliceMorphism(Bundle(sq.to_left), p, sq.to_right)
 
 
-def flatten_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
-    """The re-association inner*(outer*(p)) -> (outer o inner)*(p)."""
-    sq_outer = pullback(outer, p.map)
-    sq_inner = pullback(inner, sq_outer.to_left)
-    sq_whole = pullback(compose(outer, inner), p.map)
-    arrow = pair_into_pullback(
-        sq_inner.to_left,
-        compose(sq_outer.to_right, sq_inner.to_right),
-        sq_whole,
-    )
-    return SliceMorphism(Bundle(sq_inner.to_left), Bundle(sq_whole.to_left), arrow)
-
-
-def nest_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
-    """The re-association (outer o inner)*(p) -> inner*(outer*(p))."""
-    sq_outer = pullback(outer, p.map)
-    sq_inner = pullback(inner, sq_outer.to_left)
-    sq_whole = pullback(compose(outer, inner), p.map)
-    middle = pair_into_pullback(
-        compose(inner, sq_whole.to_left), sq_whole.to_right, sq_outer
-    )
-    arrow = pair_into_pullback(sq_whole.to_left, middle, sq_inner)
-    return SliceMorphism(Bundle(sq_whole.to_left), Bundle(sq_inner.to_left), arrow)
-
-
 SectionTable = tuple[tuple[str, str], ...]
 
 
@@ -178,6 +153,16 @@ class SectionTables:
         """The section over b with the given value at each point of b's fiber;
         KeyError when there is none."""
         return self._by_table[(b, tuple((m, table[m]) for m in self.fibers[b]))]
+
+    def push_along(self, arrow: FinMap, dst: "SectionTables") -> FinMap:
+        """The map sending each section to the section of `dst` over the same
+        base point whose table is its table followed by `arrow`; KeyError when
+        there is none.  The jet functor and the dependent product on a
+        vertical map are both this map."""
+        values = tuple(
+            dst.element_for(b, {m: arrow(e) for m, e in tab}) for _, b, tab in self.entries()
+        )
+        return _trusted(FinMap, self.projection.dom, dst.projection.dom, values)
 
     def evaluations(self, points: FinSet) -> tuple[str, ...]:
         """Every section's value at every point of its fiber, by point in the
@@ -250,11 +235,7 @@ def dependent_product_map(
     """
     if (dp_src.along, dp_src.input, dp_dst.along, dp_dst.input) != (d, v.src, d, v.dst):
         raise ShapeMismatch("products are not the products of the morphism's ends along d")
-    values = []
-    for _, b, tab in dp_src.sections.entries():
-        moved = {m: v.arrow(e) for m, e in tab}
-        values.append(dp_dst.sections.element_for(b, moved))
-    arrow = _trusted(FinMap, dp_src.result.total, dp_dst.result.total, tuple(values))
+    arrow = dp_src.sections.push_along(v.arrow, dp_dst.sections)
     return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
 
 

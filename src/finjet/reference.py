@@ -1,8 +1,11 @@
-"""Second routes to library results, kept as test oracles.
+"""Second routes to library results, kept as oracles for the suites and tests.
 
-Each function here decides or builds something the library already computes
-by a faster route, straight from the definition.  Nothing in the library
-calls them; the tests compare the two routes.
+The library computes each result one way.  Each function here builds or
+decides the same thing a second way, straight from the definition or in the
+other style (elementwise probes and tabulation against pullbacks and section
+tables), and never calls the library function it checks.  No library module
+imports this one; `suites.py` counts the comparisons as checks, and the tests
+compare the two routes directly.
 """
 
 from __future__ import annotations
@@ -11,11 +14,156 @@ import itertools
 from typing import Optional
 
 from .errors import ShapeMismatch
-from .fibdual import generic_section_vertical
-from .finset import FinMap, FinSet, Span, pullback
-from .jets import jet_bundle
-from .kripke import canonicalize
-from .polyfun import Bundle, SliceMorphism
+from .fibdual import Comorphism, generic_section_vertical
+from .finset import (
+    FinMap,
+    FinSet,
+    Span,
+    all_maps,
+    compose,
+    element,
+    pair_into_pullback,
+    probe_stage,
+    pullback,
+)
+from .jets import JetBundle, PhiContext, SectionJet, classify, jet_bundle, phi, restrict_jet
+from .kripke import (
+    PartialMapAtStage,
+    SubobjectAtStage,
+    canonicalize,
+    counterimage,
+    sub_leq,
+    value,
+    yoneda_construct,
+)
+from .polyfun import Bundle, SliceMorphism, compose_slice, relabel_identity
+from .relations import Relation, RelationMorphism, _require_endo, monad, monad_at
+
+
+def brute_force_leq(u: SubobjectAtStage, u2: SubobjectAtStage, max_stage: int) -> bool:
+    """`kripke.sub_leq` as the quantifier itself: every element of u at every
+    later stage is in u2.
+
+    Probes are deduplicated by their image pair-set, on which membership
+    only depends.
+    """
+    probes: set[frozenset] = set()
+    for size in range(max_stage + 1):
+        stage = probe_stage(size)
+        for alpha in all_maps(stage, u.stage):
+            for a in all_maps(stage, u.over):
+                probes.add(frozenset(zip(a.values, alpha.values)))
+    for probe in sorted(probes, key=lambda s: (len(s), sorted(s))):
+        if probe <= u.pair_set and not probe <= u2.pair_set:
+            return False
+    return True
+
+
+def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
+    """`relations.is_reflexive` read off generalized elements: a0 is in its
+    own monad."""
+    _require_endo(r)
+    for size in range(max_stage + 1):
+        stage = probe_stage(size)
+        for a0 in all_maps(stage, r.over):
+            u = monad(r, a0)
+            if not all((a0(x), x) in u.pair_set for x in stage):
+                return False
+    return True
+
+
+def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
+    """`relations.is_symmetric` read off generalized elements: membership
+    swaps sides."""
+    _require_endo(r)
+    for size in range(max_stage + 1):
+        stage = probe_stage(size)
+        for a in all_maps(stage, r.over):
+            for b in all_maps(stage, r.over):
+                left = all((a(x), x) in monad(r, b).pair_set for x in stage)
+                right = all((b(x), x) in monad(r, a).pair_set for x in stage)
+                if left != right:
+                    return False
+    return True
+
+
+def preserves_by_monads(f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation) -> bool:
+    """`relations.check_preserves` as the monad criterion: the monad of every
+    point lands in the counterimage of its image's monad."""
+    return all(
+        sub_leq(monad_at(rel_src, a0), counterimage(f, monad_at(rel_dst, f0(a0))))
+        for a0 in rel_src.stage
+    )
+
+
+def phi_tabulated(ctx: PhiContext, a0: FinMap, j: SectionJet) -> PartialMapAtStage:
+    """`jets.phi` as the Yoneda tabulation of its value law a |-> <a, j(f(a))>."""
+    mor = ctx.morphism
+
+    def law(a: FinMap, alpha: FinMap) -> FinMap:
+        image_value = value(j.section.underlying, compose(mor.f, a), alpha)
+        return pair_into_pullback(a, image_value, ctx.square)
+
+    return yoneda_construct(monad(mor.rel_src, a0), law)
+
+
+def pointwise_cartesian_image(
+    morphism: RelationMorphism, p: Bundle
+) -> tuple[JetBundle, Comorphism]:
+    """J(f*(p)) and the comorphism over f0 from it to J(p) that transports
+    jets, built one jet at a time: each <a0, t> of f0*(J(p)) goes to the
+    class of phi at a0 of the jet t names.  When f0 = f, this is the jet
+    functor's image of the Cartesian comorphism of p along f, which
+    `fibdual.global_jet` reads off section tables."""
+    ctx = PhiContext.of(morphism, p.map)
+    jb_dst = jet_bundle(morphism.rel_dst, p.map)
+    jb_pulled = jet_bundle(morphism.rel_src, ctx.pulled)
+    sq = pullback(morphism.f0, jb_dst.projection)
+    values = []
+    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+        jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, t))
+        values.append(classify(jb_pulled, phi(ctx, element(morphism.f0.dom, a0), jet))("*"))
+    pulled = Bundle(jb_pulled.projection)
+    vertical = SliceMorphism(Bundle(sq.to_left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
+    return jb_pulled, Comorphism(morphism.f0, pulled, Bundle(jb_dst.projection), vertical)
+
+
+def flatten_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
+    """The re-association inner*(outer*(p)) -> (outer o inner)*(p)."""
+    sq_outer = pullback(outer, p.map)
+    sq_inner = pullback(inner, sq_outer.to_left)
+    sq_whole = pullback(compose(outer, inner), p.map)
+    arrow = pair_into_pullback(
+        sq_inner.to_left,
+        compose(sq_outer.to_right, sq_inner.to_right),
+        sq_whole,
+    )
+    return SliceMorphism(Bundle(sq_inner.to_left), Bundle(sq_whole.to_left), arrow)
+
+
+def nest_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
+    """The re-association (outer o inner)*(p) -> inner*(outer*(p)), through
+    which `fibdual.comorphism_compose` is checked."""
+    sq_outer = pullback(outer, p.map)
+    sq_inner = pullback(inner, sq_outer.to_left)
+    sq_whole = pullback(compose(outer, inner), p.map)
+    middle = pair_into_pullback(
+        compose(inner, sq_whole.to_left), sq_whole.to_right, sq_outer
+    )
+    arrow = pair_into_pullback(sq_whole.to_left, middle, sq_inner)
+    return SliceMorphism(Bundle(sq_whole.to_left), Bundle(sq_inner.to_left), arrow)
+
+
+def vertical_comorphism(v: SliceMorphism) -> Comorphism:
+    """The comorphism over the identity corresponding to a slice morphism.
+
+    The fiber of the dual fibration is the opposite of the slice, so the
+    slice morphism v: q -> q' becomes a comorphism from q' to q.
+    """
+    ident = FinMap.identity(v.src.base)
+    return Comorphism(
+        ident, v.dst, v.src, compose_slice(v, relabel_identity(v.src))
+    )
 
 
 def distributivity_terminal_brute(

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, all_maps, compose, element, probe_stage
+from .finset import FinMap, FinSet, compose, element
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -37,32 +37,6 @@ def is_reflexive(r: Relation) -> bool:
 def is_symmetric(r: Relation) -> bool:
     _require_endo(r)
     return all((b, a) in r.pair_set for a, b in r.pairs)
-
-
-def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
-    """Reflexivity read off generalized elements: a0 is in its own monad."""
-    _require_endo(r)
-    for size in range(max_stage + 1):
-        stage = probe_stage(size)
-        for a0 in all_maps(stage, r.over):
-            u = monad(r, a0)
-            if not all((a0(x), x) in u.pair_set for x in stage):
-                return False
-    return True
-
-
-def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
-    """Symmetry read off generalized elements: membership swaps sides."""
-    _require_endo(r)
-    for size in range(max_stage + 1):
-        stage = probe_stage(size)
-        for a in all_maps(stage, r.over):
-            for b in all_maps(stage, r.over):
-                left = all((a(x), x) in monad(r, b).pair_set for x in stage)
-                right = all((b(x), x) in monad(r, a).pair_set for x in stage)
-                if left != right:
-                    return False
-    return True
 
 
 def _require_endo(r: Relation) -> None:
@@ -143,7 +117,7 @@ def check_preserves(
     its image (f(a), f0(a0)) in rel_dst; None otherwise.
 
     The `morphisms`, `phi-laws` and `global-functor` suites compare this with
-    the monad formulation: the monad of every point lands in the
+    `reference.preserves_by_monads`: the monad of every point lands in the
     counterimage of its image's monad.
     """
     if f.dom != rel_src.over or f0.dom != rel_src.stage:

@@ -8,16 +8,19 @@ seed and bounds regardless of worker process count.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import fibdual, jets, kripke, polyfun, relations
+from . import fibdual, jets, kripke, polyfun, reference, relations
 from .errors import ShapeMismatch
 from .finset import (
     FinMap,
+    PullbackResult,
+    _trusted,
     all_maps,
     compose,
     element,
@@ -54,10 +57,13 @@ def _counterexample(reason: str, ws: Workspace) -> str:
 
 
 class _Checker:
-    """Counts checks and keeps the first failure's serialized instance."""
+    """Counts checks and keeps the first failure's serialized instance, whose
+    data the keyword arguments name by workspace kind: objects={"A": a}, ..."""
 
-    def __init__(self, ws: Workspace):
-        self.ws = ws
+    def __init__(self, **kinds):
+        self.ws = Workspace()
+        for kind, entries in kinds.items():
+            getattr(self.ws, kind).update(entries)
         self.passed = 0
         self.failed = 0
         self.counterexample: Optional[str] = None
@@ -77,20 +83,8 @@ class _Checker:
 
 # --------------------------------------------------------------------------
 # second derivations: the library computes each of these results one way;
-# these wrappers compute it a second way and count the comparison as a check.
-
-
-def _phi_tabulated(
-    ctx: jets.PhiContext, a0: FinMap, j: jets.SectionJet
-) -> kripke.PartialMapAtStage:
-    """phi's value law a |-> <a, j(f(a))>, tabulated by Yoneda probes."""
-    mor = ctx.morphism
-
-    def law(a: FinMap, alpha: FinMap) -> FinMap:
-        image_value = kripke.value(j.section.underlying, compose(mor.f, a), alpha)
-        return pair_into_pullback(a, image_value, ctx.square)
-
-    return kripke.yoneda_construct(relations.monad(mor.rel_src, a0), law)
+# these wrappers compare it with a second route (from `reference`, or the
+# generic jet) and count the comparison as a check.
 
 
 def _checked_phi(
@@ -99,7 +93,7 @@ def _checked_phi(
     """`jets.phi`, checked against the Yoneda tabulation of its value law."""
     moved = jets.phi(ctx, a0, j)
     t.check(
-        moved.section.underlying == _phi_tabulated(ctx, a0, j),
+        moved.section.underlying == reference.phi_tabulated(ctx, a0, j),
         "transport disagrees with the tabulation of its value law",
     )
     return moved
@@ -118,26 +112,13 @@ def _checked_classify(t: _Checker, jb: jets.JetBundle, j: jets.SectionJet) -> Fi
 def _checked_preserves(
     t: _Checker, f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation
 ) -> Optional[relations.RelationMorphism]:
-    """`relations.check_preserves`, checked against the monad criterion: the
-    monad of every point lands in the counterimage of its image's monad."""
+    """`relations.check_preserves`, checked against the monad criterion."""
     morphism = relations.check_preserves(f, f0, rel_src, rel_dst)
-    by_monads = all(
-        kripke.sub_leq(
-            relations.monad_at(rel_src, a0),
-            kripke.counterimage(f, relations.monad_at(rel_dst, f0(a0))),
-        )
-        for a0 in rel_src.stage
-    )
     t.check(
-        (morphism is not None) == by_monads,
+        (morphism is not None) == reference.preserves_by_monads(f, f0, rel_src, rel_dst),
         "pair-set and monad preservation criteria disagree",
     )
     return morphism
-
-
-def _register(ws: Workspace, **kinds) -> None:
-    for kind, entries in kinds.items():
-        getattr(ws, kind).update(entries)
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +131,7 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
     c = rand_finset(rng, "C", max_obj, min_size=1)
     f = rand_map(rng, a, c)
     p = rand_map(rng, b, c)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "B": b, "C": c}, maps={"f": f, "p": p})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "B": b, "C": c}, maps={"f": f, "p": p})
     pb = pullback(f, p)
     expected = sum(
         sum(1 for x in a if f(x) == z) * sum(1 for y in b if p(y) == z) for z in c
@@ -220,37 +199,15 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
 # kripke laws
 
 
-def brute_force_leq(
-    u: kripke.SubobjectAtStage, u2: kripke.SubobjectAtStage, max_stage: int
-) -> bool:
-    """The quantifier itself: every element of u at every later stage is in u2.
-
-    Probes are deduplicated by their image pair-set, on which membership
-    only depends.
-    """
-    probes: set[frozenset] = set()
-    for size in range(max_stage + 1):
-        stage = probe_stage(size)
-        for alpha in all_maps(stage, u.stage):
-            for a in all_maps(stage, u.over):
-                probes.add(frozenset(zip(a.values, alpha.values)))
-    for probe in sorted(probes, key=lambda s: (len(s), sorted(s))):
-        if probe <= u.pair_set and not probe <= u2.pair_set:
-            return False
-    return True
-
-
 def suite_extensionality(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     a = rand_finset(rng, "A", max_obj)
     x = rand_finset(rng, "X", max_obj)
     u = rand_subobject(rng, a, x)
     u2 = rand_subobject(rng, a, x)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "X": x})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "X": x})
     direct = kripke.sub_leq(u, u2)
     via_legs = kripke.extensionality_leq(u, u2)
-    brute = brute_force_leq(u, u2, max_stage=2)
+    brute = reference.brute_force_leq(u, u2, max_stage=2)
     t.check(direct == via_legs, "leg membership test disagrees with containment")
     t.check(direct == brute, "stage quantification disagrees with containment")
     legs = u.span
@@ -270,9 +227,7 @@ def suite_membership(rng: random.Random, max_obj: int, max_fiber: int) -> Outcom
     elem = rand_map(rng, y, a)
     alpha = rand_map(rng, y, x)
     beta = rand_map(rng, z, y)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "X": x, "Y": y, "Z": z}, maps={"a": elem, "alpha": alpha, "beta": beta})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "X": x, "Y": y, "Z": z}, maps={"a": elem, "alpha": alpha, "beta": beta})
     direct = kripke.member(elem, alpha, u)
     via_stage = kripke.member(
         elem, FinMap.identity(y), kripke.change_of_stage(u, alpha)
@@ -319,9 +274,7 @@ def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     e = rand_finset(rng, "E", max_obj, min_size=1)
     u = rand_subobject(rng, a, x)
     s = rand_partial_map(rng, u, e)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "X": x, "E": e})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "X": x, "E": e})
     rebuilt = kripke.yoneda_construct(u, kripke.law_of(s))
     t.check(rebuilt == s, "tabulating a partial map's own law does not rebuild it")
     for _ in range(5):
@@ -378,9 +331,7 @@ def suite_monad_stability(rng: random.Random, max_obj: int, max_fiber: int) -> O
     belem = rand_map(rng, x, b)
     alpha = rand_map(rng, y, x)
     beta = rand_map(rng, z, y)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "B": b, "X": x}, relations={"R": r}, maps={"b": belem})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "B": b, "X": x}, relations={"R": r}, maps={"b": belem})
     moved = kripke.change_of_stage(relations.monad(r, belem), alpha)
     direct = relations.monad(r, compose(belem, alpha))
     t.check(moved == direct, "monad is not stable under change of stage")
@@ -401,14 +352,11 @@ def suite_monad_stability(rng: random.Random, max_obj: int, max_fiber: int) -> O
 
 def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     f, f0, rel_src, rel_dst = rand_preserving_relations(rng, max_obj)
-    ws = Workspace()
-    _register(
-        ws,
+    t = _Checker(
         objects={"A": f.dom, "B": f.cod, "A0": f0.dom, "B0": f0.cod},
         maps={"f": f, "f0": f0},
         relations={"RA": rel_src, "RB": rel_dst},
     )
-    t = _Checker(ws)
     t.check(
         _checked_preserves(t, f, f0, rel_src, rel_dst) is not None,
         "a relation drawn inside the counterimage is not preserved",
@@ -448,19 +396,19 @@ def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome
         "ball relation lost reflexivity or symmetry",
     )
     t.check(
-        relations.is_reflexive(big) == relations.is_reflexive_elementwise(big)
-        and relations.is_symmetric(big) == relations.is_symmetric_elementwise(big),
+        relations.is_reflexive(big) == reference.is_reflexive_elementwise(big)
+        and relations.is_symmetric(big) == reference.is_symmetric_elementwise(big),
         "elementwise and pair-set reflexivity/symmetry disagree",
     )
     loose_endo = rand_relation(rng, carrier, carrier)
     t.check(
         relations.is_reflexive(loose_endo)
-        == relations.is_reflexive_elementwise(loose_endo),
+        == reference.is_reflexive_elementwise(loose_endo),
         "elementwise reflexivity disagrees on a random endo-relation",
     )
     t.check(
         relations.is_symmetric(loose_endo)
-        == relations.is_symmetric_elementwise(loose_endo),
+        == reference.is_symmetric_elementwise(loose_endo),
         "elementwise symmetry disagrees on a random endo-relation",
     )
     return t.outcome()
@@ -483,9 +431,7 @@ def check_fiber_count(rng: random.Random, max_obj: int, max_fiber: int) -> Outco
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
     r = rand_relation(rng, a, a0)
     p = rand_bundle(rng, a, max_fiber)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
     jb = jets.jet_bundle(r, p.map)
     for point in a0:
         t.check(
@@ -504,9 +450,7 @@ def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
     r = rand_relation(rng, a, a0)
     p = rand_bundle(rng, a, min(max_fiber, 2))
-    ws = Workspace()
-    _register(ws, objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
     jb = jets.jet_bundle(r, p.map)
     stage1 = probe_stage(1)
     for base in all_maps(stage1, a0):
@@ -558,6 +502,70 @@ def _random_vertical(
             return None
         values.append(rng.choice(fiber))
     return SliceMorphism(src, dst, FinMap(src.total, dst.total, tuple(values)))
+
+
+def maps_over(
+    pb: PullbackResult, a0: FinMap
+) -> tuple[FinMap, ...]:
+    """All maps from a0's stage into a pullback apex whose left leg is a0."""
+    per_point = [pb.to_left.fiber(a) for a in a0.values]
+    out = []
+    for values in itertools.product(*per_point):
+        out.append(_trusted(FinMap, a0.dom, pb.apex, values))
+    return tuple(out)
+
+
+def beck_chevalley_check(
+    g: FinMap, r: Relation, q: FinMap, max_stage: int = 2
+) -> bool:
+    """Whether the pulled-back jet bundle represents jets along g, by construction.
+
+    For every base element at stages of size <= max_stage, builds the two
+    transposition maps between jets at the image and maps into the canonical
+    pullback, and checks that they are mutually inverse and natural.
+    """
+    if g.cod != r.stage:
+        raise ShapeMismatch("map does not land in the relation's destination")
+    jb = jets.jet_bundle(r, q)
+    sq = pullback(g, jb.projection)
+
+    def forward(a0: FinMap, j: jets.SectionJet) -> FinMap:
+        return pair_into_pullback(a0, jets.classify(jb, j), sq)
+
+    def backward(m: FinMap) -> jets.SectionJet:
+        return jets.restrict_jet(jb.generic_jet, compose(sq.to_right, m))
+
+    stages = [probe_stage(n) for n in range(max_stage + 1)]
+    for stage in stages:
+        for a0 in all_maps(stage, g.dom):
+            jets_here = jets.enumerate_jets(r, compose(g, a0), q)
+            over = maps_over(sq, a0)
+            if len(jets_here) != len(over):
+                return False
+            seen = set()
+            for j in jets_here:
+                m = forward(a0, j)
+                if m.values in seen:
+                    return False
+                seen.add(m.values)
+                if m not in over:
+                    return False
+                if backward(m) != j:
+                    return False
+            for m in over:
+                if forward(a0, backward(m)) != m:
+                    return False
+    # Naturality: transporting then restricting equals restricting then transporting.
+    for small in stages:
+        for big in stages:
+            for alpha in all_maps(small, big):
+                for a0 in all_maps(big, g.dom):
+                    for j in jets.enumerate_jets(r, compose(g, a0), q):
+                        lhs = forward(compose(a0, alpha), jets.restrict_jet(j, alpha))
+                        rhs = compose(forward(a0, j), alpha)
+                        if lhs != rhs:
+                            return False
+    return True
 
 
 def phi_compose_law(
@@ -643,14 +651,11 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     rel_c = Relation.from_pairs(
         c_src, c0, ((g(v), g0(v0)) for v, v0 in rel_b.pairs)
     )
-    ws = Workspace()
-    _register(
-        ws,
+    t = _Checker(
         objects={"A": f.dom, "B": f.cod, "C": c_src, "A0": f0.dom, "B0": f0.cod, "C0": c0},
         maps={"f": f, "f0": f0, "g": g, "g0": g0},
         relations={"RA": rel_a, "RB": rel_b, "RC": rel_c},
     )
-    t = _Checker(ws)
     upper = _checked_preserves(t, f, f0, rel_a, rel_b)
     lower = _checked_preserves(t, g, g0, rel_b, rel_c)
     if upper is None or lower is None:
@@ -696,9 +701,7 @@ def check_poly_iso(
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
     r = rand_relation(rng, a, a0)
     p = rand_bundle(rng, a, max_fiber)
-    ws = Workspace()
-    _register(ws, objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
     poly, jb, iso = jets.polynomial_iso(r, p.map)
     t.check(iso.is_iso(), "polynomial bundle is not isomorphic to the jet bundle")
     t.check(
@@ -738,9 +741,7 @@ def check_adjunction(rng: random.Random, max_obj: int, max_fiber: int) -> Outcom
     d = rand_map(rng, m, b)
     y = rand_bundle(rng, b, min(max_fiber, 2), tag="y")
     q = rand_bundle(rng, m, min(max_fiber, 2), tag="q")
-    ws = Workspace()
-    _register(ws, objects={"M": m, "B": b, "Y": y.total, "Q": q.total}, maps={"d": d, "y": y.map, "q": q.map})
-    t = _Checker(ws)
+    t = _Checker(objects={"M": m, "B": b, "Y": y.total, "Q": q.total}, maps={"d": d, "y": y.map, "q": q.map})
     t.check(adjunction_instance_ok(d, y, q), "adjunction laws fail")
     return t.outcome()
 
@@ -785,11 +786,9 @@ def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     g = rand_map(rng, a0, b0)
     r = rand_relation(rng, b, b0)
     q = rand_bundle(rng, b, min(max_fiber, 2), tag="q")
-    ws = Workspace()
-    _register(ws, objects={"A0": a0, "B": b, "B0": b0, "F": q.total}, maps={"g": g, "q": q.map}, relations={"R": r})
-    t = _Checker(ws)
+    t = _Checker(objects={"A0": a0, "B": b, "B0": b0, "F": q.total}, maps={"g": g, "q": q.map}, relations={"R": r})
     t.check(
-        jets.beck_chevalley_check(g, r, q.map, max_stage=1),
+        beck_chevalley_check(g, r, q.map, max_stage=1),
         "pulled-back jet bundle does not represent jets along the map",
     )
     legs = r.span
@@ -815,9 +814,7 @@ def check_terminality(rng: random.Random, max_obj: int, max_fiber: int) -> Outco
     adjacency = rand_adjacency(rng, carrier)
     ball = ball_relation(adjacency, 1)
     p = rand_bundle(rng, carrier, min(max_fiber, 2), tag="e")
-    ws = Workspace()
-    _register(ws, objects={"A": carrier, "E": p.total}, relations={"R": ball.base}, maps={"p": p.map})
-    t = _Checker(ws)
+    t = _Checker(objects={"A": carrier, "E": p.total}, relations={"R": ball.base}, maps={"p": p.map})
     legs = ball.base.span
     t.check(
         fibdual.distributivity_terminal(legs.left, legs.right, p, max_total=3),
@@ -872,14 +869,11 @@ def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     p3 = rand_bundle(rng, a3, min(max_fiber, 2), min_fiber=1, tag="e3")
     p2 = rand_bundle(rng, a2, min(max_fiber, 2), min_fiber=1, tag="e2")
     p1 = rand_bundle(rng, a1, min(max_fiber, 2), min_fiber=1, tag="e1")
-    ws = Workspace()
-    _register(
-        ws,
+    t = _Checker(
         objects={"A1": a1, "A2": a2, "A3": a3, "A4": a4},
         maps={"f1": f1, "f2": f2, "f3": f3},
         relations={"adj4": adj4},
     )
-    t = _Checker(ws)
     chain = []
     for f, src, dst in ((f1, p1, p2), (f2, p2, p3), (f3, p3, p4)):
         vertical = _random_vertical(rng, polyfun.pullback_bundle(f, dst), src)

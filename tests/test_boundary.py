@@ -3,11 +3,14 @@ input with their messages, and the modules that take outside input never
 build values through the unchecked `finset._trusted` path."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import finjet
+from finjet import reference
 from finjet.errors import CompositionMismatch, NotVertical, ShapeMismatch
 from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
 from finjet.finset import FinMap, FinSet, Span, element, pullback
@@ -145,6 +148,20 @@ def test_only_the_suites_import_the_reference_routes():
     assert importers <= {"suites.py"}
     assert _imports_reference(ast.parse("from .reference import distributivity_terminal_brute"))
     assert _imports_reference(ast.parse("from finjet import reference"))
+
+
+def test_every_reference_route_is_used():
+    """A second route that no suite or test calls checks nothing."""
+    users = [Path(finjet.__file__).parent / "suites.py"]
+    users += [path for path in Path(__file__).parent.glob("*.py") if path.name != Path(__file__).name]
+    texts = [path.read_text() for path in users]
+    routes = [
+        name
+        for name, fn in inspect.getmembers(reference, inspect.isfunction)
+        if fn.__module__ == reference.__name__ and not name.startswith("_")
+    ]
+    unused = [name for name in routes if not any(re.search(rf"\b{name}\b", t) for t in texts)]
+    assert routes and unused == []
 
 
 def test_distributivity_rejects_a_wrong_ended_candidate():

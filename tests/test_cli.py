@@ -306,9 +306,7 @@ def test_check_failure_exits_1(monkeypatch):
     import finjet.suites as suites
 
     def broken(rng, max_obj, max_fiber):
-        from finjet.workspace import Workspace
-
-        t = suites._Checker(Workspace())
+        t = suites._Checker()
         t.check(False, "deliberately failing probe suite")
         return t.outcome()
 

@@ -14,9 +14,8 @@ from finjet.fibdual import (
     global_jet,
     identity_comorphism,
     is_cartesian,
-    vertical_comorphism,
 )
-from finjet.finset import FinMap, FinSet, compose, element, pullback
+from finjet.finset import FinMap, FinSet, compose
 from finjet.instances import (
     fixture_p3_parts,
     rand_adjacency,
@@ -26,18 +25,22 @@ from finjet.instances import (
     rand_map,
     rand_relation,
 )
-from finjet.jets import PhiContext, classify, jet_bundle, jet_on_vertical, phi, restrict_jet
+from finjet.jets import jet_bundle, jet_on_vertical
 from finjet.polyfun import (
     Bundle,
     SliceMorphism,
     compose_slice,
-    nest_pullback,
     pullback_bundle,
     pullback_vertical,
     relabel_identity,
     slice_homs,
 )
-from finjet.reference import distributivity_terminal_brute
+from finjet.reference import (
+    distributivity_terminal_brute,
+    nest_pullback,
+    pointwise_cartesian_image,
+    vertical_comorphism,
+)
 from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
 from finjet.suites import _random_vertical
 
@@ -207,23 +210,6 @@ def test_comorphism_compose_matches_the_reassociation_route(seed, n2, n1, n0):
         compose_slice(pullback_vertical(c1.over, c2.vertical), nest_pullback(c2.over, c1.over, c2.dst)),
     )
     assert comorphism_compose(c2, c1) == Comorphism(compose(g, f), c1.src, c2.dst, route)
-
-
-def pointwise_cartesian_image(morphism, p):
-    """J(f*(p)) and the image of the Cartesian comorphism of p along f built
-    one jet at a time: each <a0, t> goes to the class of phi at a0 of the
-    jet t names."""
-    ctx = PhiContext.of(morphism, p.map)
-    jb_dst = jet_bundle(morphism.rel_dst, p.map)
-    jb_pulled = jet_bundle(morphism.rel_src, ctx.pulled)
-    sq = pullback(morphism.f, jb_dst.projection)
-    values = []
-    for a0, t in zip(sq.to_left.values, sq.to_right.values):
-        jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, t))
-        values.append(classify(jb_pulled, phi(ctx, element(morphism.f.dom, a0), jet))("*"))
-    pulled = Bundle(jb_pulled.projection)
-    vertical = SliceMorphism(Bundle(sq.to_left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
-    return jb_pulled, Comorphism(morphism.f, pulled, Bundle(jb_dst.projection), vertical)
 
 
 @settings(max_examples=80, deadline=None)

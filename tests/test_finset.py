@@ -20,6 +20,7 @@ from finjet.finset import (
     pullback,
     span_leq,
 )
+from strategies import maps_into, shuffled_finsets
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2", "b3"))
@@ -102,20 +103,6 @@ def test_pullback_universal_property(f, p):
                     if compose(pb.to_left, m) == a and compose(pb.to_right, m) == b
                 ]
                 assert rivals == [med]
-
-
-def shuffled_finsets(name, max_size=4):
-    """Sets of 0..max_size elements declared out of name order."""
-    names = st.integers(0, max_size).flatmap(
-        lambda n: st.permutations([f"{name.lower()}{i}" for i in range(n)])
-    )
-    return names.map(lambda elements: FinSet(name, tuple(elements)))
-
-
-@st.composite
-def maps_into(draw, name, cod):
-    dom = draw(shuffled_finsets(name, 4 if len(cod) else 0))
-    return FinMap(dom, cod, draw(st.tuples(*(st.sampled_from(cod.elements) for _ in dom))))
 
 
 def assert_pullback_is_nested_loop_join(f, p):

@@ -24,7 +24,6 @@ from finjet.instances import (
 from finjet.jets import (
     PhiContext,
     SectionJet,
-    beck_chevalley_check,
     classify,
     classify_point,
     enumerate_jets,
@@ -46,8 +45,9 @@ from finjet.relations import (
     ball_relation,
     check_preserves,
 )
-from finjet.suites import _Checker, _phi_tabulated, cluex_law, phi_compose_law
-from finjet.workspace import Workspace, parse_workspace
+from finjet.reference import phi_tabulated, pointwise_cartesian_image
+from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
+from finjet.workspace import parse_workspace
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -252,7 +252,7 @@ def test_phi_preservation_violation_raises():
 
 def assert_law_holds(law, *args):
     """Run a phi-laws law on its own checker: no failed check, at least one pass."""
-    t = _Checker(Workspace())
+    t = _Checker()
     law(t, *args)
     assert t.failed == 0 and t.passed >= 1, t.counterexample
 
@@ -355,12 +355,6 @@ def test_beck_chevalley_random_shape():
     assert beck_chevalley_check(g, R, P_MAP, max_stage=2)
 
 
-def mediating_parts(morphism, p):
-    """The context and the two jet bundles the mediating transport runs between."""
-    ctx = PhiContext.of(morphism, p)
-    return ctx, jet_bundle(morphism.rel_dst, p), jet_bundle(morphism.rel_src, ctx.pulled)
-
-
 def mediating_map(morphism, p):
     """The mediating transport f*(J(p)) -> J(f*(p)) of an endo-relation
     morphism with f0 = f: the vertical part of the global jet functor's
@@ -372,22 +366,11 @@ def mediating_map(morphism, p):
     return global_jet(cartesian_comorphism(morphism.f, Bundle(p)), rels).vertical
 
 
-def pointwise_transport(ctx, jb_dst, jb_src, el):
-    """The image of one pulled-back element <a0, t>: the jet t names, transported
-    by phi at a0 and classified again."""
-    sq = pullback(ctx.morphism.f0, jb_dst.projection)
-    a0 = element(sq.to_left.cod, sq.to_left(el))
-    jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, sq.to_right(el)))
-    return classify(jb_src, phi(ctx, a0, jet))("*")
-
-
 def test_mediating_map_matches_pointwise_phi():
     morphism, p = classical_morphism()
-    parts = mediating_parts(morphism, p)
     mediated = mediating_map(morphism, p)
     assert len(mediated.arrow.dom) > 0
-    for el in mediated.arrow.dom:
-        assert mediated.arrow(el) == pointwise_transport(*parts, el)
+    assert mediated == pointwise_cartesian_image(morphism, Bundle(p))[1].vertical
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,11 +382,10 @@ def test_mediating_map_matches_pointwise_phi_on_ball_pairs(seed, stage_size, emp
     morphism = check_preserves(f, f, rel_src, ball_b.base)
     # Fibers of size 0 occur, so some monads meet an empty fiber.
     p = rand_bundle(rng, f.cod, 2).map
-    parts = mediating_parts(morphism, p)
-    ctx, jb_dst, jb_src = parts
+    jb_src, image = pointwise_cartesian_image(morphism, Bundle(p))
     mediated = mediating_map(morphism, p)
-    for el in mediated.arrow.dom:
-        assert mediated.arrow(el) == pointwise_transport(*parts, el)
+    assert mediated == image.vertical
+    ctx, jb_dst = PhiContext.of(morphism, p), jet_bundle(ball_b.base, p)
     # At a stage of any size: transporting a generalized element of the
     # pulled-back total agrees with phi and classify on the jet it names.
     sq = pullback(f, jb_dst.projection)
@@ -475,7 +457,7 @@ def test_phi_equals_yoneda_tabulation_on_fixture_morphisms():
     empty_monads = 0
     for ctx, a0, j in fixture_transports():
         moved = phi(ctx, a0, j)
-        assert moved.section.underlying == _phi_tabulated(ctx, a0, j)
+        assert moved.section.underlying == phi_tabulated(ctx, a0, j)
         empty_monads += not moved.table
     assert empty_monads > 0
 
@@ -493,7 +475,7 @@ def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
     a0 = rand_map(rng, stage, f.dom)
     for j in enumerate_jets(ball_b.base, compose(f, a0), p):
         moved = phi(ctx, a0, j)
-        assert moved.section.underlying == _phi_tabulated(ctx, a0, j)
+        assert moved.section.underlying == phi_tabulated(ctx, a0, j)
         if empty or stage_size == 0:
             assert moved.table == {}
 

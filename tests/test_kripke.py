@@ -31,6 +31,7 @@ from finjet.kripke import (
     yoneda_construct,
 )
 from finjet.relations import Relation, monad
+from strategies import maps_into, shuffled_finsets
 
 A = FinSet("A", ("a1", "a2", "a3"))
 X = FinSet("X", ("x1", "x2"))
@@ -143,20 +144,6 @@ def test_counterimage_functorial(u):
             assert counterimage(f2, counterimage(f, u)) == counterimage(
                 compose(f, f2), u
             )
-
-
-def shuffled_finsets(name, max_size=4):
-    """Sets of 0..max_size elements declared out of name order."""
-    names = st.integers(0, max_size).flatmap(
-        lambda n: st.permutations([f"{name.lower()}{i}" for i in range(n)])
-    )
-    return names.map(lambda elements: FinSet(name, tuple(elements)))
-
-
-@st.composite
-def maps_into(draw, name, cod):
-    dom = draw(shuffled_finsets(name, 4 if len(cod) else 0))
-    return FinMap(dom, cod, draw(st.tuples(*(st.sampled_from(cod.elements) for _ in dom))))
 
 
 @st.composite

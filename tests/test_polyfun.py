@@ -14,10 +14,8 @@ from finjet.polyfun import (
     compose_slice,
     dependent_product,
     dependent_product_map,
-    flatten_pullback,
     invert_slice,
     mate_transform,
-    nest_pullback,
     polynomial_map,
     polynomial_product,
     pullback_bundle,
@@ -25,6 +23,7 @@ from finjet.polyfun import (
     relabel_identity,
     slice_homs,
 )
+from finjet.reference import flatten_pullback, nest_pullback
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)

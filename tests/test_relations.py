@@ -16,12 +16,11 @@ from finjet.relations import (
     ball_relation,
     check_preserves,
     is_reflexive,
-    is_reflexive_elementwise,
     is_symmetric,
-    is_symmetric_elementwise,
     monad,
     monad_at,
 )
+from finjet.reference import is_reflexive_elementwise, is_symmetric_elementwise, preserves_by_monads
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2"))
@@ -236,16 +235,6 @@ def test_monad_at_point():
     assert [a for a, _ in u.pairs] == ["a", "b"]
 
 
-def monad_criterion(f, f0, rel_src, rel_dst):
-    """Preservation read off monads: the monad of every point lands in the
-    counterimage of its image's monad (the rule check_preserves once also
-    evaluated in line)."""
-    return all(
-        sub_leq(monad_at(rel_src, a0), counterimage(f, monad_at(rel_dst, f0(a0))))
-        for a0 in rel_src.stage
-    )
-
-
 def maps_between(dom, cod):
     return st.tuples(*[st.sampled_from(cod.elements)] * len(dom)).map(
         lambda values: FinMap(dom, cod, values)
@@ -264,7 +253,7 @@ def test_check_preserves_agrees_with_the_monad_criterion(data):
         image = [(f(a), f0(a0)) for a, a0 in rel_src.pairs]
         rel_dst = Relation.from_pairs(B, A, list(rel_dst.pairs) + image)
     got = check_preserves(f, f0, rel_src, rel_dst)
-    assert (got is not None) == monad_criterion(f, f0, rel_src, rel_dst)
+    assert (got is not None) == preserves_by_monads(f, f0, rel_src, rel_dst)
     if got is not None:
         assert got == RelationMorphism(f, f0, rel_src, rel_dst)
 

@@ -7,13 +7,11 @@ import finjet.suites as suites
 from finjet.cli import main
 from finjet.finset import FinSet
 from finjet.suites import SUITES, SuiteReport, _Checker, run_suites
-from finjet.workspace import Workspace, parse_workspace
+from finjet.workspace import parse_workspace
 
 
 def test_checker_keeps_first_counterexample_as_parseable_fragment():
-    ws = Workspace()
-    ws.objects["A"] = FinSet("A", ("x", "y"))
-    t = _Checker(ws)
+    t = _Checker(objects={"A": FinSet("A", ("x", "y"))})
     assert t.check(True, "fine")
     assert not t.check(False, "first failure")
     t.check(False, "second failure")

@@ -502,6 +502,42 @@ def test_records_output_on_path_graph_is_pinned(tmp_path, n, argv, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the text output of all 8 data commands on generated path graphs,
+# pinned from the implementation that built both formats before printing one.
+GOLDEN_PATH_TEXT_DIGESTS = [
+    (40, ["pullback", "--left", "p", "--right", "p"],
+     "155c31cd02fd14cb4e788d5916e630b41e95b547b21f878e36d5c011448f9c5b"),
+    (40, ["monad", "--relation", "R", "--point", "v7"],
+     "6173487f31684fb46e3626fb63428245f13c8c02b0fe890cd75027f6e30ea874"),
+    (40, ["jets", "--relation", "R", "--bundle", "p", "--point", "v7"],
+     "56725d732b4ac3395d350b133d14d7b3c6f68dda117fc6baec02cd074df656a4"),
+    (40, ["jetbundle", "--relation", "R", "--bundle", "p"],
+     "f0097f02e1430cce06ab0bb35d446b33af57d6989aae3689fc8f0c56783a5fbe"),
+    (40, ["classify", "--relation", "R", "--bundle", "p", "--point", "v7", "--index", "5"],
+     "5f0579086a98cde81faabc694e9676789ab15800fc8b125debea82585b8fe9a8"),
+    (40, ["phi", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--map0", "id",
+          "--bundle", "p", "--point", "v7", "--index", "5"],
+     "b7954857c485c39e5ed5c7cb856f831aaa05e3864b887080b09510eba322c19b"),
+    (40, ["polyjet", "--relation", "R", "--bundle", "p"],
+     "a969d4aa3a260a088667ead4d748aae679abf326d8e7f7863e0280e61bf156c6"),
+    (12, ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+     "72b1356343f8ce9df3b2bc4564d575a40d1e91bf148148787f91f2236f3d3da5"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest",
+    GOLDEN_PATH_TEXT_DIGESTS,
+    ids=[argv[0] for _, argv, _ in GOLDEN_PATH_TEXT_DIGESTS],
+)
+def test_text_output_on_path_graph_is_pinned(tmp_path, n, argv, digest):
+    path = tmp_path / f"p{n}.ws"
+    path.write_text(serialize_workspace(path_graph_workspace(n, 2)))
+    code, text = run(["-w", str(path), *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 # sha256 of the records output on the complete graph K_5 (K_4 for dualjet),
 # fibers 2, pinned from the implementation before linear canonical pair-sets.
 GOLDEN_COMPLETE_DIGESTS = [

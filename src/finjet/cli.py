@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 from . import fibdual, jets, polyfun, relations
 from .errors import FinjetError, WorkspaceError
@@ -96,26 +96,39 @@ def _load_workspace(args) -> Workspace:
         return parse_workspace(handle.read())
 
 
-def _emit(out: IO[str], format_: str, records: list[tuple[str, ...]], text: list[str]):
+def _emit(
+    out: IO[str],
+    format_: str,
+    rows: list[tuple[str, ...]],
+    header: str,
+    render: Optional[Callable[[tuple[str, ...]], str]] = None,
+) -> int:
+    """Write a data command's output with one write and return exit code 0.
+
+    The records format is each row, tab-separated; the text format is the
+    header, then each row through `render` (no row lines without one).  Only
+    the requested format is built.
+    """
     if format_ == "records":
-        for record in records:
-            print("\t".join(record), file=out)
+        lines = ["\t".join(row) for row in rows]
     else:
-        for line in text:
-            print(line, file=out)
+        lines = [header, *map(render, rows)] if render else [header]
+    out.write("".join(f"{line}\n" for line in lines))
+    return 0
 
 
 def _cmd_pullback(ws: Workspace, args, out) -> int:
-    left = ws.map(args.left)
-    right = ws.map(args.right)
-    pb = pullback(left, right)
-    text = [f"pullback of {args.left} and {args.right}: {len(pb.apex)} elements"]
-    records = []
-    for m in pb.apex:
-        records.append(("element", m, pb.to_left(m), pb.to_right(m)))
-        text.append(f"  {m} -> ({pb.to_left(m)}, {pb.to_right(m)})")
-    _emit(out, args.format, records, text)
-    return 0
+    pb = pullback(ws.map(args.left), ws.map(args.right))
+    rows = [
+        ("element", m, a, b) for m, a, b in zip(pb.apex, pb.to_left.values, pb.to_right.values)
+    ]
+    return _emit(
+        out,
+        args.format,
+        rows,
+        f"pullback of {args.left} and {args.right}: {len(pb.apex)} elements",
+        lambda row: f"  {row[1]} -> ({row[2]}, {row[3]})",
+    )
 
 
 def _point(carrier, name: str):
@@ -134,17 +147,23 @@ def _monad_element(ws: Workspace, args):
 def _cmd_monad(ws: Workspace, args, out) -> int:
     rel, belem = _monad_element(ws, args)
     sub = relations.monad(rel, belem)
-    text = [f"monad over {sub.over.name} at stage {sub.stage.name}: {len(sub)} pairs"]
-    records = []
-    for a, x in sub.pairs:
-        records.append(("pair", a, x))
-        text.append(f"  ({a},{x})")
-    _emit(out, args.format, records, text)
-    return 0
+    return _emit(
+        out,
+        args.format,
+        [("pair", a, x) for a, x in sub.pairs],
+        f"monad over {sub.over.name} at stage {sub.stage.name}: {len(sub)} pairs",
+        lambda row: f"  ({row[1]},{row[2]})",
+    )
 
 
 def _jet_records(j: jets.SectionJet) -> str:
     return " ".join(f"({a},{x})->{e}" for (a, x), e in sorted(j.table.items()))
+
+
+def _render_element(row: tuple[str, ...]) -> str:
+    """The text line of a jetbundle or polyjet row (element, base point, table)."""
+    _, el, b, table = row
+    return f"  {el} over {b}: {table}"
 
 
 def _cmd_jets(ws: Workspace, args, out) -> int:
@@ -152,14 +171,13 @@ def _cmd_jets(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     base = _point(rel.stage, args.point)
     found = jets.enumerate_jets(rel, base, bundle.map)
-    text = [f"jets at {args.point}: {len(found)}"]
-    records = []
-    for i, j in enumerate(found):
-        table = _jet_records(j)
-        records.append(("jet", str(i), table))
-        text.append(f"  [{i}] {table}")
-    _emit(out, args.format, records, text)
-    return 0
+    return _emit(
+        out,
+        args.format,
+        [("jet", str(i), _jet_records(j)) for i, j in enumerate(found)],
+        f"jets at {args.point}: {len(found)}",
+        lambda row: f"  [{row[1]}] {row[2]}",
+    )
 
 
 def _cmd_jetbundle(ws: Workspace, args, out) -> int:
@@ -167,14 +185,17 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     jb = jets.jet_bundle(rel, bundle.map)
     sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.stage)
-    text = [f"jet bundle over {rel.stage.name}: {len(jb.total)} elements, fibers {sizes}"]
-    records = []
-    for t, a0, tab in jb.sections.entries():
-        table = " ".join(f"{a}->{e}" for a, e in sorted(tab))
-        records.append(("element", t, a0, table))
-        text.append(f"  {t} over {a0}: {table}")
-    _emit(out, args.format, records, text)
-    return 0
+    rows = [
+        ("element", t, a0, " ".join(map("->".join, sorted(tab))))
+        for t, a0, tab in jb.sections.entries()
+    ]
+    return _emit(
+        out,
+        args.format,
+        rows,
+        f"jet bundle over {rel.stage.name}: {len(jb.total)} elements, fibers {sizes}",
+        _render_element,
+    )
 
 
 def _cmd_classify(ws: Workspace, args, out) -> int:
@@ -182,13 +203,12 @@ def _cmd_classify(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     base = _point(rel.stage, args.point)
     target = jets.classify_point(jets.nth_jet(rel, base, bundle.map, args.index))
-    _emit(
+    return _emit(
         out,
         args.format,
         [("classified", str(args.index), target)],
-        [f"jet [{args.index}] at {args.point} classifies as {target}"],
+        f"jet [{args.index}] at {args.point} classifies as {target}",
     )
-    return 0
 
 
 def _cmd_phi(ws: Workspace, args, out) -> int:
@@ -205,13 +225,12 @@ def _cmd_phi(ws: Workspace, args, out) -> int:
     j = jets.nth_jet(rel_dst, compose(f0, a0), bundle.map, args.index, "the image point")
     moved = jets.phi(ctx, a0, j)
     table = _jet_records(moved)
-    _emit(
+    return _emit(
         out,
         args.format,
         [("jet", str(args.index), table)],
-        [f"transported jet [{args.index}]: {table}"],
+        f"transported jet [{args.index}]: {table}",
     )
-    return 0
 
 
 def _cmd_polyjet(ws: Workspace, args, out) -> int:
@@ -220,17 +239,18 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     legs = rel.span
     dp = polyfun.polynomial_product(legs.left, legs.right, bundle)
     sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
-    text = [
-        f"polynomial jet bundle over {rel.stage.name}: "
-        f"{len(dp.result.total)} elements, fibers {sizes}"
+    rows = [
+        ("element", el, b, " ".join(map("->".join, tab)))
+        for el, b, tab in dp.sections.entries()
     ]
-    records = []
-    for el, b, tab in dp.sections.entries():
-        flat = " ".join(f"{m}->{v}" for m, v in tab)
-        records.append(("element", el, b, flat))
-        text.append(f"  {el} over {b}: {flat}")
-    _emit(out, args.format, records, text)
-    return 0
+    return _emit(
+        out,
+        args.format,
+        rows,
+        f"polynomial jet bundle over {rel.stage.name}: "
+        f"{len(dp.result.total)} elements, fibers {sizes}",
+        _render_element,
+    )
 
 
 def _cmd_dualjet(ws: Workspace, args, out) -> int:
@@ -266,16 +286,15 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
     else:
         com = fibdual.cartesian_comorphism(f, bundle)
     moved = fibdual.global_jet(com, rels)
-    text = [
+    arrow = moved.vertical.arrow
+    return _emit(
+        out,
+        args.format,
+        [("vertical", e, v) for e, v in zip(arrow.dom, arrow.values)],
         f"jet comorphism over {moved.over.dom.name} -> {moved.over.cod.name}: "
-        f"{len(moved.vertical.arrow.dom)} -> {len(moved.vertical.arrow.cod)} vertical"
-    ]
-    records = []
-    for e in moved.vertical.arrow.dom:
-        records.append(("vertical", e, moved.vertical.arrow(e)))
-        text.append(f"  {e} -> {moved.vertical.arrow(e)}")
-    _emit(out, args.format, records, text)
-    return 0
+        f"{len(arrow.dom)} -> {len(arrow.cod)} vertical",
+        lambda row: f"  {row[1]} -> {row[2]}",
+    )
 
 
 def _cmd_check(args, out) -> int:

@@ -37,16 +37,17 @@ def _trusted(cls: type[_T], *fields) -> _T:
       canonical order), the witness map of `member` and the partial map of
       `stage_restrict`;
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
-      `jet_bundle` and `phi`, and the section of `restrict_jet`; the maps of
-      `classify` and `polynomial_iso`; `PhiContext.of`, which builds its own
-      pullback; `SectionJet._trusted`, which still runs the jet's shape
-      checks;
+      `phi` and `JetBundle.generic` (the generic section, built on first
+      use), and the section of `restrict_jet`; the maps of `classify` and
+      `polynomial_iso`; `PhiContext.of`, which builds its own pullback;
+      `SectionJet._trusted`, which still runs the jet's shape checks;
     - polyfun: the projection of `section_tables` (the projection of every
       jet bundle, jet fiber and dependent product), the map of
       `SectionTables.push_along` (the maps of `jet_on_vertical` and
       `dependent_product_map`), `slice_homs`, `compose_slice`,
-      `SliceMorphism.identity`, the counit of `dependent_product`, and the
-      slice morphisms of `pullback_vertical` and `dependent_product_map`;
+      `SliceMorphism.identity`, `DependentProduct.counit` (built on first
+      use), and the slice morphisms of `pullback_vertical` and
+      `dependent_product_map`;
     - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
       and `global_jet`, and the comorphisms of `identity_comorphism` and
       `cartesian_comorphism`, whose verticals start at the canonical

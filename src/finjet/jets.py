@@ -69,8 +69,8 @@ class SectionJet:
         callers: `enumerate_jets`, `nth_jet` and `phi`, which take the support
         from `monad`; `restrict_jet`, whose support is the change of stage of
         a jet's monad, which is the monad of the composite base; and
-        `JetBundle.generic_jet`, whose support `jet_bundle` built as the monad
-        of the projection.
+        `JetBundle.generic_jet`, whose support `JetBundle.generic` built as
+        the monad of the projection.
         """
         jet = _trusted(cls, relation, at, section)
         jet._check_shape()
@@ -222,13 +222,14 @@ class JetBundle:
     `sections` holds every jet table over the relation's columns, keyed in
     the relation's source order; its elements, named "(a0|hash-of-table)",
     are the `total`.  The generic section jet lives at stage `total` and
-    evaluates each element's own table.
+    evaluates each element's own table.  It is built on first use, because
+    its support, the monad of the projection, is larger than the bundle and
+    only the law checks read it; once built, it is kept.
     """
 
     relation: Relation  # from A to A0
     bundle: FinMap  # p: E -> A
     sections: SectionTables  # over the columns of the relation
-    generic: PartialSection  # of bundle, at stage total
 
     @property
     def total(self) -> FinSet:
@@ -237,6 +238,13 @@ class JetBundle:
     @property
     def projection(self) -> FinMap:
         return self.sections.projection
+
+    @cached_property
+    def generic(self) -> PartialSection:
+        """The generic section, of `bundle` at stage `total`."""
+        support = monad(self.relation, self.projection)
+        values = self.sections.evaluations(self.relation.over)
+        return _trusted_section(support, self.bundle, values)
 
     @cached_property
     def generic_jet(self) -> SectionJet:
@@ -253,10 +261,7 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
     """
     if p.cod != r.over:
         raise ShapeMismatch("bundle does not live over the relation's source")
-    sections = section_tables(f"J({p.dom.name})", r.stage, r.columns, p)
-    support = monad(r, sections.projection)
-    generic = _trusted_section(support, p, sections.evaluations(r.over))
-    return JetBundle(r, p, sections, generic)
+    return JetBundle(r, p, section_tables(f"J({p.dom.name})", r.stage, r.columns, p))
 
 
 def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:

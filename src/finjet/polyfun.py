@@ -202,16 +202,26 @@ class DependentProduct:
 
     The fiber of `result` at b is the set of sections of `input` over the
     `along`-fiber of b; `counit` evaluates a section at a point of that fiber.
+    The counit is built on first use, because its source, the canonical
+    pullback of `result` along d, is larger than the result and only the law
+    checks read it; once built, it is kept.
     """
 
     along: FinMap  # d: M -> B
     input: Bundle  # q over M
     sections: SectionTables  # over the fibers of d
-    counit: SliceMorphism  # d*(result) -> input, over M
 
     @property
     def result(self) -> Bundle:
         return Bundle(self.sections.projection)
+
+    @cached_property
+    def counit(self) -> SliceMorphism:
+        """d*(result) -> input, over M."""
+        sq = pullback(self.along, self.sections.projection)
+        values = self.sections.evaluations(self.along.dom)
+        arrow = _trusted(FinMap, sq.apex, self.input.total, values)
+        return _trusted(SliceMorphism, Bundle(sq.to_left), self.input, arrow)
 
 
 def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
@@ -220,10 +230,7 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
     sections = section_tables(
         f"sec({d.dom.name}->{d.cod.name};{q.total.name})", d.cod, d.fibers, q.map
     )
-    sq = pullback(d, sections.projection)
-    counit_arrow = _trusted(FinMap, sq.apex, q.total, sections.evaluations(d.dom))
-    counit = _trusted(SliceMorphism, Bundle(sq.to_left), q, counit_arrow)
-    return DependentProduct(d, q, sections, counit)
+    return DependentProduct(d, q, sections)
 
 
 def dependent_product_map(

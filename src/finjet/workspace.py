@@ -8,8 +8,11 @@ Line-oriented grammar, one declaration per line, '#' comments:
     bundle <name> = <mapname>
     graph <name> on <obj> { <id> -- <id> ... }
 
-Identifiers are whitespace-free and may contain parentheses and commas (the
-canonical pair names do); relation pairs are split at the top-level comma.
+Identifiers are whitespace-free.  An element is an atom, with none of
+`( ) , |`, or a canonical composite: a pair name `(<id>,<id>)` or a table
+label `(<id>|<10 lowercase hex digits>)`, recursively.  So two different
+pairs never share a name, and the elements finjet builds and serializes
+parse back.  Relation pairs are split at the top-level comma.
 """
 
 from __future__ import annotations
@@ -78,6 +81,58 @@ def _split_pair(token: str, line_no: int) -> tuple[str, str]:
     raise WorkspaceSyntaxError(f"pair {token!r} has no top-level comma", line_no)
 
 
+_RESERVED = "(),|"
+_HEX = frozenset("0123456789abcdef")
+
+
+def _has_reserved(text: str) -> bool:
+    """Whether text holds one of `( ) , |`: four substring scans, so atoms
+    cost almost nothing to check."""
+    return any(ch in text for ch in _RESERVED)
+
+
+def _is_element_name(token: str) -> bool:
+    """Whether token is an atom or a canonical composite (module docstring).
+
+    Read left to right with one flag per open composite, saying whether its
+    separator has been read, so nesting depth costs no recursion.
+    """
+    if not _has_reserved(token):
+        return bool(token)
+    after_sep: list[bool] = []
+    i, n = 0, len(token)
+    while True:
+        while token.startswith("(", i):
+            after_sep.append(False)
+            i += 1
+        start = i
+        while i < n and token[i] not in _RESERVED:
+            i += 1
+        if i == start:
+            return False
+        # An identifier ends at i: close the composites it completes.
+        while after_sep:
+            if after_sep[-1]:
+                if not token.startswith(")", i):
+                    return False
+                i += 1
+            elif token.startswith(",", i):
+                after_sep[-1] = True
+                i += 1
+                break  # read the pair's second identifier
+            elif (
+                token.startswith("|", i)
+                and _HEX.issuperset(token[i + 1 : i + 11])
+                and token.startswith(")", i + 11)
+            ):
+                i += 12
+            else:
+                return False
+            after_sep.pop()
+        else:
+            return i == n
+
+
 def parse_workspace(text: str) -> Workspace:
     ws = Workspace()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -117,6 +172,14 @@ def _resolve(ws: Workspace, table: dict, name: str, kind: str, line_no: int):
 def _parse_object(ws: Workspace, rest: str, line_no: int) -> None:
     head, body = _brace_body(rest, line_no)
     elements = tuple(body.split())
+    if _has_reserved(body):
+        for token in elements:
+            if not _is_element_name(token):
+                raise WorkspaceSyntaxError(
+                    f"{token!r} is not an element name: use an atom without ( ) , | "
+                    "or a composite (x,y) or (x|<10 lowercase hex digits>)",
+                    line_no,
+                )
     if len(set(elements)) != len(elements):
         raise WorkspaceSyntaxError("duplicate element in object", line_no)
     _declare(ws.objects, head, FinSet(head, elements), "object", line_no)

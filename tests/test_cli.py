@@ -271,6 +271,50 @@ def test_parse_error_exits_2(tmp_path):
     assert code == 2
 
 
+def test_colliding_pair_names_are_a_parse_error(tmp_path, capsys):
+    # "a,b" paired with "a" and "a" paired with "b,c" would both be named
+    # "(a,b,c)" in pb(A,B); the grammar refuses such element names.
+    path = tmp_path / "coll.ws"
+    path.write_text(
+        "object A { a,b a }\n"
+        "object B { c b,c }\n"
+        "object C { z }\n"
+        "map f : A -> C { a,b -> z ; a -> z }\n"
+        "map g : B -> C { c -> z ; b,c -> z }\n"
+    )
+    code, text = run(["-w", str(path), "pullback", "--left", "f", "--right", "g"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: line 1: 'a,b' is not an element name")
+
+
+def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch, tmp_path):
+    from finjet.jets import JetBundle
+    from finjet.polyfun import DependentProduct
+
+    path = tmp_path / "p3_id.ws"
+    path.write_text(Path(FIXTURE).read_text() + "map id : A -> A { a -> a ; b -> b ; c -> c }\n")
+    commands = [
+        ["jetbundle", "--relation", "R", "--bundle", "p"],
+        ["polyjet", "--relation", "R", "--bundle", "p"],
+        ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+    ]
+    argvs = [
+        ["-w", str(path), "--format", format_, *command]
+        for format_ in ("text", "records")
+        for command in commands
+    ]
+    expected = [run(argv) for argv in argvs]
+
+    def refuse(self):
+        raise RuntimeError("a data command built a structure it does not print")
+
+    monkeypatch.setattr(JetBundle, "generic", property(refuse))
+    monkeypatch.setattr(DependentProduct, "counit", property(refuse))
+    assert [run(argv) for argv in argvs] == expected
+    assert all(code == 0 for code, _ in expected)
+
+
 def test_check_single_suite_deterministic():
     args = ["check", "--suite", "fiber-count", "--seed", "7", "--trials", "20"]
     code1, text1 = run(args)

@@ -44,6 +44,7 @@ from finjet.relations import (
     RelationMorphism,
     ball_relation,
     check_preserves,
+    monad,
 )
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
@@ -548,6 +549,26 @@ def test_nth_jet_empty_monad_and_empty_fiber():
         nth_jet(R, point(A, "a"), no_b, 0)
     with pytest.raises(ShapeMismatch):
         nth_jet(R, point(A, "a"), FinMap.identity(E), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RELATION_KINDS), st.integers(0, 2))
+def test_generic_jet_is_built_on_first_use(seed, kind, max_fiber):
+    rng = random.Random(seed)
+    # Empty sources and fibers of size 0 occur, so some bundles are empty.
+    a = rand_finset(rng, "A", 3)
+    rel = _relation(kind, rng, a)
+    p = rand_bundle(rng, a, max_fiber).map
+    jb = jet_bundle(rel, p)
+    assert "generic" not in vars(jb) and "generic_jet" not in vars(jb)
+    generic_jet = jb.generic_jet
+    # Rebuilt by the checked constructors, which recompute the monad and
+    # read each value off its element's table.
+    support = monad(rel, jb.projection)
+    values = tuple(jb.sections.table_of(t)[x] for x, t in support.pairs)
+    section = kripke.PartialSection(kripke.PartialMapAtStage(support, p.dom, values), p)
+    assert generic_jet == SectionJet(rel, jb.projection, section)
+    assert jb.generic_jet is generic_jet and jb.generic is generic_jet.section
 
 
 FIXTURE_WS = parse_workspace(

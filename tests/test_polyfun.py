@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
-from finjet.instances import fixture_p3_parts
+from finjet.instances import fixture_p3_parts, rand_bundle, rand_finset, rand_map
 from finjet.polyfun import (
     Bundle,
     SliceMorphism,
@@ -118,6 +121,33 @@ def test_dependent_product_counit_evaluates():
         m = sq.to_left(x)
         el = sq.to_right(x)
         assert dp.counit.arrow(x) == dp.sections.table_of(el)[m]
+
+
+def _checked_counit(dp):
+    """The counit d*(result) -> input of dp, rebuilt by the checked
+    constructors from the canonical pullback and the section tables."""
+    sq = pullback(dp.along, dp.result.map)
+    values = tuple(dp.sections.table_of(sq.to_right(x))[sq.to_left(x)] for x in sq.apex)
+    return SliceMorphism(Bundle(sq.to_left), dp.input, FinMap(sq.apex, dp.input.total, values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_counit_is_built_on_first_use(seed, max_fiber, polynomial):
+    rng = random.Random(seed)
+    # Empty bases and fibers of size 0 occur, so some products are empty.
+    b = rand_finset(rng, "B", 3)
+    m = rand_finset(rng, "M", 3 if len(b) else 0)
+    d = rand_map(rng, m, b)
+    if polynomial:
+        a = rand_finset(rng, "A", 3, min_size=1)
+        dp = polynomial_product(rand_map(rng, m, a), d, rand_bundle(rng, a, max_fiber))
+    else:
+        dp = dependent_product(d, rand_bundle(rng, m, max_fiber))
+    assert "counit" not in vars(dp)
+    counit = dp.counit
+    assert counit == _checked_counit(dp)
+    assert dp.counit is counit
 
 
 def test_dependent_product_functorial():

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finjet.errors import (
     DuplicateName,
@@ -8,8 +10,11 @@ from finjet.errors import (
     UnknownReference,
     WorkspaceSyntaxError,
 )
+from finjet.finset import FinMap, FinSet, pair_name
 from finjet.instances import fixture_p3
-from finjet.workspace import parse_workspace, serialize_workspace
+from finjet.polyfun import Bundle
+from finjet.relations import Relation
+from finjet.workspace import Workspace, parse_workspace, serialize_workspace
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws"
 
@@ -111,4 +116,60 @@ def test_roundtrip_twice_is_stable():
 def test_roundtrip_empty_bodies():
     text = "object N { }\nobject A { x }\nrelation R : N ~ A { }\n"
     ws = parse_workspace(text)
+    assert parse_workspace(serialize_workspace(ws)) == ws
+
+
+DEEP = 3000  # nesting beyond Python's default recursion limit
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a", "*", "v1.e0", "(a,b)", "((a,b),c)", "(a|0123456789)", "((a,b)|abcdef0123)",
+     "(((a|0123456789),(b,c))|ffffffffff)",
+     pytest.param("(" * DEEP + "a" + ",b)" * DEEP, id="deep")],
+)
+def test_element_names_in_the_grammar_parse(name):
+    assert parse_workspace(f"object A {{ {name} }}\n").objects["A"].elements == (name,)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a,b", "(a,b", "a)", "(a)", "()", "(,a)", "(a,)", "(a,b,c)", "a|b", "(a,b)c", "c(a,b)",
+     "(a,b)(c,d)", "(a|012345678)", "(a|0123456789a)", "(a|ABCDEF0123)", "(a|0123456789,b)",
+     "(a||0123456789)", pytest.param("(" * DEEP + "a" + ",b)" * (DEEP - 1), id="deep-unclosed")],
+)
+def test_element_names_outside_the_grammar_are_syntax_errors(name):
+    with pytest.raises(WorkspaceSyntaxError) as err:
+        parse_workspace(f"object A {{ x }}\nobject B {{ y {name} }}\n")
+    assert err.value.line == 2
+
+
+_ATOMS = st.text("abxyz019.*_", min_size=1, max_size=3)
+_DIGESTS = st.text("0123456789abcdef", min_size=10, max_size=10)
+_NAMES = st.recursive(
+    _ATOMS,
+    lambda ids: st.one_of(
+        st.builds(pair_name, ids, ids),
+        st.builds(lambda anchor, digest: f"({anchor}|{digest})", ids, _DIGESTS),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_NAMES, unique=True, max_size=5),
+    st.lists(_NAMES, unique=True, min_size=1, max_size=4),
+    st.data(),
+)
+def test_roundtrip_composite_names(a_names, c_names, data):
+    a, c = FinSet("A", tuple(a_names)), FinSet("C", tuple(c_names))
+    f = FinMap(a, c, tuple(data.draw(st.sampled_from(c_names)) for _ in a_names))
+    pairs = [(x, z) for x in a_names for z in c_names if data.draw(st.booleans())]
+    ws = Workspace(
+        objects={"A": a, "C": c},
+        maps={"f": f},
+        relations={"R": Relation.from_pairs(a, c, pairs)},
+        bundles={"p": Bundle(f)},
+    )
     assert parse_workspace(serialize_workspace(ws)) == ws

@@ -173,3 +173,48 @@ def test_roundtrip_composite_names(a_names, c_names, data):
         bundles={"p": Bundle(f)},
     )
     assert parse_workspace(serialize_workspace(ws)) == ws
+
+
+_MALFORMED_HEAD = "object A { a b (a,b) }\nobject B { x y }\n"
+
+
+@pytest.mark.parametrize(
+    "declaration, error, message",
+    [
+        ("relation R : A ~ B { (a,b }", WorkspaceSyntaxError, "expected a pair, got '(a,b'"),
+        ("relation R : A ~ B { a,b) }", WorkspaceSyntaxError, "expected a pair, got 'a,b)'"),
+        ("relation R : A ~ B { (ab) }", WorkspaceSyntaxError, "pair '(ab)' has no top-level comma"),
+        ("relation R : A ~ B { () }", WorkspaceSyntaxError, "pair '()' has no top-level comma"),
+        ("relation R : A ~ B { (a,b,c) }", UnknownReference, "'b,c' is not in object 'B'"),
+        ("relation R : A ~ B { (a),b) }", WorkspaceSyntaxError,
+         "pair '(a),b)' has no top-level comma"),
+        ("relation R : A ~ B { ((a,b),c) }", UnknownReference, "'c' is not in object 'B'"),
+        ("relation R : A ~ B { ((b,a),x) }", UnknownReference, "'(b,a)' is not in object 'A'"),
+        ("relation R : A ~ B { (a,x)(b,y) }", UnknownReference, "'x)(b,y' is not in object 'B'"),
+        ("relation R : A ~ B { (z,x) }", UnknownReference, "'z' is not in object 'A'"),
+        ("relation R : A ~ B { (a,z) }", UnknownReference, "'z' is not in object 'B'"),
+        ("relation R : A ~ B { (,x) }", UnknownReference, "'' is not in object 'A'"),
+        ("relation R : A ~ B { (a,) }", UnknownReference, "'' is not in object 'B'"),
+        ("relation R : A ~ B { (a,x) (q,y) }", UnknownReference, "'q' is not in object 'A'"),
+        ("map f : A -> B { a b }", WorkspaceSyntaxError, "map entry 'a b' needs '->'"),
+        ("map f : A -> B { a -> b -> c }", UnknownReference, "'b -> c' is not in object 'B'"),
+        ("map f : A -> B { ;; }", NonTotalMap, "element 'a' has no assignment"),
+        ("map f : A -> B { z -> x }", UnknownReference, "'z' is not in object 'A'"),
+        ("map f : A -> B { a -> x ; b -> q }", UnknownReference, "'q' is not in object 'B'"),
+        ("map f : A -> B { -> x }", UnknownReference, "'' is not in object 'A'"),
+        ("map f : A -> B { a -> }", UnknownReference, "'' is not in object 'B'"),
+        ("map f : A -> B { a -> x ; a -> y }", NonTotalMap, "element 'a' assigned twice"),
+        ("graph g on A { a -- z }", UnknownReference, "'z' is not in object 'A'"),
+    ],
+)
+def test_malformed_bodies_raise_pinned_errors(declaration, error, message):
+    with pytest.raises(error) as err:
+        parse_workspace(_MALFORMED_HEAD + declaration + "\n")
+    assert type(err.value) is error
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {message}"
+
+
+def test_map_entries_tolerate_blank_entries_and_tight_arrows():
+    ws = parse_workspace(_MALFORMED_HEAD + "map f : A -> B { a->x ;; b -> x ; (a,b)->y ; }\n")
+    assert ws.maps["f"].table == {"a": "x", "b": "x", "(a,b)": "y"}

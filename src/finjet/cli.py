@@ -7,6 +7,7 @@ error (an exception that is a bug in finjet, reported as one line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import IO, Callable, Optional
 
@@ -16,7 +17,10 @@ from .finset import compose, element, pullback
 from .workspace import Workspace, parse_workspace
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="finjet",
         description="Finite-set stage semantics and section-jet bundles.",

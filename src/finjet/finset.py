@@ -36,6 +36,8 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `change_of_stage`, and so every `monad`, and `counterimage` emit in
       canonical order), the witness map of `member` and the partial map of
       `stage_restrict`;
+    - relations: the morphism of `check_preserves`, which first runs the
+      constructor's shape and preservation checks itself;
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
       `phi` and `JetBundle.generic` (the generic section, built on first
       use), and the section of `restrict_jet`; the maps of `classify` and
@@ -72,7 +74,7 @@ def table_label(anchor: str, entries: tuple[tuple[str, str], ...]) -> str:
     Entries must already be in canonical order.  Collisions are caught by the
     uniqueness check of the FinSet the labels end up in.
     """
-    blob = ";".join(f"{k}:{v}" for k, v in entries)
+    blob = ";".join(map(":".join, entries))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
     return f"({anchor}|{digest})"
 
@@ -126,8 +128,9 @@ class FinMap:
     def __post_init__(self):
         if len(self.values) != len(self.dom):
             raise ValueError("map table does not cover the domain")
+        index = self.cod.index
         for v in self.values:
-            if v not in self.cod:
+            if v not in index:
                 raise ValueError(f"value {v!r} not in codomain {self.cod.name!r}")
 
     @classmethod

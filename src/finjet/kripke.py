@@ -77,9 +77,12 @@ class SubobjectAtStage:
     def from_pairs(
         cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
     ) -> "SubobjectAtStage":
-        """The distinct pairs, sorted into canonical form."""
-        oi, si = over.index, stage.index
-        return cls(over, stage, tuple(sorted(set(pairs), key=lambda p: (oi[p[0]], si[p[1]]))))
+        """The distinct pairs, sorted into canonical form: each pair keyed by
+        its one integer position (index in over) * len(stage) + (index in
+        stage), which dedups and orders it."""
+        oi, si, width = over.index, stage.index, len(stage)
+        keyed = {oi[a] * width + si[x]: (a, x) for a, x in pairs}
+        return cls(over, stage, tuple(map(keyed.__getitem__, sorted(keyed))))
 
     @classmethod
     def _from_stage_major(

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, compose, element
+from .finset import FinMap, FinSet, _trusted, compose, element
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -124,9 +124,11 @@ def check_preserves(
         raise ShapeMismatch("maps do not start at the source relation's ends")
     if f.cod != rel_dst.over or f0.cod != rel_dst.stage:
         raise ShapeMismatch("maps do not end at the target relation's ends")
-    if not all((f(a), f0(a0)) in rel_dst.pair_set for a, a0 in rel_src.pairs):
+    image, image0, dst_pairs = f.table, f0.table, rel_dst.pair_set
+    if not all((image[a], image0[a0]) in dst_pairs for a, a0 in rel_src.pairs):
         return None
-    return RelationMorphism(f, f0, rel_src, rel_dst)
+    # The checks above are the constructor's, so it need not run them again.
+    return _trusted(RelationMorphism, f, f0, rel_src, rel_dst)
 
 
 def ball_relation(adjacency: Relation, radius: int) -> EndoRelation:

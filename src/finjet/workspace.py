@@ -67,17 +67,24 @@ def _brace_body(rest: str, line_no: int) -> tuple[str, str]:
 
 
 def _split_pair(token: str, line_no: int) -> tuple[str, str]:
+    """Split "(a,b)" at its top-level comma: one `partition` when the inner
+    text holds no parenthesis, else a scan that tracks the nesting depth."""
     if not (token.startswith("(") and token.endswith(")")):
         raise WorkspaceSyntaxError(f"expected a pair, got {token!r}", line_no)
     inner = token[1:-1]
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return inner[:i], inner[i + 1 :]
+    if "(" not in inner and ")" not in inner:
+        a, comma, b = inner.partition(",")
+        if comma:
+            return a, b
+    else:
+        depth = 0
+        for i, ch in enumerate(inner):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                return inner[:i], inner[i + 1 :]
     raise WorkspaceSyntaxError(f"pair {token!r} has no top-level comma", line_no)
 
 
@@ -194,22 +201,26 @@ def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
     dom_name, _, cod_name = ends.partition("->")
     dom = _resolve(ws, ws.objects, dom_name.strip(), "object", line_no)
     cod = _resolve(ws, ws.objects, cod_name.strip(), "object", line_no)
+    dom_index, cod_index = dom.index, cod.index
     table: dict[str, str] = {}
-    for entry in filter(None, (e.strip() for e in body.split(";"))):
-        if "->" not in entry:
-            raise WorkspaceSyntaxError(f"map entry {entry!r} needs '->'", line_no)
-        src, _, dst = entry.partition("->")
+    for entry in body.split(";"):
+        src, arrow, dst = entry.partition("->")
+        if not arrow:
+            entry = entry.strip()
+            if entry:
+                raise WorkspaceSyntaxError(f"map entry {entry!r} needs '->'", line_no)
+            continue
         src, dst = src.strip(), dst.strip()
-        if src not in dom:
+        if src not in dom_index:
             raise UnknownReference(f"{src!r} is not in object {dom.name!r}", line_no)
-        if dst not in cod:
+        if dst not in cod_index:
             raise UnknownReference(f"{dst!r} is not in object {cod.name!r}", line_no)
         if src in table:
             raise NonTotalMap(f"element {src!r} assigned twice", line_no)
         table[src] = dst
-    missing = [e for e in dom if e not in table]
-    if missing:
-        raise NonTotalMap(f"element {missing[0]!r} has no assignment", line_no)
+    if len(table) != len(dom):
+        missing = next(e for e in dom if e not in table)
+        raise NonTotalMap(f"element {missing!r} has no assignment", line_no)
     _declare(ws.maps, name, FinMap.from_table(dom, cod, table), "map", line_no)
 
 
@@ -222,12 +233,13 @@ def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
     src_name, _, dst_name = ends.partition("~")
     src = _resolve(ws, ws.objects, src_name.strip(), "object", line_no)
     dst = _resolve(ws, ws.objects, dst_name.strip(), "object", line_no)
+    src_index, dst_index = src.index, dst.index
     pairs = []
     for token in body.split():
         a, b = _split_pair(token, line_no)
-        if a not in src:
+        if a not in src_index:
             raise UnknownReference(f"{a!r} is not in object {src.name!r}", line_no)
-        if b not in dst:
+        if b not in dst_index:
             raise UnknownReference(f"{b!r} is not in object {dst.name!r}", line_no)
         pairs.append((a, b))
     _declare(
@@ -244,13 +256,14 @@ def _parse_graph(ws: Workspace, rest: str, line_no: int) -> None:
     tokens = body.split()
     if len(tokens) % 3 != 0:
         raise WorkspaceSyntaxError("graph body must be '<id> -- <id>' edges", line_no)
+    index = carrier.index
     pairs = []
     for i in range(0, len(tokens), 3):
         a, dashes, b = tokens[i : i + 3]
         if dashes != "--":
             raise WorkspaceSyntaxError(f"expected '--', got {dashes!r}", line_no)
         for v in (a, b):
-            if v not in carrier:
+            if v not in index:
                 raise UnknownReference(
                     f"{v!r} is not in object {carrier.name!r}", line_no
                 )
@@ -274,26 +287,31 @@ def _parse_bundle(ws: Workspace, rest: str, line_no: int) -> None:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    lines = []
+    """The workspace as text that parses back.  Headers name each object by
+    the first key it is declared under in `ws.objects` (its FinSet name when
+    it is declared under none), since the parser names objects by key."""
+    keys: dict[FinSet, str] = {}
     for name, obj in ws.objects.items():
-        lines.append(f"object {name} {{ {' '.join(obj.elements)} }}".replace("{  }", "{ }"))
-    for name, fmap in ws.maps.items():
+        keys.setdefault(obj, name)
+
+    def key(obj: FinSet) -> str:
+        return keys.get(obj, obj.name)
+
+    def map_line(name: str, fmap: FinMap) -> str:
         entries = " ; ".join(f"{k} -> {v}" for k, v in zip(fmap.dom.elements, fmap.values))
-        lines.append(f"map {name} : {fmap.dom.name} -> {fmap.cod.name} {{ {entries} }}".replace("{  }", "{ }"))
+        return f"map {name} : {key(fmap.dom)} -> {key(fmap.cod)} {{ {entries} }}"
+
+    lines = [f"object {name} {{ {' '.join(obj.elements)} }}" for name, obj in ws.objects.items()]
+    lines += [map_line(name, fmap) for name, fmap in ws.maps.items()]
     for name, rel in ws.relations.items():
         pairs = " ".join(f"({a},{b})" for a, b in rel.pairs)
-        lines.append(f"relation {name} : {rel.over.name} ~ {rel.stage.name} {{ {pairs} }}".replace("{  }", "{ }"))
+        lines.append(f"relation {name} : {key(rel.over)} ~ {key(rel.stage)} {{ {pairs} }}")
     for name, bundle in ws.bundles.items():
         map_name = next(
             (n for n, m in ws.maps.items() if m == bundle.map), None
         )
         if map_name is None:
             map_name = f"__bundle_{name}"
-            entries = " ; ".join(
-                f"{k} -> {v}" for k, v in zip(bundle.map.dom.elements, bundle.map.values)
-            )
-            lines.append(
-                f"map {map_name} : {bundle.map.dom.name} -> {bundle.map.cod.name} {{ {entries} }}".replace("{  }", "{ }")
-            )
+            lines.append(map_line(map_name, bundle.map))
         lines.append(f"bundle {name} = {map_name}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(line.replace("{  }", "{ }") for line in lines) + "\n"

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from finjet.finset import FinMap, FinSet
+from finjet.finset import FinMap, FinSet, pair_name
 
 
 def shuffled_finsets(name, max_size=4):
@@ -17,3 +17,17 @@ def shuffled_finsets(name, max_size=4):
 def maps_into(draw, name, cod):
     dom = draw(shuffled_finsets(name, 4 if len(cod) else 0))
     return FinMap(dom, cod, draw(st.tuples(*(st.sampled_from(cod.elements) for _ in dom))))
+
+
+# Element names of the workspace grammar: atoms, and the composites
+# (x,y) and (x|<10 lowercase hex digits>), recursively.
+_ATOMS = st.text("abxyz019.*_", min_size=1, max_size=3)
+_DIGESTS = st.text("0123456789abcdef", min_size=10, max_size=10)
+element_names = st.recursive(
+    _ATOMS,
+    lambda ids: st.one_of(
+        st.builds(pair_name, ids, ids),
+        st.builds(lambda anchor, digest: f"({anchor}|{digest})", ids, _DIGESTS),
+    ),
+    max_leaves=6,
+)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import io
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finjet
 
@@ -16,7 +19,9 @@ from finjet.cli import main
 from finjet.finset import FinMap, FinSet, pullback
 from finjet.instances import complete_graph_workspace, path_graph_workspace
 from finjet.polyfun import Bundle
+from finjet.relations import Relation
 from finjet.workspace import Workspace, parse_workspace, serialize_workspace
+from strategies import element_names
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws")
 
@@ -490,6 +495,34 @@ def test_data_commands_do_not_load_the_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """The parser is built once per process.  A usage error, --help and the
+    same command twice, in one process, print what fresh processes print."""
+    import finjet.cli as cli
+
+    src = Path(finjet.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    entry = "import sys; from finjet.cli import main; sys.exit(main())"
+    classify = ["-w", FIXTURE, "classify", "--relation", "R", "--bundle", "p", "--point", "b",
+                "--index", "2"]
+    calls = [["-w", FIXTURE, "classify", "--relation", "R"], ["--help"], classify, classify]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = {}
+    for argv in calls:
+        if tuple(argv) not in fresh:
+            done = subprocess.run([sys.executable, "-c", entry, *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+    assert in_process[1][1] == cli._build_parser.__wrapped__().format_help()
+    assert cli._build_parser() is cli._build_parser()
+    assert in_process == [fresh[tuple(argv)] for argv in calls]
+
+
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     import finjet.cli as cli
 
@@ -769,5 +802,107 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
     assert [run(argv) for argv in commands] == expected
     assert checked == {
         "FinMap", "SubobjectAtStage", "PartialMapAtStage", "PartialSection",
-        "SectionJet", "PhiContext", "SliceMorphism", "Comorphism",
+        "SectionJet", "PhiContext", "SliceMorphism", "Comorphism", "RelationMorphism",
     }
+
+
+# Relation tokens and map entries, most of them malformed, from two drawn names.
+_FUZZ_BAD_LINES = [
+    "relation Bad : A ~ B {{ ({x},{y} }}",
+    "relation Bad : A ~ B {{ {x},{y}) }}",
+    "relation Bad : A ~ B {{ ({x}{y}) }}",
+    "relation Bad : A ~ B {{ ({x},{y},{x}) }}",
+    "relation Bad : A ~ B {{ ({x}),{y}) }}",
+    "relation Bad : A ~ B {{ (({x},{y}),{y}) }}",
+    "relation Bad : A ~ B {{ ({x},{y}) }}",
+    "map bad : A -> B {{ {x} {y} }}",
+    "map bad : A -> B {{ {x} -> {y} -> {x} }}",
+    "map bad : A -> B {{ ;; }}",
+    "map bad : A -> B {{ {x} -> {y} }}",
+    "object Bad {{ {x},{y} }}",
+]
+
+
+@st.composite
+def _fuzz_workspaces(draw):
+    """A workspace whose keys are its objects' names: objects A, B and E,
+    maps f: A -> B, id: A -> A and p: E -> A, an endo-relation R on A, a
+    relation S from A to B, and the bundle p."""
+    names = draw(st.lists(element_names, unique=True, min_size=2, max_size=8))
+    cut_a = draw(st.integers(1, len(names) - 1))
+    cut_b = draw(st.integers(cut_a + 1, len(names)))
+    a = FinSet("A", tuple(names[:cut_a]))
+    b = FinSet("B", tuple(names[cut_a:cut_b]))
+    e = FinSet("E", tuple(names[cut_b:]))
+
+    def some_map(dom, cod):
+        return FinMap(dom, cod, tuple(draw(st.sampled_from(cod.elements)) for _ in dom))
+
+    def some_relation(over, stage):
+        pairs = [(x, y) for x in over for y in stage if draw(st.booleans())]
+        return Relation.from_pairs(over, stage, pairs)
+
+    p = some_map(e, a)
+    return Workspace(
+        objects={"A": a, "B": b, "E": e},
+        maps={"f": some_map(a, b), "id": FinMap.identity(a), "p": p},
+        relations={"R": some_relation(a, a), "S": some_relation(a, b)},
+        bundles={"p": Bundle(p)},
+    )
+
+
+@st.composite
+def _fuzz_commands(draw, ws):
+    """One call of each of the 8 data commands, with declared and undeclared
+    names, points and indexes.  Each name is the one that fits the command
+    (R, p, id) with probability about 1/2, so most commands also succeed."""
+    def pick(table, fit):
+        return draw(st.sampled_from([fit] * (len(table) + 1) + [*table, "nosuch"]))
+
+    points = [x for obj in ws.objects.values() for x in obj] + ["zz"]
+
+    def point():
+        return draw(st.sampled_from(points))
+
+    def index():
+        return f"--index={draw(st.integers(-1, 5))}"
+
+    rel, maps, bundles = ws.relations, ws.maps, ws.bundles
+    monad_at = ["--at", pick(maps, "id")] if draw(st.booleans()) else ["--point", point()]
+    vertical = ["--vertical", pick(maps, "p"), "--src-bundle", pick(bundles, "p")]
+    return [
+        ["pullback", "--left", pick(maps, "p"), "--right", pick(maps, "id")],
+        ["monad", "--relation", pick(rel, "R"), *monad_at],
+        ["jets", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p"), "--point", point()],
+        ["jetbundle", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p")],
+        ["classify", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p"),
+         "--point", point(), index()],
+        ["phi", "--relation-src", pick(rel, "R"), "--relation-dst", pick(rel, "R"),
+         "--map", pick(maps, "id"), "--map0", pick(maps, "id"), "--bundle", pick(bundles, "p"),
+         "--point", point(), index()],
+        ["polyjet", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p")],
+        ["dualjet", "--relation-src", pick(rel, "R"), "--relation-dst", pick(rel, "R"),
+         "--map", pick(maps, "id"), "--bundle", pick(bundles, "p"),
+         *(vertical if draw(st.booleans()) else [])],
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fuzz_workspaces(), st.data())
+def test_fuzzed_workspaces_and_commands_exit_0_or_2(tmp_path_factory, ws, data):
+    assert parse_workspace(serialize_workspace(ws)) == ws
+    text = serialize_workspace(ws)
+    if data.draw(st.booleans()):
+        x, y = data.draw(element_names), data.draw(element_names)
+        text += data.draw(st.sampled_from(_FUZZ_BAD_LINES)).format(x=x, y=y) + "\n"
+    path = tmp_path_factory.mktemp("fuzz") / "ws.ws"
+    path.write_text(text)
+    for argv in data.draw(_fuzz_commands(ws)):
+        for format_ in ("text", "records"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(["-w", str(path), "--format", format_, *argv])
+            assert code in (0, 2), (argv, err.getvalue())
+            assert err.getvalue().count("\n") == (code == 2), (argv, err.getvalue())
+            if code == 2:
+                assert out == "" and err.getvalue().startswith("error: ")

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ from finjet.errors import (
     UnknownReference,
     WorkspaceSyntaxError,
 )
-from finjet.finset import FinMap, FinSet, pair_name
-from finjet.instances import fixture_p3
+from finjet.finset import FinMap, FinSet
+from finjet.instances import fixture_p3, rand_bundle
 from finjet.polyfun import Bundle
 from finjet.relations import Relation
 from finjet.workspace import Workspace, parse_workspace, serialize_workspace
+from strategies import element_names
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws"
 
@@ -144,22 +146,10 @@ def test_element_names_outside_the_grammar_are_syntax_errors(name):
     assert err.value.line == 2
 
 
-_ATOMS = st.text("abxyz019.*_", min_size=1, max_size=3)
-_DIGESTS = st.text("0123456789abcdef", min_size=10, max_size=10)
-_NAMES = st.recursive(
-    _ATOMS,
-    lambda ids: st.one_of(
-        st.builds(pair_name, ids, ids),
-        st.builds(lambda anchor, digest: f"({anchor}|{digest})", ids, _DIGESTS),
-    ),
-    max_leaves=6,
-)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(_NAMES, unique=True, max_size=5),
-    st.lists(_NAMES, unique=True, min_size=1, max_size=4),
+    st.lists(element_names, unique=True, max_size=5),
+    st.lists(element_names, unique=True, min_size=1, max_size=4),
     st.data(),
 )
 def test_roundtrip_composite_names(a_names, c_names, data):
@@ -218,3 +208,33 @@ def test_malformed_bodies_raise_pinned_errors(declaration, error, message):
 def test_map_entries_tolerate_blank_entries_and_tight_arrows():
     ws = parse_workspace(_MALFORMED_HEAD + "map f : A -> B { a->x ;; b -> x ; (a,b)->y ; }\n")
     assert ws.maps["f"].table == {"a": "x", "b": "x", "(a,b)": "y"}
+
+
+def test_headers_name_objects_by_their_workspace_key():
+    # rand_bundle names its total set "Ae"; the workspace declares it as "E".
+    a = FinSet("A", ("a", "b"))
+    p = rand_bundle(random.Random(3), a, 2, min_fiber=1)
+    assert p.total.name == "Ae"
+    ws = Workspace(objects={"A": a, "E": p.total}, maps={"p": p.map})
+    text = serialize_workspace(ws)
+    assert "map p : E -> A {" in text
+    parsed = parse_workspace(text)
+    assert parsed.objects["E"].elements == p.total.elements
+    assert parsed.maps["p"].values == p.map.values
+    assert serialize_workspace(parsed) == text
+
+
+def test_relation_and_bundle_headers_name_objects_by_key():
+    a = FinSet("A", ("a", "b"))
+    p = rand_bundle(random.Random(5), a, 2, min_fiber=1)
+    ws = Workspace(
+        objects={"A": a, "E": p.total},
+        relations={"R": Relation.from_pairs(p.total, a, [(p.total.elements[0], "a")])},
+        bundles={"q": p},
+    )
+    text = serialize_workspace(ws)
+    assert "relation R : E ~ A {" in text
+    assert "map __bundle_q : E -> A {" in text
+    parsed = parse_workspace(text)
+    assert parsed.relations["R"].pairs == ws.relations["R"].pairs
+    assert parsed.bundles["q"].map.values == p.map.values

@@ -806,7 +806,7 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
     }
 
 
-# Relation tokens and map entries, most of them malformed, from two drawn names.
+# Relation, map and object lines around two drawn names, most of them malformed.
 _FUZZ_BAD_LINES = [
     "relation Bad : A ~ B {{ ({x},{y} }}",
     "relation Bad : A ~ B {{ {x},{y}) }}",
@@ -890,6 +890,8 @@ def _fuzz_commands(draw, ws):
 @settings(max_examples=50, deadline=None)
 @given(_fuzz_workspaces(), st.data())
 def test_fuzzed_workspaces_and_commands_exit_0_or_2(tmp_path_factory, ws, data):
+    """Every data command on any workspace, well formed or not, succeeds or
+    fails with one `error:` line on stderr and exit 2, never exit 3."""
     assert parse_workspace(serialize_workspace(ws)) == ws
     text = serialize_workspace(ws)
     if data.draw(st.booleans()):

@@ -117,7 +117,8 @@ def _emit(
         lines = ["\t".join(row) for row in rows]
     else:
         lines = [header, *map(render, rows)] if render else [header]
-    out.write("".join(f"{line}\n" for line in lines))
+    # The final "" ends the last line without a second copy of the text.
+    out.write("\n".join([*lines, ""]))
     return 0
 
 
@@ -189,8 +190,14 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     jb = jets.jet_bundle(rel, bundle.map)
     sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.stage)
+    # A table lists its base point's column in relation order; its row lists
+    # the column sorted, and that order is found once per base point.
+    order = {
+        a0: sorted(range(len(column)), key=column.__getitem__)
+        for a0, column in jb.sections.fibers.items()
+    }
     rows = [
-        ("element", t, a0, " ".join(map("->".join, sorted(tab))))
+        ("element", t, a0, " ".join([f"{tab[i][0]}->{tab[i][1]}" for i in order[a0]]))
         for t, a0, tab in jb.sections.entries()
     ]
     return _emit(

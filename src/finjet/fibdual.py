@@ -13,8 +13,17 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
-from .finset import FinMap, FinSet, Span, _trusted, compose, pair_name, pullback
-from .jets import jet_bundle
+from .finset import (
+    FinMap,
+    FinSet,
+    PullbackResult,
+    Span,
+    _trusted,
+    compose,
+    pair_name,
+    pullback,
+)
+from .jets import JetBundle, jet_bundle
 from .kripke import canonicalize
 from .polyfun import (
     Bundle,
@@ -132,8 +141,14 @@ def generic_section_vertical(
     """
     if jb is None:
         jb = jet_bundle(canonicalize(Span(c, d)), p.map)
-    sq_d = pullback(d, jb.projection)
-    sq_c = pullback(c, p.map)
+    return _generic_section_on(c, jb, pullback(d, jb.projection), pullback(c, p.map))
+
+
+def _generic_section_on(
+    c: FinMap, jb: JetBundle, sq_d: PullbackResult, sq_c: PullbackResult
+) -> SliceMorphism:
+    """`generic_section_vertical` on the squares d*(J(p)) and c*(p), built
+    by the caller."""
     values = []
     for x in sq_d.apex:
         m = sq_d.to_left(x)
@@ -176,9 +191,10 @@ def distributivity_terminal(
     """
     relation = canonicalize(Span(c, d))
     jb = jet_bundle(relation, p.map)
-    epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)
     sq_eps = pullback(d, jb.projection)
-    pulled_c = Bundle(pullback(c, p.map).to_left)
+    sq_c = pullback(c, p.map)
+    epsilon = candidate if candidate is not None else _generic_section_on(c, jb, sq_eps, sq_c)
+    pulled_c = Bundle(sq_c.to_left)
     if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
     eps = epsilon.arrow.table

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, TypeVar
+from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CompositionMismatch, NotCommuting, NotJointlyMonic
 
@@ -41,15 +41,17 @@ def _trusted(cls: type[_T], *fields) -> _T:
     - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
       `phi` and `JetBundle.generic` (the generic section, built on first
       use), and the section of `restrict_jet`; the maps of `classify` and
-      `polynomial_iso`; `PhiContext.of`, which builds its own pullback;
+      `polynomial_product_iso`; `PhiContext.of`, which builds its own pullback;
       `SectionJet._trusted`, which still runs the jet's shape checks;
     - polyfun: the projection of `section_tables` (the projection of every
       jet bundle, jet fiber and dependent product), the map of
-      `SectionTables.push_along` (the maps of `jet_on_vertical` and
-      `dependent_product_map`), `slice_homs`, `compose_slice`,
-      `SliceMorphism.identity`, `DependentProduct.counit` (built on first
-      use), and the slice morphisms of `pullback_vertical` and
-      `dependent_product_map`;
+      `SectionTables.push_along` (the maps of `jet_on_vertical`,
+      `dependent_product_map` and `polynomial_map`), `slice_homs`,
+      `compose_slice`, `SliceMorphism.identity`, `DependentProduct.counit`
+      (built on first use), the pushed map of `polynomial_map`, whose
+      values the push then finds in the target's tables, and the slice
+      morphisms of `pullback_vertical`, `dependent_product_map` and
+      `polynomial_map`;
     - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
       and `global_jet`, and the comorphisms of `identity_comorphism` and
       `cartesian_comorphism`, whose verticals start at the canonical
@@ -68,13 +70,15 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def table_label(anchor: str, entries: tuple[tuple[str, str], ...]) -> str:
+def table_label(anchor: str, entries: Iterable[str]) -> str:
     """Deterministic short name "(anchor|hash)" for a table anchored at an element.
 
-    Entries must already be in canonical order.  Collisions are caught by the
-    uniqueness check of the FinSet the labels end up in.
+    Each entry is one "point:value" string, in canonical order; the hash is
+    over the entries joined by ";", which no workspace element name
+    contains.  Collisions are caught by the uniqueness check of the FinSet
+    the labels end up in.
     """
-    blob = ";".join(map(":".join, entries))
+    blob = ";".join(entries)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
     return f"({anchor}|{digest})"
 

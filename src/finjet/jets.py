@@ -32,9 +32,10 @@ from .kripke import (
 )
 from .polyfun import (
     Bundle,
+    DependentProduct,
     SectionTables,
     SliceMorphism,
-    polynomial_product,
+    dependent_product,
     section_tables,
 )
 from .relations import EndoRelation, Relation, RelationMorphism, monad
@@ -316,27 +317,17 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
 
     Each jet is moved to the element named by its pushed-forward table, which
     sits over the same base point (`SectionTables.push_along`, which
-    `dependent_product_map` shares); the `poly-iso` suite checks that the arrow
-    commutes with the projections.  `global_jet` pushes tables along the
-    vertical part of a comorphism in the same way, fused with the mediating
-    transport; the tests compare the two on every vertical comorphism.
+    `dependent_product_map` and `polynomial_map` share); the `poly-iso` suite
+    checks that the arrow commutes with the projections.  `global_jet`
+    pushes tables along the vertical part of a comorphism in the same way,
+    fused with the mediating transport; the tests compare the two on every
+    vertical comorphism.
     """
     if jb_q.relation != jb_p.relation:
         raise ShapeMismatch("jet bundles built from different relations")
     if compose(jb_p.bundle, r_map) != jb_q.bundle:
         raise NotVertical("map does not commute over the base")
     return jb_q.sections.push_along(r_map, jb_p.sections)
-
-
-def __getattr__(name: str):
-    # The pulled-back-representability check is a law check, so it lives in
-    # `suites`; the acceptance tests still import it from here.  The import
-    # is lazy because `suites` imports this module.
-    if name == "beck_chevalley_check":
-        from .suites import beck_chevalley_check
-
-        return beck_chevalley_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
@@ -348,20 +339,33 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     return value(j.section.underlying, j.at, FinMap.identity(j.stage))
 
 
-def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorphism]:
-    """The explicit iso from the polynomial-functor bundle to the jet bundle.
+def polynomial_product_iso(
+    r: Relation, p: FinMap
+) -> tuple[DependentProduct, JetBundle, SliceMorphism]:
+    """The polynomial product of p along r's span, the jet bundle of p, and
+    the explicit iso from the product's result to the jet bundle.
 
     Both are computed from the same relation; the iso matches each section
-    over the canonical span fibers with the jet table it encodes.
+    over the canonical span fibers with the jet table it encodes.  The
+    square along the span's left leg is built once, for the product and
+    for reading each section's values in p.
     """
     legs = r.span
-    dp = polynomial_product(legs.left, legs.right, Bundle(p))
-    jb = jet_bundle(r, p)
     sq_c = pullback(legs.left, p)
+    dp = dependent_product(legs.right, Bundle(sq_c.to_left))
+    jb = jet_bundle(r, p)
     values = []
     for _, a0, tab in dp.sections.entries():
         table = {legs.left(m): sq_c.to_right(z) for m, z in tab}
         values.append(jb.sections.element_for(a0, table))
     arrow = _trusted(FinMap, dp.result.total, jb.total, tuple(values))
     iso = SliceMorphism(dp.result, Bundle(jb.projection), arrow)
+    return dp, jb, iso
+
+
+def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorphism]:
+    """The polynomial-functor bundle, the jet bundle and the iso between them:
+    `polynomial_product_iso` with the product's result in place of the
+    product."""
+    dp, jb, iso = polynomial_product_iso(r, p)
     return dp.result, jb, iso

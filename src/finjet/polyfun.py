@@ -22,6 +22,7 @@ from .finset import (
     compose,
     is_pullback_square,
     pair_into_pullback,
+    pair_name,
     pullback,
     table_label,
 )
@@ -157,10 +158,16 @@ class SectionTables:
     def push_along(self, arrow: FinMap, dst: "SectionTables") -> FinMap:
         """The map sending each section to the section of `dst` over the same
         base point whose table is its table followed by `arrow`; KeyError when
-        there is none.  The jet functor and the dependent product on a
-        vertical map are both this map."""
+        there is none, ShapeMismatch when `dst` has other fibers.  The jet
+        functor, the dependent product and the polynomial functor on a
+        vertical map are all this map."""
+        if dst.fibers != self.fibers:
+            raise ShapeMismatch("section tables over different fibers")
+        image = dict(zip(arrow.dom.elements, arrow.values))
+        by_table = dst._by_table
         values = tuple(
-            dst.element_for(b, {m: arrow(e) for m, e in tab}) for _, b, tab in self.entries()
+            by_table[(b, tuple([(m, image[e]) for m, e in tab]))]
+            for _, b, tab in self.entries()
         )
         return _trusted(FinMap, self.projection.dom, dst.projection.dom, values)
 
@@ -181,17 +188,19 @@ def section_tables(
 ) -> SectionTables:
     """Every section of q over fibers[b], for each base point b in the order
     of `fibers`: the product of q's fibers over b's points, last point
-    fastest.  The labels go into one FinSet called `name`, so a label
-    collision raises ValueError."""
+    fastest.  One product runs over per-point lists of (point, value) pairs,
+    which the tables share, and a second, in step, over the "point:value"
+    fragments that `table_label` joins.  The labels go into one FinSet
+    called `name`, so a label collision raises ValueError."""
     labels: list[str] = []
     bases: list[str] = []
     tables: list[SectionTable] = []
     for b, points in fibers.items():
-        for choice in itertools.product(*(q.fiber(m) for m in points)):
-            tab = tuple(zip(points, choice))
-            labels.append(table_label(b, tab))
-            bases.append(b)
-            tables.append(tab)
+        options = [q.fiber(m) for m in points]
+        fragments = [[f"{m}:{v}" for v in vs] for m, vs in zip(points, options)]
+        labels += [table_label(b, entries) for entries in itertools.product(*fragments)]
+        tables += itertools.product(*([(m, v) for v in vs] for m, vs in zip(points, options)))
+        bases += [b] * (len(tables) - len(bases))
     total = FinSet(name, tuple(labels))
     return SectionTables(fibers, _trusted(FinMap, total, base, tuple(bases)), tuple(tables))
 
@@ -328,8 +337,27 @@ def polynomial_map(
     dp_dst: DependentProduct,
 ) -> SliceMorphism:
     """The polynomial functor on a vertical map over c's codomain; dp_src and
-    dp_dst are the polynomial products of v's source and target."""
-    return dependent_product_map(d, pullback_vertical(c, v), dp_src, dp_dst)
+    dp_dst are the polynomial products of v's source and target.
+
+    One push of dp_src's sections along c*(v), which sends each <m, e> of
+    c*(v.src) to <m, v(e)>, the canonical element of c*(v.dst) named by
+    `pair_name`; only the square of v's source is built.  The tests compare
+    it with `dependent_product_map` on `pullback_vertical(c, v)`.
+    """
+    sq = pullback(c, v.src.map)
+    if dp_src.along != d or dp_src.input != Bundle(sq.to_left):
+        raise ShapeMismatch("source product is not the polynomial product of v's source")
+    values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.to_left.values, sq.to_right.values))
+    pushed = _trusted(FinMap, sq.apex, dp_dst.input.total, values)
+    try:
+        arrow = dp_src.sections.push_along(pushed, dp_dst.sections)
+    except (KeyError, ShapeMismatch):
+        # Other fibers, or a pushed table with no section: dp_dst is not the
+        # product of c*(v.dst) along d.
+        raise ShapeMismatch(
+            "target product is not the polynomial product of v's target"
+        ) from None
+    return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ compare the two routes directly.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import ShapeMismatch
 from .fibdual import Comorphism, generic_section_vertical
@@ -25,6 +25,7 @@ from .finset import (
     pair_into_pullback,
     probe_stage,
     pullback,
+    table_label,
 )
 from .jets import JetBundle, PhiContext, SectionJet, classify, jet_bundle, phi, restrict_jet
 from .kripke import (
@@ -36,7 +37,7 @@ from .kripke import (
     value,
     yoneda_construct,
 )
-from .polyfun import Bundle, SliceMorphism, compose_slice, relabel_identity
+from .polyfun import Bundle, SectionTables, SliceMorphism, compose_slice, relabel_identity
 from .relations import Relation, RelationMorphism, _require_endo, monad, monad_at
 
 
@@ -126,6 +127,32 @@ def pointwise_cartesian_image(
     pulled = Bundle(jb_pulled.projection)
     vertical = SliceMorphism(Bundle(sq.to_left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
     return jb_pulled, Comorphism(morphism.f0, pulled, Bundle(jb_dst.projection), vertical)
+
+
+def section_tables_by_zip(
+    name: str, base: FinSet, fibers: Mapping[str, tuple[str, ...]], q: FinMap
+) -> SectionTables:
+    """`polyfun.section_tables` one section at a time: each choice of values
+    is zipped with the points into a fresh table, and the label is hashed
+    from that table's (point, value) pairs."""
+    labels, bases, tables = [], [], []
+    for b, points in fibers.items():
+        for choice in itertools.product(*(q.fiber(m) for m in points)):
+            tab = tuple(zip(points, choice))
+            labels.append(table_label(b, (f"{m}:{v}" for m, v in tab)))
+            bases.append(b)
+            tables.append(tab)
+    projection = FinMap(FinSet(name, tuple(labels)), base, tuple(bases))
+    return SectionTables(fibers, projection, tuple(tables))
+
+
+def push_along_by_lookup(src: SectionTables, arrow: FinMap, dst: SectionTables) -> FinMap:
+    """`SectionTables.push_along` one section at a time: each pushed table
+    is built as a dict and named through `element_for`."""
+    values = tuple(
+        dst.element_for(b, {m: arrow(e) for m, e in tab}) for _, b, tab in src.entries()
+    )
+    return FinMap(src.projection.dom, dst.projection.dom, values)
 
 
 def flatten_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:

@@ -702,18 +702,17 @@ def check_poly_iso(
     r = rand_relation(rng, a, a0)
     p = rand_bundle(rng, a, max_fiber)
     t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
-    poly, jb, iso = jets.polynomial_iso(r, p.map)
+    dp, jb, iso = jets.polynomial_product_iso(r, p.map)
     t.check(iso.is_iso(), "polynomial bundle is not isomorphic to the jet bundle")
     t.check(
-        compose(jb.projection, iso.arrow) == poly.map,
+        compose(jb.projection, iso.arrow) == dp.result.map,
         "isomorphism does not commute with the projections",
     )
-    # Each bundle's jet bundle, iso and polynomial product, built once.
+    # Each bundle's polynomial product, jet bundle and iso, built once.
     legs = r.span
-    whole = (p, jb, iso, polyfun.polynomial_product(legs.left, legs.right, p))
+    whole = (p, jb, iso, dp)
     companion = trim_bundle(p)
-    _, jb_companion, iso_companion = jets.polynomial_iso(r, companion.map)
-    dp_companion = polyfun.polynomial_product(legs.left, legs.right, companion)
+    dp_companion, jb_companion, iso_companion = jets.polynomial_product_iso(r, companion.map)
     trimmed = (companion, jb_companion, iso_companion, dp_companion)
     pairs = [(whole, trimmed), (trimmed, whole)]
     endo_count = 1

@@ -9,10 +9,11 @@ Line-oriented grammar, one declaration per line, '#' comments:
     graph <name> on <obj> { <id> -- <id> ... }
 
 Identifiers are whitespace-free.  An element is an atom, with none of
-`( ) , |`, or a canonical composite: a pair name `(<id>,<id>)` or a table
-label `(<id>|<10 lowercase hex digits>)`, recursively.  So two different
-pairs never share a name, and the elements finjet builds and serializes
-parse back.  Relation pairs are split at the top-level comma.
+`( ) , | ;` and no `->`, or a canonical composite: a pair name `(<id>,<id>)`
+or a table label `(<id>|<10 lowercase hex digits>)`, recursively.  So two
+different pairs never share a name, every element can be mapped (map bodies
+split at `;` and `->`), and the elements finjet builds and serializes parse
+back.  Relation pairs are split at the top-level comma.
 """
 
 from __future__ import annotations
@@ -88,14 +89,14 @@ def _split_pair(token: str, line_no: int) -> tuple[str, str]:
     raise WorkspaceSyntaxError(f"pair {token!r} has no top-level comma", line_no)
 
 
-_RESERVED = "(),|"
+_RESERVED = "(),|;"
 _HEX = frozenset("0123456789abcdef")
 
 
 def _has_reserved(text: str) -> bool:
-    """Whether text holds one of `( ) , |`: four substring scans, so atoms
-    cost almost nothing to check."""
-    return any(ch in text for ch in _RESERVED)
+    """Whether text holds one of `( ) , | ;` or `->`: six substring scans,
+    so atoms cost almost nothing to check."""
+    return any(ch in text for ch in _RESERVED) or "->" in text
 
 
 def _is_element_name(token: str) -> bool:
@@ -106,6 +107,8 @@ def _is_element_name(token: str) -> bool:
     """
     if not _has_reserved(token):
         return bool(token)
+    if "->" in token:
+        return False
     after_sep: list[bool] = []
     i, n = 0, len(token)
     while True:
@@ -183,7 +186,7 @@ def _parse_object(ws: Workspace, rest: str, line_no: int) -> None:
         for token in elements:
             if not _is_element_name(token):
                 raise WorkspaceSyntaxError(
-                    f"{token!r} is not an element name: use an atom without ( ) , | "
+                    f"{token!r} is not an element name: use an atom without ( ) , | ; -> "
                     "or a composite (x,y) or (x|<10 lowercase hex digits>)",
                     line_no,
                 )

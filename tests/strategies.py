@@ -20,8 +20,9 @@ def maps_into(draw, name, cod):
 
 
 # Element names of the workspace grammar: atoms, and the composites
-# (x,y) and (x|<10 lowercase hex digits>), recursively.
-_ATOMS = st.text("abxyz019.*_", min_size=1, max_size=3)
+# (x,y) and (x|<10 lowercase hex digits>), recursively.  Atoms may hold
+# "-" and ">", but not next to each other: "->" is reserved.
+_ATOMS = st.text("abxyz019.*_->", min_size=1, max_size=3).filter(lambda atom: "->" not in atom)
 _DIGESTS = st.text("0123456789abcdef", min_size=10, max_size=10)
 element_names = st.recursive(
     _ATOMS,

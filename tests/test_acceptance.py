@@ -51,6 +51,7 @@ from finjet.polyfun import (
 )
 from finjet.suites import (
     adjunction_instance_ok,
+    beck_chevalley_check,
     check_global_functor,
     check_phi_laws,
     product_of_fibers,
@@ -303,8 +304,6 @@ def _maps_over_projection(jb, stage, base):
 
 
 def test_criterion_8_beck_chevalley_and_mates():
-    from finjet.jets import beck_chevalley_check
-
     for index in range(25):
         rng = rng_for(SEED, "acceptance-bc", index)
         b = rand_finset(rng, "B", 3, min_size=1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import finjet
 
 from finjet.cli import main
+from finjet.errors import WorkspaceSyntaxError
 from finjet.finset import FinMap, FinSet, pullback
 from finjet.instances import complete_graph_workspace, path_graph_workspace
 from finjet.polyfun import Bundle
@@ -291,6 +292,21 @@ def test_colliding_pair_names_are_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: line 1: 'a,b' is not an element name")
+
+
+@pytest.mark.parametrize("name", ["a;b", "a->b"])
+def test_map_separators_in_element_names_are_a_parse_error(tmp_path, capsys, name):
+    # A map body splits its entries at ";" and each entry at "->", so an
+    # element holding either could be declared but never mapped; section
+    # labels hash entries joined by ";", so it would also blur them.
+    path = tmp_path / "sep.ws"
+    path.write_text(f"object A {{ {name} z }}\n")
+    with pytest.raises(WorkspaceSyntaxError):
+        parse_workspace(path.read_text())
+    code, text = run(["-w", str(path), "pullback", "--left", "f", "--right", "f"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith(f"error: line 1: {name!r} is not an element name")
 
 
 def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch, tmp_path):
@@ -820,6 +836,8 @@ _FUZZ_BAD_LINES = [
     "map bad : A -> B {{ ;; }}",
     "map bad : A -> B {{ {x} -> {y} }}",
     "object Bad {{ {x},{y} }}",
+    "object Bad {{ {x};{y} }}",
+    "object Bad {{ {x}->{y} }}",
 ]
 
 

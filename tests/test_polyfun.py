@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
-from finjet.instances import fixture_p3_parts, rand_bundle, rand_finset, rand_map
+from finjet.instances import fixture_p3_parts, rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
     Bundle,
+    SectionTables,
     SliceMorphism,
     SpanMorphism,
     adjunction_bijection,
@@ -24,9 +25,15 @@ from finjet.polyfun import (
     pullback_bundle,
     pullback_vertical,
     relabel_identity,
+    section_tables,
     slice_homs,
 )
-from finjet.reference import flatten_pullback, nest_pullback
+from finjet.reference import (
+    flatten_pullback,
+    nest_pullback,
+    push_along_by_lookup,
+    section_tables_by_zip,
+)
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)
@@ -350,3 +357,83 @@ def test_polynomial_map_respects_composition():
     for v in homs[:3]:
         moved = polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
         assert compose(dp_dst.result.map, moved.arrow) == dp_src.result.map
+
+
+def _random_family(seed, max_fiber):
+    """A map d: M -> B and a bundle q over M from seed.  Empty B and M,
+    points of B with no preimage and empty fibers of q all occur."""
+    rng = random.Random(seed)
+    b = rand_finset(rng, "B", 3)
+    m = rand_finset(rng, "M", 3 if len(b) else 0)
+    return rng, rand_map(rng, m, b), rand_bundle(rng, m, max_fiber)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_section_tables_match_the_zip_route(seed, max_fiber):
+    _, d, q = _random_family(seed, max_fiber)
+    fast = section_tables("S", d.cod, d.fibers, q.map)
+    slow = section_tables_by_zip("S", d.cod, d.fibers, q.map)
+    assert fast.fibers == slow.fibers
+    assert fast.tables == slow.tables
+    assert fast.projection == slow.projection
+
+
+def _vertical_pairs(q):
+    """The bundle q and its trimmed companion, in every order with a vertical
+    map, each with the first few slice morphisms between them."""
+    companion = trim_bundle(q)
+    for src, dst in ((q, companion), (companion, q), (q, q)):
+        yield src, dst, list(itertools.islice(slice_homs(src, dst), 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_push_along_matches_the_element_for_route(seed, max_fiber):
+    _, d, q = _random_family(seed, max_fiber)
+    for src, dst, homs in _vertical_pairs(q):
+        dp_src, dp_dst = dependent_product(d, src), dependent_product(d, dst)
+        for v in homs:
+            assert dp_src.sections.push_along(v.arrow, dp_dst.sections) == push_along_by_lookup(
+                dp_src.sections, v.arrow, dp_dst.sections
+            )
+
+
+def test_push_along_rejects_tables_over_other_fibers():
+    q = small_bundle(M, (2, 1, 1))
+    dp = dependent_product(FinMap(M, B, ("u", "v", "u")), q)
+    other = dependent_product(FinMap(M, B, ("v", "u", "u")), q)
+    with pytest.raises(ShapeMismatch, match="different fibers"):
+        dp.sections.push_along(FinMap.identity(q.total), other.sections)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_polynomial_map_matches_the_pullback_route(seed, max_fiber):
+    rng, d, _ = _random_family(seed, 0)
+    a = rand_finset(rng, "A", 3, min_size=1)
+    c = rand_map(rng, d.dom, a)
+    p = rand_bundle(rng, a, max_fiber)
+    for src, dst, homs in _vertical_pairs(p):
+        dp_src, dp_dst = polynomial_product(c, d, src), polynomial_product(c, d, dst)
+        for v in homs:
+            assert polynomial_map(c, d, v, dp_src, dp_dst) == dependent_product_map(
+                d, pullback_vertical(c, v), dp_src, dp_dst
+            )
+
+
+def test_polynomial_map_rejects_foreign_products():
+    legs = BALL.base.span
+    q1 = small_bundle(A, (1, 1, 1), tag="x")
+    v = next(slice_homs(q1, P))
+    dp_src = polynomial_product(legs.left, legs.right, q1)
+    dp_dst = polynomial_product(legs.left, legs.right, P)
+    swapped = polynomial_product(legs.right, legs.left, q1)
+    for src, dst, end in (
+        (dp_dst, dp_dst, "source"),
+        (swapped, dp_dst, "source"),
+        (dp_src, dp_src, "target"),
+        (dp_src, swapped, "target"),
+    ):
+        with pytest.raises(ShapeMismatch, match=f"{end} product is not the polynomial product"):
+            polynomial_map(legs.left, legs.right, v, src, dst)

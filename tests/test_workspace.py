@@ -126,7 +126,8 @@ DEEP = 3000  # nesting beyond Python's default recursion limit
 
 @pytest.mark.parametrize(
     "name",
-    ["a", "*", "v1.e0", "(a,b)", "((a,b),c)", "(a|0123456789)", "((a,b)|abcdef0123)",
+    ["a", "*", "v1.e0", "a-b", "a>b", "-", ">", ">-", "(a-,>b)", "(a,b)", "((a,b),c)",
+     "(a|0123456789)", "((a,b)|abcdef0123)",
      "(((a|0123456789),(b,c))|ffffffffff)",
      pytest.param("(" * DEEP + "a" + ",b)" * DEEP, id="deep")],
 )
@@ -138,7 +139,8 @@ def test_element_names_in_the_grammar_parse(name):
     "name",
     ["a,b", "(a,b", "a)", "(a)", "()", "(,a)", "(a,)", "(a,b,c)", "a|b", "(a,b)c", "c(a,b)",
      "(a,b)(c,d)", "(a|012345678)", "(a|0123456789a)", "(a|ABCDEF0123)", "(a|0123456789,b)",
-     "(a||0123456789)", pytest.param("(" * DEEP + "a" + ",b)" * (DEEP - 1), id="deep-unclosed")],
+     "(a||0123456789)", "a;b", ";", "a->b", "->", "(a->b,c)", "(a,b;c)", "(a;b|0123456789)",
+     pytest.param("(" * DEEP + "a" + ",b)" * (DEEP - 1), id="deep-unclosed")],
 )
 def test_element_names_outside_the_grammar_are_syntax_errors(name):
     with pytest.raises(WorkspaceSyntaxError) as err:

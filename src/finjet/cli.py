@@ -17,11 +17,19 @@ from .finset import compose, element, pullback
 from .workspace import Workspace, parse_workspace
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, like every other error, are one
+    `error: ...` line on stderr with exit 2; its subparsers inherit this."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: `parse_args` reads it
     and never changes it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finjet",
         description="Finite-set stage semantics and section-jet bundles.",
     )

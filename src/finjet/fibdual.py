@@ -154,7 +154,7 @@ def _generic_section_on(
         m = sq_d.to_left(x)
         t = sq_d.to_right(x)
         e = jb.sections.table_of(t)[c(m)]
-        values.append(sq_c.pair_index[(m, e)])
+        values.append(pair_name(m, e))
     arrow = FinMap(sq_d.apex, sq_c.apex, tuple(values))
     return SliceMorphism(Bundle(sq_d.to_left), Bundle(sq_c.to_left), arrow)
 
@@ -204,7 +204,7 @@ def distributivity_terminal(
         over = d.fiber(b)
         sizes = [len(pulled_c.fiber(m)) for m in over]
         jets_b = jb.fiber(b)
-        images = {tuple(eps[sq_eps.pair_index[(m, j)]] for m in over) for j in jets_b}
+        images = {tuple(eps[pair_name(m, j)] for m in over) for j in jets_b}
         vacuous[b] = 0 in sizes
         bijective[b] = len(images) == len(jets_b) == math.prod(sizes)
 

@@ -27,7 +27,11 @@ def _trusted(cls: type[_T], *fields) -> _T:
     already-validated objects through an operation that preserves validity.
     Input a user can reach with raw values (parse_workspace, element, the
     public constructors and `from_*` methods, the instance generators) always
-    goes through the checked constructor.  The call sites, all of them:
+    goes through the checked constructor.  An apex element named by
+    `pair_name` is valid by construction when its pair is known to be in
+    the apex: `pair_into_pullback` compares both legs, `member` tests the
+    pair set, and `phi`, `global_jet` and `polynomial_map` pair a point with
+    a value in the fiber over its image.  The call sites, all of them:
 
     - finset: `compose`, `pullback` (both legs), `pair_into_pullback`,
       `product` (both projections), `all_maps`, `FinMap.identity`;
@@ -238,17 +242,15 @@ def span_leq(s: Span, s2: Span) -> Optional[FinMap]:
 
 @dataclass(frozen=True)
 class PullbackResult:
-    """Canonical pullback: apex elements are the matching pairs, named "(a,b)"."""
+    """Canonical pullback: apex elements are the matching pairs.
+
+    The apex element of the matching pair (a, b) is `pair_name(a, b)`; callers
+    address apex elements by that name and keep no index of their own.
+    """
 
     apex: FinSet
     to_left: FinMap
     to_right: FinMap
-
-    @cached_property
-    def pair_index(self) -> Mapping[tuple[str, str], str]:
-        return {
-            (self.to_left(m), self.to_right(m)): m for m in self.apex
-        }
 
 
 def pullback(f: FinMap, p: FinMap) -> PullbackResult:
@@ -277,15 +279,22 @@ def pullback(f: FinMap, p: FinMap) -> PullbackResult:
 
 
 def pair_into_pullback(a: FinMap, b: FinMap, pb: PullbackResult) -> FinMap:
-    """The mediating map <a, b> into a pullback apex."""
+    """The mediating map <a, b> into a pullback apex.
+
+    Each x goes to the apex element `pair_name(a(x), b(x))`.  Names of
+    library FinSets need not be injective (("x", "y,z") and ("x,y", "z")
+    share one), so both legs are compared at the element found.
+    """
     if a.dom != b.dom:
         raise CompositionMismatch("cone legs must share their stage")
     if a.cod != pb.to_left.cod or b.cod != pb.to_right.cod:
         raise CompositionMismatch("cone legs do not match the pullback legs")
+    at, lefts, rights = pb.apex.index.get, pb.to_left.values, pb.to_right.values
     values = []
-    for x in a.dom:
-        m = pb.pair_index.get((a(x), b(x)))
-        if m is None:
+    for x, u, w in zip(a.dom.elements, a.values, b.values):
+        m = pair_name(u, w)
+        i = at(m)
+        if i is None or lefts[i] != u or rights[i] != w:
             raise NotCommuting(f"cone does not commute at {x!r}")
         values.append(m)
     return _trusted(FinMap, a.dom, pb.apex, tuple(values))

@@ -161,47 +161,6 @@ def fixture_p3() -> Workspace:
     return ws
 
 
-def path_graph_workspace(n: int, fiber_size: int) -> Workspace:
-    """Path graph v0 - v1 - ... - v(n-1), ball radius 1, every fiber of size fiber_size.
-
-    Declares A, E, p: E -> A, the identity id: A -> A, adj, R and bundle p, so
-    every data command runs on it (phi and dualjet along id).
-    """
-    ws = Workspace()
-    a = FinSet("A", tuple(f"v{i}" for i in range(n)))
-    e = FinSet("E", tuple(f"{v}.e{k}" for v in a for k in range(fiber_size)))
-    ws.objects["A"] = a
-    ws.objects["E"] = e
-    p = FinMap(e, a, tuple(v for v in a for _ in range(fiber_size)))
-    ws.maps["p"] = p
-    ws.maps["id"] = FinMap.identity(a)
-    edges = zip(a.elements, a.elements[1:])
-    adjacency = Relation.from_pairs(a, a, [pair for u, v in edges for pair in ((u, v), (v, u))])
-    ws.relations["adj"] = adjacency
-    ws.relations["R"] = ball_relation(adjacency, 1).base
-    ws.bundles["p"] = Bundle(p)
-    return ws
-
-
-def complete_graph_workspace(n: int, fiber_size: int) -> Workspace:
-    """Complete graph K_n with the full relation R, every fiber of size fiber_size.
-
-    Declares A, E, p: E -> A, the identity id: A -> A, R and bundle p, so
-    every data command runs on it (phi and dualjet along id).
-    """
-    ws = Workspace()
-    a = FinSet("A", tuple(f"v{i}" for i in range(n)))
-    e = FinSet("E", tuple(f"{v}.e{k}" for v in a for k in range(fiber_size)))
-    ws.objects["A"] = a
-    ws.objects["E"] = e
-    p = FinMap(e, a, tuple(v for v in a for _ in range(fiber_size)))
-    ws.maps["p"] = p
-    ws.maps["id"] = FinMap.identity(a)
-    ws.relations["R"] = Relation.full(a, a)
-    ws.bundles["p"] = Bundle(p)
-    return ws
-
-
 def fixture_p3_parts() -> tuple[FinSet, FinSet, FinMap, EndoRelation]:
     """(A, E, p, ball relation) of the path fixture, as plain values."""
     ws = fixture_p3()

@@ -21,6 +21,7 @@ from .finset import (
     PullbackResult,
     _trusted,
     compose,
+    pair_name,
     pullback,
 )
 from .kripke import (
@@ -210,7 +211,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
             raise PreservationViolated(
                 f"image of ({a},{x}) escapes the jet's support"
             )
-        values.append(ctx.square.pair_index[(a, table[image])])
+        values.append(pair_name(a, table[image]))
     return SectionJet._trusted(
         mor.rel_src, a0, _trusted_section(support, ctx.pulled, tuple(values))
     )

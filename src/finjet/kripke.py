@@ -123,7 +123,8 @@ class SubobjectAtStage:
 
     @cached_property
     def span(self) -> Span:
-        """The canonical representing span: apex named by the pairs themselves."""
+        """The canonical representing span: the apex element of the pair
+        (a, x) is `pair_name(a, x)`, which callers use to address it."""
         apex = FinSet(
             f"sub({self.over.name},{self.stage.name})",
             tuple(pair_name(a, x) for a, x in self.pairs),
@@ -144,13 +145,6 @@ class SubobjectAtStage:
     def column(self, x: str) -> tuple[str, ...]:
         """Every a with (a, x) in the subobject, in the order of `over`."""
         return self.columns[x]
-
-    @cached_property
-    def apex_index(self) -> Mapping[tuple[str, str], str]:
-        return {
-            (a, x): name
-            for (a, x), name in zip(self.pairs, self.span.apex.elements)
-        }
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -215,13 +209,12 @@ def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[Witness]:
         raise StageMismatch("stage change does not land in the subobject's stage")
     if a.dom != alpha.dom:
         raise StageMismatch("element and stage change defined at different stages")
+    pairs = u.pair_set
     values = []
-    for y in a.dom:
-        key = (a(y), alpha(y))
-        name = u.apex_index.get(key)
-        if name is None:
+    for key in zip(a.values, alpha.values):
+        if key not in pairs:
             return None
-        values.append(name)
+        values.append(pair_name(*key))
     return Witness(u, _trusted(FinMap, a.dom, u.span.apex, tuple(values)))
 
 
@@ -336,7 +329,7 @@ def restrict_section(
         )
     square = pullback(f, t.bundle)
     table = {
-        (a2, x): square.pair_index[(a2, t.underlying.table[(f(a2), x)])]
+        (a2, x): pair_name(a2, t.underlying.table[(f(a2), x)])
         for a2, x in u2.pairs
     }
     restricted = PartialMapAtStage.from_table(u2, square.apex, table)

@@ -276,10 +276,7 @@ class AdjunctionBijection:
         values = []
         for w in self.left.total:
             b = self.left.map(w)
-            table = {
-                mm: m.arrow(self.square.pair_index[(mm, w)])
-                for mm in self.along.fiber(b)
-            }
+            table = {mm: m.arrow(pair_name(mm, w)) for mm in self.along.fiber(b)}
             values.append(self.product.sections.element_for(b, table))
         arrow = FinMap(self.left.total, self.product.result.total, tuple(values))
         return SliceMorphism(self.left, self.product.result, arrow)
@@ -400,13 +397,11 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
     """
     if y.base != sm.dst_left.cod:
         raise ShapeMismatch("bundle does not live over the lower span's left end")
-    dp = polynomial_product(sm.dst_left, sm.dst_right, y)
     sq_c = pullback(sm.dst_left, y.map)
+    dp = dependent_product(sm.dst_right, Bundle(sq_c.to_left))
     sq_g = pullback(sm.on_right, dp.result.map)
     pulled = pullback_bundle(sm.on_left, y)
-    sq_f = pullback(sm.on_left, y.map)
     dp2 = polynomial_product(sm.src_left, sm.src_right, pulled)
-    sq_c2 = pullback(sm.src_left, pulled.map)
     values = []
     for x in sq_g.apex:
         b2 = sq_g.to_left(x)
@@ -414,10 +409,8 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
         section = dp.sections.table_of(t)
         table = {}
         for m2 in sm.src_right.fiber(b2):
-            m = sm.on_mid(m2)
-            e = sq_c.to_right(section[m])
-            inner = sq_f.pair_index[(sm.src_left(m2), e)]
-            table[m2] = sq_c2.pair_index[(m2, inner)]
+            e = sq_c.to_right(section[sm.on_mid(m2)])
+            table[m2] = pair_name(m2, pair_name(sm.src_left(m2), e))
         values.append(dp2.sections.element_for(b2, table))
     arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
     return SliceMorphism(Bundle(sq_g.to_left), dp2.result, arrow)

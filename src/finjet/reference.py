@@ -216,7 +216,10 @@ def distributivity_terminal_brute(
     pulled_c = Bundle(pullback(c, p.map).to_left)
     if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
-    eps_lookup = dict(zip(epsilon.arrow.dom.elements, epsilon.arrow.values))
+    # eps at each pair (m, j) of d*(J(p)), read off the square's legs rather
+    # than its element names; the shape guard puts eps's domain in apex order.
+    pairs = zip(sq_eps.to_left.values, sq_eps.to_right.values)
+    eps_at = dict(zip(pairs, epsilon.arrow.values))
     base = d.cod
     candidates: list[Bundle] = [jet_total]
     for size in range(max_total + 1):
@@ -237,7 +240,7 @@ def distributivity_terminal_brute(
         if all(u_options):
             for u_values in itertools.product(*u_options):
                 key = tuple(
-                    eps_lookup[sq_eps.pair_index[(m, u_values[spots[tt]])]]
+                    eps_at[(m, u_values[spots[tt]])]
                     for m, tt in points
                 )
                 transposed[key] = transposed.get(key, 0) + 1

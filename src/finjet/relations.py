@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, _trusted, compose, element
+from .finset import FinMap, FinSet, _trusted, compose, element, pair_name
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -102,11 +102,10 @@ class RelationMorphism:
     @cached_property
     def mid(self) -> FinMap:
         """The induced map between the canonical span apexes."""
-        dst_index = self.rel_dst.apex_index
         return FinMap(
             self.rel_src.span.apex,
             self.rel_dst.span.apex,
-            tuple(dst_index[(self.f(a), self.f0(a0))] for a, a0 in self.rel_src.pairs),
+            tuple(pair_name(self.f(a), self.f0(a0)) for a, a0 in self.rel_src.pairs),
         )
 
 

@@ -26,6 +26,7 @@ from .finset import (
     element,
     is_monic,
     pair_into_pullback,
+    pair_name,
     probe_stage,
     pullback,
     span_leq,
@@ -591,9 +592,7 @@ def phi_compose_law(
         whole.apex,
         ctx_h.square.apex,
         tuple(
-            ctx_h.square.pair_index[
-                (a, ctx_k.square.pair_index[(upper.f(a), e)])
-            ]
+            pair_name(a, pair_name(upper.f(a), e))
             for a, e in zip(whole.to_left.values, whole.to_right.values)
         ),
     )
@@ -628,7 +627,7 @@ def cluex_law(
         ctx_k.square.apex,
         ctx_h.square.apex,
         tuple(
-            ctx_h.square.pair_index[(a, r_map(e))]
+            pair_name(a, r_map(e))
             for a, e in zip(ctx_k.square.to_left.values, ctx_k.square.to_right.values)
         ),
     )

@@ -304,17 +304,23 @@ def serialize_workspace(ws: Workspace) -> str:
         entries = " ; ".join(f"{k} -> {v}" for k, v in zip(fmap.dom.elements, fmap.values))
         return f"map {name} : {key(fmap.dom)} -> {key(fmap.cod)} {{ {entries} }}"
 
+    # A bundle whose map is not declared gets a map `__bundle_<name>` (with
+    # "_" appended while a declared map has that name) in the map block,
+    # where parsing puts it, so serializing twice gives one text.
+    maps = dict(ws.maps)
+    bundle_maps: dict[str, str] = {}
+    for name, bundle in ws.bundles.items():
+        map_name = next((n for n, m in maps.items() if m == bundle.map), None)
+        if map_name is None:
+            map_name = f"__bundle_{name}"
+            while map_name in maps:
+                map_name += "_"
+            maps[map_name] = bundle.map
+        bundle_maps[name] = map_name
     lines = [f"object {name} {{ {' '.join(obj.elements)} }}" for name, obj in ws.objects.items()]
-    lines += [map_line(name, fmap) for name, fmap in ws.maps.items()]
+    lines += [map_line(name, fmap) for name, fmap in maps.items()]
     for name, rel in ws.relations.items():
         pairs = " ".join(f"({a},{b})" for a, b in rel.pairs)
         lines.append(f"relation {name} : {key(rel.over)} ~ {key(rel.stage)} {{ {pairs} }}")
-    for name, bundle in ws.bundles.items():
-        map_name = next(
-            (n for n, m in ws.maps.items() if m == bundle.map), None
-        )
-        if map_name is None:
-            map_name = f"__bundle_{name}"
-            lines.append(map_line(map_name, bundle.map))
-        lines.append(f"bundle {name} = {map_name}")
+    lines += [f"bundle {name} = {map_name}" for name, map_name in bundle_maps.items()]
     return "\n".join(line.replace("{  }", "{ }") for line in lines) + "\n"

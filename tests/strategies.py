@@ -1,8 +1,11 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and graph workspaces shared by the test modules."""
 
 from hypothesis import strategies as st
 
 from finjet.finset import FinMap, FinSet, pair_name
+from finjet.polyfun import Bundle
+from finjet.relations import Relation, ball_relation
+from finjet.workspace import Workspace
 
 
 def shuffled_finsets(name, max_size=4):
@@ -32,3 +35,34 @@ element_names = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def _graph_workspace(n, fiber_size, relations):
+    """Vertices v0..v(n-1) as A, every fiber of p: E -> A of size fiber_size,
+    the identity id: A -> A, the relations that `relations(A)` returns and
+    bundle p, so every data command runs on it (phi and dualjet along id)."""
+    a = FinSet("A", tuple(f"v{i}" for i in range(n)))
+    e = FinSet("E", tuple(f"{v}.e{k}" for v in a for k in range(fiber_size)))
+    p = FinMap(e, a, tuple(v for v in a for _ in range(fiber_size)))
+    return Workspace(
+        objects={"A": a, "E": e},
+        maps={"p": p, "id": FinMap.identity(a)},
+        relations=relations(a),
+        bundles={"p": Bundle(p)},
+    )
+
+
+def path_graph_workspace(n, fiber_size):
+    """Path graph v0 - v1 - ... - v(n-1) as adj, and its radius-1 ball as R."""
+
+    def relations(a):
+        edges = zip(a.elements, a.elements[1:])
+        adjacency = Relation.from_pairs(a, a, [pair for u, v in edges for pair in ((u, v), (v, u))])
+        return {"adj": adjacency, "R": ball_relation(adjacency, 1).base}
+
+    return _graph_workspace(n, fiber_size, relations)
+
+
+def complete_graph_workspace(n, fiber_size):
+    """Complete graph K_n with the full relation as R."""
+    return _graph_workspace(n, fiber_size, lambda a: {"R": Relation.full(a, a)})

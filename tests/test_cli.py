@@ -18,11 +18,10 @@ import finjet
 from finjet.cli import main
 from finjet.errors import WorkspaceSyntaxError
 from finjet.finset import FinMap, FinSet, pullback
-from finjet.instances import complete_graph_workspace, path_graph_workspace
 from finjet.polyfun import Bundle
 from finjet.relations import Relation
 from finjet.workspace import Workspace, parse_workspace, serialize_workspace
-from strategies import element_names
+from strategies import complete_graph_workspace, element_names, path_graph_workspace
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws")
 
@@ -275,6 +274,20 @@ def test_parse_error_exits_2(tmp_path):
     bad.write_text("object A { x }\nmap f : A -> B { x -> u }\n")
     code, _ = run(["-w", str(bad), "jetbundle", "--relation", "R", "--bundle", "p"])
     assert code == 2
+
+
+def test_option_value_starting_with_dash(tmp_path, capsys):
+    """argparse reads a separate "-x" as an option, which is a usage error:
+    one `error:` line and exit 2.  "--point=-x" passes the element."""
+    path = tmp_path / "dash.ws"
+    path.write_text("object A { -x b }\nrelation R : A ~ A { (-x,-x) (b,-x) }\n")
+    code, text = run(["-w", str(path), "monad", "--relation", "R", "--point", "-x"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: argument --point: expected one argument\n"
+    code, text = run(["-w", str(path), "monad", "--relation", "R", "--point=-x"])
+    assert code == 0
+    assert "(-x,*)" in text and "(b,*)" in text
+    assert capsys.readouterr().err == ""
 
 
 def test_colliding_pair_names_are_a_parse_error(tmp_path, capsys):

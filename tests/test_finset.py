@@ -20,7 +20,7 @@ from finjet.finset import (
     pullback,
     span_leq,
 )
-from strategies import maps_into, shuffled_finsets
+from strategies import element_names, maps_into, shuffled_finsets
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2", "b3"))
@@ -174,6 +174,48 @@ def test_pair_into_pullback_rejects_non_cone():
         pair_into_pullback(
             FinMap(x, A, ("a1",)), FinMap(x, B, ("b1",)), pb
         )
+
+
+def grammar_sets(name):
+    """Sets of up to 4 element names of the workspace grammar, composites too."""
+    return st.lists(element_names, max_size=4, unique=True).map(
+        lambda elements: FinSet(name, tuple(elements))
+    )
+
+
+@st.composite
+def grammar_maps_into(draw, name, cod):
+    dom = draw(grammar_sets(name)) if len(cod) else FinSet(name, ())
+    return FinMap(dom, cod, tuple(draw(st.sampled_from(cod.elements)) for _ in dom))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_pullback_apex_is_named_by_its_legs(data):
+    """The apex element over the pair (a, b) is pair_name(a, b): callers
+    address apex elements by that name.  Checked on composite names and on
+    a pullback along a leg of a pullback, whose names nest."""
+    c = data.draw(grammar_sets("C"))
+    pb = pullback(data.draw(grammar_maps_into("A", c)), data.draw(grammar_maps_into("B", c)))
+    nested = pullback(pb.to_right, data.draw(grammar_maps_into("G", pb.to_right.cod)))
+    for sq in (pb, nested):
+        assert sq.apex.elements == tuple(map(pair_name, sq.to_left.values, sq.to_right.values))
+        assert pair_into_pullback(sq.to_left, sq.to_right, sq) == FinMap.identity(sq.apex)
+
+
+def test_pair_into_pullback_compares_legs_behind_a_shared_name():
+    # Library FinSets are not held to the workspace grammar: the pairs
+    # ("x", "y,z") and ("x,y", "z") are both named "(x,y,z)".  Only the
+    # first matches, so a cone through the second must not be accepted.
+    a = FinSet("A", ("x", "x,y"))
+    b = FinSet("B", ("y,z", "z"))
+    pb = pullback(FinMap(a, C, ("c1", "c2")), FinMap(b, C, ("c1", "c1")))
+    assert pb.apex.elements == ("(x,y,z)", "(x,z)")
+    x = FinSet("X", ("x0",))
+    med = pair_into_pullback(FinMap(x, a, ("x",)), FinMap(x, b, ("y,z",)), pb)
+    assert med.values == ("(x,y,z)",)
+    with pytest.raises(NotCommuting):
+        pair_into_pullback(FinMap(x, a, ("x,y",)), FinMap(x, b, ("z",)), pb)
 
 
 def test_pullback_of_monic_is_monic():

@@ -12,7 +12,6 @@ from finjet.errors import NotReflexive, NotVertical, ShapeMismatch, WorkspaceErr
 from finjet.fibdual import cartesian_comorphism, global_jet
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
 from finjet.instances import (
-    complete_graph_workspace,
     fixture_p3_parts,
     rand_adjacency,
     rand_ball_pair,
@@ -49,6 +48,7 @@ from finjet.relations import (
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
 from finjet.workspace import parse_workspace
+from strategies import complete_graph_workspace
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -204,10 +204,12 @@ def classical_morphism():
 def test_phi_identity_morphism_repacks_pairs():
     morphism = check_preserves(FinMap.identity(A), FinMap.identity(A), R, R)
     ctx = PhiContext.of(morphism, P_MAP)
+    sq = ctx.square
+    by_pair = dict(zip(zip(sq.to_left.values, sq.to_right.values), sq.apex.elements))
     for j in enumerate_jets(R, point(A, "b"), P_MAP):
         moved = phi(ctx, point(A, "b"), j)
         for (a, x), e in moved.table.items():
-            assert e == ctx.square.pair_index[(a, j.table[(a, x)])]
+            assert e == by_pair[(a, j.table[(a, x)])]
 
 
 def test_phi_empty_monad():

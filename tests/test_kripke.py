@@ -364,8 +364,9 @@ def test_restrict_section_identity():
     u = t.support
     back = restrict_section(t, FinMap.identity(A), u)
     sq = pullback(FinMap.identity(A), t.bundle)
+    by_pair = dict(zip(zip(sq.to_left.values, sq.to_right.values), sq.apex.elements))
     for (a, x), e in t.underlying.table.items():
-        assert back.underlying.table[(a, x)] == sq.pair_index[(a, e)]
+        assert back.underlying.table[(a, x)] == by_pair[(a, e)]
 
 
 def test_restrict_section_to_empty():
@@ -398,9 +399,12 @@ def test_restrict_section_associative():
     sq_f = pullback(f, t.bundle)
     sq_ff2 = pullback(compose(f, f2), t.bundle)
     sq_nested = pullback(f2, sq_f.to_left)
+    flat_by_pair = dict(
+        zip(zip(sq_ff2.to_left.values, sq_ff2.to_right.values), sq_ff2.apex.elements)
+    )
     for (a3el, x), nested in twice.underlying.table.items():
         inner = sq_nested.to_right(nested)
-        flat = sq_ff2.pair_index[(a3el, sq_f.to_right(inner))]
+        flat = flat_by_pair[(a3el, sq_f.to_right(inner))]
         assert once.underlying.table[(a3el, x)] == flat
 
 

@@ -232,11 +232,31 @@ def test_relation_and_bundle_headers_name_objects_by_key():
     ws = Workspace(
         objects={"A": a, "E": p.total},
         relations={"R": Relation.from_pairs(p.total, a, [(p.total.elements[0], "a")])},
-        bundles={"q": p},
+        bundles={"q": p, "q2": p},
     )
     text = serialize_workspace(ws)
     assert "relation R : E ~ A {" in text
     assert "map __bundle_q : E -> A {" in text
+    assert "bundle q2 = __bundle_q\n" in text
     parsed = parse_workspace(text)
     assert parsed.relations["R"].pairs == ws.relations["R"].pairs
     assert parsed.bundles["q"].map.values == p.map.values
+    # The bundle's map sits in the map block, where parsing puts it, so the
+    # text is a fixed point of serializing what it parses to.
+    assert serialize_workspace(parsed) == text
+
+
+def test_bundle_map_name_avoids_a_declared_map():
+    a = FinSet("A", ("a", "b"))
+    e = FinSet("E", ("x", "y"))
+    declared = FinMap(e, a, ("a", "a"))
+    ws = Workspace(
+        objects={"A": a, "E": e},
+        maps={"__bundle_q": declared},
+        bundles={"q": Bundle(FinMap(e, a, ("a", "b")))},
+    )
+    text = serialize_workspace(ws)
+    parsed = parse_workspace(text)
+    assert parsed.maps["__bundle_q"] == declared
+    assert parsed.bundles == ws.bundles
+    assert serialize_workspace(parsed) == text

@@ -13,12 +13,13 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from . import fibdual, jets, kripke, polyfun, reference, relations
 from .errors import ShapeMismatch
 from .finset import (
     FinMap,
+    FinSet,
     PullbackResult,
     _trusted,
     all_maps,
@@ -46,28 +47,43 @@ from .instances import (
     trim_bundle,
 )
 from .polyfun import Bundle, SliceMorphism, slice_homs
-from .relations import Relation, ball_relation
+from .relations import EndoRelation, Relation, ball_relation
 from .workspace import Workspace, serialize_workspace
 
 Outcome = tuple[int, int, Optional[str]]
 SuiteFn = Callable[[random.Random, int, int], Outcome]
-
-
-def _counterexample(reason: str, ws: Workspace) -> str:
-    return f"# {reason}\n{serialize_workspace(ws)}"
+_D = TypeVar("_D")
+_KINDS = {FinSet: "objects", FinMap: "maps", Relation: "relations", Bundle: "bundles"}
 
 
 class _Checker:
-    """Counts checks and keeps the first failure's serialized instance, whose
-    data the keyword arguments name by workspace kind: objects={"A": a}, ..."""
+    """Counts checks and keeps the first failure's reason with every datum
+    put before it, as workspace text that parses back.
 
-    def __init__(self, **kinds):
+    `put(name, datum)` records the datum under its workspace kind, chosen by
+    type, and returns it; `None` (`rand_map` into an empty set) is not
+    recorded.  Kinds the grammar lacks go in as parts it has: an
+    `EndoRelation` as its base, a partial map as its support relation and
+    `leg` map, a vertical map as its arrow.  `serialize_workspace` declares
+    the objects that maps, relations and bundles carry."""
+
+    def __init__(self):
         self.ws = Workspace()
-        for kind, entries in kinds.items():
-            getattr(self.ws, kind).update(entries)
         self.passed = 0
         self.failed = 0
         self.counterexample: Optional[str] = None
+
+    def put(self, name: str, datum: _D) -> _D:
+        if isinstance(datum, EndoRelation):
+            self.put(name, datum.base)
+        elif isinstance(datum, SliceMorphism):
+            self.put(name, datum.arrow)
+        elif isinstance(datum, kripke.PartialMapAtStage):
+            self.put(name, datum.support)
+            self.put(name, datum.leg)
+        elif datum is not None:
+            getattr(self.ws, _KINDS[type(datum)])[name] = datum
+        return datum
 
     def check(self, ok: bool, reason: str) -> bool:
         if ok:
@@ -75,7 +91,7 @@ class _Checker:
         else:
             self.failed += 1
             if self.counterexample is None:
-                self.counterexample = _counterexample(reason, self.ws)
+                self.counterexample = f"# {reason}\n{serialize_workspace(self.ws)}"
         return ok
 
     def outcome(self) -> Outcome:
@@ -127,12 +143,12 @@ def _checked_preserves(
 
 
 def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj)
     b = rand_finset(rng, "B", max_obj)
     c = rand_finset(rng, "C", max_obj, min_size=1)
-    f = rand_map(rng, a, c)
-    p = rand_map(rng, b, c)
-    t = _Checker(objects={"A": a, "B": b, "C": c}, maps={"f": f, "p": p})
+    f = t.put("f", rand_map(rng, a, c))
+    p = t.put("p", rand_map(rng, b, c))
     pb = pullback(f, p)
     expected = sum(
         sum(1 for x in a if f(x) == z) * sum(1 for y in b if p(y) == z) for z in c
@@ -165,9 +181,9 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
             ]
             t.check(rivals == [med], "mediating map is not unique")
     d = rand_finset(rng, "D", max_obj, min_size=1)
-    g = rand_map(rng, c, d)
+    g = t.put("g", rand_map(rng, c, d))
     e2 = rand_finset(rng, "E2", max_obj, min_size=1)
-    h = rand_map(rng, d, e2)
+    h = t.put("h", rand_map(rng, d, e2))
     t.check(
         compose(h, compose(g, f)) == compose(compose(h, g), f),
         "composition is not associative",
@@ -175,8 +191,8 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
     t.check(compose(f, FinMap.identity(a)) == f, "right identity law fails")
     t.check(compose(FinMap.identity(c), f) == f, "left identity law fails")
     x = rand_finset(rng, "X", max_obj)
-    u = rand_subobject(rng, a, x)
-    u2 = rand_subobject(rng, a, x)
+    u = t.put("u", rand_subobject(rng, a, x))
+    u2 = t.put("u2", rand_subobject(rng, a, x))
     witness = span_leq(u.span, u2.span)
     t.check(
         (witness is not None) == (u.pair_set <= u2.pair_set),
@@ -201,11 +217,11 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
 
 
 def suite_extensionality(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj)
     x = rand_finset(rng, "X", max_obj)
-    u = rand_subobject(rng, a, x)
-    u2 = rand_subobject(rng, a, x)
-    t = _Checker(objects={"A": a, "X": x})
+    u = t.put("u", rand_subobject(rng, a, x))
+    u2 = t.put("u2", rand_subobject(rng, a, x))
     direct = kripke.sub_leq(u, u2)
     via_legs = kripke.extensionality_leq(u, u2)
     brute = reference.brute_force_leq(u, u2, max_stage=2)
@@ -220,15 +236,15 @@ def suite_extensionality(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
 
 
 def suite_membership(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj, min_size=1)
     x = rand_finset(rng, "X", max_obj, min_size=1)
     y = rand_finset(rng, "Y", max_obj, min_size=1)
     z = rand_finset(rng, "Z", max_obj)
-    u = rand_subobject(rng, a, x)
-    elem = rand_map(rng, y, a)
-    alpha = rand_map(rng, y, x)
-    beta = rand_map(rng, z, y)
-    t = _Checker(objects={"A": a, "X": x, "Y": y, "Z": z}, maps={"a": elem, "alpha": alpha, "beta": beta})
+    u = t.put("u", rand_subobject(rng, a, x))
+    elem = t.put("a", rand_map(rng, y, a))
+    alpha = t.put("alpha", rand_map(rng, y, x))
+    beta = t.put("beta", rand_map(rng, z, y))
     direct = kripke.member(elem, alpha, u)
     via_stage = kripke.member(
         elem, FinMap.identity(y), kripke.change_of_stage(u, alpha)
@@ -254,8 +270,8 @@ def suite_membership(rng: random.Random, max_obj: int, max_fiber: int) -> Outcom
     )
     a2 = rand_finset(rng, "A2", max_obj, min_size=1)
     a3 = rand_finset(rng, "A3", max_obj, min_size=1)
-    f = rand_map(rng, a2, a)
-    f2 = rand_map(rng, a3, a2)
+    f = t.put("f", rand_map(rng, a2, a))
+    f2 = t.put("f2", rand_map(rng, a3, a2))
     t.check(
         kripke.counterimage(f2, kripke.counterimage(f, u))
         == kripke.counterimage(compose(f, f2), u),
@@ -270,12 +286,12 @@ def suite_membership(rng: random.Random, max_obj: int, max_fiber: int) -> Outcom
 
 
 def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj)
     x = rand_finset(rng, "X", max_obj)
     e = rand_finset(rng, "E", max_obj, min_size=1)
     u = rand_subobject(rng, a, x)
-    s = rand_partial_map(rng, u, e)
-    t = _Checker(objects={"A": a, "X": x, "E": e})
+    s = t.put("s", rand_partial_map(rng, u, e))
     rebuilt = kripke.yoneda_construct(u, kripke.law_of(s))
     t.check(rebuilt == s, "tabulating a partial map's own law does not rebuild it")
     for _ in range(5):
@@ -284,7 +300,7 @@ def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         rival_values = tuple(rng.choice(e.elements) for _ in u.pairs)
         if rival_values == s.values:
             continue
-        rival = kripke.PartialMapAtStage(u, e, rival_values)
+        rival = t.put("rival", kripke.PartialMapAtStage(u, e, rival_values))
         idx = next(i for i, (rv, sv) in enumerate(zip(rival_values, s.values)) if rv != sv)
         pa, px = u.pairs[idx]
         probe_a = FinMap(probe_stage(1), a, (pa,))
@@ -297,18 +313,18 @@ def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         y = rand_finset(rng, "Y", max_obj, min_size=1)
         z = rand_finset(rng, "Z", max_obj)
         picks = [rng.choice(u.pairs) for _ in y]
-        elem = FinMap(y, a, tuple(pa for pa, _ in picks))
-        alpha = FinMap(y, x, tuple(px for _, px in picks))
-        beta = rand_map(rng, z, y)
+        elem = t.put("a", FinMap(y, a, tuple(pa for pa, _ in picks)))
+        alpha = t.put("alpha", FinMap(y, x, tuple(px for _, px in picks)))
+        beta = t.put("beta", rand_map(rng, z, y))
         t.check(
             compose(kripke.value(s, elem, alpha), beta)
             == kripke.value(s, compose(elem, beta), compose(alpha, beta)),
             "value is not stable under change of stage",
         )
     f_dom = rand_finset(rng, "A2", max_obj)
-    f = rand_map(rng, f_dom, a)
+    f = t.put("f", rand_map(rng, f_dom, a))
     q_cod = rand_finset(rng, "F", max_obj, min_size=1)
-    q = rand_map(rng, e, q_cod)
+    q = t.put("q", rand_map(rng, e, q_cod))
     if f is not None:
         t.check(
             kripke.postcompose(q, kripke.precompose(s, f))
@@ -323,16 +339,16 @@ def suite_yoneda(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
 
 
 def suite_monad_stability(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj, min_size=1)
     b = rand_finset(rng, "B", max_obj, min_size=1)
     x = rand_finset(rng, "X", max_obj, min_size=1)
     y = rand_finset(rng, "Y", max_obj, min_size=1)
     z = rand_finset(rng, "Z", max_obj)
-    r = rand_relation(rng, a, b)
-    belem = rand_map(rng, x, b)
-    alpha = rand_map(rng, y, x)
-    beta = rand_map(rng, z, y)
-    t = _Checker(objects={"A": a, "B": b, "X": x}, relations={"R": r}, maps={"b": belem})
+    r = t.put("R", rand_relation(rng, a, b))
+    belem = t.put("b", rand_map(rng, x, b))
+    alpha = t.put("alpha", rand_map(rng, y, x))
+    beta = t.put("beta", rand_map(rng, z, y))
     moved = kripke.change_of_stage(relations.monad(r, belem), alpha)
     direct = relations.monad(r, compose(belem, alpha))
     t.check(moved == direct, "monad is not stable under change of stage")
@@ -342,7 +358,7 @@ def suite_monad_stability(rng: random.Random, max_obj: int, max_fiber: int) -> O
         "iterated change of stage does not collapse",
     )
     diag = Relation.diagonal(a)
-    aelem = rand_map(rng, x, a)
+    aelem = t.put("a", rand_map(rng, x, a))
     t.check(
         relations.monad(diag, aelem).pair_set
         == frozenset((aelem(v), v) for v in x),
@@ -352,17 +368,15 @@ def suite_monad_stability(rng: random.Random, max_obj: int, max_fiber: int) -> O
 
 
 def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
-    f, f0, rel_src, rel_dst = rand_preserving_relations(rng, max_obj)
-    t = _Checker(
-        objects={"A": f.dom, "B": f.cod, "A0": f0.dom, "B0": f0.cod},
-        maps={"f": f, "f0": f0},
-        relations={"RA": rel_src, "RB": rel_dst},
+    t = _Checker()
+    f, f0, rel_src, rel_dst = map(
+        t.put, ("f", "f0", "RA", "RB"), rand_preserving_relations(rng, max_obj)
     )
     t.check(
         _checked_preserves(t, f, f0, rel_src, rel_dst) is not None,
         "a relation drawn inside the counterimage is not preserved",
     )
-    loose = rand_relation(rng, f.dom, f0.dom)
+    loose = t.put("loose", rand_relation(rng, f.dom, f0.dom))
     oracle = all(
         (f(p), f0(p0)) in rel_dst.pair_set for p, p0 in loose.pairs
     )
@@ -370,18 +384,19 @@ def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome
         (_checked_preserves(t, f, f0, loose, rel_dst) is not None) == oracle,
         "preservation test disagrees with the direct pairwise scan",
     )
-    g, ball_a, ball_b = rand_ball_pair(rng, max_obj)
+    g, ball_a, ball_b = map(t.put, ("g", "ball_a", "ball_b"), rand_ball_pair(rng, max_obj))
     t.check(
         _checked_preserves(t, g, g, ball_a.base, ball_b.base) is not None,
         "a graph morphism does not preserve equal-radius balls",
     )
     carrier = rand_finset(rng, "G", max_obj, min_size=1)
-    adjacency = rand_adjacency(rng, carrier)
+    adjacency = t.put("adj", rand_adjacency(rng, carrier))
     r1 = rng.randint(0, 2)
     r2 = rng.randint(0, 2)
-    small = ball_relation(adjacency, r1).base
-    other = ball_relation(adjacency, r2).base
-    big = ball_relation(adjacency, r1 + r2).base
+    # The balls at the drawn radii r1, r2 and r1 + r2 record the radii.
+    small = t.put("small", ball_relation(adjacency, r1).base)
+    other = t.put("other", ball_relation(adjacency, r2).base)
+    big = t.put("big", ball_relation(adjacency, r1 + r2).base)
     composite = frozenset(
         (p, q)
         for p, mid in small.pairs
@@ -401,7 +416,7 @@ def suite_morphisms(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome
         and relations.is_symmetric(big) == reference.is_symmetric_elementwise(big),
         "elementwise and pair-set reflexivity/symmetry disagree",
     )
-    loose_endo = rand_relation(rng, carrier, carrier)
+    loose_endo = t.put("loose_endo", rand_relation(rng, carrier, carrier))
     t.check(
         relations.is_reflexive(loose_endo)
         == reference.is_reflexive_elementwise(loose_endo),
@@ -428,11 +443,11 @@ def product_of_fibers(r: Relation, p: FinMap, a0: str) -> int:
 
 
 def check_fiber_count(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj, min_size=1)
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
-    r = rand_relation(rng, a, a0)
-    p = rand_bundle(rng, a, max_fiber)
-    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
+    r = t.put("R", rand_relation(rng, a, a0))
+    p = t.put("p", rand_bundle(rng, a, max_fiber))
     jb = jets.jet_bundle(r, p.map)
     for point in a0:
         t.check(
@@ -447,11 +462,11 @@ def check_fiber_count(rng: random.Random, max_obj: int, max_fiber: int) -> Outco
 
 
 def check_classify(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj, min_size=1)
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
-    r = rand_relation(rng, a, a0)
-    p = rand_bundle(rng, a, min(max_fiber, 2))
-    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
+    r = t.put("R", rand_relation(rng, a, a0))
+    p = t.put("p", rand_bundle(rng, a, min(max_fiber, 2)))
     jb = jets.jet_bundle(r, p.map)
     stage1 = probe_stage(1)
     for base in all_maps(stage1, a0):
@@ -640,50 +655,35 @@ def cluex_law(
 
 
 def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     size = max(2, min(max_obj, 3))
-    f, f0, rel_a, rel_b = rand_preserving_relations(rng, size)
+    f, f0, rel_a, rel_b = map(t.put, ("f", "f0", "RA", "RB"), rand_preserving_relations(rng, size))
     c_src = rand_finset(rng, "C", size, min_size=1)
     c0 = rand_finset(rng, "C0", size, min_size=1)
-    g = rand_map(rng, f.cod, c_src)
-    g0 = rand_map(rng, f0.cod, c0)
+    g = t.put("g", rand_map(rng, f.cod, c_src))
+    g0 = t.put("g0", rand_map(rng, f0.cod, c0))
     # The image relation makes (g, g0) preserving by construction.
-    rel_c = Relation.from_pairs(
-        c_src, c0, ((g(v), g0(v0)) for v, v0 in rel_b.pairs)
-    )
-    t = _Checker(
-        objects={"A": f.dom, "B": f.cod, "C": c_src, "A0": f0.dom, "B0": f0.cod, "C0": c0},
-        maps={"f": f, "f0": f0, "g": g, "g0": g0},
-        relations={"RA": rel_a, "RB": rel_b, "RC": rel_c},
-    )
+    rel_c = t.put("RC", Relation.from_pairs(c_src, c0, ((g(v), g0(v0)) for v, v0 in rel_b.pairs)))
     upper = _checked_preserves(t, f, f0, rel_a, rel_b)
     lower = _checked_preserves(t, g, g0, rel_b, rel_c)
     if upper is None or lower is None:
         t.check(False, "generated morphisms fail preservation")
         return t.outcome()
-    p = rand_bundle(rng, c_src, min(max_fiber, 2), tag="p")
-    stage = probe_stage(rng.randint(0, 2))
-    a0 = rand_map(rng, stage, f0.dom)
+    p = t.put("p", rand_bundle(rng, c_src, min(max_fiber, 2), tag="p"))
+    a0 = t.put("a0", rand_map(rng, probe_stage(rng.randint(0, 2)), f0.dom))
     phi_compose_law(t, upper, lower, p.map, a0)
-    fm, ball_a, ball_b = rand_ball_pair(rng, size)
+    fm, ball_a, ball_b = map(t.put, ("fm", "ball_a", "ball_b"), rand_ball_pair(rng, size))
     classical = _checked_preserves(t, fm, fm, ball_a.base, ball_b.base)
-    pb_bundle = rand_bundle(rng, fm.cod, min(max_fiber, 2), min_fiber=1, tag="q")
-    top = rand_bundle(rng, fm.cod, min(max_fiber, 2), tag="r")
-    r_map_values = []
-    ok = True
-    for y in top.total:
-        fiber = pb_bundle.fiber(top.map(y))
-        if not fiber:
-            ok = False
-            break
-        r_map_values.append(rng.choice(fiber))
-    if ok and classical is not None:
-        r_map = FinMap(top.total, pb_bundle.total, tuple(r_map_values))
-        a0c = rand_map(rng, probe_stage(rng.randint(0, 2)), fm.dom)
-        cluex_law(t, classical, r_map, pb_bundle.map, a0c)
-    naturality_stage = probe_stage(1)
-    base = rand_map(rng, probe_stage(2), f0.dom)
-    alpha = rand_map(rng, naturality_stage, probe_stage(2))
-    ctx = jets.PhiContext.of(upper, rand_bundle(rng, f.cod, min(max_fiber, 2), tag="n").map)
+    pb_bundle = t.put("q", rand_bundle(rng, fm.cod, min(max_fiber, 2), min_fiber=1, tag="q"))
+    top = t.put("r", rand_bundle(rng, fm.cod, min(max_fiber, 2), tag="r"))
+    r_map = t.put("r_map", _random_vertical(rng, top, pb_bundle))
+    if r_map is not None and classical is not None:
+        a0c = t.put("a0c", rand_map(rng, probe_stage(rng.randint(0, 2)), fm.dom))
+        cluex_law(t, classical, r_map.arrow, pb_bundle.map, a0c)
+    base = t.put("base", rand_map(rng, probe_stage(2), f0.dom))
+    alpha = t.put("alpha", rand_map(rng, probe_stage(1), probe_stage(2)))
+    n = t.put("n", rand_bundle(rng, f.cod, min(max_fiber, 2), tag="n"))
+    ctx = jets.PhiContext.of(upper, n.map)
     for j in jets.enumerate_jets(rel_b, compose(f0, base), ctx.bundle)[:4]:
         t.check(
             jets.restrict_jet(_checked_phi(t, ctx, base, j), alpha)
@@ -696,11 +696,11 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
 def check_poly_iso(
     rng: random.Random, max_obj: int, max_fiber: int, endo_cap: int = 512
 ) -> Outcome:
+    t = _Checker()
     a = rand_finset(rng, "A", max_obj, min_size=1)
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
-    r = rand_relation(rng, a, a0)
-    p = rand_bundle(rng, a, max_fiber)
-    t = _Checker(objects={"A": a, "A0": a0, "E": p.total}, relations={"R": r}, maps={"p": p.map})
+    r = t.put("R", rand_relation(rng, a, a0))
+    p = t.put("p", rand_bundle(rng, a, max_fiber))
     dp, jb, iso = jets.polynomial_product_iso(r, p.map)
     t.check(iso.is_iso(), "polynomial bundle is not isomorphic to the jet bundle")
     t.check(
@@ -734,12 +734,12 @@ def check_poly_iso(
 
 
 def check_adjunction(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     m = rand_finset(rng, "M", max_obj, min_size=1)
     b = rand_finset(rng, "B", max_obj, min_size=1)
-    d = rand_map(rng, m, b)
-    y = rand_bundle(rng, b, min(max_fiber, 2), tag="y")
-    q = rand_bundle(rng, m, min(max_fiber, 2), tag="q")
-    t = _Checker(objects={"M": m, "B": b, "Y": y.total, "Q": q.total}, maps={"d": d, "y": y.map, "q": q.map})
+    d = t.put("d", rand_map(rng, m, b))
+    y = t.put("y", rand_bundle(rng, b, min(max_fiber, 2), tag="y"))
+    q = t.put("q", rand_bundle(rng, m, min(max_fiber, 2), tag="q"))
     t.check(adjunction_instance_ok(d, y, q), "adjunction laws fail")
     return t.outcome()
 
@@ -778,13 +778,13 @@ def adjunction_instance_ok(d: FinMap, y: Bundle, q: Bundle) -> bool:
 
 
 def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     b = rand_finset(rng, "B", max_obj, min_size=1)
     b0 = rand_finset(rng, "B0", max_obj, min_size=1)
     a0 = rand_finset(rng, "A0", max_obj, min_size=1)
-    g = rand_map(rng, a0, b0)
-    r = rand_relation(rng, b, b0)
-    q = rand_bundle(rng, b, min(max_fiber, 2), tag="q")
-    t = _Checker(objects={"A0": a0, "B": b, "B0": b0, "F": q.total}, maps={"g": g, "q": q.map}, relations={"R": r})
+    g = t.put("g", rand_map(rng, a0, b0))
+    r = t.put("R", rand_relation(rng, b, b0))
+    q = t.put("q", rand_bundle(rng, b, min(max_fiber, 2), tag="q"))
     t.check(
         beck_chevalley_check(g, r, q.map, max_stage=1),
         "pulled-back jet bundle does not represent jets along the map",
@@ -801,18 +801,18 @@ def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
         on_right=g,
     )
     t.check(sm.right_square_is_pullback(), "pulled-back span square is not a pullback")
-    y = rand_bundle(rng, b, min(max_fiber, 2), tag="y")
+    y = t.put("y", rand_bundle(rng, b, min(max_fiber, 2), tag="y"))
     mate = polyfun.mate_transform(sm, y)
     t.check(mate.is_iso(), "mate along a pullback square is not invertible")
     return t.outcome()
 
 
 def check_terminality(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     carrier = rand_finset(rng, "A", min(max_obj, 2), min_size=1)
-    adjacency = rand_adjacency(rng, carrier)
-    ball = ball_relation(adjacency, 1)
-    p = rand_bundle(rng, carrier, min(max_fiber, 2), tag="e")
-    t = _Checker(objects={"A": carrier, "E": p.total}, relations={"R": ball.base}, maps={"p": p.map})
+    adjacency = t.put("adj", rand_adjacency(rng, carrier))
+    ball = t.put("R", ball_relation(adjacency, 1))
+    p = t.put("p", rand_bundle(rng, carrier, min(max_fiber, 2), tag="e"))
     legs = ball.base.span
     t.check(
         fibdual.distributivity_terminal(legs.left, legs.right, p, max_total=3),
@@ -845,15 +845,16 @@ def _global_jet_checks(
 
 
 def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
+    t = _Checker()
     size = min(max_obj, 3)
     a4 = rand_finset(rng, "A4", size, min_size=1)
     a3 = rand_finset(rng, "A3", size, min_size=1)
     a2 = rand_finset(rng, "A2", size, min_size=1)
     a1 = rand_finset(rng, "A1", size, min_size=1)
-    f3 = rand_map(rng, a3, a4)
-    f2 = rand_map(rng, a2, a3)
-    f1 = rand_map(rng, a1, a2)
-    adj4 = rand_adjacency(rng, a4)
+    f3 = t.put("f3", rand_map(rng, a3, a4))
+    f2 = t.put("f2", rand_map(rng, a2, a3))
+    f1 = t.put("f1", rand_map(rng, a1, a2))
+    adj4 = t.put("adj4", rand_adjacency(rng, a4))
     adj3 = induced_adjacency(f3, adj4)
     adj2 = induced_adjacency(f2, adj3)
     adj1 = induced_adjacency(f1, adj2)
@@ -863,21 +864,14 @@ def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
         a2: ball_relation(adj2, 1),
         a1: ball_relation(adj1, 1),
     }
-    p4 = rand_bundle(rng, a4, min(max_fiber, 2), min_fiber=1, tag="e4")
-    p3 = rand_bundle(rng, a3, min(max_fiber, 2), min_fiber=1, tag="e3")
-    p2 = rand_bundle(rng, a2, min(max_fiber, 2), min_fiber=1, tag="e2")
-    p1 = rand_bundle(rng, a1, min(max_fiber, 2), min_fiber=1, tag="e1")
-    t = _Checker(
-        objects={"A1": a1, "A2": a2, "A3": a3, "A4": a4},
-        maps={"f1": f1, "f2": f2, "f3": f3},
-        relations={"adj4": adj4},
-    )
+    p4 = t.put("p4", rand_bundle(rng, a4, min(max_fiber, 2), min_fiber=1, tag="e4"))
+    p3 = t.put("p3", rand_bundle(rng, a3, min(max_fiber, 2), min_fiber=1, tag="e3"))
+    p2 = t.put("p2", rand_bundle(rng, a2, min(max_fiber, 2), min_fiber=1, tag="e2"))
+    p1 = t.put("p1", rand_bundle(rng, a1, min(max_fiber, 2), min_fiber=1, tag="e1"))
     chain = []
-    for f, src, dst in ((f1, p1, p2), (f2, p2, p3), (f3, p3, p4)):
-        vertical = _random_vertical(rng, polyfun.pullback_bundle(f, dst), src)
-        if vertical is None:
-            t.check(False, "chain generation produced an empty fiber")
-            return t.outcome()
+    for k, (f, src, dst) in enumerate(((f1, p1, p2), (f2, p2, p3), (f3, p3, p4)), start=1):
+        # Every fiber of src is nonempty, so a random vertical exists.
+        vertical = t.put(f"v{k}", _random_vertical(rng, polyfun.pullback_bundle(f, dst), src))
         chain.append(fibdual.Comorphism(f, src, dst, vertical))
     c1, c2, c3 = chain
     left_assoc = fibdual.comorphism_compose(fibdual.comorphism_compose(c3, c2), c1)

@@ -290,23 +290,13 @@ def _parse_bundle(ws: Workspace, rest: str, line_no: int) -> None:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """The workspace as text that parses back.  Headers name each object by
-    the first key it is declared under in `ws.objects` (its FinSet name when
-    it is declared under none), since the parser names objects by key."""
-    keys: dict[FinSet, str] = {}
-    for name, obj in ws.objects.items():
-        keys.setdefault(obj, name)
-
-    def key(obj: FinSet) -> str:
-        return keys.get(obj, obj.name)
-
-    def map_line(name: str, fmap: FinMap) -> str:
-        entries = " ; ".join(f"{k} -> {v}" for k, v in zip(fmap.dom.elements, fmap.values))
-        return f"map {name} : {key(fmap.dom)} -> {key(fmap.cod)} {{ {entries} }}"
-
-    # A bundle whose map is not declared gets a map `__bundle_<name>` (with
-    # "_" appended while a declared map has that name) in the map block,
-    # where parsing puts it, so serializing twice gives one text.
+    """The workspace as text that parses back, and serializes to the same
+    text once parsed.  Headers name each object by the first key it is
+    declared under in `ws.objects`.  An object that a map, relation or bundle
+    mentions but `ws.objects` lacks is declared after the others, in the
+    order first mentioned, under its FinSet name; a bundle whose map is not
+    declared gets a map `__bundle_<name>` at the end of the map block, where
+    parsing puts it.  Either name has "_" appended while it is taken."""
     maps = dict(ws.maps)
     bundle_maps: dict[str, str] = {}
     for name, bundle in ws.bundles.items():
@@ -317,10 +307,24 @@ def serialize_workspace(ws: Workspace) -> str:
                 map_name += "_"
             maps[map_name] = bundle.map
         bundle_maps[name] = map_name
-    lines = [f"object {name} {{ {' '.join(obj.elements)} }}" for name, obj in ws.objects.items()]
-    lines += [map_line(name, fmap) for name, fmap in maps.items()]
+    objects = dict(ws.objects)
+    keys = {obj: name for name, obj in reversed(ws.objects.items())}
+
+    def key(obj: FinSet) -> str:
+        if obj not in keys:
+            name = obj.name
+            while name in objects:
+                name += "_"
+            objects[name], keys[obj] = obj, name
+        return keys[obj]
+
+    body = []
+    for name, fmap in maps.items():
+        entries = " ; ".join(f"{k} -> {v}" for k, v in zip(fmap.dom.elements, fmap.values))
+        body.append(f"map {name} : {key(fmap.dom)} -> {key(fmap.cod)} {{ {entries} }}")
     for name, rel in ws.relations.items():
         pairs = " ".join(f"({a},{b})" for a, b in rel.pairs)
-        lines.append(f"relation {name} : {key(rel.over)} ~ {key(rel.stage)} {{ {pairs} }}")
-    lines += [f"bundle {name} = {map_name}" for name, map_name in bundle_maps.items()]
-    return "\n".join(line.replace("{  }", "{ }") for line in lines) + "\n"
+        body.append(f"relation {name} : {key(rel.over)} ~ {key(rel.stage)} {{ {pairs} }}")
+    body += [f"bundle {name} = {map_name}" for name, map_name in bundle_maps.items()]
+    lines = [f"object {name} {{ {' '.join(obj.elements)} }}" for name, obj in objects.items()]
+    return "\n".join(line.replace("{  }", "{ }") for line in lines + body) + "\n"

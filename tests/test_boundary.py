@@ -164,6 +164,37 @@ def test_every_reference_route_is_used():
     assert routes and unused == []
 
 
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports and never reads; a name listed in
+    `__all__` counts as read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_imported_name_is_used():
+    src = Path(finjet.__file__).resolve().parent.parent
+    paths = [*src.rglob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unused = {
+        f"{path.name}: {name}"
+        for path in paths
+        for name in _unused_imports(ast.parse(path.read_text()))
+    }
+    assert unused == set()
+    assert _unused_imports(ast.parse("import os.path\nfrom a import b as c, d\nd()")) == {"os", "c"}
+    assert _unused_imports(ast.parse("from a import b\n__all__ = ['b']")) == set()
+
+
 def test_distributivity_rejects_a_wrong_ended_candidate():
     legs = R.span
     eps = generic_section_vertical(legs.left, legs.right, Bundle(P_MAP))

@@ -508,6 +508,10 @@ def test_wrong_library_result_is_a_counted_failure(monkeypatch, capsys, jobs, su
     assert "result=FAIL" in text
     assert f"counterexample:\n  # {reason}\n  object " in text
     assert "Traceback" not in text + capsys.readouterr().err
+    body = text.split("counterexample:\n", 1)[1]
+    counterexample = parse_workspace("\n".join(line[2:] for line in body.splitlines()))
+    if suite == "phi-laws":
+        assert counterexample.bundles["p"].map.cod.name == "C"
 
 
 def test_data_commands_do_not_load_the_process_pool():
@@ -893,24 +897,24 @@ def _fuzz_commands(draw, ws):
     points = [x for obj in ws.objects.values() for x in obj] + ["zz"]
 
     def point():
-        return draw(st.sampled_from(points))
+        return f"--point={draw(st.sampled_from(points))}"
 
     def index():
         return f"--index={draw(st.integers(-1, 5))}"
 
     rel, maps, bundles = ws.relations, ws.maps, ws.bundles
-    monad_at = ["--at", pick(maps, "id")] if draw(st.booleans()) else ["--point", point()]
+    monad_at = ["--at", pick(maps, "id")] if draw(st.booleans()) else [point()]
     vertical = ["--vertical", pick(maps, "p"), "--src-bundle", pick(bundles, "p")]
     return [
         ["pullback", "--left", pick(maps, "p"), "--right", pick(maps, "id")],
         ["monad", "--relation", pick(rel, "R"), *monad_at],
-        ["jets", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p"), "--point", point()],
+        ["jets", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p"), point()],
         ["jetbundle", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p")],
         ["classify", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p"),
-         "--point", point(), index()],
+         point(), index()],
         ["phi", "--relation-src", pick(rel, "R"), "--relation-dst", pick(rel, "R"),
          "--map", pick(maps, "id"), "--map0", pick(maps, "id"), "--bundle", pick(bundles, "p"),
-         "--point", point(), index()],
+         point(), index()],
         ["polyjet", "--relation", pick(rel, "R"), "--bundle", pick(bundles, "p")],
         ["dualjet", "--relation-src", pick(rel, "R"), "--relation-dst", pick(rel, "R"),
          "--map", pick(maps, "id"), "--bundle", pick(bundles, "p"),

@@ -10,7 +10,6 @@ from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
 from finjet.instances import fixture_p3_parts, rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
     Bundle,
-    SectionTables,
     SliceMorphism,
     SpanMorphism,
     adjunction_bijection,

@@ -5,20 +5,70 @@ import pytest
 
 import finjet.suites as suites
 from finjet.cli import main
-from finjet.finset import FinSet
+from finjet.finset import FinMap, FinSet
+from finjet.instances import rng_for
 from finjet.suites import SUITES, SuiteReport, _Checker, run_suites
-from finjet.workspace import parse_workspace
+from finjet.workspace import parse_workspace, serialize_workspace
 
 
 def test_checker_keeps_first_counterexample_as_parseable_fragment():
-    t = _Checker(objects={"A": FinSet("A", ("x", "y"))})
+    t = _Checker()
+    a = t.put("A", FinSet("A", ("x", "y")))
+    assert t.put("none", None) is None
     assert t.check(True, "fine")
     assert not t.check(False, "first failure")
     t.check(False, "second failure")
     assert t.passed == 1 and t.failed == 2
     assert "first failure" in t.counterexample
     reparsed = parse_workspace(t.counterexample)
-    assert reparsed.objects["A"].elements == ("x", "y")
+    assert reparsed.objects["A"] == a
+    assert "none" not in reparsed.maps
+    t.put("f", FinMap(a, a, ("y", "x")))
+    t.check(False, "third failure")
+    assert t.counterexample.startswith("# first failure\n")
+
+
+# Data that suites draw late in an instance, after their first checks, by
+# workspace kind.
+_LATE_DRAWS = {
+    "morphisms": {"relations": {"loose"}},
+    "beck-chevalley": {"bundles": {"y"}},
+    "phi-laws": {"bundles": {"p", "q", "r", "n"}, "maps": {"a0", "r_map", "base", "alpha"}},
+    "global-functor": {"bundles": {"p1", "p2", "p3", "p4"}, "maps": {"v1", "v2", "v3"}},
+}
+
+
+def _table(fmap):
+    """A map as its elements and values, whatever its objects are named."""
+    return fmap.dom.elements, fmap.cod.elements, fmap.values
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_checker_workspace_parses_and_holds_every_datum_drawn(monkeypatch, name):
+    """At the end of every instance, the checker's workspace serializes to
+    text that parses back to the same text and holds each datum put."""
+    checkers = []
+    outcome = _Checker.outcome
+
+    def keep(self):
+        checkers.append(self)
+        return outcome(self)
+
+    monkeypatch.setattr(_Checker, "outcome", keep)
+    for seed in range(4):
+        SUITES[name](rng_for(seed, name, 0), 3, 3)
+    for t in checkers:
+        text = serialize_workspace(t.ws)
+        parsed = parse_workspace(text)
+        assert serialize_workspace(parsed) == text
+        for fname, fmap in t.ws.maps.items():
+            assert _table(parsed.maps[fname]) == _table(fmap)
+        for rname, rel in t.ws.relations.items():
+            assert parsed.relations[rname].pairs == rel.pairs
+        for bname, bundle in t.ws.bundles.items():
+            assert _table(parsed.bundles[bname].map) == _table(bundle.map)
+        for kind, names in _LATE_DRAWS.get(name, {}).items():
+            assert names <= set(getattr(parsed, kind)), (kind, text)
 
 
 def test_failing_report_render_modes():

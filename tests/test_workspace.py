@@ -260,3 +260,21 @@ def test_bundle_map_name_avoids_a_declared_map():
     assert parsed.maps["__bundle_q"] == declared
     assert parsed.bundles == ws.bundles
     assert serialize_workspace(parsed) == text
+
+
+def test_undeclared_objects_are_declared_under_their_finset_names():
+    a = FinSet("A", ("a", "b"))
+    other_a = FinSet("A", ("x",))
+    e = FinSet("E", ("e0", "e1"))
+    ws = Workspace(
+        maps={"f": FinMap(a, other_a, ("x", "x"))},
+        relations={"R": Relation.from_pairs(other_a, a, [("x", "b")])},
+        bundles={"p": Bundle(FinMap(e, a, ("a", "b")))},
+    )
+    text = serialize_workspace(ws)
+    assert text.startswith("object A { a b }\nobject A_ { x }\nobject E { e0 e1 }\n")
+    parsed = parse_workspace(text)
+    assert parsed.maps["f"].cod == FinSet("A_", ("x",))
+    assert parsed.relations["R"].pairs == (("x", "b"),)
+    assert parsed.bundles["p"].map.values == ("a", "b")
+    assert serialize_workspace(parsed) == text

@@ -256,7 +256,7 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
     legs = rel.span
-    dp = polyfun.polynomial_product(legs.left, legs.right, bundle)
+    dp = polyfun.polynomial_product(legs.left, legs.right, bundle).product
     sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
     rows = [
         ("element", el, b, " ".join(map("->".join, tab)))

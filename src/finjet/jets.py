@@ -33,10 +33,10 @@ from .kripke import (
 )
 from .polyfun import (
     Bundle,
-    DependentProduct,
+    PolynomialProduct,
     SectionTables,
     SliceMorphism,
-    dependent_product,
+    polynomial_product,
     section_tables,
 )
 from .relations import EndoRelation, Relation, RelationMorphism, monad
@@ -342,31 +342,23 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
 
 def polynomial_product_iso(
     r: Relation, p: FinMap
-) -> tuple[DependentProduct, JetBundle, SliceMorphism]:
+) -> tuple[PolynomialProduct, JetBundle, SliceMorphism]:
     """The polynomial product of p along r's span, the jet bundle of p, and
     the explicit iso from the product's result to the jet bundle.
 
     Both are computed from the same relation; the iso matches each section
-    over the canonical span fibers with the jet table it encodes.  The
-    square along the span's left leg is built once, for the product and
-    for reading each section's values in p.
+    over the canonical span fibers with the jet table it encodes, reading
+    each section's values in p off the square c*(p) that the polynomial
+    product holds.
     """
     legs = r.span
-    sq_c = pullback(legs.left, p)
-    dp = dependent_product(legs.right, Bundle(sq_c.to_left))
+    poly = polynomial_product(legs.left, legs.right, Bundle(p))
     jb = jet_bundle(r, p)
+    to_total = poly.square.to_right
     values = []
-    for _, a0, tab in dp.sections.entries():
-        table = {legs.left(m): sq_c.to_right(z) for m, z in tab}
+    for _, a0, tab in poly.product.sections.entries():
+        table = {legs.left(m): to_total(z) for m, z in tab}
         values.append(jb.sections.element_for(a0, table))
-    arrow = _trusted(FinMap, dp.result.total, jb.total, tuple(values))
-    iso = SliceMorphism(dp.result, Bundle(jb.projection), arrow)
-    return dp, jb, iso
-
-
-def polynomial_iso(r: Relation, p: FinMap) -> tuple[Bundle, JetBundle, SliceMorphism]:
-    """The polynomial-functor bundle, the jet bundle and the iso between them:
-    `polynomial_product_iso` with the product's result in place of the
-    product."""
-    dp, jb, iso = polynomial_product_iso(r, p)
-    return dp.result, jb, iso
+    result = poly.product.result
+    arrow = _trusted(FinMap, result.total, jb.total, tuple(values))
+    return poly, jb, SliceMorphism(result, Bundle(jb.projection), arrow)

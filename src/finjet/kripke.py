@@ -31,6 +31,7 @@ from .finset import (
     compose,
     is_jointly_monic,
     pair_name,
+    probe_stage,
     pullback,
 )
 
@@ -351,9 +352,6 @@ def extensionality_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
     return member(legs.left, legs.right, u2) is not None
 
 
-# Stages used to probe value laws for stability under change of stage.
-_PROBE_STAGES = (FinSet("probe1", ("z1",)), FinSet("probe2", ("z1", "z2")))
-
 ValueLaw = Callable[[FinMap, FinMap], FinMap]
 
 
@@ -369,7 +367,7 @@ def yoneda_construct(u: SubobjectAtStage, law: ValueLaw) -> PartialMapAtStage:
     tabulated = law(legs.left, legs.right)
     if tabulated.dom != legs.apex:
         raise ValueError("law did not return an element at the canonical stage")
-    for probe in _PROBE_STAGES:
+    for probe in (probe_stage(1), probe_stage(2)):
         if len(legs.apex) == 0 and len(probe) > 0:
             continue
         for values in itertools.product(legs.apex.elements, repeat=len(probe)):

@@ -314,47 +314,57 @@ def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection
     return AdjunctionBijection(d, y, q, dependent_product(d, q), pullback(d, y.map))
 
 
-def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> DependentProduct:
-    """Dependent product along d of the pullback along c (full structure).
+@dataclass(frozen=True)
+class PolynomialProduct:
+    """The composite polynomial functor d_*c^* at a bundle p, with the parts
+    it is built from: the canonical square c*(p) and the dependent product
+    of the square's left leg along d.  `polynomial_product` is its one
+    builder; the polynomial functor on a vertical map and the iso to the
+    jet bundle read the square it holds instead of rebuilding it."""
 
-    Its result is the composite polynomial functor applied to p: sections
-    over the span's fibers."""
+    c: FinMap  # the span's left leg, M -> A
+    p: Bundle  # over A
+    square: PullbackResult  # canonical pullback of (c, p.map)
+    product: DependentProduct  # of square.to_left along d
+
+
+def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> PolynomialProduct:
+    """The polynomial product of p along the span (c, d).  Its product's
+    result is the composite polynomial functor applied to p: sections over
+    the span's fibers."""
     if c.dom != d.dom:
         raise ShapeMismatch("span legs must share their apex")
     if c.cod != p.base:
         raise ShapeMismatch("bundle does not live over the left leg's codomain")
-    return dependent_product(d, pullback_bundle(c, p))
+    square = pullback(c, p.map)
+    return PolynomialProduct(c, p, square, dependent_product(d, Bundle(square.to_left)))
 
 
 def polynomial_map(
     c: FinMap,
     d: FinMap,
     v: SliceMorphism,
-    dp_src: DependentProduct,
-    dp_dst: DependentProduct,
+    dp_src: PolynomialProduct,
+    dp_dst: PolynomialProduct,
 ) -> SliceMorphism:
     """The polynomial functor on a vertical map over c's codomain; dp_src and
     dp_dst are the polynomial products of v's source and target.
 
     One push of dp_src's sections along c*(v), which sends each <m, e> of
-    c*(v.src) to <m, v(e)>, the canonical element of c*(v.dst) named by
-    `pair_name`; only the square of v's source is built.  The tests compare
-    it with `dependent_product_map` on `pullback_vertical(c, v)`.
+    dp_src's square to <m, v(e)>, the canonical element of dp_dst's square
+    named by `pair_name`.  It reads the square dp_src holds and builds none.
+    The tests compare it with `dependent_product_map` on
+    `pullback_vertical(c, v)`.
     """
-    sq = pullback(c, v.src.map)
-    if dp_src.along != d or dp_src.input != Bundle(sq.to_left):
+    if (dp_src.c, dp_src.product.along, dp_src.p) != (c, d, v.src):
         raise ShapeMismatch("source product is not the polynomial product of v's source")
+    if (dp_dst.c, dp_dst.product.along, dp_dst.p) != (c, d, v.dst):
+        raise ShapeMismatch("target product is not the polynomial product of v's target")
+    sq = dp_src.square
     values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.to_left.values, sq.to_right.values))
-    pushed = _trusted(FinMap, sq.apex, dp_dst.input.total, values)
-    try:
-        arrow = dp_src.sections.push_along(pushed, dp_dst.sections)
-    except (KeyError, ShapeMismatch):
-        # Other fibers, or a pushed table with no section: dp_dst is not the
-        # product of c*(v.dst) along d.
-        raise ShapeMismatch(
-            "target product is not the polynomial product of v's target"
-        ) from None
-    return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
+    pushed = _trusted(FinMap, sq.apex, dp_dst.square.apex, values)
+    arrow = dp_src.product.sections.push_along(pushed, dp_dst.product.sections)
+    return _trusted(SliceMorphism, dp_src.product.result, dp_dst.product.result, arrow)
 
 
 @dataclass(frozen=True)
@@ -395,13 +405,10 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
     g and f are the right and left comparison maps.  When the right square is
     a pullback the result is invertible.
     """
-    if y.base != sm.dst_left.cod:
-        raise ShapeMismatch("bundle does not live over the lower span's left end")
-    sq_c = pullback(sm.dst_left, y.map)
-    dp = dependent_product(sm.dst_right, Bundle(sq_c.to_left))
+    lower = polynomial_product(sm.dst_left, sm.dst_right, y)
+    sq_c, dp = lower.square, lower.product
     sq_g = pullback(sm.on_right, dp.result.map)
-    pulled = pullback_bundle(sm.on_left, y)
-    dp2 = polynomial_product(sm.src_left, sm.src_right, pulled)
+    dp2 = polynomial_product(sm.src_left, sm.src_right, pullback_bundle(sm.on_left, y)).product
     values = []
     for x in sq_g.apex:
         b2 = sq_g.to_left(x)

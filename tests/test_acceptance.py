@@ -27,7 +27,7 @@ from finjet.jets import (
     enumerate_jets,
     jet_bundle,
     jet_on_vertical,
-    polynomial_iso,
+    polynomial_product_iso,
     restrict_jet,
 )
 from finjet.kripke import (
@@ -46,7 +46,6 @@ from finjet.polyfun import (
     invert_slice,
     mate_transform,
     polynomial_map,
-    polynomial_product,
     slice_homs,
 )
 from finjet.suites import (
@@ -91,9 +90,9 @@ def test_criterion_2_polynomial_equals_enumerated():
     checked_verticals = 0
     for r, p in criterion1_instances():
         legs = r.span
-        poly, jb, iso = polynomial_iso(r, p.map)
+        poly, jb, iso = polynomial_product_iso(r, p.map)
         assert iso.is_iso()
-        assert compose(jb.projection, iso.arrow) == poly.map
+        assert compose(jb.projection, iso.arrow) == poly.product.result.map
         companion = trim_bundle(p)
         hom_pairs = [(p, companion), (companion, p)]
         endo_count = 1
@@ -105,8 +104,7 @@ def test_criterion_2_polynomial_equals_enumerated():
         isos = {}
         bundles = {}
         for b in (p, companion):
-            products[b.total.name] = polynomial_product(legs.left, legs.right, b)
-            _, jb_b, iso_b = polynomial_iso(r, b.map)
+            products[b.total.name], jb_b, iso_b = polynomial_product_iso(r, b.map)
             isos[b.total.name] = iso_b
             bundles[b.total.name] = jb_b
         for src, dst in hom_pairs:

@@ -32,7 +32,7 @@ from finjet.jets import (
     map_jet,
     nth_jet,
     phi,
-    polynomial_iso,
+    polynomial_product_iso,
     reflexive_value,
     restrict_jet,
 )
@@ -115,7 +115,7 @@ def _jet_sections(rel):
 
 
 def _poly_sections(rel):
-    dp = polynomial_product(rel.span.left, rel.span.right, Bundle(P_MAP))
+    dp = polynomial_product(rel.span.left, rel.span.right, Bundle(P_MAP)).product
     return dp.sections, dp.input.map
 
 
@@ -417,8 +417,8 @@ def test_mate_agrees_with_jet_transport_through_iso():
     mate = mate_transform(sm, Bundle(p_big))
     ctx = PhiContext.of(morphism, p_big)
     mediated = mediating_map(morphism, p_big)
-    _, _, iso_dst = polynomial_iso(morphism.rel_dst, p_big)
-    _, _, iso_src = polynomial_iso(morphism.rel_src, ctx.pulled)
+    _, _, iso_dst = polynomial_product_iso(morphism.rel_dst, p_big)
+    _, _, iso_src = polynomial_product_iso(morphism.rel_src, ctx.pulled)
     lifted = pullback_vertical(morphism.f0, iso_dst)
     assert compose(mediated.arrow, lifted.arrow) == compose(
         iso_src.arrow, mate.arrow
@@ -426,17 +426,17 @@ def test_mate_agrees_with_jet_transport_through_iso():
 
 
 def test_polynomial_iso_on_fixture():
-    poly, jb, iso = polynomial_iso(R, P_MAP)
+    poly, jb, iso = polynomial_product_iso(R, P_MAP)
     assert iso.is_iso()
-    assert compose(jb.projection, iso.arrow) == poly.map
+    assert compose(jb.projection, iso.arrow) == poly.product.result.map
     assert [len(jb.fiber(a0)) for a0 in A] == [2, 4, 2]
 
 
 def test_polynomial_iso_diagonal():
     diag = Relation.diagonal(A)
-    poly, jb, iso = polynomial_iso(diag, P_MAP)
+    poly, jb, iso = polynomial_product_iso(diag, P_MAP)
     assert iso.is_iso()
-    assert len(poly.total) == len(E)
+    assert len(poly.product.result.total) == len(E)
 
 
 def fixture_transports():

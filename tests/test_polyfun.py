@@ -147,7 +147,7 @@ def test_counit_is_built_on_first_use(seed, max_fiber, polynomial):
     d = rand_map(rng, m, b)
     if polynomial:
         a = rand_finset(rng, "A", 3, min_size=1)
-        dp = polynomial_product(rand_map(rng, m, a), d, rand_bundle(rng, a, max_fiber))
+        dp = polynomial_product(rand_map(rng, m, a), d, rand_bundle(rng, a, max_fiber)).product
     else:
         dp = dependent_product(d, rand_bundle(rng, m, max_fiber))
     assert "counit" not in vars(dp)
@@ -252,10 +252,10 @@ def test_adjunction_unit_takes_a_prebuilt_product():
 
 def test_polynomial_jet_diagonal_span():
     legs = BALL.base.span
-    poly = polynomial_product(legs.left, legs.right, P).result
+    poly = polynomial_product(legs.left, legs.right, P).product.result
     assert [sum(1 for el in poly.total if poly.map(el) == a0) for a0 in A] == [2, 4, 2]
     ident_span_left = FinMap.identity(A)
-    poly_id = polynomial_product(ident_span_left, ident_span_left, P).result
+    poly_id = polynomial_product(ident_span_left, ident_span_left, P).product.result
     assert len(poly_id.total) == len(E)
 
 
@@ -263,14 +263,14 @@ def test_polynomial_jet_accepts_non_monic_span():
     doubled = FinSet("M2", ("m1", "m2"))
     left = FinMap.constant(doubled, A, "a")
     right = FinMap.constant(doubled, A, "a")
-    poly = polynomial_product(left, right, P).result
+    poly = polynomial_product(left, right, P).product.result
     # Two span points over the same pair: sections choose a fiber point twice.
     assert sum(1 for el in poly.total if poly.map(el) == "a") == 4
 
 
 def test_polynomial_jet_identity_bundle():
     legs = BALL.base.span
-    poly = polynomial_product(legs.left, legs.right, Bundle.identity(A)).result
+    poly = polynomial_product(legs.left, legs.right, Bundle.identity(A)).product.result
     assert all(
         sum(1 for el in poly.total if poly.map(el) == a0) == 1 for a0 in A
     )
@@ -355,7 +355,7 @@ def test_polynomial_map_respects_composition():
     dp_dst = polynomial_product(legs.left, legs.right, P)
     for v in homs[:3]:
         moved = polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
-        assert compose(dp_dst.result.map, moved.arrow) == dp_src.result.map
+        assert compose(dp_dst.product.result.map, moved.arrow) == dp_src.product.result.map
 
 
 def _random_family(seed, max_fiber):
@@ -415,10 +415,28 @@ def test_polynomial_map_matches_the_pullback_route(seed, max_fiber):
     p = rand_bundle(rng, a, max_fiber)
     for src, dst, homs in _vertical_pairs(p):
         dp_src, dp_dst = polynomial_product(c, d, src), polynomial_product(c, d, dst)
+        for poly, q in ((dp_src, src), (dp_dst, dst)):
+            assert poly.square == pullback(c, q.map)
+            assert poly.product == dependent_product(d, pullback_bundle(c, q))
         for v in homs:
             assert polynomial_map(c, d, v, dp_src, dp_dst) == dependent_product_map(
-                d, pullback_vertical(c, v), dp_src, dp_dst
+                d, pullback_vertical(c, v), dp_src.product, dp_dst.product
             )
+
+
+def test_polynomial_map_builds_no_square(monkeypatch):
+    legs = BALL.base.span
+    q1 = small_bundle(A, (1, 1, 1), tag="x")
+    dp_src = polynomial_product(legs.left, legs.right, q1)
+    dp_dst = polynomial_product(legs.left, legs.right, P)
+    homs = list(itertools.islice(slice_homs(q1, P), 4))
+    expected = [polynomial_map(legs.left, legs.right, v, dp_src, dp_dst) for v in homs]
+
+    def no_pullback(*args):
+        raise AssertionError("polynomial_map rebuilt a canonical square")
+
+    monkeypatch.setattr("finjet.polyfun.pullback", no_pullback)
+    assert [polynomial_map(legs.left, legs.right, v, dp_src, dp_dst) for v in homs] == expected
 
 
 def test_polynomial_map_rejects_foreign_products():

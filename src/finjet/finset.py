@@ -11,12 +11,35 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CompositionMismatch, NotCommuting, NotJointlyMonic
 
 _T = TypeVar("_T")
+
+
+class cached_property:
+    """A method turned into an attribute computed on first access and then
+    stored in the instance's `__dict__` under the method's name, where later
+    reads find it without calling `__get__`.
+
+    `functools.cached_property` does the same but takes a lock on every
+    first access on Python 3.11, which costs more than twice as much; finjet's
+    objects are immutable and built by one thread, so no lock is needed.
+    Frozen dataclasses accept the write because it bypasses `__setattr__`,
+    and pickling carries the stored values along with the fields.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _trusted(cls: type[_T], *fields) -> _T:
@@ -48,7 +71,10 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `polynomial_product_iso`; `PhiContext.of`, which builds its own pullback;
       `SectionJet._trusted`, which still runs the jet's shape checks;
     - polyfun: the projection of `section_tables` (the projection of every
-      jet bundle, jet fiber and dependent product), the map of
+      jet bundle, jet fiber and dependent product), the arrows and slice
+      morphisms of `AdjunctionBijection.to_base` and `to_total` (a section
+      over each point's base point, and a value in q's fiber over each
+      point of the square), the map of
       `SectionTables.push_along` (the maps of `jet_on_vertical`,
       `dependent_product_map` and `polynomial_map`), `slice_homs`,
       `compose_slice`, `SliceMorphism.identity`, `DependentProduct.counit`
@@ -97,6 +123,16 @@ class FinSet:
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"duplicate elements in finite set {self.name!r}")
+
+    def __eq__(self, other) -> bool:
+        """Equal name and elements, decided at once for the same object,
+        which is most comparisons (every compose and pullback guard).  The
+        dataclass still generates `__hash__` from both fields."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.elements == other.elements
 
     @cached_property
     def index(self) -> Mapping[str, int]:
@@ -191,7 +227,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
             f"cannot compose: {f.cod.name!r} is not {g.dom.name!r}"
         )
     at, table = g.dom.index, g.values
-    return _trusted(FinMap, f.dom, g.cod, tuple(table[at[v]] for v in f.values))
+    return _trusted(FinMap, f.dom, g.cod, tuple([table[at[v]] for v in f.values]))
 
 
 def is_monic(f: FinMap) -> bool:

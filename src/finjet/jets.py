@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (
@@ -20,6 +19,7 @@ from .finset import (
     FinSet,
     PullbackResult,
     _trusted,
+    cached_property,
     compose,
     pair_name,
     pullback,

@@ -8,10 +8,7 @@ change-of-stage equations then hold as strict equalities of pair-sets.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
@@ -28,6 +25,8 @@ from .finset import (
     FinSet,
     Span,
     _trusted,
+    all_maps,
+    cached_property,
     compose,
     is_jointly_monic,
     pair_name,
@@ -94,17 +93,14 @@ class SubobjectAtStage:
 
         Change of stage (and so every monad) and counterimages emit their
         pairs stage by stage, which meets this, and they are its only
-        callers; the result skips the canonical-form check.  Buckets the
-        pairs by first coordinate and sorts only the rows that occur:
-        O(pairs + rows log rows), however large `over` is.
+        callers; the result skips the canonical-form check.  One stable sort
+        by index in `over` puts the pairs in canonical order and keeps each
+        a's stage elements in the order they came: O(pairs log pairs) at
+        worst.  Change of stage emits one run already sorted by `over` per
+        stage element, which the sort only merges, in O(pairs log runs).
         """
-        rows: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
-        for pair in pairs:
-            rows[pair[0]].append(pair)
-        order = sorted(rows, key=over.index.__getitem__)
-        return _trusted(
-            cls, over, stage, tuple(itertools.chain.from_iterable(rows[a] for a in order))
-        )
+        at = over.index.__getitem__
+        return _trusted(cls, over, stage, tuple(sorted(pairs, key=lambda pair: at(pair[0]))))
 
     @classmethod
     def full(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
@@ -368,10 +364,7 @@ def yoneda_construct(u: SubobjectAtStage, law: ValueLaw) -> PartialMapAtStage:
     if tabulated.dom != legs.apex:
         raise ValueError("law did not return an element at the canonical stage")
     for probe in (probe_stage(1), probe_stage(2)):
-        if len(legs.apex) == 0 and len(probe) > 0:
-            continue
-        for values in itertools.product(legs.apex.elements, repeat=len(probe)):
-            beta = FinMap(probe, legs.apex, values)
+        for beta in all_maps(probe, legs.apex):
             via_composite = compose(tabulated, beta)
             via_law = law(compose(legs.left, beta), compose(legs.right, beta))
             if via_composite != via_law:

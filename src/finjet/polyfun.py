@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import NotVertical, ShapeMismatch, SquaresNotCommuting
@@ -19,6 +18,7 @@ from .finset import (
     FinSet,
     PullbackResult,
     _trusted,
+    cached_property,
     compose,
     is_pullback_square,
     pair_into_pullback,
@@ -278,8 +278,8 @@ class AdjunctionBijection:
             b = self.left.map(w)
             table = {mm: m.arrow(pair_name(mm, w)) for mm in self.along.fiber(b)}
             values.append(self.product.sections.element_for(b, table))
-        arrow = FinMap(self.left.total, self.product.result.total, tuple(values))
-        return SliceMorphism(self.left, self.product.result, arrow)
+        arrow = _trusted(FinMap, self.left.total, self.product.result.total, tuple(values))
+        return _trusted(SliceMorphism, self.left, self.product.result, arrow)
 
     def to_total(self, n: SliceMorphism) -> SliceMorphism:
         """Transpose y -> product into d*(y) -> q."""
@@ -290,8 +290,8 @@ class AdjunctionBijection:
             m = self.square.to_left(x)
             w = self.square.to_right(x)
             values.append(self.product.sections.table_of(n.arrow(w))[m])
-        arrow = FinMap(self.square.apex, self.right.total, tuple(values))
-        return SliceMorphism(self.pulled_left, self.right, arrow)
+        arrow = _trusted(FinMap, self.square.apex, self.right.total, tuple(values))
+        return _trusted(SliceMorphism, self.pulled_left, self.right, arrow)
 
 
 def adjunction_unit(d: FinMap, y: Bundle, dp: DependentProduct) -> SliceMorphism:

@@ -75,14 +75,16 @@ def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
 
 def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
     """`relations.is_symmetric` read off generalized elements: membership
-    swaps sides."""
+    swaps sides.  Each probe's monad is built once per stage and read for
+    every pair of probes."""
     _require_endo(r)
     for size in range(max_stage + 1):
         stage = probe_stage(size)
-        for a in all_maps(stage, r.over):
-            for b in all_maps(stage, r.over):
-                left = all((a(x), x) in monad(r, b).pair_set for x in stage)
-                right = all((b(x), x) in monad(r, a).pair_set for x in stage)
+        probes = [(a.values, monad(r, a).pair_set) for a in all_maps(stage, r.over)]
+        for a, monad_a in probes:
+            for b, monad_b in probes:
+                left = all(pair in monad_b for pair in zip(a, stage.elements))
+                right = all(pair in monad_a for pair in zip(b, stage.elements))
                 if left != right:
                     return False
     return True

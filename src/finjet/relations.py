@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, _trusted, compose, element, pair_name
+from .finset import FinMap, FinSet, _trusted, cached_property, compose, element, pair_name
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the

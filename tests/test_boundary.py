@@ -124,6 +124,32 @@ def test_outside_input_never_takes_the_trusted_path(module):
     assert "_trusted" not in source
 
 
+def _uses_functools_cached_property(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cached_property" for a in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                return True
+    return False
+
+
+def test_no_module_takes_the_locking_cached_property():
+    """finset's lockless `cached_property` is the only one: the functools
+    version locks on every first access on Python 3.11."""
+    package = Path(finjet.__file__).parent
+    users = {
+        path.name
+        for path in package.glob("*.py")
+        if _uses_functools_cached_property(ast.parse(path.read_text()))
+    }
+    assert users == set()
+    assert _uses_functools_cached_property(ast.parse("from functools import cached_property"))
+    assert _uses_functools_cached_property(ast.parse("import functools\nx = functools.cached_property"))
+    assert not _uses_functools_cached_property(ast.parse("from .finset import cached_property"))
+
+
 def _imports_reference(tree: ast.Module) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

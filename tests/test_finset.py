@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from finjet.finset import (
     FinSet,
     Span,
     all_maps,
+    cached_property,
     compose,
     is_jointly_monic,
     is_monic,
@@ -20,6 +23,9 @@ from finjet.finset import (
     pullback,
     span_leq,
 )
+from finjet.instances import fixture_p3_parts
+from finjet.jets import jet_bundle
+from finjet.kripke import SubobjectAtStage
 from strategies import element_names, maps_into, shuffled_finsets
 
 A = FinSet("A", ("a1", "a2", "a3"))
@@ -49,8 +55,37 @@ def test_compose_table():
 
 def test_compose_mismatch():
     f = FinMap(A, C, ("c1", "c2", "c1"))
-    with pytest.raises(CompositionMismatch):
+    with pytest.raises(CompositionMismatch, match="^cannot compose: 'C' is not 'A'$"):
         compose(f, f)
+
+
+def test_equal_valued_finsets_are_equal_and_hash_equal():
+    twin = FinSet("A", ("a1", "a2", "a3"))
+    assert twin is not A
+    assert twin == A and not twin != A
+    assert hash(twin) == hash(A)
+    assert {A: 1}[twin] == 1
+    assert len({A, twin}) == 1
+
+
+def test_finsets_differing_in_name_or_elements_are_unequal():
+    assert FinSet("A2", A.elements) != A
+    assert FinSet("A", ("a1", "a3", "a2")) != A
+    assert FinSet("A", ("a1", "a2")) != A
+
+
+def test_finset_compares_unequal_to_other_types():
+    assert (A == "A") is False
+    assert (A == ("A", A.elements)) is False
+    assert A != None  # noqa: E711
+    assert A.__eq__(object()) is NotImplemented
+
+
+def test_compose_accepts_equal_but_distinct_finsets():
+    f = FinMap(A, C, ("c1", "c2", "c1"))
+    g = FinMap(FinSet("C", ("c1", "c2")), B, ("b3", "b1"))
+    assert g.dom is not f.cod
+    assert compose(g, f).values == ("b3", "b1", "b3")
 
 
 @given(finmaps(A, C), finmaps(C, B), finmaps(B, A))
@@ -314,3 +349,43 @@ def test_product_shapes():
     empty = FinSet("N", ())
     carrier, _, _ = product(empty, B)
     assert len(carrier) == 0
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """A frozen record whose cached attribute counts its computations."""
+
+    calls: list
+
+    @cached_property
+    def value(self) -> int:
+        """The number of computations so far, including this one."""
+        self.calls.append(self)
+        return len(self.calls)
+
+
+def test_cached_property_computes_once_per_instance_into_its_dict():
+    calls = []
+    first, second = _Counted(calls), _Counted(calls)
+    assert "value" not in first.__dict__
+    assert first.value == 1 and first.value == 1
+    assert first.__dict__["value"] == 1
+    assert second.value == 2
+    assert calls == [first, second]
+
+
+def test_cached_property_on_the_class_is_the_descriptor():
+    assert isinstance(_Counted.value, cached_property)
+    assert _Counted.value.__doc__ == "The number of computations so far, including this one."
+    assert FinMap.fibers.__doc__.startswith("The fiber index")
+
+
+def test_cached_values_survive_pickling():
+    a, _, p, ball = fixture_p3_parts()
+    jb = jet_bundle(ball.base, p)
+    u = SubobjectAtStage.from_pairs(a, C, [("a", "c2"), ("b", "c1")])
+    generic, pair_set, span = jb.generic, u.pair_set, u.span
+    jb2, u2 = pickle.loads(pickle.dumps((jb, u)))
+    assert jb2 == jb and u2 == u
+    assert jb2.__dict__["generic"] == generic
+    assert (u2.__dict__["pair_set"], u2.__dict__["span"]) == (pair_set, span)

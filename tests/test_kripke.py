@@ -455,8 +455,26 @@ def test_yoneda_rejects_unstable_law():
         pick = "e1" if len(a.dom) % 2 == 0 else "e2"
         return FinMap.constant(a.dom, E, pick)
 
-    with pytest.raises(UnstableLaw):
+    with pytest.raises(UnstableLaw) as raised:
         yoneda_construct(u, law)
+    assert str(raised.value) == (
+        "law is not stable along the probe FinMap(stage1->sub(A,X): x0->(a1,x1))"
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_yoneda_evaluates_the_law_at_every_probe(n):
+    # Once on the canonical legs, then once per map from the probe stages of
+    # sizes 1 and 2 into the n-element apex: 1 + n + n^2 calls.
+    u = SubobjectAtStage.from_pairs(A, X, [(a, "x1") for a in A.elements[:n]])
+    calls = []
+
+    def law(a, alpha):
+        calls.append(a.dom)
+        return FinMap.constant(a.dom, E, "e1")
+
+    yoneda_construct(u, law)
+    assert len(calls) == 1 + n + n * n
 
 
 def test_stage_restrict_matches_value():

@@ -1,7 +1,7 @@
 """Finite-set stage semantics, graph-ball neighborhoods, and section-jet bundles."""
 
-from .finset import FinMap, FinSet, PullbackResult, Span, UNIT
-from .kripke import PartialMapAtStage, PartialSection, SubobjectAtStage, Witness
+from .finset import FinMap, FinSet, Span, UNIT
+from .kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
 from .polyfun import Bundle, DependentProduct, SliceMorphism
 from .relations import EndoRelation, Relation, RelationMorphism
 from .jets import JetBundle, PhiContext, SectionJet
@@ -11,13 +11,11 @@ from .workspace import Workspace, parse_workspace, serialize_workspace
 __all__ = [
     "FinMap",
     "FinSet",
-    "PullbackResult",
     "Span",
     "UNIT",
     "PartialMapAtStage",
     "PartialSection",
     "SubobjectAtStage",
-    "Witness",
     "Bundle",
     "DependentProduct",
     "SliceMorphism",

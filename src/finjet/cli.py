@@ -104,8 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_workspace(args) -> Workspace:
     if not args.workspace:
         raise WorkspaceError("this command needs --workspace")
-    with open(args.workspace, "r", encoding="utf-8") as handle:
-        return parse_workspace(handle.read())
+    try:
+        with open(args.workspace, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(
+            f"{args.workspace!r} is not UTF-8 text: byte {exc.start} ({exc.reason})"
+        ) from None
+    return parse_workspace(text)
 
 
 def _emit(
@@ -133,7 +139,7 @@ def _emit(
 def _cmd_pullback(ws: Workspace, args, out) -> int:
     pb = pullback(ws.map(args.left), ws.map(args.right))
     rows = [
-        ("element", m, a, b) for m, a, b in zip(pb.apex, pb.to_left.values, pb.to_right.values)
+        ("element", m, a, b) for m, a, b in zip(pb.apex, pb.left.values, pb.right.values)
     ]
     return _emit(
         out,

@@ -16,7 +16,6 @@ from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
-    PullbackResult,
     Span,
     _trusted,
     compose,
@@ -85,10 +84,10 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     sq = pullback(base, c2.dst.map)
     values = tuple(
         v1(pair_name(a, v2(pair_name(f(a), e))))
-        for a, e in zip(sq.to_left.values, sq.to_right.values)
+        for a, e in zip(sq.left.values, sq.right.values)
     )
     arrow = _trusted(FinMap, sq.apex, c1.src.total, values)
-    vertical = _trusted(SliceMorphism, Bundle(sq.to_left), c1.src, arrow)
+    vertical = _trusted(SliceMorphism, Bundle(sq.left), c1.src, arrow)
     return _trusted(Comorphism, base, c1.src, c2.dst, vertical)
 
 
@@ -121,13 +120,13 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     jb_dst = jet_bundle(rel_dst.base, c.dst.map)
     sq = pullback(f, jb_dst.projection)
     values = []
-    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+    for a0, t in zip(sq.left.values, sq.right.values):
         tab = jb_dst.sections.table_of(t)
         moved = {a: v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0)}
         values.append(jb_src.sections.element_for(a0, moved))
     src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
     arrow = _trusted(FinMap, sq.apex, src.total, tuple(values))
-    vertical = _trusted(SliceMorphism, Bundle(sq.to_left), src, arrow)
+    vertical = _trusted(SliceMorphism, Bundle(sq.left), src, arrow)
     return _trusted(Comorphism, f, src, dst, vertical)
 
 
@@ -145,18 +144,18 @@ def generic_section_vertical(
 
 
 def _generic_section_on(
-    c: FinMap, jb: JetBundle, sq_d: PullbackResult, sq_c: PullbackResult
+    c: FinMap, jb: JetBundle, sq_d: Span, sq_c: Span
 ) -> SliceMorphism:
     """`generic_section_vertical` on the squares d*(J(p)) and c*(p), built
     by the caller."""
     values = []
     for x in sq_d.apex:
-        m = sq_d.to_left(x)
-        t = sq_d.to_right(x)
+        m = sq_d.left(x)
+        t = sq_d.right(x)
         e = jb.sections.table_of(t)[c(m)]
         values.append(pair_name(m, e))
     arrow = FinMap(sq_d.apex, sq_c.apex, tuple(values))
-    return SliceMorphism(Bundle(sq_d.to_left), Bundle(sq_c.to_left), arrow)
+    return SliceMorphism(Bundle(sq_d.left), Bundle(sq_c.left), arrow)
 
 
 def distributivity_terminal(
@@ -194,8 +193,8 @@ def distributivity_terminal(
     sq_eps = pullback(d, jb.projection)
     sq_c = pullback(c, p.map)
     epsilon = candidate if candidate is not None else _generic_section_on(c, jb, sq_eps, sq_c)
-    pulled_c = Bundle(sq_c.to_left)
-    if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
+    pulled_c = Bundle(sq_c.left)
+    if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
     eps = epsilon.arrow.table
     vacuous: dict[str, bool] = {}

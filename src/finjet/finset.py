@@ -1,9 +1,9 @@
 """Finite sets and total maps: the ambient category.
 
-Everything here is immutable and canonical.  Derived objects (products,
-pullback apexes) get deterministic element names, so constructions that are
-unique only up to isomorphism in general become literally equal here, and
-the functoriality laws downstream hold as equalities of tables.
+Everything here is immutable and canonical.  Derived objects (the apexes
+of `canonical_span`) get deterministic element names, so constructions
+that are unique only up to isomorphism in general become literally equal
+here, and the functoriality laws downstream hold as equalities of tables.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CompositionMismatch, NotCommuting, NotJointlyMonic
 
@@ -56,12 +56,12 @@ def _trusted(cls: type[_T], *fields) -> _T:
     pair set, and `phi`, `global_jet` and `polynomial_map` pair a point with
     a value in the fiber over its image.  The call sites, all of them:
 
-    - finset: `compose`, `pullback` (both legs), `pair_into_pullback`,
-      `product` (both projections), `all_maps`, `FinMap.identity`;
-    - kripke: `SubobjectAtStage.span` (both legs, for relations too),
-      `SubobjectAtStage._from_stage_major` (the subobjects that
+    - finset: `compose`, `canonical_span` (the span and both legs of every
+      `pullback` and every `SubobjectAtStage.span`, relations' too),
+      `pair_into_pullback`, `all_maps`, `FinMap.identity`;
+    - kripke: `SubobjectAtStage._from_stage_major` (the subobjects that
       `change_of_stage`, and so every `monad`, and `counterimage` emit in
-      canonical order), the witness map of `member` and the partial map of
+      canonical order), the mediating map of `member` and the partial map of
       `stage_restrict`;
     - relations: the morphism of `check_preserves`, which first runs the
       constructor's shape and preservation checks itself;
@@ -276,21 +276,29 @@ def span_leq(s: Span, s2: Span) -> Optional[FinMap]:
     return FinMap(s.apex, s2.apex, tuple(values))
 
 
-@dataclass(frozen=True)
-class PullbackResult:
-    """Canonical pullback: apex elements are the matching pairs.
+def canonical_span(
+    name: str, pairs: Sequence[tuple[str, str]], left: FinSet, right: FinSet
+) -> Span:
+    """The span left <- name -> right whose apex holds one element per pair,
+    in the order given: the pair (a, b) is the apex element
+    `pair_name(a, b)`, and the legs send it to a and to b.
 
-    The apex element of the matching pair (a, b) is `pair_name(a, b)`; callers
-    address apex elements by that name and keep no index of their own.
+    Every canonical apex, a pullback's and a subobject's, is built here, and
+    callers address its elements by `pair_name`, keeping no index of their
+    own.  The pairs must lie in left x right; the apex is checked, so pair
+    names that collide raise.
     """
+    apex = FinSet(name, tuple([pair_name(a, b) for a, b in pairs]))
+    return _trusted(
+        Span,
+        _trusted(FinMap, apex, left, tuple([a for a, _ in pairs])),
+        _trusted(FinMap, apex, right, tuple([b for _, b in pairs])),
+    )
 
-    apex: FinSet
-    to_left: FinMap
-    to_right: FinMap
 
-
-def pullback(f: FinMap, p: FinMap) -> PullbackResult:
-    """Canonical pullback of f: A -> C against p: B -> C.
+def pullback(f: FinMap, p: FinMap) -> Span:
+    """Canonical pullback of f: A -> C against p: B -> C, as the canonical
+    span pb(A,B) of the matching pairs.
 
     Apex elements are exactly the matching pairs, in lexicographic order of
     (index of a in A, index of b in B): a hash join that walks A in order and
@@ -305,16 +313,10 @@ def pullback(f: FinMap, p: FinMap) -> PullbackResult:
         for a, c in zip(f.dom.elements, f.values)
         for b in p.fiber(c)
     ]
-    apex = FinSet(
-        f"pb({f.dom.name},{p.dom.name})",
-        tuple(pair_name(a, b) for a, b in pairs),
-    )
-    to_left = _trusted(FinMap, apex, f.dom, tuple(a for a, _ in pairs))
-    to_right = _trusted(FinMap, apex, p.dom, tuple(b for _, b in pairs))
-    return PullbackResult(apex, to_left, to_right)
+    return canonical_span(f"pb({f.dom.name},{p.dom.name})", pairs, f.dom, p.dom)
 
 
-def pair_into_pullback(a: FinMap, b: FinMap, pb: PullbackResult) -> FinMap:
+def pair_into_pullback(a: FinMap, b: FinMap, pb: Span) -> FinMap:
     """The mediating map <a, b> into a pullback apex.
 
     Each x goes to the apex element `pair_name(a(x), b(x))`.  Names of
@@ -323,9 +325,9 @@ def pair_into_pullback(a: FinMap, b: FinMap, pb: PullbackResult) -> FinMap:
     """
     if a.dom != b.dom:
         raise CompositionMismatch("cone legs must share their stage")
-    if a.cod != pb.to_left.cod or b.cod != pb.to_right.cod:
+    if a.cod != pb.left.cod or b.cod != pb.right.cod:
         raise CompositionMismatch("cone legs do not match the pullback legs")
-    at, lefts, rights = pb.apex.index.get, pb.to_left.values, pb.to_right.values
+    at, lefts, rights = pb.apex.index.get, pb.left.values, pb.right.values
     values = []
     for x, u, w in zip(a.dom.elements, a.values, b.values):
         m = pair_name(u, w)
@@ -334,17 +336,6 @@ def pair_into_pullback(a: FinMap, b: FinMap, pb: PullbackResult) -> FinMap:
             raise NotCommuting(f"cone does not commute at {x!r}")
         values.append(m)
     return _trusted(FinMap, a.dom, pb.apex, tuple(values))
-
-
-def product(a: FinSet, b: FinSet) -> tuple[FinSet, FinMap, FinMap]:
-    """Canonical product with pair-named elements in lexicographic order."""
-    pairs = [(x, y) for x in a for y in b]
-    carrier = FinSet(
-        f"{a.name}x{b.name}", tuple(pair_name(x, y) for x, y in pairs)
-    )
-    fst = _trusted(FinMap, carrier, a, tuple(x for x, _ in pairs))
-    snd = _trusted(FinMap, carrier, b, tuple(y for _, y in pairs))
-    return carrier, fst, snd
 
 
 def all_maps(dom: FinSet, cod: FinSet) -> Iterator[FinMap]:

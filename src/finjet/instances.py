@@ -1,4 +1,4 @@
-"""Seeded random instance generation for suites and tests, plus the path fixture."""
+"""Seeded random instance generation for suites and tests."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from .finset import FinMap, FinSet
 from .kripke import PartialMapAtStage, SubobjectAtStage
 from .polyfun import Bundle
 from .relations import EndoRelation, Relation, ball_relation
-from .workspace import Workspace
 
 
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
@@ -143,26 +142,3 @@ def rand_preserving_relations(
         a, a0, (p for p in allowed if rng.random() < 0.7)
     )
     return f, f0, rel_src, rel_dst
-
-
-def fixture_p3() -> Workspace:
-    """Path graph a - b - c, ball radius 1, bundle fibers of sizes 2/1/2."""
-    ws = Workspace()
-    a = FinSet("A", ("a", "b", "c"))
-    e = FinSet("E", ("a0", "a1", "b0", "c0", "c1"))
-    ws.objects["A"] = a
-    ws.objects["E"] = e
-    p = FinMap(e, a, ("a", "a", "b", "c", "c"))
-    ws.maps["p"] = p
-    adjacency = Relation.from_pairs(a, a, [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")])
-    ws.relations["adj"] = adjacency
-    ws.relations["R"] = ball_relation(adjacency, 1).base
-    ws.bundles["p"] = Bundle(p)
-    return ws
-
-
-def fixture_p3_parts() -> tuple[FinSet, FinSet, FinMap, EndoRelation]:
-    """(A, E, p, ball relation) of the path fixture, as plain values."""
-    ws = fixture_p3()
-    ball = EndoRelation(ws.relations["R"], True, True)
-    return ws.objects["A"], ws.objects["E"], ws.maps["p"], ball

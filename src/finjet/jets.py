@@ -17,7 +17,7 @@ from .errors import (
 from .finset import (
     FinMap,
     FinSet,
-    PullbackResult,
+    Span,
     _trusted,
     cached_property,
     compose,
@@ -167,7 +167,7 @@ class PhiContext:
 
     morphism: RelationMorphism
     bundle: FinMap  # p: E -> B, over the target relation's source
-    square: PullbackResult  # canonical pullback of (f, p)
+    square: Span  # canonical pullback of (f, p)
 
     def __post_init__(self):
         if self.bundle.cod != self.morphism.rel_dst.over:
@@ -184,7 +184,7 @@ class PhiContext:
     @property
     def pulled(self) -> FinMap:
         """p': the pulled-back bundle over the source relation's source."""
-        return self.square.to_left
+        return self.square.left
 
 
 def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
@@ -354,7 +354,7 @@ def polynomial_product_iso(
     legs = r.span
     poly = polynomial_product(legs.left, legs.right, Bundle(p))
     jb = jet_bundle(r, p)
-    to_total = poly.square.to_right
+    to_total = poly.square.right
     values = []
     for _, a0, tab in poly.product.sections.entries():
         table = {legs.left(m): to_total(z) for m, z in tab}

@@ -27,6 +27,7 @@ from .finset import (
     _trusted,
     all_maps,
     cached_property,
+    canonical_span,
     compose,
     is_jointly_monic,
     pair_name,
@@ -120,15 +121,12 @@ class SubobjectAtStage:
 
     @cached_property
     def span(self) -> Span:
-        """The canonical representing span: the apex element of the pair
-        (a, x) is `pair_name(a, x)`, which callers use to address it."""
-        apex = FinSet(
-            f"sub({self.over.name},{self.stage.name})",
-            tuple(pair_name(a, x) for a, x in self.pairs),
+        """The canonical representing span sub(A,X), built by
+        `canonical_span`: callers address the apex element of the pair
+        (a, x) as `pair_name(a, x)`."""
+        return canonical_span(
+            f"sub({self.over.name},{self.stage.name})", self.pairs, self.over, self.stage
         )
-        left = _trusted(FinMap, apex, self.over, tuple(a for a, _ in self.pairs))
-        right = _trusted(FinMap, apex, self.stage, tuple(x for _, x in self.pairs))
-        return Span(left, right)
 
     @cached_property
     def columns(self) -> Mapping[str, tuple[str, ...]]:
@@ -190,16 +188,10 @@ def counterimage(f: FinMap, u: SubobjectAtStage) -> SubobjectAtStage:
     )
 
 
-@dataclass(frozen=True)
-class Witness:
-    """The unique factorization through the canonical span proving membership."""
-
-    subobject: SubobjectAtStage
-    map: FinMap  # Y -> canonical apex
-
-
-def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[Witness]:
-    """Membership of the element a: Y -> A at the later stage alpha: Y -> X."""
+def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[FinMap]:
+    """Membership of the element a: Y -> A at the later stage alpha: Y -> X:
+    the unique map Y -> u.span.apex through which (a, alpha) factors, or None
+    when some pair (a(y), alpha(y)) is not in u."""
     if a.cod != u.over:
         raise OverMismatch("element does not land in the subobject's object")
     if alpha.cod != u.stage:
@@ -212,7 +204,7 @@ def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[Witness]:
         if key not in pairs:
             return None
         values.append(pair_name(*key))
-    return Witness(u, _trusted(FinMap, a.dom, u.span.apex, tuple(values)))
+    return _trusted(FinMap, a.dom, u.span.apex, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -275,10 +267,10 @@ class PartialSection:
 
 def value(s: PartialMapAtStage, a: FinMap, alpha: FinMap) -> FinMap:
     """The element s(a): Y -> E, defined when a is a member of the support."""
-    w = member(a, alpha, s.support)
-    if w is None:
+    through = member(a, alpha, s.support)
+    if through is None:
         raise NotInSupport("element is not a member of the partial map's support")
-    return compose(s.leg, w.map)
+    return compose(s.leg, through)
 
 
 def postcompose(q: FinMap, s: PartialMapAtStage) -> PartialMapAtStage:
@@ -330,7 +322,7 @@ def restrict_section(
         for a2, x in u2.pairs
     }
     restricted = PartialMapAtStage.from_table(u2, square.apex, table)
-    return PartialSection(restricted, square.to_left)
+    return PartialSection(restricted, square.left)
 
 
 def extensionality_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:

@@ -16,7 +16,7 @@ from .errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from .finset import (
     FinMap,
     FinSet,
-    PullbackResult,
+    Span,
     _trusted,
     cached_property,
     compose,
@@ -102,7 +102,7 @@ def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
     """The canonical pullback f*(p), as a bundle over f's domain."""
     if f.cod != p.base:
         raise ShapeMismatch("pullback along a map into a different base")
-    return Bundle(pullback(f, p.map).to_left)
+    return Bundle(pullback(f, p.map).left)
 
 
 def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
@@ -110,15 +110,15 @@ def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
     sq_src = pullback(f, v.src.map)
     sq_dst = pullback(f, v.dst.map)
     arrow = pair_into_pullback(
-        sq_src.to_left, compose(v.arrow, sq_src.to_right), sq_dst
+        sq_src.left, compose(v.arrow, sq_src.right), sq_dst
     )
-    return _trusted(SliceMorphism, Bundle(sq_src.to_left), Bundle(sq_dst.to_left), arrow)
+    return _trusted(SliceMorphism, Bundle(sq_src.left), Bundle(sq_dst.left), arrow)
 
 
 def relabel_identity(p: Bundle) -> SliceMorphism:
     """The canonical iso id*(p) -> p (pullback along the identity relabels pairs)."""
     sq = pullback(FinMap.identity(p.base), p.map)
-    return SliceMorphism(Bundle(sq.to_left), p, sq.to_right)
+    return SliceMorphism(Bundle(sq.left), p, sq.right)
 
 
 SectionTable = tuple[tuple[str, str], ...]
@@ -230,7 +230,7 @@ class DependentProduct:
         sq = pullback(self.along, self.sections.projection)
         values = self.sections.evaluations(self.along.dom)
         arrow = _trusted(FinMap, sq.apex, self.input.total, values)
-        return _trusted(SliceMorphism, Bundle(sq.to_left), self.input, arrow)
+        return _trusted(SliceMorphism, Bundle(sq.left), self.input, arrow)
 
 
 def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
@@ -263,11 +263,11 @@ class AdjunctionBijection:
     left: Bundle  # y over B
     right: Bundle  # q over M
     product: DependentProduct  # of right along d
-    square: PullbackResult  # of (d, left.map)
+    square: Span  # of (d, left.map)
 
     @property
     def pulled_left(self) -> Bundle:
-        return Bundle(self.square.to_left)
+        return Bundle(self.square.left)
 
     def to_base(self, m: SliceMorphism) -> SliceMorphism:
         """Transpose d*(y) -> q into y -> product."""
@@ -287,8 +287,8 @@ class AdjunctionBijection:
             raise ShapeMismatch("morphism is not y -> product")
         values = []
         for x in self.square.apex:
-            m = self.square.to_left(x)
-            w = self.square.to_right(x)
+            m = self.square.left(x)
+            w = self.square.right(x)
             values.append(self.product.sections.table_of(n.arrow(w))[m])
         arrow = _trusted(FinMap, self.square.apex, self.right.total, tuple(values))
         return _trusted(SliceMorphism, self.pulled_left, self.right, arrow)
@@ -301,7 +301,7 @@ def adjunction_unit(d: FinMap, y: Bundle, dp: DependentProduct) -> SliceMorphism
     if y.base != d.cod:
         raise ShapeMismatch("unit requires a bundle over the map's codomain")
     sq = pullback(d, y.map)
-    pulled = Bundle(sq.to_left)
+    pulled = Bundle(sq.left)
     if dp.along != d or dp.input != pulled:
         raise ShapeMismatch("unit product is not the product of d*(y) along d")
     bij = AdjunctionBijection(d, y, pulled, dp, sq)
@@ -324,8 +324,8 @@ class PolynomialProduct:
 
     c: FinMap  # the span's left leg, M -> A
     p: Bundle  # over A
-    square: PullbackResult  # canonical pullback of (c, p.map)
-    product: DependentProduct  # of square.to_left along d
+    square: Span  # canonical pullback of (c, p.map)
+    product: DependentProduct  # of square.left along d
 
 
 def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> PolynomialProduct:
@@ -337,7 +337,7 @@ def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> PolynomialProduct:
     if c.cod != p.base:
         raise ShapeMismatch("bundle does not live over the left leg's codomain")
     square = pullback(c, p.map)
-    return PolynomialProduct(c, p, square, dependent_product(d, Bundle(square.to_left)))
+    return PolynomialProduct(c, p, square, dependent_product(d, Bundle(square.left)))
 
 
 def polynomial_map(
@@ -361,7 +361,7 @@ def polynomial_map(
     if (dp_dst.c, dp_dst.product.along, dp_dst.p) != (c, d, v.dst):
         raise ShapeMismatch("target product is not the polynomial product of v's target")
     sq = dp_src.square
-    values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.to_left.values, sq.to_right.values))
+    values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.left.values, sq.right.values))
     pushed = _trusted(FinMap, sq.apex, dp_dst.square.apex, values)
     arrow = dp_src.product.sections.push_along(pushed, dp_dst.product.sections)
     return _trusted(SliceMorphism, dp_src.product.result, dp_dst.product.result, arrow)
@@ -411,13 +411,13 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
     dp2 = polynomial_product(sm.src_left, sm.src_right, pullback_bundle(sm.on_left, y)).product
     values = []
     for x in sq_g.apex:
-        b2 = sq_g.to_left(x)
-        t = sq_g.to_right(x)
+        b2 = sq_g.left(x)
+        t = sq_g.right(x)
         section = dp.sections.table_of(t)
         table = {}
         for m2 in sm.src_right.fiber(b2):
-            e = sq_c.to_right(section[sm.on_mid(m2)])
+            e = sq_c.right(section[sm.on_mid(m2)])
             table[m2] = pair_name(m2, pair_name(sm.src_left(m2), e))
         values.append(dp2.sections.element_for(b2, table))
     arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
-    return SliceMorphism(Bundle(sq_g.to_left), dp2.result, arrow)
+    return SliceMorphism(Bundle(sq_g.left), dp2.result, arrow)

@@ -123,11 +123,11 @@ def pointwise_cartesian_image(
     jb_pulled = jet_bundle(morphism.rel_src, ctx.pulled)
     sq = pullback(morphism.f0, jb_dst.projection)
     values = []
-    for a0, t in zip(sq.to_left.values, sq.to_right.values):
+    for a0, t in zip(sq.left.values, sq.right.values):
         jet = restrict_jet(jb_dst.generic_jet, element(jb_dst.total, t))
         values.append(classify(jb_pulled, phi(ctx, element(morphism.f0.dom, a0), jet))("*"))
     pulled = Bundle(jb_pulled.projection)
-    vertical = SliceMorphism(Bundle(sq.to_left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
+    vertical = SliceMorphism(Bundle(sq.left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
     return jb_pulled, Comorphism(morphism.f0, pulled, Bundle(jb_dst.projection), vertical)
 
 
@@ -160,27 +160,27 @@ def push_along_by_lookup(src: SectionTables, arrow: FinMap, dst: SectionTables) 
 def flatten_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
     """The re-association inner*(outer*(p)) -> (outer o inner)*(p)."""
     sq_outer = pullback(outer, p.map)
-    sq_inner = pullback(inner, sq_outer.to_left)
+    sq_inner = pullback(inner, sq_outer.left)
     sq_whole = pullback(compose(outer, inner), p.map)
     arrow = pair_into_pullback(
-        sq_inner.to_left,
-        compose(sq_outer.to_right, sq_inner.to_right),
+        sq_inner.left,
+        compose(sq_outer.right, sq_inner.right),
         sq_whole,
     )
-    return SliceMorphism(Bundle(sq_inner.to_left), Bundle(sq_whole.to_left), arrow)
+    return SliceMorphism(Bundle(sq_inner.left), Bundle(sq_whole.left), arrow)
 
 
 def nest_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:
     """The re-association (outer o inner)*(p) -> inner*(outer*(p)), through
     which `fibdual.comorphism_compose` is checked."""
     sq_outer = pullback(outer, p.map)
-    sq_inner = pullback(inner, sq_outer.to_left)
+    sq_inner = pullback(inner, sq_outer.left)
     sq_whole = pullback(compose(outer, inner), p.map)
     middle = pair_into_pullback(
-        compose(inner, sq_whole.to_left), sq_whole.to_right, sq_outer
+        compose(inner, sq_whole.left), sq_whole.right, sq_outer
     )
-    arrow = pair_into_pullback(sq_whole.to_left, middle, sq_inner)
-    return SliceMorphism(Bundle(sq_whole.to_left), Bundle(sq_inner.to_left), arrow)
+    arrow = pair_into_pullback(sq_whole.left, middle, sq_inner)
+    return SliceMorphism(Bundle(sq_whole.left), Bundle(sq_inner.left), arrow)
 
 
 def vertical_comorphism(v: SliceMorphism) -> Comorphism:
@@ -215,12 +215,12 @@ def distributivity_terminal_brute(
     jet_total = Bundle(jb.projection)
     epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)
     sq_eps = pullback(d, jb.projection)
-    pulled_c = Bundle(pullback(c, p.map).to_left)
-    if epsilon.src != Bundle(sq_eps.to_left) or epsilon.dst != pulled_c:
+    pulled_c = Bundle(pullback(c, p.map).left)
+    if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
     # eps at each pair (m, j) of d*(J(p)), read off the square's legs rather
     # than its element names; the shape guard puts eps's domain in apex order.
-    pairs = zip(sq_eps.to_left.values, sq_eps.to_right.values)
+    pairs = zip(sq_eps.left.values, sq_eps.right.values)
     eps_at = dict(zip(pairs, epsilon.arrow.values))
     base = d.cod
     candidates: list[Bundle] = [jet_total]
@@ -235,7 +235,7 @@ def distributivity_terminal_brute(
             candidates.append(Bundle(FinMap(carrier, base, values)))
     for t in candidates:
         sq_t = pullback(d, t.map)
-        points = [(sq_t.to_left(x), sq_t.to_right(x)) for x in sq_t.apex]
+        points = [(sq_t.left(x), sq_t.right(x)) for x in sq_t.apex]
         spots = {tt: i for i, tt in enumerate(t.total.elements)}
         u_options = [jet_total.fiber(t.map(tt)) for tt in t.total]
         transposed: dict[tuple[str, ...], int] = {}

@@ -20,7 +20,7 @@ from .errors import ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
-    PullbackResult,
+    Span,
     _trusted,
     all_maps,
     compose,
@@ -155,13 +155,13 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
     )
     t.check(len(pb.apex) == expected, "pullback apex size disagrees with the pair count")
     t.check(
-        compose(f, pb.to_left) == compose(p, pb.to_right),
+        compose(f, pb.left) == compose(p, pb.right),
         "pullback square does not commute",
     )
     if is_monic(f):
-        t.check(is_monic(pb.to_right), "pullback of a monic is not monic")
+        t.check(is_monic(pb.right), "pullback of a monic is not monic")
     if is_monic(p):
-        t.check(is_monic(pb.to_left), "pullback of a monic is not monic")
+        t.check(is_monic(pb.left), "pullback of a monic is not monic")
     for size in range(3):
         stage = probe_stage(size)
         cones = [
@@ -170,16 +170,18 @@ def suite_pullback_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Out
             for cb in all_maps(stage, b)
             if compose(f, ca) == compose(p, cb)
         ]
+        # Every map into the apex, in all_maps order, under the cone it makes.
+        rivals: dict[tuple, list[FinMap]] = {}
+        for m in all_maps(stage, pb.apex):
+            cone = (compose(pb.left, m).values, compose(pb.right, m).values)
+            rivals.setdefault(cone, []).append(m)
         for ca, cb in cones:
             med = pair_into_pullback(ca, cb, pb)
-            ok = compose(pb.to_left, med) == ca and compose(pb.to_right, med) == cb
+            ok = compose(pb.left, med) == ca and compose(pb.right, med) == cb
             t.check(ok, "mediating map does not factor the cone")
-            rivals = [
-                m
-                for m in all_maps(stage, pb.apex)
-                if compose(pb.to_left, m) == ca and compose(pb.to_right, m) == cb
-            ]
-            t.check(rivals == [med], "mediating map is not unique")
+            t.check(
+                rivals.get((ca.values, cb.values)) == [med], "mediating map is not unique"
+            )
     d = rand_finset(rng, "D", max_obj, min_size=1)
     g = t.put("g", rand_map(rng, c, d))
     e2 = rand_finset(rng, "E2", max_obj, min_size=1)
@@ -259,8 +261,8 @@ def suite_membership(rng: random.Random, max_obj: int, max_fiber: int) -> Outcom
             "membership is not stable under change of stage",
         )
         t.check(
-            compose(u.span.left, direct.map) == elem
-            and compose(u.span.right, direct.map) == alpha,
+            compose(u.span.left, direct) == elem
+            and compose(u.span.right, direct) == alpha,
             "witness does not commute with the canonical legs",
         )
     t.check(
@@ -521,10 +523,10 @@ def _random_vertical(
 
 
 def maps_over(
-    pb: PullbackResult, a0: FinMap
+    pb: Span, a0: FinMap
 ) -> tuple[FinMap, ...]:
     """All maps from a0's stage into a pullback apex whose left leg is a0."""
-    per_point = [pb.to_left.fiber(a) for a in a0.values]
+    per_point = [pb.left.fiber(a) for a in a0.values]
     out = []
     for values in itertools.product(*per_point):
         out.append(_trusted(FinMap, a0.dom, pb.apex, values))
@@ -549,7 +551,7 @@ def beck_chevalley_check(
         return pair_into_pullback(a0, jets.classify(jb, j), sq)
 
     def backward(m: FinMap) -> jets.SectionJet:
-        return jets.restrict_jet(jb.generic_jet, compose(sq.to_right, m))
+        return jets.restrict_jet(jb.generic_jet, compose(sq.right, m))
 
     stages = [probe_stage(n) for n in range(max_stage + 1)]
     for stage in stages:
@@ -608,7 +610,7 @@ def phi_compose_law(
         ctx_h.square.apex,
         tuple(
             pair_name(a, pair_name(upper.f(a), e))
-            for a, e in zip(whole.to_left.values, whole.to_right.values)
+            for a, e in zip(whole.left.values, whole.right.values)
         ),
     )
     mid_base = compose(upper.f0, a0)
@@ -643,7 +645,7 @@ def cluex_law(
         ctx_h.square.apex,
         tuple(
             pair_name(a, r_map(e))
-            for a, e in zip(ctx_k.square.to_left.values, ctx_k.square.to_right.values)
+            for a, e in zip(ctx_k.square.left.values, ctx_k.square.right.values)
         ),
     )
     ok = True
@@ -788,12 +790,12 @@ def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     legs = r.span
     sq = pullback(g, legs.right)
     sm = polyfun.SpanMorphism(
-        src_left=compose(legs.left, sq.to_right),
-        src_right=sq.to_left,
+        src_left=compose(legs.left, sq.right),
+        src_right=sq.left,
         dst_left=legs.left,
         dst_right=legs.right,
         on_left=FinMap.identity(b),
-        on_mid=sq.to_right,
+        on_mid=sq.right,
         on_right=g,
     )
     t.check(sm.right_square_is_pullback(), "pulled-back span square is not a pullback")

@@ -1,10 +1,11 @@
-"""Hypothesis strategies and graph workspaces shared by the test modules."""
+"""Hypothesis strategies, graph workspaces and the path fixture shared by
+the test modules."""
 
 from hypothesis import strategies as st
 
 from finjet.finset import FinMap, FinSet, pair_name
 from finjet.polyfun import Bundle
-from finjet.relations import Relation, ball_relation
+from finjet.relations import EndoRelation, Relation, ball_relation
 from finjet.workspace import Workspace
 
 
@@ -66,3 +67,26 @@ def path_graph_workspace(n, fiber_size):
 def complete_graph_workspace(n, fiber_size):
     """Complete graph K_n with the full relation as R."""
     return _graph_workspace(n, fiber_size, lambda a: {"R": Relation.full(a, a)})
+
+
+def fixture_p3():
+    """Path graph a - b - c, ball radius 1, bundle fibers of sizes 2/1/2."""
+    ws = Workspace()
+    a = FinSet("A", ("a", "b", "c"))
+    e = FinSet("E", ("a0", "a1", "b0", "c0", "c1"))
+    ws.objects["A"] = a
+    ws.objects["E"] = e
+    p = FinMap(e, a, ("a", "a", "b", "c", "c"))
+    ws.maps["p"] = p
+    adjacency = Relation.from_pairs(a, a, [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")])
+    ws.relations["adj"] = adjacency
+    ws.relations["R"] = ball_relation(adjacency, 1).base
+    ws.bundles["p"] = Bundle(p)
+    return ws
+
+
+def fixture_p3_parts():
+    """(A, E, p, ball relation) of the path fixture, as plain values."""
+    ws = fixture_p3()
+    ball = EndoRelation(ws.relations["R"], True, True)
+    return ws.objects["A"], ws.objects["E"], ws.maps["p"], ball

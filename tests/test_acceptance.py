@@ -12,7 +12,6 @@ from finjet.cli import main as cli_main
 from finjet.fibdual import distributivity_terminal, generic_section_vertical
 from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
 from finjet.instances import (
-    fixture_p3_parts,
     rand_bundle,
     rand_finset,
     rand_map,
@@ -55,6 +54,7 @@ from finjet.suites import (
     check_phi_laws,
     product_of_fibers,
 )
+from strategies import fixture_p3_parts
 
 SEED = 42
 
@@ -317,12 +317,12 @@ def test_criterion_8_beck_chevalley_and_mates():
     g = FinMap(stage, a, ("a", "c"))
     sq = pullback(g, legs.right)
     pullback_case = SpanMorphism(
-        src_left=compose(legs.left, sq.to_right),
-        src_right=sq.to_left,
+        src_left=compose(legs.left, sq.right),
+        src_right=sq.left,
         dst_left=legs.left,
         dst_right=legs.right,
         on_left=FinMap.identity(a),
-        on_mid=sq.to_right,
+        on_mid=sq.right,
         on_right=g,
     )
     assert pullback_case.right_square_is_pullback()

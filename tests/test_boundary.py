@@ -14,11 +14,11 @@ from finjet import reference
 from finjet.errors import CompositionMismatch, NotVertical, ShapeMismatch
 from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
 from finjet.finset import FinMap, FinSet, Span, element, pullback
-from finjet.instances import fixture_p3_parts
 from finjet.jets import PhiContext, SectionJet, enumerate_jets
 from finjet.kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
 from finjet.polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
 from finjet.relations import Relation, RelationMorphism
+from strategies import fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -219,6 +219,41 @@ def test_every_imported_name_is_used():
     assert unused == set()
     assert _unused_imports(ast.parse("import os.path\nfrom a import b as c, d\nd()")) == {"os", "c"}
     assert _unused_imports(ast.parse("from a import b\n__all__ = ['b']")) == set()
+
+
+def _pair_named_finsets(tree: ast.Module) -> list[str]:
+    """The enclosing function of every `FinSet(...)` call whose arguments
+    mention `pair_name`, or "<module>" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "FinSet":
+                arguments = [*child.args, *(k.value for k in child.keywords)]
+                if any("pair_name" in ast.unparse(arg) for arg in arguments):
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_canonical_span_names_a_set_by_pair_name():
+    """Every apex of pair-named elements comes from `canonical_span`."""
+    package = Path(finjet.__file__).parent
+    builders = [
+        f"{path.name}: {where}"
+        for path in sorted(package.glob("*.py"))
+        for where in _pair_named_finsets(ast.parse(path.read_text()))
+    ]
+    assert builders == ["finset.py: canonical_span"]
+    nested = "def f(p):\n    return FinSet('pb', tuple(pair_name(a, b) for a, b in p))"
+    assert _pair_named_finsets(ast.parse(nested)) == ["f"]
+    assert _pair_named_finsets(ast.parse("finset.FinSet('x', tuple(map(pair_name, xs, ys)))")) == ["<module>"]
+    assert _pair_named_finsets(ast.parse("FinSet('x', names)\npair_name(a, b)")) == []
 
 
 def test_distributivity_rejects_a_wrong_ended_candidate():

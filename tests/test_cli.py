@@ -276,6 +276,16 @@ def test_parse_error_exits_2(tmp_path):
     assert code == 2
 
 
+def test_non_utf8_workspace_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ws"
+    bad.write_bytes(b"\xff\xfe object A { a }\n")
+    code, text = run(["-w", str(bad), "jetbundle", "--relation", "R", "--bundle", "p"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {str(bad)!r} is not UTF-8 text: byte 0 (invalid start byte)\n"
+    )
+
+
 def test_option_value_starting_with_dash(tmp_path, capsys):
     """argparse reads a separate "-x" as an option, which is a usage error:
     one `error:` line and exit 2.  "--point=-x" passes the element."""
@@ -715,7 +725,7 @@ def _dualjet_case(tmp_path, case: str, vertical: bool) -> list[str]:
     ws.objects["Q"] = q_total
     ws.maps["g"] = g
     ws.maps["q"] = FinMap(q_total, a, a.elements)
-    ws.maps["v"] = FinMap(sq.apex, q_total, tuple(f"q.{x}" for x in sq.to_left.values))
+    ws.maps["v"] = FinMap(sq.apex, q_total, tuple(f"q.{x}" for x in sq.left.values))
     ws.bundles["q"] = Bundle(ws.maps["q"])
     path = tmp_path / f"{case}.ws"
     path.write_text(serialize_workspace(ws))
@@ -834,7 +844,7 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
             monkeypatch.setattr(module, "_trusted", by_constructor)
     assert [run(argv) for argv in commands] == expected
     assert checked == {
-        "FinMap", "SubobjectAtStage", "PartialMapAtStage", "PartialSection",
+        "FinMap", "Span", "SubobjectAtStage", "PartialMapAtStage", "PartialSection",
         "SectionJet", "PhiContext", "SliceMorphism", "Comorphism", "RelationMorphism",
     }
 

@@ -17,7 +17,6 @@ from finjet.fibdual import (
 )
 from finjet.finset import FinMap, FinSet, compose
 from finjet.instances import (
-    fixture_p3_parts,
     rand_adjacency,
     rand_ball_pair,
     rand_bundle,
@@ -43,6 +42,7 @@ from finjet.reference import (
 )
 from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
 from finjet.suites import _random_vertical
+from strategies import fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)

@@ -19,14 +19,12 @@ from finjet.finset import (
     is_pullback_square,
     pair_into_pullback,
     pair_name,
-    product,
     pullback,
     span_leq,
 )
-from finjet.instances import fixture_p3_parts
 from finjet.jets import jet_bundle
 from finjet.kripke import SubobjectAtStage
-from strategies import element_names, maps_into, shuffled_finsets
+from strategies import element_names, fixture_p3_parts, maps_into, shuffled_finsets
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2", "b3"))
@@ -108,7 +106,7 @@ def test_pullback_along_identity_is_graph():
     pb = pullback(FinMap.identity(C), p)
     assert len(pb.apex) == len(B)
     for m in pb.apex:
-        assert pb.to_left(m) == p(pb.to_right(m))
+        assert pb.left(m) == p(pb.right(m))
 
 
 @given(finmaps(A, C), finmaps(B, C))
@@ -116,7 +114,7 @@ def test_pullback_size_counts_matching_pairs(f, p):
     pb = pullback(f, p)
     brute = sum(1 for a in A for b in B if f(a) == p(b))
     assert len(pb.apex) == brute
-    assert compose(f, pb.to_left) == compose(p, pb.to_right)
+    assert compose(f, pb.left) == compose(p, pb.right)
 
 
 @given(finmaps(A, C), finmaps(B, C))
@@ -130,12 +128,12 @@ def test_pullback_universal_property(f, p):
                 if compose(f, a) != compose(p, b):
                     continue
                 med = pair_into_pullback(a, b, pb)
-                assert compose(pb.to_left, med) == a
-                assert compose(pb.to_right, med) == b
+                assert compose(pb.left, med) == a
+                assert compose(pb.right, med) == b
                 rivals = [
                     m
                     for m in all_maps(stage, pb.apex)
-                    if compose(pb.to_left, m) == a and compose(pb.to_right, m) == b
+                    if compose(pb.left, m) == a and compose(pb.right, m) == b
                 ]
                 assert rivals == [med]
 
@@ -144,16 +142,16 @@ def assert_pullback_is_nested_loop_join(f, p):
     pairs = [(a, b) for a in f.dom for b in p.dom if f(a) == p(b)]
     pb = pullback(f, p)
     assert pb.apex.elements == tuple(pair_name(a, b) for a, b in pairs)
-    assert pb.to_left.values == tuple(a for a, _ in pairs)
-    assert pb.to_right.values == tuple(b for _, b in pairs)
+    assert pb.left.values == tuple(a for a, _ in pairs)
+    assert pb.right.values == tuple(b for _, b in pairs)
     for c in p.cod:
         assert p.fiber(c) == tuple(b for b in p.dom if p(b) == c)
-    assert is_pullback_square(pb.to_right, pb.to_left, p, f)
+    assert is_pullback_square(pb.right, pb.left, p, f)
     if pairs:
         short = FinSet("M", pb.apex.elements[:-1])
         assert not is_pullback_square(
-            FinMap(short, p.dom, pb.to_right.values[:-1]),
-            FinMap(short, f.dom, pb.to_left.values[:-1]),
+            FinMap(short, p.dom, pb.right.values[:-1]),
+            FinMap(short, f.dom, pb.left.values[:-1]),
             p,
             f,
         )
@@ -196,7 +194,7 @@ def test_pair_into_pullback_identity_on_apex():
     f = FinMap(A, C, ("c1", "c1", "c2"))
     p = FinMap(B, C, ("c1", "c2", "c2"))
     pb = pullback(f, p)
-    med = pair_into_pullback(pb.to_left, pb.to_right, pb)
+    med = pair_into_pullback(pb.left, pb.right, pb)
     assert med == FinMap.identity(pb.apex)
 
 
@@ -232,10 +230,10 @@ def test_pullback_apex_is_named_by_its_legs(data):
     a pullback along a leg of a pullback, whose names nest."""
     c = data.draw(grammar_sets("C"))
     pb = pullback(data.draw(grammar_maps_into("A", c)), data.draw(grammar_maps_into("B", c)))
-    nested = pullback(pb.to_right, data.draw(grammar_maps_into("G", pb.to_right.cod)))
+    nested = pullback(pb.right, data.draw(grammar_maps_into("G", pb.right.cod)))
     for sq in (pb, nested):
-        assert sq.apex.elements == tuple(map(pair_name, sq.to_left.values, sq.to_right.values))
-        assert pair_into_pullback(sq.to_left, sq.to_right, sq) == FinMap.identity(sq.apex)
+        assert sq.apex.elements == tuple(map(pair_name, sq.left.values, sq.right.values))
+        assert pair_into_pullback(sq.left, sq.right, sq) == FinMap.identity(sq.apex)
 
 
 def test_pair_into_pullback_compares_legs_behind_a_shared_name():
@@ -257,7 +255,7 @@ def test_pullback_of_monic_is_monic():
     f = FinMap(FinSet("A", ("a1", "a2")), C, ("c1", "c2"))
     for p in all_maps(B, C):
         pb = pullback(f, p)
-        assert is_monic(pb.to_right)
+        assert is_monic(pb.right)
 
 
 def test_is_monic():
@@ -336,19 +334,6 @@ def test_span_leq_antisymmetric_up_to_iso():
     nu = span_leq(s2, s1)
     assert compose(nu, mu) == FinMap.identity(m1)
     assert compose(mu, nu) == FinMap.identity(m2)
-
-
-def test_product_shapes():
-    one_a = FinSet("A", ("a",))
-    one_b = FinSet("B", ("b",))
-    carrier, fst, snd = product(one_a, one_b)
-    assert carrier.elements == ("(a,b)",)
-    two = FinSet("T", ("t1", "t2"))
-    carrier, _, _ = product(two, B)
-    assert len(carrier) == 6
-    empty = FinSet("N", ())
-    carrier, _, _ = product(empty, B)
-    assert len(carrier) == 0
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from finjet.errors import NotReflexive, NotVertical, ShapeMismatch, WorkspaceErr
 from finjet.fibdual import cartesian_comorphism, global_jet
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
 from finjet.instances import (
-    fixture_p3_parts,
     rand_adjacency,
     rand_ball_pair,
     rand_bundle,
@@ -48,7 +47,7 @@ from finjet.relations import (
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
 from finjet.workspace import parse_workspace
-from strategies import complete_graph_workspace
+from strategies import complete_graph_workspace, fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -205,7 +204,7 @@ def test_phi_identity_morphism_repacks_pairs():
     morphism = check_preserves(FinMap.identity(A), FinMap.identity(A), R, R)
     ctx = PhiContext.of(morphism, P_MAP)
     sq = ctx.square
-    by_pair = dict(zip(zip(sq.to_left.values, sq.to_right.values), sq.apex.elements))
+    by_pair = dict(zip(zip(sq.left.values, sq.right.values), sq.apex.elements))
     for j in enumerate_jets(R, point(A, "b"), P_MAP):
         moved = phi(ctx, point(A, "b"), j)
         for (a, x), e in moved.table.items():
@@ -396,8 +395,8 @@ def test_mediating_map_matches_pointwise_phi_on_ball_pairs(seed, stage_size, emp
     if stage_size and not len(sq.apex):
         return
     h = rand_map(rng, stage, sq.apex)
-    jet = restrict_jet(jb_dst.generic_jet, compose(sq.to_right, h))
-    moved = phi(ctx, compose(sq.to_left, h), jet)
+    jet = restrict_jet(jb_dst.generic_jet, compose(sq.right, h))
+    moved = phi(ctx, compose(sq.left, h), jet)
     assert compose(mediated.arrow, h) == classify(jb_src, moved)
 
 

@@ -5,13 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finjet.errors import (
+    NotCommuting,
     NotInSupport,
     NotJointlyMonic,
     StageMismatch,
     SupportNotContained,
     UnstableLaw,
 )
-from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback, span_leq
+from finjet.finset import (
+    FinMap,
+    FinSet,
+    Span,
+    all_maps,
+    compose,
+    pair_into_pullback,
+    pullback,
+    span_leq,
+)
 from finjet.kripke import (
     PartialMapAtStage,
     PartialSection,
@@ -240,22 +250,56 @@ def test_subobject_validator_matches_sort_and_compare(case):
 def test_member_empty_stage_is_vacuous():
     u = SubobjectAtStage.empty(A, X)
     empty = FinSet("Y", ())
-    w = member(FinMap(empty, A, ()), FinMap(empty, X, ()), u)
-    assert w is not None and w.map.values == ()
+    through = member(FinMap(empty, A, ()), FinMap(empty, X, ()), u)
+    assert through is not None and through.values == ()
 
 
 def test_member_canonical_legs_with_identity_witness():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a2", "x1")])
     legs = u.span
-    w = member(legs.left, legs.right, u)
-    assert w is not None
-    assert w.map == FinMap.identity(legs.apex)
+    assert member(legs.left, legs.right, u) == FinMap.identity(legs.apex)
 
 
 def test_member_absent_outside_pairs():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1")])
     y = FinSet("Y", ("y",))
     assert member(FinMap(y, A, ("a2",)), FinMap(y, X, ("x1",)), u) is None
+
+
+@st.composite
+def subobjects_with_probes(draw):
+    """A subobject u of A at X, each of up to 3 elements, and up to 4 probes
+    (a, alpha) at stages Y of up to 3 elements, whose points are drawn from
+    u's pairs or from all of A x X, so about half of them are members."""
+    over = draw(shuffled_finsets("A", 3))
+    stage = draw(shuffled_finsets("X", 3))
+    cells = [(a, x) for a in over for x in stage]
+    if not cells:
+        return SubobjectAtStage.empty(over, stage), []
+    u = SubobjectAtStage.from_pairs(over, stage, draw(st.lists(st.sampled_from(cells), unique=True)))
+    point = st.sampled_from(cells)
+    if u.pairs:
+        point = st.sampled_from(u.pairs) | point
+    probes = []
+    for _ in range(draw(st.integers(0, 4))):
+        y = draw(shuffled_finsets("Y", 3))
+        drawn = [draw(point) for _ in y]
+        probes.append((FinMap(y, over, tuple(a for a, _ in drawn)), FinMap(y, stage, tuple(x for _, x in drawn))))
+    return u, probes
+
+
+@given(subobjects_with_probes())
+@settings(max_examples=80, deadline=None)
+def test_member_is_the_pairing_into_the_canonical_span(drawn):
+    u, probes = drawn
+    for a, alpha in probes:
+        through = member(a, alpha, u)
+        try:
+            paired = pair_into_pullback(a, alpha, u.span)
+        except NotCommuting:
+            assert through is None
+        else:
+            assert through == paired
 
 
 @given(subobjects(A, X))
@@ -364,7 +408,7 @@ def test_restrict_section_identity():
     u = t.support
     back = restrict_section(t, FinMap.identity(A), u)
     sq = pullback(FinMap.identity(A), t.bundle)
-    by_pair = dict(zip(zip(sq.to_left.values, sq.to_right.values), sq.apex.elements))
+    by_pair = dict(zip(zip(sq.left.values, sq.right.values), sq.apex.elements))
     for (a, x), e in t.underlying.table.items():
         assert back.underlying.table[(a, x)] == by_pair[(a, e)]
 
@@ -398,13 +442,13 @@ def test_restrict_section_associative():
     # Compare through the re-association of nested pairs.
     sq_f = pullback(f, t.bundle)
     sq_ff2 = pullback(compose(f, f2), t.bundle)
-    sq_nested = pullback(f2, sq_f.to_left)
+    sq_nested = pullback(f2, sq_f.left)
     flat_by_pair = dict(
-        zip(zip(sq_ff2.to_left.values, sq_ff2.to_right.values), sq_ff2.apex.elements)
+        zip(zip(sq_ff2.left.values, sq_ff2.right.values), sq_ff2.apex.elements)
     )
     for (a3el, x), nested in twice.underlying.table.items():
-        inner = sq_nested.to_right(nested)
-        flat = flat_by_pair[(a3el, sq_f.to_right(inner))]
+        inner = sq_nested.right(nested)
+        flat = flat_by_pair[(a3el, sq_f.right(inner))]
         assert once.underlying.table[(a3el, x)] == flat
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
-from finjet.instances import fixture_p3_parts, rand_bundle, rand_finset, rand_map, trim_bundle
+from finjet.instances import rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
     Bundle,
     SliceMorphism,
@@ -33,6 +33,7 @@ from finjet.reference import (
     push_along_by_lookup,
     section_tables_by_zip,
 )
+from strategies import fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)
@@ -124,8 +125,8 @@ def test_dependent_product_counit_evaluates():
     dp = dependent_product(d, q)
     sq = pullback(d, dp.result.map)
     for x in sq.apex:
-        m = sq.to_left(x)
-        el = sq.to_right(x)
+        m = sq.left(x)
+        el = sq.right(x)
         assert dp.counit.arrow(x) == dp.sections.table_of(el)[m]
 
 
@@ -133,8 +134,8 @@ def _checked_counit(dp):
     """The counit d*(result) -> input of dp, rebuilt by the checked
     constructors from the canonical pullback and the section tables."""
     sq = pullback(dp.along, dp.result.map)
-    values = tuple(dp.sections.table_of(sq.to_right(x))[sq.to_left(x)] for x in sq.apex)
-    return SliceMorphism(Bundle(sq.to_left), dp.input, FinMap(sq.apex, dp.input.total, values))
+    values = tuple(dp.sections.table_of(sq.right(x))[sq.left(x)] for x in sq.apex)
+    return SliceMorphism(Bundle(sq.left), dp.input, FinMap(sq.apex, dp.input.total, values))
 
 
 @settings(max_examples=80, deadline=None)
@@ -282,12 +283,12 @@ def span_morphism_pullback_case():
     g = FinMap(a0, A, ("a", "c"))
     sq = pullback(g, legs.right)
     return SpanMorphism(
-        src_left=compose(legs.left, sq.to_right),
-        src_right=sq.to_left,
+        src_left=compose(legs.left, sq.right),
+        src_right=sq.left,
         dst_left=legs.left,
         dst_right=legs.right,
         on_left=FinMap.identity(A),
-        on_mid=sq.to_right,
+        on_mid=sq.right,
         on_right=g,
     )
 

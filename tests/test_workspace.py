@@ -12,11 +12,11 @@ from finjet.errors import (
     WorkspaceSyntaxError,
 )
 from finjet.finset import FinMap, FinSet
-from finjet.instances import fixture_p3, rand_bundle
+from finjet.instances import rand_bundle
 from finjet.polyfun import Bundle
 from finjet.relations import Relation
 from finjet.workspace import Workspace, parse_workspace, serialize_workspace
-from strategies import element_names
+from strategies import element_names, fixture_p3
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws"
 

@@ -245,7 +245,7 @@ def _cmd_phi(ws: Workspace, args, out) -> int:
     morphism = relations.check_preserves(f, f0, rel_src, rel_dst)
     if morphism is None:
         raise WorkspaceError("the maps do not preserve the relations")
-    ctx = jets.PhiContext.of(morphism, bundle.map)
+    ctx = jets.PhiContext(morphism, bundle.map)
     a0 = _point(rel_src.stage, args.point)
     j = jets.nth_jet(rel_dst, compose(f0, a0), bundle.map, args.index, "the image point")
     moved = jets.phi(ctx, a0, j)

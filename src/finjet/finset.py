@@ -65,11 +65,10 @@ def _trusted(cls: type[_T], *fields) -> _T:
       `stage_restrict`;
     - relations: the morphism of `check_preserves`, which first runs the
       constructor's shape and preservation checks itself;
-    - jets: the partial maps and sections of `enumerate_jets`, `nth_jet`,
-      `phi` and `JetBundle.generic` (the generic section, built on first
-      use), and the section of `restrict_jet`; the maps of `classify` and
-      `polynomial_product_iso`; `PhiContext.of`, which builds its own pullback;
-      `SectionJet._trusted`, which still runs the jet's shape checks;
+    - jets: the partial map and jet of `_trusted_jet`, which builds the
+      jets of `enumerate_jets`, `nth_jet`, `phi` and `JetBundle.generic_jet`
+      (built on first use), and the jet of `restrict_jet`; the maps of
+      `classify` and `polynomial_product_iso`;
     - polyfun: the projection of `section_tables` (the projection of every
       jet bundle, jet fiber and dependent product), the arrows and slice
       morphisms of `AdjunctionBijection.to_base` and `to_total` (a section

@@ -43,44 +43,20 @@ from .relations import EndoRelation, Relation, RelationMorphism, monad
 
 
 @dataclass(frozen=True)
-class SectionJet:
+class SectionJet(PartialSection):
     """A partial section of the bundle whose support is exactly the monad of `at`."""
 
     relation: Relation  # from A to A0
     at: FinMap  # b: X -> A0
-    section: PartialSection
 
     def __post_init__(self):
-        self._check_shape()
-        if self.section.support != monad(self.relation, self.at):
-            raise ValueError("support is not the monad of the base element")
-
-    def _check_shape(self) -> None:
+        super().__post_init__()
         if self.at.cod != self.relation.stage:
             raise ShapeMismatch("base element does not land in the relation's destination")
-        if self.section.bundle.cod != self.relation.over:
+        if self.bundle.cod != self.relation.over:
             raise ShapeMismatch("bundle does not live over the relation's source")
-
-    @classmethod
-    def _trusted(
-        cls, relation: Relation, at: FinMap, section: PartialSection
-    ) -> "SectionJet":
-        """A jet whose caller has just built its support as the monad of `at`.
-
-        Runs the shape checks but not the monad recomputation.  The only
-        callers: `enumerate_jets`, `nth_jet` and `phi`, which take the support
-        from `monad`; `restrict_jet`, whose support is the change of stage of
-        a jet's monad, which is the monad of the composite base; and
-        `JetBundle.generic_jet`, whose support `JetBundle.generic` built as
-        the monad of the projection.
-        """
-        jet = _trusted(cls, relation, at, section)
-        jet._check_shape()
-        return jet
-
-    @property
-    def bundle(self) -> FinMap:
-        return self.section.bundle
+        if self.support != monad(self.relation, self.at):
+            raise ValueError("support is not the monad of the base element")
 
     @property
     def stage(self) -> FinSet:
@@ -88,15 +64,16 @@ class SectionJet:
 
     @property
     def table(self) -> Mapping[tuple[str, str], str]:
-        return self.section.underlying.table
+        return self.underlying.table
 
 
-def _trusted_section(
-    support: SubobjectAtStage, p: FinMap, values: tuple[str, ...]
-) -> PartialSection:
-    """The partial section of p on `support` whose value at each pair (a, x)
-    the caller took from p's fiber over a; built unchecked."""
-    return _trusted(PartialSection, _trusted(PartialMapAtStage, support, p.dom, values), p)
+def _trusted_jet(
+    r: Relation, b: FinMap, support: SubobjectAtStage, p: FinMap, values: tuple[str, ...]
+) -> SectionJet:
+    """The jet of p at b on `support`, which the caller built as the monad of
+    b, with the value at each pair (a, x) taken from p's fiber over a; built
+    unchecked."""
+    return _trusted(SectionJet, _trusted(PartialMapAtStage, support, p.dom, values), p, r, b)
 
 
 def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
@@ -109,8 +86,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     support = monad(r, b)
     options = [p.fiber(a) for a, _ in support.pairs]
     return tuple(
-        SectionJet._trusted(r, b, _trusted_section(support, p, choice))
-        for choice in itertools.product(*options)
+        _trusted_jet(r, b, support, p, choice) for choice in itertools.product(*options)
     )
 
 
@@ -136,29 +112,23 @@ def nth_jet(
     for k in reversed(range(len(options))):
         i, digit = divmod(i, len(options[k]))
         choice[k] = options[k][digit]
-    return SectionJet._trusted(r, b, _trusted_section(support, p, tuple(choice)))
+    return _trusted_jet(r, b, support, p, tuple(choice))
 
 
 def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
     """The jet considered at the later stage alpha: Y -> X."""
     if alpha.cod != j.stage:
         raise ShapeMismatch("stage change does not land at the jet's stage")
-    moved = stage_restrict(j.section.underlying, alpha)
-    return SectionJet._trusted(
-        j.relation, compose(j.at, alpha), _trusted(PartialSection, moved, j.bundle)
-    )
+    moved = stage_restrict(j.underlying, alpha)
+    return _trusted(SectionJet, moved, j.bundle, j.relation, compose(j.at, alpha))
 
 
 def map_jet(j: SectionJet, r_map: FinMap, p: FinMap) -> SectionJet:
     """Push a jet of q forward along a vertical r_map: total(q) -> total(p)."""
     if compose(p, r_map) != j.bundle:
         raise NotVertical("map does not commute over the base")
-    pm = PartialMapAtStage(
-        j.section.underlying.support,
-        p.dom,
-        tuple(r_map(v) for v in j.section.underlying.values),
-    )
-    return SectionJet(j.relation, j.at, PartialSection(pm, p))
+    pm = PartialMapAtStage(j.support, p.dom, tuple(r_map(v) for v in j.underlying.values))
+    return SectionJet(pm, p, j.relation, j.at)
 
 
 @dataclass(frozen=True)
@@ -167,19 +137,15 @@ class PhiContext:
 
     morphism: RelationMorphism
     bundle: FinMap  # p: E -> B, over the target relation's source
-    square: Span  # canonical pullback of (f, p)
 
     def __post_init__(self):
         if self.bundle.cod != self.morphism.rel_dst.over:
             raise ShapeMismatch("bundle does not live over the target relation's source")
-        if self.square != pullback(self.morphism.f, self.bundle):
-            raise ShapeMismatch("square is not the canonical pullback of the bundle")
 
-    @classmethod
-    def of(cls, morphism: RelationMorphism, bundle: FinMap) -> "PhiContext":
-        """The context with its canonical pullback built here, so not rebuilt
-        for comparison; a bundle off f's codomain fails in `pullback`."""
-        return _trusted(cls, morphism, bundle, pullback(morphism.f, bundle))
+    @cached_property
+    def square(self) -> Span:
+        """The canonical pullback of (f, p), built on first use."""
+        return pullback(self.morphism.f, self.bundle)
 
     @property
     def pulled(self) -> FinMap:
@@ -212,9 +178,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
                 f"image of ({a},{x}) escapes the jet's support"
             )
         values.append(pair_name(a, table[image]))
-    return SectionJet._trusted(
-        mor.rel_src, a0, _trusted_section(support, ctx.pulled, tuple(values))
-    )
+    return _trusted_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -242,15 +206,11 @@ class JetBundle:
         return self.sections.projection
 
     @cached_property
-    def generic(self) -> PartialSection:
-        """The generic section, of `bundle` at stage `total`."""
+    def generic_jet(self) -> SectionJet:
+        """The generic section jet, of `bundle` at stage `total`."""
         support = monad(self.relation, self.projection)
         values = self.sections.evaluations(self.relation.over)
-        return _trusted_section(support, self.bundle, values)
-
-    @cached_property
-    def generic_jet(self) -> SectionJet:
-        return SectionJet._trusted(self.relation, self.projection, self.generic)
+        return _trusted_jet(self.relation, self.projection, support, self.bundle, values)
 
     def fiber(self, a0: str) -> tuple[str, ...]:
         return self.projection.fiber(a0)
@@ -337,7 +297,7 @@ def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
         raise NotReflexive("jet values at the base need a reflexive relation")
     if j.relation != r.base:
         raise ShapeMismatch("jet does not belong to this relation")
-    return value(j.section.underlying, j.at, FinMap.identity(j.stage))
+    return value(j.underlying, j.at, FinMap.identity(j.stage))
 
 
 def polynomial_product_iso(

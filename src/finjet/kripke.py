@@ -306,7 +306,8 @@ def restrict_section(
     """Restrict a partial section of p along f: A' -> A to the support u2.
 
     The result is a partial section of the canonical pullback of p along f;
-    its value at (a', x) is the matching pair (a', t(f(a'), x)).
+    its value at (a', x) is the matching pair (a', t(f(a'), x)).  A section
+    jet is a partial section, and `jets.phi` is its restriction to a monad.
     """
     if f.cod != t.support.over:
         raise OverMismatch("map does not land in the section's base")

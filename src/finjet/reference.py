@@ -104,7 +104,7 @@ def phi_tabulated(ctx: PhiContext, a0: FinMap, j: SectionJet) -> PartialMapAtSta
     mor = ctx.morphism
 
     def law(a: FinMap, alpha: FinMap) -> FinMap:
-        image_value = value(j.section.underlying, compose(mor.f, a), alpha)
+        image_value = value(j.underlying, compose(mor.f, a), alpha)
         return pair_into_pullback(a, image_value, ctx.square)
 
     return yoneda_construct(monad(mor.rel_src, a0), law)
@@ -118,7 +118,7 @@ def pointwise_cartesian_image(
     class of phi at a0 of the jet t names.  When f0 = f, this is the jet
     functor's image of the Cartesian comorphism of p along f, which
     `fibdual.global_jet` reads off section tables."""
-    ctx = PhiContext.of(morphism, p.map)
+    ctx = PhiContext(morphism, p.map)
     jb_dst = jet_bundle(morphism.rel_dst, p.map)
     jb_pulled = jet_bundle(morphism.rel_src, ctx.pulled)
     sq = pullback(morphism.f0, jb_dst.projection)

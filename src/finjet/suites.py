@@ -110,7 +110,7 @@ def _checked_phi(
     """`jets.phi`, checked against the Yoneda tabulation of its value law."""
     moved = jets.phi(ctx, a0, j)
     t.check(
-        moved.section.underlying == reference.phi_tabulated(ctx, a0, j),
+        moved.underlying == reference.phi_tabulated(ctx, a0, j),
         "transport disagrees with the tabulation of its value law",
     )
     return moved
@@ -601,9 +601,9 @@ def phi_compose_law(
     checked against its tabulation; the law is one check after them.
     """
     composite = upper.then(lower)
-    ctx_k = jets.PhiContext.of(lower, p)
-    ctx_h = jets.PhiContext.of(upper, ctx_k.pulled)
-    ctx_whole = jets.PhiContext.of(composite, p)
+    ctx_k = jets.PhiContext(lower, p)
+    ctx_h = jets.PhiContext(upper, ctx_k.pulled)
+    ctx_whole = jets.PhiContext(composite, p)
     whole = ctx_whole.square
     tau = FinMap(
         whole.apex,
@@ -638,8 +638,8 @@ def cluex_law(
     """
     if morphism.f != morphism.f0:
         raise ShapeMismatch("classical check needs one map acting on both ends")
-    ctx_h = jets.PhiContext.of(morphism, p)
-    ctx_k = jets.PhiContext.of(morphism, compose(p, r_map))
+    ctx_h = jets.PhiContext(morphism, p)
+    ctx_k = jets.PhiContext(morphism, compose(p, r_map))
     lifted = FinMap(
         ctx_k.square.apex,
         ctx_h.square.apex,
@@ -685,7 +685,7 @@ def check_phi_laws(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
     base = t.put("base", rand_map(rng, probe_stage(2), f0.dom))
     alpha = t.put("alpha", rand_map(rng, probe_stage(1), probe_stage(2)))
     n = t.put("n", rand_bundle(rng, f.cod, min(max_fiber, 2), tag="n"))
-    ctx = jets.PhiContext.of(upper, n.map)
+    ctx = jets.PhiContext(upper, n.map)
     for j in jets.enumerate_jets(rel_b, compose(f0, base), ctx.bundle)[:4]:
         t.check(
             jets.restrict_jet(_checked_phi(t, ctx, base, j), alpha)
@@ -834,7 +834,7 @@ def _global_jet_checks(
     morphism = _checked_preserves(t, c.over, c.over, rel_src, rel_dst)
     if morphism is None:
         return
-    ctx = jets.PhiContext.of(morphism, c.dst.map)
+    ctx = jets.PhiContext(morphism, c.dst.map)
     jb_src = jets.jet_bundle(rel_src, ctx.pulled)
     for a0 in c.over.dom:
         point = element(c.over.dom, a0)

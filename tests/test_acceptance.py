@@ -280,14 +280,14 @@ def test_criterion_7_classifying_universality():
                 seen = {}
                 for m in candidates:
                     j = restrict_jet(jb.generic_jet, m)
-                    key = (j.at.values, j.section.underlying.values)
+                    key = (j.at.values, j.underlying.values)
                     assert key not in seen, "two maps pull the generic jet to one jet"
                     seen[key] = m
                 enumerated = enumerate_jets(r, base, p.map)
                 assert len(enumerated) == len(candidates)
                 for j in enumerated:
                     cl = classify(jb, j)
-                    key = (j.at.values, j.section.underlying.values)
+                    key = (j.at.values, j.underlying.values)
                     assert seen[key] == cl
                     jets_checked += 1
     assert fully_checked >= 150

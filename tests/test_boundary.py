@@ -11,9 +11,9 @@ import pytest
 
 import finjet
 from finjet import reference
-from finjet.errors import CompositionMismatch, NotVertical, ShapeMismatch
+from finjet.errors import NotVertical, ShapeMismatch
 from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
-from finjet.finset import FinMap, FinSet, Span, element, pullback
+from finjet.finset import FinMap, FinSet, Span, element
 from finjet.jets import PhiContext, SectionJet, enumerate_jets
 from finjet.kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
 from finjet.polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
@@ -70,21 +70,20 @@ REJECTIONS = [
     ("partial-section-fiber",
      lambda: PartialSection(PartialMapAtStage(SUPPORT, E, ("a0", "c0")), P_MAP),
      ValueError, "value 'c0' is not in the fiber over 'b'"),
+    ("section-jet-fiber",
+     lambda: SectionJet(PartialMapAtStage(_jet().support, E, ("a0", "c0", "c0")), P_MAP, R, element(A, "b")),
+     ValueError, "value 'c0' is not in the fiber over 'b'"),
     ("section-jet-base",
-     lambda: SectionJet(R, FinMap(X, ONE_A, ("a",)), _jet().section),
+     lambda: SectionJet(_jet().underlying, P_MAP, R, FinMap(X, ONE_A, ("a",))),
      ShapeMismatch, "base element does not land in the relation's destination"),
     ("section-jet-bundle",
-     lambda: SectionJet(Relation.full(E, A), element(A, "b"), _jet().section),
+     lambda: SectionJet(_jet().underlying, P_MAP, Relation.full(E, A), element(A, "b")),
      ShapeMismatch, "bundle does not live over the relation's source"),
     ("section-jet-support",
-     lambda: SectionJet(R, element(A, "a"), _jet().section),
+     lambda: SectionJet(_jet().underlying, P_MAP, R, element(A, "a")),
      ValueError, "support is not the monad of the base element"),
-    ("phi-context-bundle", lambda: PhiContext(IDENTITY, FinMap.identity(E), pullback(P_MAP, P_MAP)),
+    ("phi-context-bundle", lambda: PhiContext(IDENTITY, FinMap.identity(E)),
      ShapeMismatch, "bundle does not live over the target relation's source"),
-    ("phi-context-square", lambda: PhiContext(IDENTITY, P_MAP, pullback(P_MAP, P_MAP)),
-     ShapeMismatch, "square is not the canonical pullback of the bundle"),
-    ("phi-context-of", lambda: PhiContext.of(IDENTITY, FinMap.identity(E)),
-     CompositionMismatch, "pullback legs land in 'A' and 'E'"),
     ("slice-morphism-bases",
      lambda: SliceMorphism(Bundle(P_MAP), Bundle.identity(E), FinMap.identity(E)),
      ShapeMismatch, "slice morphism between bundles over different bases"),

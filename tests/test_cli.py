@@ -353,7 +353,7 @@ def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch,
     def refuse(self):
         raise RuntimeError("a data command built a structure it does not print")
 
-    monkeypatch.setattr(JetBundle, "generic", property(refuse))
+    monkeypatch.setattr(JetBundle, "generic_jet", property(refuse))
     monkeypatch.setattr(DependentProduct, "counit", property(refuse))
     assert [run(argv) for argv in argvs] == expected
     assert all(code == 0 for code, _ in expected)
@@ -461,18 +461,18 @@ def test_phi_and_dualjet_run_without_the_yoneda_tabulation(monkeypatch, tmp_path
 def _phi_off_by_one_value(real):
     """phi whose first value with a rival in its fiber is replaced by that rival."""
     from finjet.jets import SectionJet
-    from finjet.kripke import PartialMapAtStage, PartialSection
+    from finjet.kripke import PartialMapAtStage
 
     def phi(ctx, a0, j):
         moved = real(ctx, a0, j)
-        values = list(moved.section.underlying.values)
+        values = list(moved.underlying.values)
         for i, v in enumerate(values):
             rivals = [e for e in ctx.pulled.fiber(ctx.pulled(v)) if e != v]
             if rivals:
                 values[i] = rivals[0]
                 break
-        wrong = PartialMapAtStage(moved.section.support, ctx.square.apex, tuple(values))
-        return SectionJet(moved.relation, moved.at, PartialSection(wrong, ctx.pulled))
+        wrong = PartialMapAtStage(moved.support, ctx.square.apex, tuple(values))
+        return SectionJet(wrong, ctx.pulled, moved.relation, moved.at)
 
     return phi
 
@@ -801,6 +801,22 @@ def test_index_out_of_range_exits_2_with_the_jet_count(tmp_path, capsys, command
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_phi_bundle_off_the_target_relation_exits_2(tmp_path, capsys):
+    path = tmp_path / "p3_off.ws"
+    path.write_text(
+        Path(FIXTURE).read_text()
+        + "map id : A -> A { a -> a ; b -> b ; c -> c }\n"
+        + "object B { x }\nobject F { x0 }\nmap q : F -> B { x0 -> x }\nbundle q = q\n"
+    )
+    code, text = run(
+        ["-w", str(path), "phi", "--relation-src", "R", "--relation-dst", "R", "--map", "id",
+         "--map0", "id", "--bundle", "q", "--point", "b", "--index", "0"]
+    )
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: bundle does not live over the target relation's source\n"
+
+
 def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):
     import finjet.polyfun as polyfun
 
@@ -844,8 +860,8 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
             monkeypatch.setattr(module, "_trusted", by_constructor)
     assert [run(argv) for argv in commands] == expected
     assert checked == {
-        "FinMap", "Span", "SubobjectAtStage", "PartialMapAtStage", "PartialSection",
-        "SectionJet", "PhiContext", "SliceMorphism", "Comorphism", "RelationMorphism",
+        "FinMap", "Span", "SubobjectAtStage", "PartialMapAtStage",
+        "SectionJet", "SliceMorphism", "Comorphism", "RelationMorphism",
     }
 
 

@@ -369,8 +369,8 @@ def test_cached_values_survive_pickling():
     a, _, p, ball = fixture_p3_parts()
     jb = jet_bundle(ball.base, p)
     u = SubobjectAtStage.from_pairs(a, C, [("a", "c2"), ("b", "c1")])
-    generic, pair_set, span = jb.generic, u.pair_set, u.span
+    generic, pair_set, span = jb.generic_jet, u.pair_set, u.span
     jb2, u2 = pickle.loads(pickle.dumps((jb, u)))
     assert jb2 == jb and u2 == u
-    assert jb2.__dict__["generic"] == generic
+    assert jb2.__dict__["generic_jet"] == generic
     assert (u2.__dict__["pair_set"], u2.__dict__["span"]) == (pair_set, span)

@@ -17,6 +17,7 @@ from finjet.instances import (
     rand_bundle,
     rand_finset,
     rand_map,
+    rand_preserving_relations,
     rand_relation,
 )
 from finjet.jets import (
@@ -202,7 +203,7 @@ def classical_morphism():
 
 def test_phi_identity_morphism_repacks_pairs():
     morphism = check_preserves(FinMap.identity(A), FinMap.identity(A), R, R)
-    ctx = PhiContext.of(morphism, P_MAP)
+    ctx = PhiContext(morphism, P_MAP)
     sq = ctx.square
     by_pair = dict(zip(zip(sq.left.values, sq.right.values), sq.apex.elements))
     for j in enumerate_jets(R, point(A, "b"), P_MAP):
@@ -215,7 +216,7 @@ def test_phi_empty_monad():
     morphism, p_big = classical_morphism()
     sparse = Relation.from_pairs(morphism.rel_src.over, morphism.rel_src.stage, [])
     trimmed = check_preserves(morphism.f, morphism.f0, sparse, morphism.rel_dst)
-    ctx = PhiContext.of(trimmed, p_big)
+    ctx = PhiContext(trimmed, p_big)
     j = enumerate_jets(morphism.rel_dst, compose(morphism.f0, point(A, "a")), p_big)[0]
     moved = phi(ctx, point(A, "a"), j)
     assert moved.table == {}
@@ -223,14 +224,14 @@ def test_phi_empty_monad():
 
 def test_phi_counts_and_injectivity_on_fixture():
     morphism, p_big = classical_morphism()
-    ctx = PhiContext.of(morphism, p_big)
+    ctx = PhiContext(morphism, p_big)
     covered = 0
     for a0_name in A:
         a0 = point(A, a0_name)
         source = enumerate_jets(morphism.rel_dst, compose(morphism.f0, a0), p_big)
-        images = {phi(ctx, a0, j).section.underlying.values for j in source}
+        images = {phi(ctx, a0, j).underlying.values for j in source}
         targets = enumerate_jets(morphism.rel_src, a0, ctx.pulled)
-        assert images <= {j.section.underlying.values for j in targets}
+        assert images <= {j.underlying.values for j in targets}
         # Injective exactly when f covers the target monad from the source one.
         source_points = {
             a for a, b in morphism.rel_src.pairs if b == a0_name
@@ -387,7 +388,7 @@ def test_mediating_map_matches_pointwise_phi_on_ball_pairs(seed, stage_size, emp
     jb_src, image = pointwise_cartesian_image(morphism, Bundle(p))
     mediated = mediating_map(morphism, p)
     assert mediated == image.vertical
-    ctx, jb_dst = PhiContext.of(morphism, p), jet_bundle(ball_b.base, p)
+    ctx, jb_dst = PhiContext(morphism, p), jet_bundle(ball_b.base, p)
     # At a stage of any size: transporting a generalized element of the
     # pulled-back total agrees with phi and classify on the jet it names.
     sq = pullback(f, jb_dst.projection)
@@ -414,7 +415,7 @@ def test_mate_agrees_with_jet_transport_through_iso():
         on_right=morphism.f0,
     )
     mate = mate_transform(sm, Bundle(p_big))
-    ctx = PhiContext.of(morphism, p_big)
+    ctx = PhiContext(morphism, p_big)
     mediated = mediating_map(morphism, p_big)
     _, _, iso_dst = polynomial_product_iso(morphism.rel_dst, p_big)
     _, _, iso_src = polynomial_product_iso(morphism.rel_src, ctx.pulled)
@@ -447,7 +448,7 @@ def fixture_transports():
         classical.f, classical.f0, Relation.from_pairs(A, A, []), classical.rel_dst
     )
     for morphism, p in ((identity, P_MAP), (classical, p_big), (empty, p_big)):
-        ctx = PhiContext.of(morphism, p)
+        ctx = PhiContext(morphism, p)
         for size in (0, 1, 2):
             stage = FinSet("X", tuple(f"x{i}" for i in range(size)))
             for a0 in all_maps(stage, A):
@@ -459,7 +460,7 @@ def test_phi_equals_yoneda_tabulation_on_fixture_morphisms():
     empty_monads = 0
     for ctx, a0, j in fixture_transports():
         moved = phi(ctx, a0, j)
-        assert moved.section.underlying == phi_tabulated(ctx, a0, j)
+        assert moved.underlying == phi_tabulated(ctx, a0, j)
         empty_monads += not moved.table
     assert empty_monads > 0
 
@@ -472,14 +473,33 @@ def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
     rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a.base
     morphism = check_preserves(f, f, rel_src, ball_b.base)
     p = rand_bundle(rng, f.cod, 2).map
-    ctx = PhiContext.of(morphism, p)
+    ctx = PhiContext(morphism, p)
     stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
     a0 = rand_map(rng, stage, f.dom)
     for j in enumerate_jets(ball_b.base, compose(f, a0), p):
         moved = phi(ctx, a0, j)
-        assert moved.section.underlying == phi_tabulated(ctx, a0, j)
+        assert moved.underlying == phi_tabulated(ctx, a0, j)
         if empty or stage_size == 0:
             assert moved.table == {}
+
+
+def test_transport_is_restriction_to_the_source_monad():
+    # A jet is a partial section, so restricting it along f to the monad of
+    # a0 is a second route to phi: same table, same pulled-back bundle.
+    jets_seen = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        f, f0, rel_src, rel_dst = rand_preserving_relations(rng, 3)
+        morphism = check_preserves(f, f0, rel_src, rel_dst)
+        ctx = PhiContext(morphism, rand_bundle(rng, f.cod, 2).map)
+        stage = FinSet("X", tuple(f"x{i}" for i in range(rng.randint(0, 2))))
+        a0 = rand_map(rng, stage, f0.dom)
+        for j in enumerate_jets(rel_dst, compose(f0, a0), ctx.bundle):
+            restricted = kripke.restrict_section(j, f, monad(rel_src, a0))
+            moved = phi(ctx, a0, j)
+            assert (restricted.underlying, restricted.bundle) == (moved.underlying, moved.bundle)
+            jets_seen += 1
+    assert jets_seen > 0
 
 
 def test_transport_runs_without_the_yoneda_tabulation(monkeypatch):
@@ -532,7 +552,7 @@ def test_nth_jet_is_the_enumerated_jet(seed, kind, stage_size, max_fiber):
     decoded = [nth_jet(rel, b, p, i) for i in range(len(enumerated))]
     assert decoded == list(enumerated)
     for j in decoded:
-        assert SectionJet(j.relation, j.at, j.section) == j
+        assert SectionJet(j.underlying, j.bundle, j.relation, j.at) == j
     for i in (-1, len(enumerated), len(enumerated) + 3):
         with pytest.raises(WorkspaceError) as info:
             nth_jet(rel, b, p, i, "there")
@@ -561,15 +581,15 @@ def test_generic_jet_is_built_on_first_use(seed, kind, max_fiber):
     rel = _relation(kind, rng, a)
     p = rand_bundle(rng, a, max_fiber).map
     jb = jet_bundle(rel, p)
-    assert "generic" not in vars(jb) and "generic_jet" not in vars(jb)
+    assert "generic_jet" not in vars(jb)
     generic_jet = jb.generic_jet
     # Rebuilt by the checked constructors, which recompute the monad and
     # read each value off its element's table.
     support = monad(rel, jb.projection)
     values = tuple(jb.sections.table_of(t)[x] for x, t in support.pairs)
-    section = kripke.PartialSection(kripke.PartialMapAtStage(support, p.dom, values), p)
-    assert generic_jet == SectionJet(rel, jb.projection, section)
-    assert jb.generic_jet is generic_jet and jb.generic is generic_jet.section
+    underlying = kripke.PartialMapAtStage(support, p.dom, values)
+    assert generic_jet == SectionJet(underlying, p, rel, jb.projection)
+    assert jb.generic_jet is generic_jet
 
 
 FIXTURE_WS = parse_workspace(

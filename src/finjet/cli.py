@@ -261,8 +261,7 @@ def _cmd_phi(ws: Workspace, args, out) -> int:
 def _cmd_polyjet(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
-    legs = rel.span
-    dp = polyfun.polynomial_product(legs.left, legs.right, bundle).product
+    dp = polyfun.polynomial_product(rel.span, bundle).product
     sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
     rows = [
         ("element", el, b, " ".join(map("->".join, tab)))
@@ -372,6 +371,9 @@ def main(argv: Optional[list[str]] = None, out: Optional[IO[str]] = None) -> int
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Python 3.11's argparse reads "--point=--" as [], not as "--".
+        if [] in vars(args).values():
+            parser.error("an option value of '--' is not supported")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

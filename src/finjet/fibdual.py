@@ -22,10 +22,11 @@ from .finset import (
     pair_name,
     pullback,
 )
-from .jets import JetBundle, jet_bundle
+from .jets import jet_bundle
 from .kripke import canonicalize
 from .polyfun import (
     Bundle,
+    SectionTables,
     SliceMorphism,
     pullback_bundle,
     relabel_identity,
@@ -130,42 +131,37 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     return _trusted(Comorphism, f, src, dst, vertical)
 
 
-def generic_section_vertical(
-    c: FinMap, d: FinMap, p: Bundle, jb=None
-) -> SliceMorphism:
+def generic_section_vertical(span: Span, p: Bundle) -> SliceMorphism:
     """The generic section jet as the vertical part of its comorphism over d.
 
-    Maps d*(J(p)) into c*(p) by evaluating each total element's own table at
-    the span point it is paired with.
+    For the span (c, d), maps d*(J(p)) into c*(p) by evaluating each total
+    element's own table at the span point it is paired with.
     """
-    if jb is None:
-        jb = jet_bundle(canonicalize(Span(c, d)), p.map)
-    return _generic_section_on(c, jb, pullback(d, jb.projection), pullback(c, p.map))
+    c, d = span.left, span.right
+    jb = jet_bundle(canonicalize(span), p.map)
+    return _generic_section_on(c, jb.sections, pullback(d, jb.projection), pullback(c, p.map))
 
 
 def _generic_section_on(
-    c: FinMap, jb: JetBundle, sq_d: Span, sq_c: Span
+    c: FinMap, sections: SectionTables, sq_d: Span, sq_c: Span
 ) -> SliceMorphism:
-    """`generic_section_vertical` on the squares d*(J(p)) and c*(p), built
-    by the caller."""
+    """`generic_section_vertical` on the jet tables of J(p) and the squares
+    d*(J(p)) and c*(p), built by the caller."""
     values = []
-    for x in sq_d.apex:
-        m = sq_d.left(x)
-        t = sq_d.right(x)
-        e = jb.sections.table_of(t)[c(m)]
-        values.append(pair_name(m, e))
+    for m, t in zip(sq_d.left.values, sq_d.right.values):
+        values.append(pair_name(m, sections.table_of(t)[c(m)]))
     arrow = FinMap(sq_d.apex, sq_c.apex, tuple(values))
     return SliceMorphism(Bundle(sq_d.left), Bundle(sq_c.left), arrow)
 
 
 def distributivity_terminal(
-    c: FinMap,
-    d: FinMap,
+    span: Span,
     p: Bundle,
     candidate: Optional[SliceMorphism] = None,
     max_total: int = 4,
 ) -> bool:
-    """Whether the generic section jet is terminal among comorphisms over d from c*(p).
+    """Whether the generic section jet is terminal among comorphisms over d
+    from c*(p), where the span is (c, d).
 
     The candidate bundles t are J(p) itself and every bundle over d's
     codomain with at most max_total elements.  The candidate eps (by default
@@ -188,11 +184,13 @@ def distributivity_terminal(
     ShapeMismatch.  `reference.distributivity_terminal_brute` enumerates
     every u and v instead; the tests compare the two.
     """
-    relation = canonicalize(Span(c, d))
-    jb = jet_bundle(relation, p.map)
+    c, d = span.left, span.right
+    jb = jet_bundle(canonicalize(span), p.map)
     sq_eps = pullback(d, jb.projection)
     sq_c = pullback(c, p.map)
-    epsilon = candidate if candidate is not None else _generic_section_on(c, jb, sq_eps, sq_c)
+    epsilon = candidate
+    if epsilon is None:
+        epsilon = _generic_section_on(c, jb.sections, sq_eps, sq_c)
     pulled_c = Bundle(sq_c.left)
     if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")

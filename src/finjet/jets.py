@@ -53,8 +53,7 @@ class SectionJet(PartialSection):
         super().__post_init__()
         if self.at.cod != self.relation.stage:
             raise ShapeMismatch("base element does not land in the relation's destination")
-        if self.bundle.cod != self.relation.over:
-            raise ShapeMismatch("bundle does not live over the relation's source")
+        _require_over(self.relation, self.bundle)
         if self.support != monad(self.relation, self.at):
             raise ValueError("support is not the monad of the base element")
 
@@ -65,6 +64,18 @@ class SectionJet(PartialSection):
     @property
     def table(self) -> Mapping[tuple[str, str], str]:
         return self.underlying.table
+
+
+def _require_over(r: Relation, p: FinMap) -> None:
+    if p.cod != r.over:
+        raise ShapeMismatch("bundle does not live over the relation's source")
+
+
+def _jet_choices(r: Relation, b: FinMap, p: FinMap) -> tuple[SubobjectAtStage, list]:
+    """The monad of b, and for each of its pairs (a, x), p's fiber over a."""
+    _require_over(r, p)
+    support = monad(r, b)
+    return support, [p.fiber(a) for a, _ in support.pairs]
 
 
 def _trusted_jet(
@@ -81,10 +92,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
 
     An empty monad contributes exactly one jet, the empty section.
     """
-    if p.cod != r.over:
-        raise ShapeMismatch("bundle does not live over the relation's source")
-    support = monad(r, b)
-    options = [p.fiber(a) for a, _ in support.pairs]
+    support, options = _jet_choices(r, b, p)
     return tuple(
         _trusted_jet(r, b, support, p, choice) for choice in itertools.product(*options)
     )
@@ -100,10 +108,7 @@ def nth_jet(
     jets raises WorkspaceError with their count (1 for an empty monad, 0
     when a fiber is empty) and `where` they sit (default: b's values).
     """
-    if p.cod != r.over:
-        raise ShapeMismatch("bundle does not live over the relation's source")
-    support = monad(r, b)
-    options = [p.fiber(a) for a, _ in support.pairs]
+    support, options = _jet_choices(r, b, p)
     count = math.prod(map(len, options))
     if not 0 <= i < count:
         place = ",".join(b.values) if where is None else where
@@ -221,8 +226,7 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
 
     All labels go into one FinSet, so a label collision raises ValueError.
     """
-    if p.cod != r.over:
-        raise ShapeMismatch("bundle does not live over the relation's source")
+    _require_over(r, p)
     return JetBundle(r, p, section_tables(f"J({p.dom.name})", r.stage, r.columns, p))
 
 
@@ -235,8 +239,7 @@ def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:
     label "(a0|hash)" starts with its point; so this check is the bundle's
     check restricted to a0.
     """
-    if p.cod != r.over:
-        raise ShapeMismatch("bundle does not live over the relation's source")
+    _require_over(r, p)
     return section_tables(f"J({p.dom.name})", r.stage, {a0: r.column(a0)}, p)
 
 
@@ -312,7 +315,7 @@ def polynomial_product_iso(
     product holds.
     """
     legs = r.span
-    poly = polynomial_product(legs.left, legs.right, Bundle(p))
+    poly = polynomial_product(legs, Bundle(p))
     jb = jet_bundle(r, p)
     to_total = poly.square.right
     values = []

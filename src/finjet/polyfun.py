@@ -243,14 +243,13 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
 
 
 def dependent_product_map(
-    d: FinMap, v: SliceMorphism, dp_src: DependentProduct, dp_dst: DependentProduct
+    v: SliceMorphism, dp_src: DependentProduct, dp_dst: DependentProduct
 ) -> SliceMorphism:
-    """Functoriality of the dependent product on a vertical map over d's domain.
-
-    dp_src and dp_dst are the products along d of v's source and target.
+    """Functoriality of the dependent product on a vertical map v; dp_src
+    and dp_dst are the products of v's source and target along one map.
     """
-    if (dp_src.along, dp_src.input, dp_dst.along, dp_dst.input) != (d, v.src, d, v.dst):
-        raise ShapeMismatch("products are not the products of the morphism's ends along d")
+    if (dp_src.input, dp_dst.input) != (v.src, v.dst) or dp_src.along != dp_dst.along:
+        raise ShapeMismatch("products are not the products of the morphism's ends along one map")
     arrow = dp_src.sections.push_along(v.arrow, dp_dst.sections)
     return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
 
@@ -259,11 +258,17 @@ def dependent_product_map(
 class AdjunctionBijection:
     """Explicit mutually inverse transposition maps for pullback -| product."""
 
-    along: FinMap  # d: M -> B
     left: Bundle  # y over B
-    right: Bundle  # q over M
-    product: DependentProduct  # of right along d
+    product: DependentProduct  # of q over M along d: M -> B
     square: Span  # of (d, left.map)
+
+    @property
+    def along(self) -> FinMap:
+        return self.product.along
+
+    @property
+    def right(self) -> Bundle:
+        return self.product.input
 
     @property
     def pulled_left(self) -> Bundle:
@@ -294,61 +299,54 @@ class AdjunctionBijection:
         return _trusted(SliceMorphism, self.pulled_left, self.right, arrow)
 
 
-def adjunction_unit(d: FinMap, y: Bundle, dp: DependentProduct) -> SliceMorphism:
+def adjunction_unit(y: Bundle, dp: DependentProduct) -> SliceMorphism:
     """The unit y -> product-along-d of d*(y): the transpose of the identity
-    on d*(y).  dp is the product of d*(y) along d.
+    on d*(y).  dp is the product of d*(y) along d, so d is `dp.along`.
     """
-    if y.base != d.cod:
+    if y.base != dp.along.cod:
         raise ShapeMismatch("unit requires a bundle over the map's codomain")
-    sq = pullback(d, y.map)
+    sq = pullback(dp.along, y.map)
     pulled = Bundle(sq.left)
-    if dp.along != d or dp.input != pulled:
+    if dp.input != pulled:
         raise ShapeMismatch("unit product is not the product of d*(y) along d")
-    bij = AdjunctionBijection(d, y, pulled, dp, sq)
-    return bij.to_base(SliceMorphism.identity(pulled))
+    return AdjunctionBijection(y, dp, sq).to_base(SliceMorphism.identity(pulled))
 
 
 def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection:
     if y.base != d.cod or q.base != d.dom:
         raise ShapeMismatch("bundles do not sit over the ends of the map")
-    return AdjunctionBijection(d, y, q, dependent_product(d, q), pullback(d, y.map))
+    return AdjunctionBijection(y, dependent_product(d, q), pullback(d, y.map))
 
 
 @dataclass(frozen=True)
 class PolynomialProduct:
     """The composite polynomial functor d_*c^* at a bundle p, with the parts
-    it is built from: the canonical square c*(p) and the dependent product
-    of the square's left leg along d.  `polynomial_product` is its one
-    builder; the polynomial functor on a vertical map and the iso to the
-    jet bundle read the square it holds instead of rebuilding it."""
+    it is built from: the span (c, d), the canonical square c*(p) and the
+    dependent product of the square's left leg along d.  Its one builder is
+    `polynomial_product`; the polynomial functor on a vertical map and the
+    iso to the jet bundle read the square it holds instead of rebuilding it."""
 
-    c: FinMap  # the span's left leg, M -> A
+    span: Span  # c: M -> A, d: M -> B
     p: Bundle  # over A
     square: Span  # canonical pullback of (c, p.map)
     product: DependentProduct  # of square.left along d
 
 
-def polynomial_product(c: FinMap, d: FinMap, p: Bundle) -> PolynomialProduct:
+def polynomial_product(span: Span, p: Bundle) -> PolynomialProduct:
     """The polynomial product of p along the span (c, d).  Its product's
     result is the composite polynomial functor applied to p: sections over
     the span's fibers."""
-    if c.dom != d.dom:
-        raise ShapeMismatch("span legs must share their apex")
-    if c.cod != p.base:
+    if span.left.cod != p.base:
         raise ShapeMismatch("bundle does not live over the left leg's codomain")
-    square = pullback(c, p.map)
-    return PolynomialProduct(c, p, square, dependent_product(d, Bundle(square.left)))
+    square = pullback(span.left, p.map)
+    return PolynomialProduct(span, p, square, dependent_product(span.right, Bundle(square.left)))
 
 
 def polynomial_map(
-    c: FinMap,
-    d: FinMap,
-    v: SliceMorphism,
-    dp_src: PolynomialProduct,
-    dp_dst: PolynomialProduct,
+    v: SliceMorphism, dp_src: PolynomialProduct, dp_dst: PolynomialProduct
 ) -> SliceMorphism:
-    """The polynomial functor on a vertical map over c's codomain; dp_src and
-    dp_dst are the polynomial products of v's source and target.
+    """The polynomial functor on a vertical map v; dp_src and dp_dst are the
+    polynomial products of v's source and target along one span (c, d).
 
     One push of dp_src's sections along c*(v), which sends each <m, e> of
     dp_src's square to <m, v(e)>, the canonical element of dp_dst's square
@@ -356,10 +354,8 @@ def polynomial_map(
     The tests compare it with `dependent_product_map` on
     `pullback_vertical(c, v)`.
     """
-    if (dp_src.c, dp_src.product.along, dp_src.p) != (c, d, v.src):
-        raise ShapeMismatch("source product is not the polynomial product of v's source")
-    if (dp_dst.c, dp_dst.product.along, dp_dst.p) != (c, d, v.dst):
-        raise ShapeMismatch("target product is not the polynomial product of v's target")
+    if (dp_src.p, dp_dst.p) != (v.src, v.dst) or dp_src.span != dp_dst.span:
+        raise ShapeMismatch("products are not the polynomial products of v's ends along one span")
     sq = dp_src.square
     values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.left.values, sq.right.values))
     pushed = _trusted(FinMap, sq.apex, dp_dst.square.apex, values)
@@ -371,31 +367,25 @@ def polynomial_map(
 class SpanMorphism:
     """A commuting morphism between two spans (not assumed jointly monic).
 
-        A' <--src_left-- M' --src_right--> B'
+        A' <--src.left-- M' --src.right--> B'
         |on_left         |on_mid           |on_right
-        A  <--dst_left-- M  --dst_right--> B
+        A  <--dst.left-- M  --dst.right--> B
     """
 
-    src_left: FinMap
-    src_right: FinMap
-    dst_left: FinMap
-    dst_right: FinMap
+    src: Span
+    dst: Span
     on_left: FinMap
     on_mid: FinMap
     on_right: FinMap
 
     def __post_init__(self):
-        if self.src_left.dom != self.src_right.dom or self.dst_left.dom != self.dst_right.dom:
-            raise ShapeMismatch("span legs must share their apex")
-        if compose(self.dst_left, self.on_mid) != compose(self.on_left, self.src_left):
+        if compose(self.dst.left, self.on_mid) != compose(self.on_left, self.src.left):
             raise SquaresNotCommuting("left square does not commute")
-        if compose(self.dst_right, self.on_mid) != compose(self.on_right, self.src_right):
+        if compose(self.dst.right, self.on_mid) != compose(self.on_right, self.src.right):
             raise SquaresNotCommuting("right square does not commute")
 
     def right_square_is_pullback(self) -> bool:
-        return is_pullback_square(
-            self.src_right, self.on_mid, self.on_right, self.dst_right
-        )
+        return is_pullback_square(self.src.right, self.on_mid, self.on_right, self.dst.right)
 
 
 def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
@@ -405,19 +395,19 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
     g and f are the right and left comparison maps.  When the right square is
     a pullback the result is invertible.
     """
-    lower = polynomial_product(sm.dst_left, sm.dst_right, y)
+    lower = polynomial_product(sm.dst, y)
     sq_c, dp = lower.square, lower.product
     sq_g = pullback(sm.on_right, dp.result.map)
-    dp2 = polynomial_product(sm.src_left, sm.src_right, pullback_bundle(sm.on_left, y)).product
+    dp2 = polynomial_product(sm.src, pullback_bundle(sm.on_left, y)).product
     values = []
     for x in sq_g.apex:
         b2 = sq_g.left(x)
         t = sq_g.right(x)
         section = dp.sections.table_of(t)
         table = {}
-        for m2 in sm.src_right.fiber(b2):
+        for m2 in sm.src.right.fiber(b2):
             e = sq_c.right(section[sm.on_mid(m2)])
-            table[m2] = pair_name(m2, pair_name(sm.src_left(m2), e))
+            table[m2] = pair_name(m2, pair_name(sm.src.left(m2), e))
         values.append(dp2.sections.element_for(b2, table))
     arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
     return SliceMorphism(Bundle(sq_g.left), dp2.result, arrow)

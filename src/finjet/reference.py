@@ -196,24 +196,24 @@ def vertical_comorphism(v: SliceMorphism) -> Comorphism:
 
 
 def distributivity_terminal_brute(
-    c: FinMap,
-    d: FinMap,
+    span: Span,
     p: Bundle,
     candidate: Optional[SliceMorphism] = None,
     max_total: int = 4,
 ) -> bool:
     """`fibdual.distributivity_terminal` by enumeration.
 
-    Enumerates every bundle over d's codomain with at most max_total elements
-    (plus the jet bundle itself) and every vertical from its pullback into
-    c*(p), and requires exactly one mediating vertical through the candidate
-    (by default the true generic section jet).  A candidate that does not run
-    from d*(J(p)) to c*(p) raises ShapeMismatch.
+    The span is (c, d).  Enumerates every bundle over d's codomain with at
+    most max_total elements (plus the jet bundle itself) and every vertical
+    from its pullback into c*(p), and requires exactly one mediating
+    vertical through the candidate (by default the true generic section
+    jet).  A candidate that does not run from d*(J(p)) to c*(p) raises
+    ShapeMismatch.
     """
-    relation = canonicalize(Span(c, d))
-    jb = jet_bundle(relation, p.map)
+    c, d = span.left, span.right
+    jb = jet_bundle(canonicalize(span), p.map)
     jet_total = Bundle(jb.projection)
-    epsilon = candidate if candidate is not None else generic_section_vertical(c, d, p, jb)
+    epsilon = candidate if candidate is not None else generic_section_vertical(span, p)
     sq_eps = pullback(d, jb.projection)
     pulled_c = Bundle(pullback(c, p.map).left)
     if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:

@@ -76,13 +76,9 @@ class RelationMorphism:
     rel_dst: Relation  # from B to B0
 
     def __post_init__(self):
-        if self.f.dom != self.rel_src.over or self.f0.dom != self.rel_src.stage:
-            raise ShapeMismatch("maps do not start at the source relation's ends")
-        if self.f.cod != self.rel_dst.over or self.f0.cod != self.rel_dst.stage:
-            raise ShapeMismatch("maps do not end at the target relation's ends")
-        for a, a0 in self.rel_src.pairs:
-            if (self.f(a), self.f0(a0)) not in self.rel_dst.pair_set:
-                raise ValueError(f"pair ({a},{a0}) is not preserved")
+        lost = _unpreserved_pair(self.f, self.f0, self.rel_src, self.rel_dst)
+        if lost is not None:
+            raise ValueError(f"pair ({lost[0]},{lost[1]}) is not preserved")
 
     @classmethod
     def identity(cls, r: Relation) -> "RelationMorphism":
@@ -108,6 +104,18 @@ class RelationMorphism:
         )
 
 
+def _unpreserved_pair(
+    f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation
+) -> Optional[tuple[str, str]]:
+    """The first pair of rel_src whose image is not in rel_dst, or None."""
+    if f.dom != rel_src.over or f0.dom != rel_src.stage:
+        raise ShapeMismatch("maps do not start at the source relation's ends")
+    if f.cod != rel_dst.over or f0.cod != rel_dst.stage:
+        raise ShapeMismatch("maps do not end at the target relation's ends")
+    pairs, image, image0, dst = rel_src.pairs, f.table, f0.table, rel_dst.pair_set
+    return next(((a, a0) for a, a0 in pairs if (image[a], image0[a0]) not in dst), None)
+
+
 def check_preserves(
     f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation
 ) -> Optional[RelationMorphism]:
@@ -118,14 +126,9 @@ def check_preserves(
     `reference.preserves_by_monads`: the monad of every point lands in the
     counterimage of its image's monad.
     """
-    if f.dom != rel_src.over or f0.dom != rel_src.stage:
-        raise ShapeMismatch("maps do not start at the source relation's ends")
-    if f.cod != rel_dst.over or f0.cod != rel_dst.stage:
-        raise ShapeMismatch("maps do not end at the target relation's ends")
-    image, image0, dst_pairs = f.table, f0.table, rel_dst.pair_set
-    if not all((image[a], image0[a0]) in dst_pairs for a, a0 in rel_src.pairs):
+    if _unpreserved_pair(f, f0, rel_src, rel_dst) is not None:
         return None
-    # The checks above are the constructor's, so it need not run them again.
+    # That scan is the constructor's check, so it need not run it again.
     return _trusted(RelationMorphism, f, f0, rel_src, rel_dst)
 
 

@@ -709,7 +709,6 @@ def check_poly_iso(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         "isomorphism does not commute with the projections",
     )
     # Each bundle's polynomial product, jet bundle and iso, built once.
-    legs = r.span
     trimmed = jets.polynomial_product_iso(r, trim_bundle(p).map)
     pairs = [(whole, trimmed), (trimmed, whole)]
     endo_count = 1
@@ -719,7 +718,7 @@ def check_poly_iso(rng: random.Random, max_obj: int, max_fiber: int) -> Outcome:
         pairs.append((whole, whole))
     for (src, jb_src, iso_src), (dst, jb_dst, iso_dst) in pairs:
         for v in slice_homs(src.p, dst.p):
-            moved_poly = polyfun.polynomial_map(legs.left, legs.right, v, src, dst)
+            moved_poly = polyfun.polynomial_map(v, src, dst)
             moved_jets = jets.jet_on_vertical(jb_src, jb_dst, v.arrow)
             t.check(
                 compose(jb_dst.projection, moved_jets) == jb_src.projection,
@@ -759,7 +758,7 @@ def adjunction_instance_ok(d: FinMap, y: Bundle, q: Bundle) -> bool:
     dp_pulled = polyfun.dependent_product(d, pulled)
     # The first unit is the transpose of the identity on d*(y), taken on the
     # square the bijection already holds.
-    unit_bij = polyfun.AdjunctionBijection(d, y, pulled, dp_pulled, bij.square)
+    unit_bij = polyfun.AdjunctionBijection(y, dp_pulled, bij.square)
     unit = unit_bij.to_base(SliceMorphism.identity(pulled))
     lifted_unit = polyfun.pullback_vertical(d, unit)
     tri1 = polyfun.compose_slice(dp_pulled.counit, lifted_unit)
@@ -767,8 +766,8 @@ def adjunction_instance_ok(d: FinMap, y: Bundle, q: Bundle) -> bool:
         return False
     dp = bij.product
     dp_unit = polyfun.dependent_product(d, dp.counit.src)
-    unit_at = polyfun.adjunction_unit(d, dp.result, dp_unit)
-    moved_counit = polyfun.dependent_product_map(d, dp.counit, dp_unit, dp)
+    unit_at = polyfun.adjunction_unit(dp.result, dp_unit)
+    moved_counit = polyfun.dependent_product_map(dp.counit, dp_unit, dp)
     tri2 = polyfun.compose_slice(moved_counit, unit_at)
     if tri2 != SliceMorphism.identity(dp.result):
         return False
@@ -790,10 +789,8 @@ def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     legs = r.span
     sq = pullback(g, legs.right)
     sm = polyfun.SpanMorphism(
-        src_left=compose(legs.left, sq.right),
-        src_right=sq.left,
-        dst_left=legs.left,
-        dst_right=legs.right,
+        src=Span(compose(legs.left, sq.right), sq.left),
+        dst=legs,
         on_left=FinMap.identity(b),
         on_mid=sq.right,
         on_right=g,
@@ -801,7 +798,13 @@ def check_beck_chevalley(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     t.check(sm.right_square_is_pullback(), "pulled-back span square is not a pullback")
     y = t.put("y", rand_bundle(rng, b, min(max_fiber, 2), tag="y"))
     mate = polyfun.mate_transform(sm, y)
-    t.check(mate.is_iso(), "mate along a pullback square is not invertible")
+    inverse = polyfun.invert_slice(mate) if mate.is_iso() else None
+    t.check(
+        inverse is not None
+        and polyfun.compose_slice(inverse, mate) == SliceMorphism.identity(mate.src)
+        and polyfun.compose_slice(mate, inverse) == SliceMorphism.identity(mate.dst),
+        "mate along a pullback square is not invertible",
+    )
     return t.outcome()
 
 
@@ -811,9 +814,8 @@ def check_terminality(rng: random.Random, max_obj: int, max_fiber: int) -> Outco
     adjacency = t.put("adj", rand_adjacency(rng, carrier))
     ball = t.put("R", ball_relation(adjacency, 1))
     p = t.put("p", rand_bundle(rng, carrier, min(max_fiber, 2), tag="e"))
-    legs = ball.base.span
     t.check(
-        fibdual.distributivity_terminal(legs.left, legs.right, p, max_total=3),
+        fibdual.distributivity_terminal(ball.base.span, p, max_total=3),
         "generic jet is not terminal among comorphisms over the span",
     )
     return t.outcome()

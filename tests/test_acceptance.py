@@ -10,7 +10,7 @@ import time
 
 from finjet.cli import main as cli_main
 from finjet.fibdual import distributivity_terminal, generic_section_vertical
-from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
+from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback
 from finjet.instances import (
     rand_bundle,
     rand_finset,
@@ -89,7 +89,6 @@ def test_criterion_1_product_of_fibers():
 def test_criterion_2_polynomial_equals_enumerated():
     checked_verticals = 0
     for r, p in criterion1_instances():
-        legs = r.span
         poly, jb, iso = polynomial_product_iso(r, p.map)
         assert iso.is_iso()
         assert compose(jb.projection, iso.arrow) == poly.product.result.map
@@ -114,8 +113,6 @@ def test_criterion_2_polynomial_equals_enumerated():
             jb_dst = bundles[dst.total.name]
             for v in slice_homs(src, dst):
                 moved_poly = polynomial_map(
-                    legs.left,
-                    legs.right,
                     v,
                     dp_src=products[src.total.name],
                     dp_dst=products[dst.total.name],
@@ -317,10 +314,8 @@ def test_criterion_8_beck_chevalley_and_mates():
     g = FinMap(stage, a, ("a", "c"))
     sq = pullback(g, legs.right)
     pullback_case = SpanMorphism(
-        src_left=compose(legs.left, sq.right),
-        src_right=sq.left,
-        dst_left=legs.left,
-        dst_right=legs.right,
+        src=Span(compose(legs.left, sq.right), sq.left),
+        dst=legs,
         on_left=FinMap.identity(a),
         on_mid=sq.right,
         on_right=g,
@@ -333,10 +328,8 @@ def test_criterion_8_beck_chevalley_and_mates():
     assert compose(mate.arrow, inverse.arrow) == FinMap.identity(mate.dst.total)
     one = FinSet("One", ("*",))
     collapsing = SpanMorphism(
-        src_left=legs.left,
-        src_right=legs.right,
-        dst_left=legs.left,
-        dst_right=FinMap.constant(legs.apex, one, "*"),
+        src=legs,
+        dst=Span(legs.left, FinMap.constant(legs.apex, one, "*")),
         on_left=FinMap.identity(a),
         on_mid=FinMap.identity(legs.apex),
         on_right=FinMap.constant(a, one, "*"),
@@ -358,10 +351,10 @@ def test_criterion_8_beck_chevalley_and_mates():
 
 def test_criterion_9_distributivity_terminality():
     a, e, p_map, ball = fixture_p3_parts()
-    legs = ball.base.span
+    span = ball.base.span
     p = Bundle(p_map)
-    assert distributivity_terminal(legs.left, legs.right, p, max_total=4)
-    epsilon = generic_section_vertical(legs.left, legs.right, p)
+    assert distributivity_terminal(span, p, max_total=4)
+    epsilon = generic_section_vertical(span, p)
     values = list(epsilon.arrow.values)
     for i, current in enumerate(values):
         fiber = epsilon.dst.fiber(epsilon.dst.map(current))
@@ -374,9 +367,7 @@ def test_criterion_9_distributivity_terminality():
         FinMap(epsilon.arrow.dom, epsilon.arrow.cod, tuple(values)),
     )
     assert perturbed != epsilon
-    assert not distributivity_terminal(
-        legs.left, legs.right, p, candidate=perturbed, max_total=4
-    )
+    assert not distributivity_terminal(span, p, candidate=perturbed, max_total=4)
     _report(9, "distributivity terminality on the path fixture, bound 4")
 
 

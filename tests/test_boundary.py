@@ -256,9 +256,7 @@ def test_only_canonical_span_names_a_set_by_pair_name():
 
 
 def test_distributivity_rejects_a_wrong_ended_candidate():
-    legs = R.span
-    eps = generic_section_vertical(legs.left, legs.right, Bundle(P_MAP))
+    span = R.span
+    eps = generic_section_vertical(span, Bundle(P_MAP))
     with pytest.raises(ShapeMismatch, match=r"candidate does not run from d\*\(J\(p\)\) to c\*\(p\)"):
-        distributivity_terminal(
-            legs.left, legs.right, Bundle(P_MAP), candidate=SliceMorphism.identity(eps.dst)
-        )
+        distributivity_terminal(span, Bundle(P_MAP), candidate=SliceMorphism.identity(eps.dst))

@@ -110,66 +110,59 @@ def test_polyjet_matches_jetbundle_fibers():
     assert "8 elements, fibers 2/4/2" in text
 
 
-def test_phi_command_identity_maps():
+def test_phi_command_identity_maps(tmp_path):
     extra = (
         "object I { i }\n"
         "map idA : A -> A { a -> a ; b -> b ; c -> c }\n"
     )
-    augmented = Path(FIXTURE).read_text() + extra
-    path = Path(FIXTURE).parent / "p3_aug.ws"
-    path.write_text(augmented)
-    try:
-        code, text = run(
-            [
-                "-w",
-                str(path),
-                "phi",
-                "--relation-src",
-                "R",
-                "--relation-dst",
-                "R",
-                "--map",
-                "idA",
-                "--map0",
-                "idA",
-                "--bundle",
-                "p",
-                "--point",
-                "b",
-                "--index",
-                "0",
-            ]
-        )
-        assert code == 0
-        assert "transported jet" in text
-    finally:
-        path.unlink()
-
-
-def test_dualjet_cartesian_mode():
-    extra = "map idA : A -> A { a -> a ; b -> b ; c -> c }\n"
-    path = Path(FIXTURE).parent / "p3_dual.ws"
+    path = tmp_path / "p3_aug.ws"
     path.write_text(Path(FIXTURE).read_text() + extra)
-    try:
-        code, text = run(
-            [
-                "-w",
-                str(path),
-                "dualjet",
-                "--relation-src",
-                "R",
-                "--relation-dst",
-                "R",
-                "--map",
-                "idA",
-                "--bundle",
-                "p",
-            ]
-        )
-        assert code == 0
-        assert "jet comorphism" in text
-    finally:
-        path.unlink()
+    code, text = run(
+        [
+            "-w",
+            str(path),
+            "phi",
+            "--relation-src",
+            "R",
+            "--relation-dst",
+            "R",
+            "--map",
+            "idA",
+            "--map0",
+            "idA",
+            "--bundle",
+            "p",
+            "--point",
+            "b",
+            "--index",
+            "0",
+        ]
+    )
+    assert code == 0
+    assert "transported jet" in text
+
+
+def test_dualjet_cartesian_mode(tmp_path):
+    extra = "map idA : A -> A { a -> a ; b -> b ; c -> c }\n"
+    path = tmp_path / "p3_dual.ws"
+    path.write_text(Path(FIXTURE).read_text() + extra)
+    code, text = run(
+        [
+            "-w",
+            str(path),
+            "dualjet",
+            "--relation-src",
+            "R",
+            "--relation-dst",
+            "R",
+            "--map",
+            "idA",
+            "--bundle",
+            "p",
+        ]
+    )
+    assert code == 0
+    assert "jet comorphism" in text
 
 
 # `dualjet --relation-src R --relation-dst R --map id` on p3 plus an `id` map.
@@ -298,6 +291,9 @@ def test_option_value_starting_with_dash(tmp_path, capsys):
     assert code == 0
     assert "(-x,*)" in text and "(b,*)" in text
     assert capsys.readouterr().err == ""
+    code, text = run(["-w", str(path), "monad", "--relation", "R", "--point=--"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_colliding_pair_names_are_a_parse_error(tmp_path, capsys):

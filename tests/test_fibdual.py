@@ -15,7 +15,7 @@ from finjet.fibdual import (
     identity_comorphism,
     is_cartesian,
 )
-from finjet.finset import FinMap, FinSet, compose
+from finjet.finset import FinMap, FinSet, Span, compose
 from finjet.instances import (
     rand_adjacency,
     rand_ball_pair,
@@ -240,18 +240,16 @@ def test_global_jet_names_an_object_without_a_relation():
 
 def test_distributivity_terminal_diagonal_trivial():
     diag = Relation.diagonal(A)
-    legs = diag.span
-    assert distributivity_terminal(legs.left, legs.right, Bundle.identity(A), max_total=2)
+    assert distributivity_terminal(diag.span, Bundle.identity(A), max_total=2)
 
 
 def test_distributivity_terminal_p3_small_bound():
-    legs = BALL.base.span
-    assert distributivity_terminal(legs.left, legs.right, P, max_total=2)
+    assert distributivity_terminal(BALL.base.span, P, max_total=2)
 
 
 def test_distributivity_rejects_perturbed_generic_jet():
-    legs = BALL.base.span
-    epsilon = generic_section_vertical(legs.left, legs.right, P)
+    span = BALL.base.span
+    epsilon = generic_section_vertical(span, P)
     values = list(epsilon.arrow.values)
     swapped = None
     for i, value in enumerate(values):
@@ -264,9 +262,7 @@ def test_distributivity_rejects_perturbed_generic_jet():
     perturbed = SliceMorphism(
         epsilon.src, epsilon.dst, FinMap(epsilon.arrow.dom, epsilon.arrow.cod, tuple(values))
     )
-    assert not distributivity_terminal(
-        legs.left, legs.right, P, candidate=perturbed, max_total=2
-    )
+    assert not distributivity_terminal(span, P, candidate=perturbed, max_total=2)
 
 
 def test_distributivity_requires_jointly_monic_span():
@@ -274,7 +270,7 @@ def test_distributivity_requires_jointly_monic_span():
     left = FinMap.constant(two, A, "a")
     right = FinMap.constant(two, A, "a")
     with pytest.raises(NotJointlyMonic):
-        distributivity_terminal(left, right, P, max_total=1)
+        distributivity_terminal(Span(left, right), P, max_total=1)
 
 
 def single_entry_mutations(epsilon):
@@ -308,12 +304,10 @@ def test_distributivity_terminal_matches_the_enumeration(seed, ball, max_total, 
     else:
         relation = rand_relation(rng, carrier, carrier)
     p = rand_bundle(rng, carrier, 2)
-    legs = relation.span
-    mutants = single_entry_mutations(generic_section_vertical(legs.left, legs.right, p))
+    span = relation.span
+    mutants = single_entry_mutations(generic_section_vertical(span, p))
     # No mutation, or none possible, checks the true generic section jet.
     candidate = mutants[mutation % len(mutants)] if mutants and mutation is not None else None
     assert distributivity_terminal(
-        legs.left, legs.right, p, candidate=candidate, max_total=max_total
-    ) == distributivity_terminal_brute(
-        legs.left, legs.right, p, candidate=candidate, max_total=max_total
-    )
+        span, p, candidate=candidate, max_total=max_total
+    ) == distributivity_terminal_brute(span, p, candidate=candidate, max_total=max_total)

@@ -115,7 +115,7 @@ def _jet_sections(rel):
 
 
 def _poly_sections(rel):
-    dp = polynomial_product(rel.span.left, rel.span.right, Bundle(P_MAP)).product
+    dp = polynomial_product(rel.span, Bundle(P_MAP)).product
     return dp.sections, dp.input.map
 
 
@@ -406,10 +406,8 @@ def test_mate_agrees_with_jet_transport_through_iso():
 
     morphism, p_big = classical_morphism()
     sm = SpanMorphism(
-        src_left=morphism.rel_src.span.left,
-        src_right=morphism.rel_src.span.right,
-        dst_left=morphism.rel_dst.span.left,
-        dst_right=morphism.rel_dst.span.right,
+        src=morphism.rel_src.span,
+        dst=morphism.rel_dst.span,
         on_left=morphism.f,
         on_mid=morphism.mid,
         on_right=morphism.f0,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
-from finjet.finset import FinMap, FinSet, all_maps, compose, pullback
+from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback
 from finjet.instances import rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
     Bundle,
@@ -148,7 +148,7 @@ def test_counit_is_built_on_first_use(seed, max_fiber, polynomial):
     d = rand_map(rng, m, b)
     if polynomial:
         a = rand_finset(rng, "A", 3, min_size=1)
-        dp = polynomial_product(rand_map(rng, m, a), d, rand_bundle(rng, a, max_fiber)).product
+        dp = polynomial_product(Span(rand_map(rng, m, a), d), rand_bundle(rng, a, max_fiber)).product
     else:
         dp = dependent_product(d, rand_bundle(rng, m, max_fiber))
     assert "counit" not in vars(dp)
@@ -162,15 +162,15 @@ def test_dependent_product_functorial():
     q1 = small_bundle(M, (2, 1, 1), tag="x")
     q2 = small_bundle(M, (2, 2, 1), tag="y")
     dp1, dp2 = dependent_product(d, q1), dependent_product(d, q2)
-    ident = dependent_product_map(d, SliceMorphism.identity(q1), dp1, dp1)
+    ident = dependent_product_map(SliceMorphism.identity(q1), dp1, dp1)
     assert ident.arrow == FinMap.identity(ident.src.total)
     homs12 = list(slice_homs(q1, q2))
     homs21 = list(slice_homs(q2, q1))
     for v in homs12[:4]:
         for w in homs21[:4]:
-            lhs = dependent_product_map(d, compose_slice(w, v), dp1, dp1)
+            lhs = dependent_product_map(compose_slice(w, v), dp1, dp1)
             rhs = compose_slice(
-                dependent_product_map(d, w, dp2, dp1), dependent_product_map(d, v, dp1, dp2)
+                dependent_product_map(w, dp2, dp1), dependent_product_map(v, dp1, dp2)
             )
             assert lhs == rhs
 
@@ -184,7 +184,7 @@ def test_dependent_product_map_rejects_foreign_products():
     other = FinMap(M, B, ("v", "u", "u"))
     for dp_src, dp_dst in ((dp2, dp2), (dp1, dp1), (dependent_product(other, q1), dp2)):
         with pytest.raises(ShapeMismatch, match="products are not the products"):
-            dependent_product_map(d, v, dp_src, dp_dst)
+            dependent_product_map(v, dp_src, dp_dst)
 
 
 def test_adjunction_bijection_roundtrips_and_counts():
@@ -228,13 +228,13 @@ def test_triangle_identities():
     q = small_bundle(M, (1, 2, 1), tag="q")
     pulled = pullback_bundle(d, y)
     dp_pulled = dependent_product(d, pulled)
-    unit = adjunction_unit(d, y, dp_pulled)
+    unit = adjunction_unit(y, dp_pulled)
     tri1 = compose_slice(dp_pulled.counit, pullback_vertical(d, unit))
     assert tri1 == SliceMorphism.identity(pulled)
     dp = dependent_product(d, q)
     dp_unit = dependent_product(d, dp.counit.src)
     tri2 = compose_slice(
-        dependent_product_map(d, dp.counit, dp_unit, dp), adjunction_unit(d, dp.result, dp_unit)
+        dependent_product_map(dp.counit, dp_unit, dp), adjunction_unit(dp.result, dp_unit)
     )
     assert tri2 == SliceMorphism.identity(dp.result)
 
@@ -244,19 +244,17 @@ def test_adjunction_unit_takes_a_prebuilt_product():
     y = small_bundle(B, (2, 1), tag="y")
     dp_pulled = dependent_product(d, pullback_bundle(d, y))
     bij = adjunction_bijection(d, y, pullback_bundle(d, y))
-    assert adjunction_unit(d, y, dp_pulled) == bij.to_base(SliceMorphism.identity(bij.right))
+    assert adjunction_unit(y, dp_pulled) == bij.to_base(SliceMorphism.identity(bij.right))
     with pytest.raises(ShapeMismatch, match="unit product"):
-        adjunction_unit(d, y, dependent_product(d, Bundle.identity(M)))
-    with pytest.raises(ShapeMismatch, match="unit product"):
-        adjunction_unit(FinMap(M, B, ("v", "u", "u")), y, dp_pulled)
+        adjunction_unit(y, dependent_product(d, Bundle.identity(M)))
 
 
 def test_polynomial_jet_diagonal_span():
     legs = BALL.base.span
-    poly = polynomial_product(legs.left, legs.right, P).product.result
+    poly = polynomial_product(legs, P).product.result
     assert [sum(1 for el in poly.total if poly.map(el) == a0) for a0 in A] == [2, 4, 2]
     ident_span_left = FinMap.identity(A)
-    poly_id = polynomial_product(ident_span_left, ident_span_left, P).product.result
+    poly_id = polynomial_product(Span(ident_span_left, ident_span_left), P).product.result
     assert len(poly_id.total) == len(E)
 
 
@@ -264,14 +262,14 @@ def test_polynomial_jet_accepts_non_monic_span():
     doubled = FinSet("M2", ("m1", "m2"))
     left = FinMap.constant(doubled, A, "a")
     right = FinMap.constant(doubled, A, "a")
-    poly = polynomial_product(left, right, P).product.result
+    poly = polynomial_product(Span(left, right), P).product.result
     # Two span points over the same pair: sections choose a fiber point twice.
     assert sum(1 for el in poly.total if poly.map(el) == "a") == 4
 
 
 def test_polynomial_jet_identity_bundle():
     legs = BALL.base.span
-    poly = polynomial_product(legs.left, legs.right, Bundle.identity(A)).product.result
+    poly = polynomial_product(legs, Bundle.identity(A)).product.result
     assert all(
         sum(1 for el in poly.total if poly.map(el) == a0) == 1 for a0 in A
     )
@@ -283,10 +281,8 @@ def span_morphism_pullback_case():
     g = FinMap(a0, A, ("a", "c"))
     sq = pullback(g, legs.right)
     return SpanMorphism(
-        src_left=compose(legs.left, sq.right),
-        src_right=sq.left,
-        dst_left=legs.left,
-        dst_right=legs.right,
+        src=Span(compose(legs.left, sq.right), sq.left),
+        dst=legs,
         on_left=FinMap.identity(A),
         on_mid=sq.right,
         on_right=g,
@@ -296,10 +292,8 @@ def span_morphism_pullback_case():
 def test_mate_identity_span_morphism():
     legs = BALL.base.span
     sm = SpanMorphism(
-        src_left=legs.left,
-        src_right=legs.right,
-        dst_left=legs.left,
-        dst_right=legs.right,
+        src=legs,
+        dst=legs,
         on_left=FinMap.identity(A),
         on_mid=FinMap.identity(legs.apex),
         on_right=FinMap.identity(A),
@@ -321,10 +315,8 @@ def test_mate_non_invertible_when_square_collapses():
     legs = BALL.base.span
     one = FinSet("One", ("*",))
     sm = SpanMorphism(
-        src_left=legs.left,
-        src_right=legs.right,
-        dst_left=legs.left,
-        dst_right=FinMap.constant(legs.apex, one, "*"),
+        src=legs,
+        dst=Span(legs.left, FinMap.constant(legs.apex, one, "*")),
         on_left=FinMap.identity(A),
         on_mid=FinMap.identity(legs.apex),
         on_right=FinMap.constant(A, one, "*"),
@@ -338,10 +330,8 @@ def test_span_morphism_rejects_non_commuting():
     legs = BALL.base.span
     with pytest.raises(SquaresNotCommuting):
         SpanMorphism(
-            src_left=legs.left,
-            src_right=legs.right,
-            dst_left=legs.left,
-            dst_right=legs.right,
+            src=legs,
+            dst=legs,
             on_left=FinMap.identity(A),
             on_mid=FinMap.constant(legs.apex, legs.apex, legs.apex.elements[0]),
             on_right=FinMap.identity(A),
@@ -352,10 +342,10 @@ def test_polynomial_map_respects_composition():
     legs = BALL.base.span
     q1 = small_bundle(A, (1, 1, 1), tag="x")
     homs = list(slice_homs(q1, P))
-    dp_src = polynomial_product(legs.left, legs.right, q1)
-    dp_dst = polynomial_product(legs.left, legs.right, P)
+    dp_src = polynomial_product(legs, q1)
+    dp_dst = polynomial_product(legs, P)
     for v in homs[:3]:
-        moved = polynomial_map(legs.left, legs.right, v, dp_src, dp_dst)
+        moved = polynomial_map(v, dp_src, dp_dst)
         assert compose(dp_dst.product.result.map, moved.arrow) == dp_src.product.result.map
 
 
@@ -413,45 +403,42 @@ def test_polynomial_map_matches_the_pullback_route(seed, max_fiber):
     rng, d, _ = _random_family(seed, 0)
     a = rand_finset(rng, "A", 3, min_size=1)
     c = rand_map(rng, d.dom, a)
+    span = Span(c, d)
     p = rand_bundle(rng, a, max_fiber)
     for src, dst, homs in _vertical_pairs(p):
-        dp_src, dp_dst = polynomial_product(c, d, src), polynomial_product(c, d, dst)
+        dp_src, dp_dst = polynomial_product(span, src), polynomial_product(span, dst)
         for poly, q in ((dp_src, src), (dp_dst, dst)):
             assert poly.square == pullback(c, q.map)
             assert poly.product == dependent_product(d, pullback_bundle(c, q))
         for v in homs:
-            assert polynomial_map(c, d, v, dp_src, dp_dst) == dependent_product_map(
-                d, pullback_vertical(c, v), dp_src.product, dp_dst.product
+            assert polynomial_map(v, dp_src, dp_dst) == dependent_product_map(
+                pullback_vertical(c, v), dp_src.product, dp_dst.product
             )
 
 
 def test_polynomial_map_builds_no_square(monkeypatch):
     legs = BALL.base.span
     q1 = small_bundle(A, (1, 1, 1), tag="x")
-    dp_src = polynomial_product(legs.left, legs.right, q1)
-    dp_dst = polynomial_product(legs.left, legs.right, P)
+    dp_src = polynomial_product(legs, q1)
+    dp_dst = polynomial_product(legs, P)
     homs = list(itertools.islice(slice_homs(q1, P), 4))
-    expected = [polynomial_map(legs.left, legs.right, v, dp_src, dp_dst) for v in homs]
+    expected = [polynomial_map(v, dp_src, dp_dst) for v in homs]
 
     def no_pullback(*args):
         raise AssertionError("polynomial_map rebuilt a canonical square")
 
     monkeypatch.setattr("finjet.polyfun.pullback", no_pullback)
-    assert [polynomial_map(legs.left, legs.right, v, dp_src, dp_dst) for v in homs] == expected
+    assert [polynomial_map(v, dp_src, dp_dst) for v in homs] == expected
 
 
 def test_polynomial_map_rejects_foreign_products():
     legs = BALL.base.span
     q1 = small_bundle(A, (1, 1, 1), tag="x")
     v = next(slice_homs(q1, P))
-    dp_src = polynomial_product(legs.left, legs.right, q1)
-    dp_dst = polynomial_product(legs.left, legs.right, P)
-    swapped = polynomial_product(legs.right, legs.left, q1)
-    for src, dst, end in (
-        (dp_dst, dp_dst, "source"),
-        (swapped, dp_dst, "source"),
-        (dp_src, dp_src, "target"),
-        (dp_src, swapped, "target"),
-    ):
-        with pytest.raises(ShapeMismatch, match=f"{end} product is not the polynomial product"):
-            polynomial_map(legs.left, legs.right, v, src, dst)
+    dp_src = polynomial_product(legs, q1)
+    dp_dst = polynomial_product(legs, P)
+    swapped_src = polynomial_product(Span(legs.right, legs.left), q1)
+    swapped_dst = polynomial_product(Span(legs.right, legs.left), P)
+    for src, dst in ((dp_dst, dp_dst), (dp_src, dp_src), (swapped_src, dp_dst), (dp_src, swapped_dst)):
+        with pytest.raises(ShapeMismatch, match="products are not the polynomial products"):
+            polynomial_map(v, src, dst)

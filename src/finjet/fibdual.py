@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
-from .finset import (
-    FinMap,
-    FinSet,
-    Span,
-    _trusted,
-    compose,
-    pair_name,
-    pullback,
-)
+from .finset import FinMap, FinSet, Span, compose, pair_name, pullback
 from .jets import jet_bundle
 from .kripke import canonicalize
 from .polyfun import (
@@ -51,16 +43,26 @@ class Comorphism:
         if self.vertical.dst != self.src:
             raise ShapeMismatch("vertical part does not end at the source bundle")
 
+    @staticmethod
+    def _make(over, src, dst, vertical) -> "Comorphism":
+        obj = object.__new__(Comorphism)
+        d = obj.__dict__
+        d["over"] = over
+        d["src"] = src
+        d["dst"] = dst
+        d["vertical"] = vertical
+        return obj
+
 
 def identity_comorphism(p: Bundle) -> Comorphism:
     ident = FinMap.identity(p.base)
-    return _trusted(Comorphism, ident, p, p, relabel_identity(p))
+    return Comorphism._make(ident, p, p, relabel_identity(p))
 
 
 def cartesian_comorphism(f: FinMap, p: Bundle) -> Comorphism:
     """The comorphism presented by a bare pullback square (identity vertical)."""
     pulled = pullback_bundle(f, p)
-    return _trusted(Comorphism, f, pulled, p, SliceMorphism.identity(pulled))
+    return Comorphism._make(f, pulled, p, SliceMorphism.identity(pulled))
 
 
 def is_cartesian(c: Comorphism) -> bool:
@@ -87,9 +89,9 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
         v1(pair_name(a, v2(pair_name(f(a), e))))
         for a, e in zip(sq.left.values, sq.right.values)
     )
-    arrow = _trusted(FinMap, sq.apex, c1.src.total, values)
-    vertical = _trusted(SliceMorphism, Bundle(sq.left), c1.src, arrow)
-    return _trusted(Comorphism, base, c1.src, c2.dst, vertical)
+    arrow = FinMap._make(sq.apex, c1.src.total, values)
+    vertical = SliceMorphism._make(Bundle(sq.left), c1.src, arrow)
+    return Comorphism._make(base, c1.src, c2.dst, vertical)
 
 
 RelationAssignment = Mapping[FinSet, EndoRelation]
@@ -126,9 +128,9 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
         moved = {a: v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0)}
         values.append(jb_src.sections.element_for(a0, moved))
     src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
-    arrow = _trusted(FinMap, sq.apex, src.total, tuple(values))
-    vertical = _trusted(SliceMorphism, Bundle(sq.left), src, arrow)
-    return _trusted(Comorphism, f, src, dst, vertical)
+    arrow = FinMap._make(sq.apex, src.total, tuple(values))
+    vertical = SliceMorphism._make(Bundle(sq.left), src, arrow)
+    return Comorphism._make(f, src, dst, vertical)
 
 
 def generic_section_vertical(span: Span, p: Bundle) -> SliceMorphism:
@@ -186,11 +188,8 @@ def distributivity_terminal(
     """
     c, d = span.left, span.right
     jb = jet_bundle(canonicalize(span), p.map)
-    sq_eps = pullback(d, jb.projection)
-    sq_c = pullback(c, p.map)
-    epsilon = candidate
-    if epsilon is None:
-        epsilon = _generic_section_on(c, jb.sections, sq_eps, sq_c)
+    sq_eps, sq_c = pullback(d, jb.projection), pullback(c, p.map)
+    epsilon = candidate or _generic_section_on(c, jb.sections, sq_eps, sq_c)
     pulled_c = Bundle(sq_c.left)
     if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")

@@ -11,11 +11,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, NotCommuting, NotJointlyMonic
-
-_T = TypeVar("_T")
 
 
 class cached_property:
@@ -40,59 +38,6 @@ class cached_property:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
-
-
-def _trusted(cls: type[_T], *fields) -> _T:
-    """An instance of the frozen dataclass cls from its fields, in declaration
-    order, without running its __post_init__ validation.
-
-    Only for values that are valid by construction: every field comes from
-    already-validated objects through an operation that preserves validity.
-    Input a user can reach with raw values (parse_workspace, element, the
-    public constructors and `from_*` methods, the instance generators) always
-    goes through the checked constructor.  An apex element named by
-    `pair_name` is valid by construction when its pair is known to be in
-    the apex: `pair_into_pullback` compares both legs, `member` tests the
-    pair set, and `phi`, `global_jet` and `polynomial_map` pair a point with
-    a value in the fiber over its image.  The call sites, all of them:
-
-    - finset: `compose`, `canonical_span` (the span and both legs of every
-      `pullback` and every `SubobjectAtStage.span`, relations' too),
-      `pair_into_pullback`, `all_maps`, `FinMap.identity`;
-    - kripke: `SubobjectAtStage._from_stage_major` (the subobjects that
-      `change_of_stage`, and so every `monad`, and `counterimage` emit in
-      canonical order), the mediating map of `member` and the partial map of
-      `stage_restrict`;
-    - relations: the morphism of `check_preserves`, which first runs the
-      constructor's shape and preservation checks itself;
-    - jets: the partial map and jet of `_trusted_jet`, which builds the
-      jets of `enumerate_jets`, `nth_jet`, `phi` and `JetBundle.generic_jet`
-      (built on first use), and the jet of `restrict_jet`; the maps of
-      `classify` and `polynomial_product_iso`;
-    - polyfun: the projection of `section_tables` (the projection of every
-      jet bundle, jet fiber and dependent product), the arrows and slice
-      morphisms of `AdjunctionBijection.to_base` and `to_total` (a section
-      over each point's base point, and a value in q's fiber over each
-      point of the square), the map of
-      `SectionTables.push_along` (the maps of `jet_on_vertical`,
-      `dependent_product_map` and `polynomial_map`), `slice_homs`,
-      `compose_slice`, `SliceMorphism.identity`, `DependentProduct.counit`
-      (built on first use), the pushed map of `polynomial_map`, whose
-      values the push then finds in the target's tables, and the slice
-      morphisms of `pullback_vertical`, `dependent_product_map` and
-      `polynomial_map`;
-    - fibdual: the arrow, vertical and comorphism of `comorphism_compose`
-      and `global_jet`, and the comorphisms of `identity_comorphism` and
-      `cartesian_comorphism`, whose verticals start at the canonical
-      pullback by construction;
-    - suites: the maps of `maps_over`, in `beck_chevalley_check`.
-
-    A test swaps this helper for the checked constructor and requires
-    identical output from the suites and the data commands.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
-    return obj
 
 
 def pair_name(a: str, b: str) -> str:
@@ -176,6 +121,29 @@ class FinMap:
             if v not in index:
                 raise ValueError(f"value {v!r} not in codomain {self.cod.name!r}")
 
+    @staticmethod
+    def _make(dom, cod, values) -> "FinMap":
+        """The map with these fields, without running `__post_init__`.
+
+        Each trusted class has one such `_make`, taking its fields in
+        declaration order, only for values valid by construction: every field
+        comes from validated objects through an operation that preserves
+        validity.  Input a user can reach with raw values (parse_workspace,
+        element, the public constructors and `from_*` methods, the instance
+        generators) always goes through the checked constructor.  An apex
+        element named by `pair_name` is valid when its pair is known to be in
+        the apex: `pair_into_pullback` compares both legs, `member` tests the
+        pair set, and `phi`, `global_jet` and `polynomial_map` pair a point
+        with a value in the fiber over its image.  A test swaps every `_make`
+        for its checked constructor and requires identical output.
+        """
+        obj = object.__new__(FinMap)
+        d = obj.__dict__
+        d["dom"] = dom
+        d["cod"] = cod
+        d["values"] = values
+        return obj
+
     @classmethod
     def from_table(cls, dom: FinSet, cod: FinSet, table: Mapping[str, str]) -> "FinMap":
         missing = [e for e in dom if e not in table]
@@ -185,7 +153,7 @@ class FinMap:
 
     @classmethod
     def identity(cls, a: FinSet) -> "FinMap":
-        return _trusted(cls, a, a, a.elements)
+        return cls._make(a, a, a.elements)
 
     @classmethod
     def constant(cls, dom: FinSet, cod: FinSet, value: str) -> "FinMap":
@@ -226,7 +194,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
             f"cannot compose: {f.cod.name!r} is not {g.dom.name!r}"
         )
     at, table = g.dom.index, g.values
-    return _trusted(FinMap, f.dom, g.cod, tuple([table[at[v]] for v in f.values]))
+    return FinMap._make(f.dom, g.cod, tuple([table[at[v]] for v in f.values]))
 
 
 def is_monic(f: FinMap) -> bool:
@@ -243,6 +211,14 @@ class Span:
     def __post_init__(self):
         if self.left.dom != self.right.dom:
             raise ValueError("span legs must share their domain")
+
+    @staticmethod
+    def _make(left, right) -> "Span":
+        obj = object.__new__(Span)
+        d = obj.__dict__
+        d["left"] = left
+        d["right"] = right
+        return obj
 
     @property
     def apex(self) -> FinSet:
@@ -288,10 +264,9 @@ def canonical_span(
     names that collide raise.
     """
     apex = FinSet(name, tuple([pair_name(a, b) for a, b in pairs]))
-    return _trusted(
-        Span,
-        _trusted(FinMap, apex, left, tuple([a for a, _ in pairs])),
-        _trusted(FinMap, apex, right, tuple([b for _, b in pairs])),
+    return Span._make(
+        FinMap._make(apex, left, tuple([a for a, _ in pairs])),
+        FinMap._make(apex, right, tuple([b for _, b in pairs])),
     )
 
 
@@ -334,18 +309,18 @@ def pair_into_pullback(a: FinMap, b: FinMap, pb: Span) -> FinMap:
         if i is None or lefts[i] != u or rights[i] != w:
             raise NotCommuting(f"cone does not commute at {x!r}")
         values.append(m)
-    return _trusted(FinMap, a.dom, pb.apex, tuple(values))
+    return FinMap._make(a.dom, pb.apex, tuple(values))
 
 
 def all_maps(dom: FinSet, cod: FinSet) -> Iterator[FinMap]:
     """Every map dom -> cod, in lexicographic order of value tuples."""
     if len(dom) == 0:
-        yield _trusted(FinMap, dom, cod, ())
+        yield FinMap._make(dom, cod, ())
         return
     if len(cod) == 0:
         return
     for values in itertools.product(cod.elements, repeat=len(dom)):
-        yield _trusted(FinMap, dom, cod, values)
+        yield FinMap._make(dom, cod, values)
 
 
 def is_pullback_square(

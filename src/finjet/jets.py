@@ -14,16 +14,7 @@ from .errors import (
     ShapeMismatch,
     WorkspaceError,
 )
-from .finset import (
-    FinMap,
-    FinSet,
-    Span,
-    _trusted,
-    cached_property,
-    compose,
-    pair_name,
-    pullback,
-)
+from .finset import FinMap, FinSet, Span, cached_property, compose, pair_name, pullback
 from .kripke import (
     PartialMapAtStage,
     PartialSection,
@@ -57,6 +48,16 @@ class SectionJet(PartialSection):
         if self.support != monad(self.relation, self.at):
             raise ValueError("support is not the monad of the base element")
 
+    @staticmethod
+    def _make(underlying, bundle, relation, at) -> "SectionJet":
+        obj = object.__new__(SectionJet)
+        d = obj.__dict__
+        d["underlying"] = underlying
+        d["bundle"] = bundle
+        d["relation"] = relation
+        d["at"] = at
+        return obj
+
     @property
     def stage(self) -> FinSet:
         return self.at.dom
@@ -78,13 +79,12 @@ def _jet_choices(r: Relation, b: FinMap, p: FinMap) -> tuple[SubobjectAtStage, l
     return support, [p.fiber(a) for a, _ in support.pairs]
 
 
-def _trusted_jet(
+def _make_jet(
     r: Relation, b: FinMap, support: SubobjectAtStage, p: FinMap, values: tuple[str, ...]
 ) -> SectionJet:
-    """The jet of p at b on `support`, which the caller built as the monad of
-    b, with the value at each pair (a, x) taken from p's fiber over a; built
-    unchecked."""
-    return _trusted(SectionJet, _trusted(PartialMapAtStage, support, p.dom, values), p, r, b)
+    """The jet of p at b on `support`, the monad of b, built unchecked; the
+    caller takes the value at each pair (a, x) from p's fiber over a."""
+    return SectionJet._make(PartialMapAtStage._make(support, p.dom, values), p, r, b)
 
 
 def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
@@ -94,7 +94,7 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     """
     support, options = _jet_choices(r, b, p)
     return tuple(
-        _trusted_jet(r, b, support, p, choice) for choice in itertools.product(*options)
+        _make_jet(r, b, support, p, choice) for choice in itertools.product(*options)
     )
 
 
@@ -117,7 +117,7 @@ def nth_jet(
     for k in reversed(range(len(options))):
         i, digit = divmod(i, len(options[k]))
         choice[k] = options[k][digit]
-    return _trusted_jet(r, b, support, p, tuple(choice))
+    return _make_jet(r, b, support, p, tuple(choice))
 
 
 def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
@@ -125,7 +125,7 @@ def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
     if alpha.cod != j.stage:
         raise ShapeMismatch("stage change does not land at the jet's stage")
     moved = stage_restrict(j.underlying, alpha)
-    return _trusted(SectionJet, moved, j.bundle, j.relation, compose(j.at, alpha))
+    return SectionJet._make(moved, j.bundle, j.relation, compose(j.at, alpha))
 
 
 def map_jet(j: SectionJet, r_map: FinMap, p: FinMap) -> SectionJet:
@@ -183,7 +183,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
                 f"image of ({a},{x}) escapes the jet's support"
             )
         values.append(pair_name(a, table[image]))
-    return _trusted_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
+    return _make_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class JetBundle:
         """The generic section jet, of `bundle` at stage `total`."""
         support = monad(self.relation, self.projection)
         values = self.sections.evaluations(self.relation.over)
-        return _trusted_jet(self.relation, self.projection, support, self.bundle, values)
+        return _make_jet(self.relation, self.projection, support, self.bundle, values)
 
     def fiber(self, a0: str) -> tuple[str, ...]:
         return self.projection.fiber(a0)
@@ -273,7 +273,7 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
         a0 = j.at(x)
         at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
         values.append(jb.sections.element_for(a0, at_x))
-    return _trusted(FinMap, j.stage, jb.total, tuple(values))
+    return FinMap._make(j.stage, jb.total, tuple(values))
 
 
 def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
@@ -323,5 +323,5 @@ def polynomial_product_iso(
         table = {legs.left(m): to_total(z) for m, z in tab}
         values.append(jb.sections.element_for(a0, table))
     result = poly.product.result
-    arrow = _trusted(FinMap, result.total, jb.total, tuple(values))
+    arrow = FinMap._make(result.total, jb.total, tuple(values))
     return poly, jb, SliceMorphism(result, Bundle(jb.projection), arrow)

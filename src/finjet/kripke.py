@@ -24,7 +24,6 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
-    _trusted,
     all_maps,
     cached_property,
     canonical_span,
@@ -74,6 +73,15 @@ class SubobjectAtStage:
         if not ordered:
             raise ValueError("pairs not in canonical order; use from_pairs")
 
+    @staticmethod
+    def _make(over, stage, pairs) -> "SubobjectAtStage":
+        obj = object.__new__(SubobjectAtStage)
+        d = obj.__dict__
+        d["over"] = over
+        d["stage"] = stage
+        d["pairs"] = pairs
+        return obj
+
     @classmethod
     def from_pairs(
         cls, over: FinSet, stage: FinSet, pairs: Iterable[tuple[str, str]]
@@ -101,7 +109,7 @@ class SubobjectAtStage:
         stage element, which the sort only merges, in O(pairs log runs).
         """
         at = over.index.__getitem__
-        return _trusted(cls, over, stage, tuple(sorted(pairs, key=lambda pair: at(pair[0]))))
+        return cls._make(over, stage, tuple(sorted(pairs, key=lambda pair: at(pair[0]))))
 
     @classmethod
     def full(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
@@ -154,11 +162,15 @@ def canonicalize(s: Span) -> SubobjectAtStage:
     )
 
 
-def sub_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
+def _require_same_ends(u: SubobjectAtStage, u2: SubobjectAtStage) -> None:
     if u.over != u2.over:
         raise OverMismatch("subobjects over different objects")
     if u.stage != u2.stage:
         raise StageMismatch("subobjects at different stages")
+
+
+def sub_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
+    _require_same_ends(u, u2)
     return u.pair_set <= u2.pair_set
 
 
@@ -204,7 +216,7 @@ def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[FinMap]:
         if key not in pairs:
             return None
         values.append(pair_name(*key))
-    return _trusted(FinMap, a.dom, u.span.apex, tuple(values))
+    return FinMap._make(a.dom, u.span.apex, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -221,6 +233,15 @@ class PartialMapAtStage:
         for v in self.values:
             if v not in self.target:
                 raise ValueError(f"value {v!r} not in target {self.target.name!r}")
+
+    @staticmethod
+    def _make(support, target, values) -> "PartialMapAtStage":
+        obj = object.__new__(PartialMapAtStage)
+        d = obj.__dict__
+        d["support"] = support
+        d["target"] = target
+        d["values"] = values
+        return obj
 
     @classmethod
     def from_table(
@@ -292,12 +313,8 @@ def precompose(s: PartialMapAtStage, f: FinMap) -> PartialMapAtStage:
 def stage_restrict(s: PartialMapAtStage, alpha: FinMap) -> PartialMapAtStage:
     """The partial map considered at the later stage alpha: Y -> X."""
     support = change_of_stage(s.support, alpha)
-    return _trusted(
-        PartialMapAtStage,
-        support,
-        s.target,
-        tuple(s.table[(a, alpha(y))] for a, y in support.pairs),
-    )
+    values = tuple(s.table[(a, alpha(y))] for a, y in support.pairs)
+    return PartialMapAtStage._make(support, s.target, values)
 
 
 def restrict_section(
@@ -333,10 +350,7 @@ def extensionality_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
     taken at the later stage given by its right leg, is a member of u2; this
     is the quantifier collapsed to its one decisive instance.
     """
-    if u.over != u2.over:
-        raise OverMismatch("subobjects over different objects")
-    if u.stage != u2.stage:
-        raise StageMismatch("subobjects at different stages")
+    _require_same_ends(u, u2)
     legs = u.span
     return member(legs.left, legs.right, u2) is not None
 

@@ -17,7 +17,6 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
-    _trusted,
     cached_property,
     compose,
     is_pullback_square,
@@ -66,9 +65,18 @@ class SliceMorphism:
         if compose(self.dst.map, self.arrow) != self.src.map:
             raise NotVertical("arrow does not commute over the base")
 
+    @staticmethod
+    def _make(src, dst, arrow) -> "SliceMorphism":
+        obj = object.__new__(SliceMorphism)
+        d = obj.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["arrow"] = arrow
+        return obj
+
     @classmethod
     def identity(cls, b: Bundle) -> "SliceMorphism":
-        return _trusted(cls, b, b, FinMap.identity(b.total))
+        return cls._make(b, b, FinMap.identity(b.total))
 
     def is_iso(self) -> bool:
         return len(set(self.arrow.values)) == len(self.dst.total) == len(self.src.total)
@@ -77,7 +85,7 @@ class SliceMorphism:
 def compose_slice(g: SliceMorphism, f: SliceMorphism) -> SliceMorphism:
     if f.dst != g.src:
         raise ShapeMismatch("slice morphisms do not chain")
-    return _trusted(SliceMorphism, f.src, g.dst, compose(g.arrow, f.arrow))
+    return SliceMorphism._make(f.src, g.dst, compose(g.arrow, f.arrow))
 
 
 def invert_slice(m: SliceMorphism) -> SliceMorphism:
@@ -95,7 +103,7 @@ def slice_homs(src: Bundle, dst: Bundle) -> Iterator[SliceMorphism]:
     if any(len(c) == 0 for c in candidates):
         return
     for values in itertools.product(*candidates):
-        yield _trusted(SliceMorphism, src, dst, _trusted(FinMap, src.total, dst.total, values))
+        yield SliceMorphism._make(src, dst, FinMap._make(src.total, dst.total, values))
 
 
 def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
@@ -112,7 +120,7 @@ def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
     arrow = pair_into_pullback(
         sq_src.left, compose(v.arrow, sq_src.right), sq_dst
     )
-    return _trusted(SliceMorphism, Bundle(sq_src.left), Bundle(sq_dst.left), arrow)
+    return SliceMorphism._make(Bundle(sq_src.left), Bundle(sq_dst.left), arrow)
 
 
 def relabel_identity(p: Bundle) -> SliceMorphism:
@@ -169,7 +177,7 @@ class SectionTables:
             by_table[(b, tuple([(m, image[e]) for m, e in tab]))]
             for _, b, tab in self.entries()
         )
-        return _trusted(FinMap, self.projection.dom, dst.projection.dom, values)
+        return FinMap._make(self.projection.dom, dst.projection.dom, values)
 
     def evaluations(self, points: FinSet) -> tuple[str, ...]:
         """Every section's value at every point of its fiber, by point in the
@@ -202,7 +210,7 @@ def section_tables(
         tables += itertools.product(*([(m, v) for v in vs] for m, vs in zip(points, options)))
         bases += [b] * (len(tables) - len(bases))
     total = FinSet(name, tuple(labels))
-    return SectionTables(fibers, _trusted(FinMap, total, base, tuple(bases)), tuple(tables))
+    return SectionTables(fibers, FinMap._make(total, base, tuple(bases)), tuple(tables))
 
 
 @dataclass(frozen=True)
@@ -229,8 +237,8 @@ class DependentProduct:
         """d*(result) -> input, over M."""
         sq = pullback(self.along, self.sections.projection)
         values = self.sections.evaluations(self.along.dom)
-        arrow = _trusted(FinMap, sq.apex, self.input.total, values)
-        return _trusted(SliceMorphism, Bundle(sq.left), self.input, arrow)
+        arrow = FinMap._make(sq.apex, self.input.total, values)
+        return SliceMorphism._make(Bundle(sq.left), self.input, arrow)
 
 
 def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
@@ -251,7 +259,7 @@ def dependent_product_map(
     if (dp_src.input, dp_dst.input) != (v.src, v.dst) or dp_src.along != dp_dst.along:
         raise ShapeMismatch("products are not the products of the morphism's ends along one map")
     arrow = dp_src.sections.push_along(v.arrow, dp_dst.sections)
-    return _trusted(SliceMorphism, dp_src.result, dp_dst.result, arrow)
+    return SliceMorphism._make(dp_src.result, dp_dst.result, arrow)
 
 
 @dataclass(frozen=True)
@@ -283,8 +291,8 @@ class AdjunctionBijection:
             b = self.left.map(w)
             table = {mm: m.arrow(pair_name(mm, w)) for mm in self.along.fiber(b)}
             values.append(self.product.sections.element_for(b, table))
-        arrow = _trusted(FinMap, self.left.total, self.product.result.total, tuple(values))
-        return _trusted(SliceMorphism, self.left, self.product.result, arrow)
+        arrow = FinMap._make(self.left.total, self.product.result.total, tuple(values))
+        return SliceMorphism._make(self.left, self.product.result, arrow)
 
     def to_total(self, n: SliceMorphism) -> SliceMorphism:
         """Transpose y -> product into d*(y) -> q."""
@@ -295,8 +303,8 @@ class AdjunctionBijection:
             m = self.square.left(x)
             w = self.square.right(x)
             values.append(self.product.sections.table_of(n.arrow(w))[m])
-        arrow = _trusted(FinMap, self.square.apex, self.right.total, tuple(values))
-        return _trusted(SliceMorphism, self.pulled_left, self.right, arrow)
+        arrow = FinMap._make(self.square.apex, self.right.total, tuple(values))
+        return SliceMorphism._make(self.pulled_left, self.right, arrow)
 
 
 def adjunction_unit(y: Bundle, dp: DependentProduct) -> SliceMorphism:
@@ -358,9 +366,9 @@ def polynomial_map(
         raise ShapeMismatch("products are not the polynomial products of v's ends along one span")
     sq = dp_src.square
     values = tuple(pair_name(m, v.arrow(e)) for m, e in zip(sq.left.values, sq.right.values))
-    pushed = _trusted(FinMap, sq.apex, dp_dst.square.apex, values)
+    pushed = FinMap._make(sq.apex, dp_dst.square.apex, values)
     arrow = dp_src.product.sections.push_along(pushed, dp_dst.product.sections)
-    return _trusted(SliceMorphism, dp_src.product.result, dp_dst.product.result, arrow)
+    return SliceMorphism._make(dp_src.product.result, dp_dst.product.result, arrow)
 
 
 @dataclass(frozen=True)

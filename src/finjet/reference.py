@@ -14,7 +14,7 @@ import itertools
 from typing import Mapping, Optional
 
 from .errors import ShapeMismatch
-from .fibdual import Comorphism, generic_section_vertical
+from .fibdual import Comorphism, _generic_section_on
 from .finset import (
     FinMap,
     FinSet,
@@ -213,9 +213,9 @@ def distributivity_terminal_brute(
     c, d = span.left, span.right
     jb = jet_bundle(canonicalize(span), p.map)
     jet_total = Bundle(jb.projection)
-    epsilon = candidate if candidate is not None else generic_section_vertical(span, p)
-    sq_eps = pullback(d, jb.projection)
-    pulled_c = Bundle(pullback(c, p.map).left)
+    sq_eps, sq_c = pullback(d, jb.projection), pullback(c, p.map)
+    epsilon = candidate or _generic_section_on(c, jb.sections, sq_eps, sq_c)
+    pulled_c = Bundle(sq_c.left)
     if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
         raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
     # eps at each pair (m, j) of d*(J(p)), read off the square's legs rather

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotSymmetric, OverMismatch, ShapeMismatch
-from .finset import FinMap, FinSet, _trusted, cached_property, compose, element, pair_name
+from .finset import FinMap, FinSet, cached_property, compose, element, pair_name
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -80,6 +80,16 @@ class RelationMorphism:
         if lost is not None:
             raise ValueError(f"pair ({lost[0]},{lost[1]}) is not preserved")
 
+    @staticmethod
+    def _make(f, f0, rel_src, rel_dst) -> "RelationMorphism":
+        obj = object.__new__(RelationMorphism)
+        d = obj.__dict__
+        d["f"] = f
+        d["f0"] = f0
+        d["rel_src"] = rel_src
+        d["rel_dst"] = rel_dst
+        return obj
+
     @classmethod
     def identity(cls, r: Relation) -> "RelationMorphism":
         return cls(FinMap.identity(r.over), FinMap.identity(r.stage), r, r)
@@ -129,7 +139,7 @@ def check_preserves(
     if _unpreserved_pair(f, f0, rel_src, rel_dst) is not None:
         return None
     # That scan is the constructor's check, so it need not run it again.
-    return _trusted(RelationMorphism, f, f0, rel_src, rel_dst)
+    return RelationMorphism._make(f, f0, rel_src, rel_dst)
 
 
 def ball_relation(adjacency: Relation, radius: int) -> EndoRelation:

@@ -21,7 +21,6 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
-    _trusted,
     all_maps,
     compose,
     element,
@@ -522,15 +521,10 @@ def _random_vertical(
     return SliceMorphism(src, dst, FinMap(src.total, dst.total, tuple(values)))
 
 
-def maps_over(
-    pb: Span, a0: FinMap
-) -> tuple[FinMap, ...]:
+def maps_over(pb: Span, a0: FinMap) -> tuple[FinMap, ...]:
     """All maps from a0's stage into a pullback apex whose left leg is a0."""
     per_point = [pb.left.fiber(a) for a in a0.values]
-    out = []
-    for values in itertools.product(*per_point):
-        out.append(_trusted(FinMap, a0.dom, pb.apex, values))
-    return tuple(out)
+    return tuple(FinMap._make(a0.dom, pb.apex, vs) for vs in itertools.product(*per_point))
 
 
 def beck_chevalley_check(

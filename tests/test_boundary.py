@@ -1,9 +1,12 @@
 """Validation at the boundary: the checked constructors keep rejecting bad
-input with their messages, and the modules that take outside input never
-build values through the unchecked `finset._trusted` path."""
+input with their messages, the unchecked `_make` builders build exactly what
+the checked constructors build, and the modules that take outside input
+never call a builder."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -120,7 +123,63 @@ def test_public_constructors_reject_bad_input(build, error, message):
 @pytest.mark.parametrize("module", ["cli", "workspace", "instances"])
 def test_outside_input_never_takes_the_trusted_path(module):
     source = (Path(finjet.__file__).parent / f"{module}.py").read_text()
-    assert "_trusted" not in source
+    assert "._make(" not in source
+
+
+def test_every_unchecked_build_is_a_class_builder():
+    """The only unchecked builds are the `_make` builders, one `object.__new__`
+    each: no module keeps a generic helper that builds any class without its
+    checks."""
+    sources = [path.read_text() for path in Path(finjet.__file__).parent.glob("*.py")]
+    assert not any("_trusted" in text for text in sources)
+    assert sum(text.count("object.__new__(") for text in sources) == len(VALID_FIELDS)
+
+
+def _builder_classes() -> dict[str, type]:
+    """Every finjet class that defines `_make` itself, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(finjet.__path__):
+        module = importlib.import_module(f"finjet.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "_make" in vars(cls):
+                found[cls.__name__] = cls
+    return found
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in obj.__dataclass_fields__)
+
+
+# One valid field tuple per class with a builder, in declaration order.
+VALID_FIELDS = {
+    "FinMap": lambda: (E, A, P_MAP.values),
+    "Span": lambda: (P_MAP, FinMap.identity(E)),
+    "SubobjectAtStage": lambda: (A, X, SUPPORT.pairs),
+    "PartialMapAtStage": lambda: (SUPPORT, E, ("a0", "b0")),
+    "SectionJet": lambda: _fields(_jet()),
+    "SliceMorphism": lambda: (Bundle(P_MAP), Bundle(P_MAP), FinMap.identity(E)),
+    "Comorphism": lambda: (ID_A, PULLED, Bundle(P_MAP), SliceMorphism.identity(PULLED)),
+    "RelationMorphism": lambda: (ID_A, ID_A, R, R),
+}
+
+
+def test_each_builder_writes_its_fields_and_matches_the_constructor():
+    """Distinct sentinels land under their own field names, so a builder
+    cannot drop, swap or add a field; on valid fields the built value equals
+    the checked one and hashes the same."""
+    classes = _builder_classes()
+    assert set(classes) == set(VALID_FIELDS)
+    assert set(PartialSection.__dataclass_fields__) < set(SectionJet.__dataclass_fields__)
+    for name, cls in classes.items():
+        fields = list(cls.__dataclass_fields__)
+        sentinels = [object() for _ in fields]
+        obj = cls._make(*sentinels)
+        assert type(obj) is cls, name
+        assert vars(obj) == dict(zip(fields, sentinels)), name
+        valid = VALID_FIELDS[name]()
+        built, checked = cls._make(*valid), cls(*valid)
+        assert built == checked, name
+        assert hash(built) == hash(checked), name
 
 
 def _uses_functools_cached_property(tree: ast.Module) -> bool:

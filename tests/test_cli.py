@@ -828,8 +828,6 @@ def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
-    from finjet import finset
-
     for n in (12, 40):
         (tmp_path / f"p{n}.ws").write_text(serialize_workspace(path_graph_workspace(n, 2)))
     for n in (4, 5):
@@ -845,15 +843,17 @@ def test_trusted_paths_match_the_checked_constructors(monkeypatch, tmp_path):
     assert all(code == 0 for code, _ in expected)
     checked = set()
 
-    def by_constructor(cls, *fields):
-        checked.add(cls.__name__)
-        return cls(*fields)
+    def by_constructor(cls):
+        def make(*fields):
+            checked.add(cls.__name__)
+            return cls(*fields)
+        return staticmethod(make)
 
-    trusted = finset._trusted
     for info in pkgutil.iter_modules(finjet.__path__):
         module = importlib.import_module(f"finjet.{info.name}")
-        if getattr(module, "_trusted", None) is trusted:
-            monkeypatch.setattr(module, "_trusted", by_constructor)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "_make" in vars(cls):
+                monkeypatch.setattr(cls, "_make", by_constructor(cls))
     assert [run(argv) for argv in commands] == expected
     assert checked == {
         "FinMap", "Span", "SubobjectAtStage", "PartialMapAtStage",

@@ -29,22 +29,16 @@ def rand_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Optional[FinMap]:
     return FinMap(dom, cod, tuple(rng.choice(cod.elements) for _ in dom))
 
 
-def rand_relation(
-    rng: random.Random, src: FinSet, dst: FinSet, density: float = 0.5
-) -> Relation:
-    pairs = [
-        (a, b) for a in src for b in dst if rng.random() < density
-    ]
+def rand_relation(rng: random.Random, src: FinSet, dst: FinSet) -> Relation:
+    pairs = [(a, b) for a in src for b in dst if rng.random() < 0.5]
     return Relation.from_pairs(src, dst, pairs)
 
 
-def rand_adjacency(
-    rng: random.Random, carrier: FinSet, density: float = 0.4
-) -> Relation:
+def rand_adjacency(rng: random.Random, carrier: FinSet) -> Relation:
     pairs = []
     for i, a in enumerate(carrier.elements):
         for b in carrier.elements[i + 1 :]:
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 pairs.append((a, b))
                 pairs.append((b, a))
     return Relation.from_pairs(carrier, carrier, pairs)
@@ -61,16 +55,14 @@ def induced_adjacency(f: FinMap, adjacency: Relation) -> Relation:
     return Relation.from_pairs(f.dom, f.dom, pairs)
 
 
-def rand_ball_pair(
-    rng: random.Random, max_size: int, radius: int = 1
-) -> tuple[FinMap, EndoRelation, EndoRelation]:
-    """A map of graphs with pulled-back adjacency, and the two ball relations."""
+def rand_ball_pair(rng: random.Random, max_size: int) -> tuple[FinMap, EndoRelation, EndoRelation]:
+    """A map of graphs with pulled-back adjacency, and the two radius-1 balls."""
     b = rand_finset(rng, "B", max_size, min_size=1)
     a = rand_finset(rng, "A", max_size, min_size=1)
     f = rand_map(rng, a, b)
     adj_b = rand_adjacency(rng, b)
     adj_a = induced_adjacency(f, adj_b)
-    return f, ball_relation(adj_a, radius), ball_relation(adj_b, radius)
+    return f, ball_relation(adj_a, 1), ball_relation(adj_b, 1)
 
 
 def rand_bundle(
@@ -90,7 +82,7 @@ def rand_bundle(
     return Bundle(FinMap(total, base, tuple(values)))
 
 
-def trim_bundle(p: Bundle, tag: str = "t") -> Bundle:
+def trim_bundle(p: Bundle) -> Bundle:
     """Keep the first element of every nonempty fiber (a small companion bundle)."""
     keep = []
     values = []
@@ -99,16 +91,12 @@ def trim_bundle(p: Bundle, tag: str = "t") -> Bundle:
         if fiber:
             keep.append(fiber[0])
             values.append(a)
-    total = FinSet(f"{p.total.name}.{tag}", tuple(keep))
+    total = FinSet(f"{p.total.name}.t", tuple(keep))
     return Bundle(FinMap(total, p.base, tuple(values)))
 
 
-def rand_subobject(
-    rng: random.Random, over: FinSet, stage: FinSet, density: float = 0.5
-) -> SubobjectAtStage:
-    pairs = [
-        (a, x) for a in over for x in stage if rng.random() < density
-    ]
+def rand_subobject(rng: random.Random, over: FinSet, stage: FinSet) -> SubobjectAtStage:
+    pairs = [(a, x) for a in over for x in stage if rng.random() < 0.5]
     return SubobjectAtStage.from_pairs(over, stage, pairs)
 
 

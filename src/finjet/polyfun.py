@@ -113,10 +113,10 @@ def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
     return Bundle(pullback(f, p.map).left)
 
 
-def pullback_vertical(f: FinMap, v: SliceMorphism) -> SliceMorphism:
-    """f*(v): the pullback functor on a vertical map."""
-    sq_src = pullback(f, v.src.map)
-    sq_dst = pullback(f, v.dst.map)
+def pullback_vertical(v: SliceMorphism, sq_src: Span, sq_dst: Span) -> SliceMorphism:
+    """f*(v): the pullback functor on a vertical map; sq_src and sq_dst are
+    the canonical squares of v's source and target along one map f.  It
+    builds no square, and a cone that misses sq_dst raises NotCommuting."""
     arrow = pair_into_pullback(
         sq_src.left, compose(v.arrow, sq_src.right), sq_dst
     )
@@ -219,9 +219,9 @@ class DependentProduct:
 
     The fiber of `result` at b is the set of sections of `input` over the
     `along`-fiber of b; `counit` evaluates a section at a point of that fiber.
-    The counit is built on first use, because its source, the canonical
-    pullback of `result` along d, is larger than the result and only the law
-    checks read it; once built, it is kept.
+    `square`, the canonical pullback of `result` along d, and the counit on
+    it are built on first use, because the square is larger than the result
+    and only the law checks read it; once built, each is kept.
     """
 
     along: FinMap  # d: M -> B
@@ -233,9 +233,14 @@ class DependentProduct:
         return Bundle(self.sections.projection)
 
     @cached_property
+    def square(self) -> Span:
+        """The canonical pullback of (d, result.map)."""
+        return pullback(self.along, self.sections.projection)
+
+    @cached_property
     def counit(self) -> SliceMorphism:
         """d*(result) -> input, over M."""
-        sq = pullback(self.along, self.sections.projection)
+        sq = self.square
         values = self.sections.evaluations(self.along.dom)
         arrow = FinMap._make(sq.apex, self.input.total, values)
         return SliceMorphism._make(Bundle(sq.left), self.input, arrow)
@@ -307,19 +312,6 @@ class AdjunctionBijection:
         return SliceMorphism._make(self.pulled_left, self.right, arrow)
 
 
-def adjunction_unit(y: Bundle, dp: DependentProduct) -> SliceMorphism:
-    """The unit y -> product-along-d of d*(y): the transpose of the identity
-    on d*(y).  dp is the product of d*(y) along d, so d is `dp.along`.
-    """
-    if y.base != dp.along.cod:
-        raise ShapeMismatch("unit requires a bundle over the map's codomain")
-    sq = pullback(dp.along, y.map)
-    pulled = Bundle(sq.left)
-    if dp.input != pulled:
-        raise ShapeMismatch("unit product is not the product of d*(y) along d")
-    return AdjunctionBijection(y, dp, sq).to_base(SliceMorphism.identity(pulled))
-
-
 def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection:
     if y.base != d.cod or q.base != d.dom:
         raise ShapeMismatch("bundles do not sit over the ends of the map")
@@ -359,8 +351,8 @@ def polynomial_map(
     One push of dp_src's sections along c*(v), which sends each <m, e> of
     dp_src's square to <m, v(e)>, the canonical element of dp_dst's square
     named by `pair_name`.  It reads the square dp_src holds and builds none.
-    The tests compare it with `dependent_product_map` on
-    `pullback_vertical(c, v)`.
+    The tests compare it with `dependent_product_map` on c*(v), which
+    `pullback_vertical` builds on squares of their own.
     """
     if (dp_src.p, dp_dst.p) != (v.src, v.dst) or dp_src.span != dp_dst.span:
         raise ShapeMismatch("products are not the polynomial products of v's ends along one span")

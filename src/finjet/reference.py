@@ -41,7 +41,12 @@ from .polyfun import Bundle, SectionTables, SliceMorphism, compose_slice, relabe
 from .relations import Relation, RelationMorphism, _require_endo, monad, monad_at
 
 
-def brute_force_leq(u: SubobjectAtStage, u2: SubobjectAtStage, max_stage: int) -> bool:
+# `brute_force_leq` and the two relation routes probe every stage of size 0
+# to MAX_STAGE.
+MAX_STAGE = 2
+
+
+def brute_force_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
     """`kripke.sub_leq` as the quantifier itself: every element of u at every
     later stage is in u2.
 
@@ -49,7 +54,7 @@ def brute_force_leq(u: SubobjectAtStage, u2: SubobjectAtStage, max_stage: int) -
     only depends.
     """
     probes: set[frozenset] = set()
-    for size in range(max_stage + 1):
+    for size in range(MAX_STAGE + 1):
         stage = probe_stage(size)
         for alpha in all_maps(stage, u.stage):
             for a in all_maps(stage, u.over):
@@ -60,11 +65,19 @@ def brute_force_leq(u: SubobjectAtStage, u2: SubobjectAtStage, max_stage: int) -
     return True
 
 
-def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
+def is_monic_elementwise(f: FinMap) -> bool:
+    """`finset.is_monic` read off global elements: no two distinct points of
+    the domain, taken as maps from `probe_stage(1)`, compose with f to the
+    same map."""
+    images = [compose(f, x) for x in all_maps(probe_stage(1), f.dom)]
+    return all(g != h for g, h in itertools.combinations(images, 2))
+
+
+def is_reflexive_elementwise(r: Relation) -> bool:
     """`relations.is_reflexive` read off generalized elements: a0 is in its
     own monad."""
     _require_endo(r)
-    for size in range(max_stage + 1):
+    for size in range(MAX_STAGE + 1):
         stage = probe_stage(size)
         for a0 in all_maps(stage, r.over):
             u = monad(r, a0)
@@ -73,12 +86,12 @@ def is_reflexive_elementwise(r: Relation, max_stage: int = 2) -> bool:
     return True
 
 
-def is_symmetric_elementwise(r: Relation, max_stage: int = 2) -> bool:
+def is_symmetric_elementwise(r: Relation) -> bool:
     """`relations.is_symmetric` read off generalized elements: membership
     swaps sides.  Each probe's monad is built once per stage and read for
     every pair of probes."""
     _require_endo(r)
-    for size in range(max_stage + 1):
+    for size in range(MAX_STAGE + 1):
         stage = probe_stage(size)
         probes = [(a.values, monad(r, a).pair_set) for a in all_maps(stage, r.over)]
         for a, monad_a in probes:

@@ -51,9 +51,9 @@ class Workspace:
         return self._get(self.bundles, name, "bundle")
 
     @staticmethod
-    def _get(table, name, kind):
+    def _get(table, name, kind, line_no=None):
         if name not in table:
-            raise UnknownReference(f"unknown {kind} {name!r}")
+            raise UnknownReference(f"unknown {kind} {name!r}", line_no)
         return table[name]
 
 
@@ -173,12 +173,6 @@ def _declare(table: dict, name: str, value, kind: str, line_no: int) -> None:
     table[name] = value
 
 
-def _resolve(ws: Workspace, table: dict, name: str, kind: str, line_no: int):
-    if name not in table:
-        raise UnknownReference(f"unknown {kind} {name!r}", line_no)
-    return table[name]
-
-
 def _parse_object(ws: Workspace, rest: str, line_no: int) -> None:
     head, body = _brace_body(rest, line_no)
     elements = tuple(body.split())
@@ -202,8 +196,8 @@ def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
     if "->" not in ends:
         raise WorkspaceSyntaxError("map header needs '<obj> -> <obj>'", line_no)
     dom_name, _, cod_name = ends.partition("->")
-    dom = _resolve(ws, ws.objects, dom_name.strip(), "object", line_no)
-    cod = _resolve(ws, ws.objects, cod_name.strip(), "object", line_no)
+    dom = ws._get(ws.objects, dom_name.strip(), "object", line_no)
+    cod = ws._get(ws.objects, cod_name.strip(), "object", line_no)
     dom_index, cod_index = dom.index, cod.index
     table: dict[str, str] = {}
     for entry in body.split(";"):
@@ -234,8 +228,8 @@ def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
     if "~" not in ends:
         raise WorkspaceSyntaxError("relation header needs '<obj> ~ <obj>'", line_no)
     src_name, _, dst_name = ends.partition("~")
-    src = _resolve(ws, ws.objects, src_name.strip(), "object", line_no)
-    dst = _resolve(ws, ws.objects, dst_name.strip(), "object", line_no)
+    src = ws._get(ws.objects, src_name.strip(), "object", line_no)
+    dst = ws._get(ws.objects, dst_name.strip(), "object", line_no)
     src_index, dst_index = src.index, dst.index
     pairs = []
     for token in body.split():
@@ -255,7 +249,7 @@ def _parse_graph(ws: Workspace, rest: str, line_no: int) -> None:
     name, _, obj_name = head.partition(" on ")
     if not obj_name:
         raise WorkspaceSyntaxError("graph header needs 'on <obj>'", line_no)
-    carrier = _resolve(ws, ws.objects, obj_name.strip(), "object", line_no)
+    carrier = ws._get(ws.objects, obj_name.strip(), "object", line_no)
     tokens = body.split()
     if len(tokens) % 3 != 0:
         raise WorkspaceSyntaxError("graph body must be '<id> -- <id>' edges", line_no)
@@ -285,7 +279,7 @@ def _parse_bundle(ws: Workspace, rest: str, line_no: int) -> None:
     name, eq, map_name = rest.partition("=")
     if not eq:
         raise WorkspaceSyntaxError("bundle declaration needs '= <mapname>'", line_no)
-    target = _resolve(ws, ws.maps, map_name.strip(), "map", line_no)
+    target = ws._get(ws.maps, map_name.strip(), "map", line_no)
     _declare(ws.bundles, name.strip(), Bundle(target), "bundle", line_no)
 
 

@@ -490,23 +490,33 @@ def _classify_off_by_one_element(real):
     return classify
 
 
+def _always_true(real):
+    """A predicate that holds of everything."""
+    return lambda *args: True
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
-    "suite, name, mutant, reason",
+    "suite, module, name, mutant, reason",
     [
-        ("phi-laws", "phi", _phi_off_by_one_value,
+        ("phi-laws", "jets", "phi", _phi_off_by_one_value,
          "transport disagrees with the tabulation of its value law"),
-        ("classify", "classify", _classify_off_by_one_element,
+        ("classify", "jets", "classify", _classify_off_by_one_element,
          "classifying map is not the unique one at a point"),
+        ("pullback-laws", "suites", "is_monic", _always_true,
+         "pullback of a monic is not monic"),
     ],
-    ids=["phi", "classify"],
+    ids=["phi", "classify", "is_monic"],
 )
-def test_wrong_library_result_is_a_counted_failure(monkeypatch, capsys, jobs, suite, name, mutant, reason):
-    import finjet.jets as jets
-
+def test_wrong_library_result_is_a_counted_failure(
+    monkeypatch, capsys, jobs, suite, module, name, mutant, reason
+):
+    """A wrong library result, patched where the suite reads it, fails the
+    suite with a parseable counterexample at either job count."""
+    target = importlib.import_module(f"finjet.{module}")
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("a patched library function reaches worker processes only when they are forked")
-    monkeypatch.setattr(jets, name, mutant(getattr(jets, name)))
+    monkeypatch.setattr(target, name, mutant(getattr(target, name)))
     # Two CPUs, so --jobs 2 runs on a real pool on any host.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, text = run(["check", "--suite", suite, "--seed", "42", "--trials", "20", "--jobs", jobs])

@@ -15,7 +15,7 @@ from finjet.fibdual import (
     identity_comorphism,
     is_cartesian,
 )
-from finjet.finset import FinMap, FinSet, Span, compose
+from finjet.finset import FinMap, FinSet, Span, compose, pullback
 from finjet.instances import (
     rand_adjacency,
     rand_ball_pair,
@@ -205,9 +205,10 @@ def test_comorphism_compose_matches_the_reassociation_route(seed, n2, n1, n0):
     g, f = rand_map(rng, a1, a2), rand_map(rng, a0, a1)
     c2 = random_comorphism(rng, g, rand_bundle(rng, a2, 2), "x")
     c1 = random_comorphism(rng, f, c2.src, "y")
+    v = c2.vertical
+    lifted = pullback_vertical(v, pullback(c1.over, v.src.map), pullback(c1.over, v.dst.map))
     route = compose_slice(
-        c1.vertical,
-        compose_slice(pullback_vertical(c1.over, c2.vertical), nest_pullback(c2.over, c1.over, c2.dst)),
+        c1.vertical, compose_slice(lifted, nest_pullback(c2.over, c1.over, c2.dst))
     )
     assert comorphism_compose(c2, c1) == Comorphism(compose(g, f), c1.src, c2.dst, route)
 

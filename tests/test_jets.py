@@ -417,7 +417,9 @@ def test_mate_agrees_with_jet_transport_through_iso():
     mediated = mediating_map(morphism, p_big)
     _, _, iso_dst = polynomial_product_iso(morphism.rel_dst, p_big)
     _, _, iso_src = polynomial_product_iso(morphism.rel_src, ctx.pulled)
-    lifted = pullback_vertical(morphism.f0, iso_dst)
+    lifted = pullback_vertical(
+        iso_dst, pullback(morphism.f0, iso_dst.src.map), pullback(morphism.f0, iso_dst.dst.map)
+    )
     assert compose(mediated.arrow, lifted.arrow) == compose(
         iso_src.arrow, mate.arrow
     )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
 from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback
 from finjet.instances import rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
+    AdjunctionBijection,
     Bundle,
     SliceMorphism,
     SpanMorphism,
     adjunction_bijection,
-    adjunction_unit,
     compose_slice,
     dependent_product,
     dependent_product_map,
@@ -151,10 +152,16 @@ def test_counit_is_built_on_first_use(seed, max_fiber, polynomial):
         dp = polynomial_product(Span(rand_map(rng, m, a), d), rand_bundle(rng, a, max_fiber)).product
     else:
         dp = dependent_product(d, rand_bundle(rng, m, max_fiber))
-    assert "counit" not in vars(dp)
-    counit = dp.counit
+    assert "counit" not in vars(dp) and "square" not in vars(dp)
+    built = []
+    with mock.patch("finjet.polyfun.pullback", lambda *args: built.append(args) or pullback(*args)):
+        counit = dp.counit
+        square = dp.square
+    assert built == [(dp.along, dp.result.map)]
+    assert square == pullback(dp.along, dp.result.map)
+    assert counit.src == Bundle(square.left)
     assert counit == _checked_counit(dp)
-    assert dp.counit is counit
+    assert dp.counit is counit and dp.square is square
 
 
 def test_dependent_product_functorial():
@@ -226,27 +233,24 @@ def test_triangle_identities():
     d = FinMap(M, B, ("u", "v", "u"))
     y = small_bundle(B, (2, 1), tag="y")
     q = small_bundle(M, (1, 2, 1), tag="q")
-    pulled = pullback_bundle(d, y)
+    # Each unit is the transpose of the identity on a pulled-back bundle.
+    sq_y = pullback(d, y.map)
+    pulled = Bundle(sq_y.left)
+    ident = SliceMorphism.identity(pulled)
     dp_pulled = dependent_product(d, pulled)
-    unit = adjunction_unit(y, dp_pulled)
-    tri1 = compose_slice(dp_pulled.counit, pullback_vertical(d, unit))
-    assert tri1 == SliceMorphism.identity(pulled)
+    unit = AdjunctionBijection(y, dp_pulled, sq_y).to_base(ident)
+    tri1 = compose_slice(dp_pulled.counit, pullback_vertical(unit, sq_y, dp_pulled.square))
+    assert tri1 == ident
     dp = dependent_product(d, q)
     dp_unit = dependent_product(d, dp.counit.src)
-    tri2 = compose_slice(
-        dependent_product_map(dp.counit, dp_unit, dp), adjunction_unit(dp.result, dp_unit)
+    unit_at = AdjunctionBijection(dp.result, dp_unit, dp.square).to_base(
+        SliceMorphism.identity(dp.counit.src)
     )
+    tri2 = compose_slice(dependent_product_map(dp.counit, dp_unit, dp), unit_at)
     assert tri2 == SliceMorphism.identity(dp.result)
-
-
-def test_adjunction_unit_takes_a_prebuilt_product():
-    d = FinMap(M, B, ("u", "v", "u"))
-    y = small_bundle(B, (2, 1), tag="y")
-    dp_pulled = dependent_product(d, pullback_bundle(d, y))
-    bij = adjunction_bijection(d, y, pullback_bundle(d, y))
-    assert adjunction_unit(y, dp_pulled) == bij.to_base(SliceMorphism.identity(bij.right))
-    with pytest.raises(ShapeMismatch, match="unit product"):
-        adjunction_unit(y, dependent_product(d, Bundle.identity(M)))
+    # A product of anything but d*(y) has no unit at y.
+    with pytest.raises(ShapeMismatch, match=r"morphism is not d\*\(y\) -> q"):
+        AdjunctionBijection(y, dependent_product(d, Bundle.identity(M)), sq_y).to_base(ident)
 
 
 def test_polynomial_jet_diagonal_span():
@@ -411,8 +415,10 @@ def test_polynomial_map_matches_the_pullback_route(seed, max_fiber):
             assert poly.square == pullback(c, q.map)
             assert poly.product == dependent_product(d, pullback_bundle(c, q))
         for v in homs:
+            # c*(v) on squares built here, not the ones the products hold.
+            lifted = pullback_vertical(v, pullback(c, src.map), pullback(c, dst.map))
             assert polynomial_map(v, dp_src, dp_dst) == dependent_product_map(
-                pullback_vertical(c, v), dp_src.product, dp_dst.product
+                lifted, dp_src.product, dp_dst.product
             )
 
 

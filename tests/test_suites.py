@@ -1,11 +1,12 @@
 import io
 import os
+import sys
 
 import pytest
 
 import finjet.suites as suites
 from finjet.cli import main
-from finjet.finset import FinMap, FinSet
+from finjet.finset import FinMap, FinSet, pullback
 from finjet.instances import rng_for
 from finjet.suites import SUITES, SuiteReport, _Checker, run_suites
 from finjet.workspace import parse_workspace, serialize_workspace
@@ -98,6 +99,24 @@ def test_run_suite_reproducible_and_ordered():
     two = run_suites(["membership"], seed=9, trials=15, jobs=3)[0]
     assert one == two
     assert one.instances == 15
+
+
+def test_adjunction_instance_builds_each_square_once(monkeypatch):
+    """An adjunction instance builds three canonical squares, d*(y) and the
+    squares of the products of q and of d*(y), and none of them twice."""
+    built = []
+
+    def counted(f, p):
+        built.append((f, p))
+        return pullback(f, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finjet.") and getattr(module, "pullback", None) is pullback:
+            monkeypatch.setattr(module, "pullback", counted)
+    for index in range(200):
+        built.clear()
+        assert SUITES["adjunction"](rng_for(42, "adjunction", index), 3, 3)[1] == 0
+        assert len(built) == len(set(built)) == 3, index
 
 
 def _set_cpus(monkeypatch, count):

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
+import operator
 import sys
-from typing import IO, Callable, Optional
+from typing import IO, Callable, Iterator, Optional
 
 from . import fibdual, jets, polyfun, relations
 from .errors import FinjetError, WorkspaceError
-from .finset import compose, element, pullback
+from .finset import FinMap, compose, element, pullback
 from .workspace import Workspace, parse_workspace
 
 
@@ -185,6 +187,26 @@ def _render_element(row: tuple[str, ...]) -> str:
     return f"  {el} over {b}: {table}"
 
 
+def _table_texts(sections: polyfun.SectionTables, q: FinMap, sort: bool) -> Iterator[str]:
+    """Every section's table as "point->value" words joined by spaces, in the
+    order of `sections.entries()`.
+
+    Each word is rendered once per base point, and the texts join them in
+    the product that `polyfun.section_tables` enumerates: one block per base
+    point, last point fastest.  With `sort`, a text lists its words by point
+    name rather than in the fiber's order.
+    """
+    fibers = q.fibers
+    for points in sections.fibers.values():
+        texts = itertools.product(*([f"{m}->{v}" for v in fibers[m]] for m in points))
+        # A fiber out of name order has at least two points, so itemgetter
+        # returns a tuple of words, never a bare word.
+        if sort and list(points) != sorted(points):
+            order = sorted(range(len(points)), key=points.__getitem__)
+            texts = map(operator.itemgetter(*order), texts)
+        yield from map(" ".join, texts)
+
+
 def _cmd_jets(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
@@ -205,14 +227,11 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
     jb = jets.jet_bundle(rel, bundle.map)
     sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.stage)
     # A table lists its base point's column in relation order; its row lists
-    # the column sorted, and that order is found once per base point.
-    order = {
-        a0: sorted(range(len(column)), key=column.__getitem__)
-        for a0, column in jb.sections.fibers.items()
-    }
+    # the words by point name.
+    texts = _table_texts(jb.sections, jb.bundle, sort=True)
     rows = [
-        ("element", t, a0, " ".join([f"{tab[i][0]}->{tab[i][1]}" for i in order[a0]]))
-        for t, a0, tab in jb.sections.entries()
+        ("element", t, a0, text)
+        for (t, a0, _), text in zip(jb.sections.entries(), texts, strict=True)
     ]
     return _emit(
         out,
@@ -263,9 +282,10 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     bundle = ws.bundle(args.bundle)
     dp = polyfun.polynomial_product(rel.span, bundle).product
     sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
+    texts = _table_texts(dp.sections, dp.input.map, sort=False)
     rows = [
-        ("element", el, b, " ".join(map("->".join, tab)))
-        for el, b, tab in dp.sections.entries()
+        ("element", el, b, text)
+        for (el, b, _), text in zip(dp.sections.entries(), texts, strict=True)
     ]
     return _emit(
         out,

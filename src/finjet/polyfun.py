@@ -199,7 +199,11 @@ def section_tables(
     fastest.  One product runs over per-point lists of (point, value) pairs,
     which the tables share, and a second, in step, over the "point:value"
     fragments that `table_label` joins.  The labels go into one FinSet
-    called `name`, so a label collision raises ValueError."""
+    called `name`, so a label collision raises ValueError.
+
+    This order is a contract: `cli._table_texts` renders the same product
+    over the same fibers and aligns its texts with the sections by position,
+    and the pinned output digests in the CLI tests hold both to it."""
     labels: list[str] = []
     bases: list[str] = []
     tables: list[SectionTable] = []

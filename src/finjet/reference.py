@@ -11,6 +11,7 @@ compare the two routes directly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Mapping, Optional
 
 from .errors import ShapeMismatch
@@ -71,6 +72,14 @@ def is_monic_elementwise(f: FinMap) -> bool:
     same map."""
     images = [compose(f, x) for x in all_maps(probe_stage(1), f.dom)]
     return all(g != h for g, h in itertools.combinations(images, 2))
+
+
+def is_cartesian_elementwise(c: Comorphism) -> bool:
+    """`fibdual.is_cartesian` read off the vertical's table: every element of
+    its codomain has exactly one preimage."""
+    arrow = c.vertical.arrow
+    preimages = Counter(arrow.values)
+    return all(preimages[e] == 1 for e in arrow.cod)
 
 
 def is_reflexive_elementwise(r: Relation) -> bool:

@@ -891,7 +891,11 @@ def check_global_functor(rng: random.Random, max_obj: int, max_fiber: int) -> Ou
     ident = fibdual.comorphism_compose(c1, fibdual.identity_comorphism(p1))
     t.check(ident == c1, "composition with the identity comorphism changes a comorphism")
     t.check(
-        fibdual.is_cartesian(fibdual.cartesian_comorphism(f1, p2)),
+        fibdual.is_cartesian(fibdual.cartesian_comorphism(f1, p2))
+        and all(
+            fibdual.is_cartesian(c) == reference.is_cartesian_elementwise(c)
+            for c in chain
+        ),
         "a bare pullback square is not recognized as Cartesian",
     )
     return t.outcome()

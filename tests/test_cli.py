@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import finjet
 
+from finjet import jets, polyfun
 from finjet.cli import main
 from finjet.errors import WorkspaceSyntaxError
 from finjet.finset import FinMap, FinSet, pullback
@@ -46,6 +47,56 @@ def test_jetbundle_records_mode():
     lines = [ln for ln in text.splitlines() if ln]
     assert len(lines) == 8
     assert all(ln.startswith("element\t") for ln in lines)
+
+
+# Base point u has an empty column, v a one-point column, w a column out of
+# name order (c before a), and x a column through z, whose fiber is empty.
+EDGE_COLUMNS = """\
+object A { c b a z }
+object A0 { u v w x }
+object E { c0 c1 b0 a0 a1 }
+map p : E -> A { c0 -> c ; c1 -> c ; b0 -> b ; a0 -> a ; a1 -> a }
+relation R : A ~ A0 { (b,v) (c,w) (a,w) (b,x) (z,x) }
+bundle p = p
+"""
+
+
+def _reference_rows(command: str, ws: Workspace) -> list[tuple[str, ...]]:
+    """jetbundle and polyjet rows by the per-row formula: a jet's table
+    sorted by point name, a polynomial section's table in fiber order."""
+    rel, bundle = ws.relation("R"), ws.bundle("p")
+    if command == "jetbundle":
+        sections = jets.jet_bundle(rel, bundle.map).sections
+        return [
+            ("element", el, b, " ".join(f"{m}->{v}" for m, v in sorted(tab)))
+            for el, b, tab in sections.entries()
+        ]
+    sections = polyfun.polynomial_product(rel.span, bundle).product.sections
+    return [
+        ("element", el, b, " ".join(map("->".join, tab)))
+        for el, b, tab in sections.entries()
+    ]
+
+
+@pytest.mark.parametrize("format_", ["text", "records"])
+@pytest.mark.parametrize("command", ["jetbundle", "polyjet"])
+def test_table_rows_match_the_per_row_formula_on_edge_columns(tmp_path, command, format_):
+    ws = parse_workspace(EDGE_COLUMNS)
+    columns = ws.relation("R").columns
+    assert columns == {"u": (), "v": ("b",), "w": ("c", "a"), "x": ("b", "z")}
+    assert ws.bundle("p").map.fiber("z") == ()
+    rows = _reference_rows(command, ws)
+    assert ("u", "") in [(b, text) for _, _, b, text in rows]
+    assert "x" not in [b for _, _, b, _ in rows]
+    path = tmp_path / "edge.ws"
+    path.write_text(EDGE_COLUMNS)
+    code, text = run(["-w", str(path), "--format", format_, command, "--relation", "R",
+                      "--bundle", "p"])
+    assert code == 0
+    if format_ == "records":
+        assert text.splitlines() == ["\t".join(row) for row in rows]
+    else:
+        assert text.splitlines()[1:] == [f"  {el} over {b}: {tab}" for _, el, b, tab in rows]
 
 
 def test_monad_point():
@@ -505,15 +556,23 @@ def _always_true(real):
          "classifying map is not the unique one at a point"),
         ("pullback-laws", "suites", "is_monic", _always_true,
          "pullback of a monic is not monic"),
+        ("global-functor", "fibdual", "is_cartesian", _always_true,
+         "a bare pullback square is not recognized as Cartesian"),
+        ("global-functor", "polyfun", "SliceMorphism.is_iso", _always_true,
+         "a bare pullback square is not recognized as Cartesian"),
     ],
-    ids=["phi", "classify", "is_monic"],
+    ids=["phi", "classify", "is_monic", "is_cartesian", "is_iso"],
 )
 def test_wrong_library_result_is_a_counted_failure(
     monkeypatch, capsys, jobs, suite, module, name, mutant, reason
 ):
     """A wrong library result, patched where the suite reads it, fails the
-    suite with a parseable counterexample at either job count."""
+    suite with a parseable counterexample at either job count.  A dotted
+    name patches an attribute of a class in the module."""
     target = importlib.import_module(f"finjet.{module}")
+    *owners, name = name.split(".")
+    for owner in owners:
+        target = getattr(target, owner)
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("a patched library function reaches worker processes only when they are forked")
     monkeypatch.setattr(target, name, mutant(getattr(target, name)))

@@ -53,8 +53,9 @@ class SubobjectAtStage:
         """Raise ValueError unless `pairs` is in canonical form inside over x stage.
 
         One pass: every pair must lie in over x stage, and the keys (index in
-        over, index in stage) must never decrease.  An escaping pair is
-        reported in preference to a misordering, wherever the two occur.
+        over, index in stage) must strictly increase, so no pair repeats.  An
+        escaping pair is reported in preference to a misordering, wherever
+        the two occur.
         """
         oi, si, width = self.over.index.get, self.stage.index.get, len(self.stage)
         prev = -1
@@ -67,7 +68,7 @@ class SubobjectAtStage:
                     f"pair ({a},{x}) escapes {self.over.name} x {self.stage.name}"
                 )
             key = i * width + j
-            if key < prev:
+            if key <= prev:
                 ordered = False
             prev = key
         if not ordered:

@@ -14,11 +14,16 @@ or a table label `(<id>|<10 lowercase hex digits>)`, recursively.  So two
 different pairs never share a name, every element can be mapped (map bodies
 split at `;` and `->`), and the elements finjet builds and serializes parse
 back.  Relation pairs are split at the top-level comma.
+
+A map or relation body exactly in the form `serialize_workspace` writes is
+read in bulk by `_bulk_map` and `_bulk_relation`; every other body, and every
+error message, goes through the per-entry reading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import (
     DuplicateName,
@@ -198,6 +203,29 @@ def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
     dom_name, _, cod_name = ends.partition("->")
     dom = ws._get(ws.objects, dom_name.strip(), "object", line_no)
     cod = ws._get(ws.objects, cod_name.strip(), "object", line_no)
+    fmap = _bulk_map(body, dom, cod)
+    if fmap is None:
+        fmap = _map_by_entries(body, dom, cod, line_no)
+    _declare(ws.maps, name, fmap, "map", line_no)
+
+
+def _bulk_map(body: str, dom: FinSet, cod: FinSet) -> Optional[FinMap]:
+    """The map when body is exactly what `serialize_workspace` writes, with
+    dom in order and every value in cod, else None.  Element names hold no
+    whitespace, `;` or `->`, so a body that spells `<src> -> <dst> ; ...`
+    from its own tokens has one entry per source."""
+    flat = body.split()
+    srcs, dsts = flat[0::4], flat[2::4]
+    if tuple(srcs) != dom.elements or " ; ".join(map(" -> ".join, zip(srcs, dsts))) != body:
+        return None
+    try:
+        return FinMap(dom, cod, tuple(dsts))
+    except ValueError:
+        return None
+
+
+def _map_by_entries(body: str, dom: FinSet, cod: FinSet, line_no: int) -> FinMap:
+    """The map read entry by entry: the reading that words every error."""
     dom_index, cod_index = dom.index, cod.index
     table: dict[str, str] = {}
     for entry in body.split(";"):
@@ -218,7 +246,7 @@ def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
     if len(table) != len(dom):
         missing = next(e for e in dom if e not in table)
         raise NonTotalMap(f"element {missing!r} has no assignment", line_no)
-    _declare(ws.maps, name, FinMap.from_table(dom, cod, table), "map", line_no)
+    return FinMap.from_table(dom, cod, table)
 
 
 def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
@@ -230,6 +258,31 @@ def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
     src_name, _, dst_name = ends.partition("~")
     src = ws._get(ws.objects, src_name.strip(), "object", line_no)
     dst = ws._get(ws.objects, dst_name.strip(), "object", line_no)
+    rel = _bulk_relation(body, src, dst)
+    if rel is None:
+        rel = _relation_by_pairs(body, src, dst, line_no)
+    _declare(ws.relations, name, rel, "relation", line_no)
+
+
+def _bulk_relation(body: str, src: FinSet, dst: FinSet) -> Optional[Relation]:
+    """The relation when body is exactly what `serialize_workspace` writes for
+    pairs of atoms in canonical order, without repeats and inside src x dst,
+    else None.  A composite element loses its parentheses and commas to the
+    split below, so its body no longer spells itself and takes the loop; so
+    does an empty body, which the loop reads as the empty relation."""
+    flat = body.replace("(", " ").replace(")", " ").replace(",", " ").split()
+    pairs = tuple(zip(flat[0::2], flat[1::2]))
+    if not pairs or "(" + ") (".join(map(",".join, pairs)) + ")" != body:
+        return None
+    try:
+        return Relation(src, dst, pairs)
+    except ValueError:
+        return None
+
+
+def _relation_by_pairs(body: str, src: FinSet, dst: FinSet, line_no: int) -> Relation:
+    """The relation read pair by pair, deduplicated and sorted: the reading
+    that words every error."""
     src_index, dst_index = src.index, dst.index
     pairs = []
     for token in body.split():
@@ -239,9 +292,7 @@ def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
         if b not in dst_index:
             raise UnknownReference(f"{b!r} is not in object {dst.name!r}", line_no)
         pairs.append((a, b))
-    _declare(
-        ws.relations, name, Relation.from_pairs(src, dst, pairs), "relation", line_no
-    )
+    return Relation.from_pairs(src, dst, pairs)
 
 
 def _parse_graph(ws: Workspace, rest: str, line_no: int) -> None:

@@ -210,11 +210,12 @@ def test_stage_joins_edge_cases():
 
 
 def sort_and_compare_rule(left, right, pairs):
-    """The error the replaced validator raised: membership first, then re-sort and compare."""
+    """The error the replaced validator raised: membership first, then dedup,
+    re-sort and compare, so a repeated pair is out of canonical order too."""
     for a, x in pairs:
         if a not in left or x not in right:
             return f"pair ({a},{x}) escapes {left.name} x {right.name}"
-    if pairs != tuple(sorted(pairs, key=lambda p: (left.index[p[0]], right.index[p[1]]))):
+    if pairs != tuple(sorted(set(pairs), key=lambda p: (left.index[p[0]], right.index[p[1]]))):
         return "pairs not in canonical order; use from_pairs"
     return None
 
@@ -245,6 +246,12 @@ def test_subobject_validator_matches_sort_and_compare(case):
         with pytest.raises(ValueError) as info:
             SubobjectAtStage(over, stage, pairs)
         assert str(info.value) == expected
+
+
+def test_subobject_rejects_a_repeated_pair():
+    with pytest.raises(ValueError, match="pairs not in canonical order; use from_pairs"):
+        SubobjectAtStage(A, X, (("a1", "x1"), ("a1", "x1")))
+    assert SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a1", "x1")]).pairs == (("a1", "x1"),)
 
 
 def test_member_empty_stage_is_vacuous():

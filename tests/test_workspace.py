@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,14 @@ from finjet.finset import FinMap, FinSet
 from finjet.instances import rand_bundle
 from finjet.polyfun import Bundle
 from finjet.relations import Relation
+from finjet import workspace
 from finjet.workspace import Workspace, parse_workspace, serialize_workspace
-from strategies import element_names, fixture_p3
+from strategies import (
+    complete_graph_workspace,
+    element_names,
+    fixture_p3,
+    path_graph_workspace,
+)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws"
 
@@ -196,6 +203,9 @@ _MALFORMED_HEAD = "object A { a b (a,b) }\nobject B { x y }\n"
         ("map f : A -> B { -> x }", UnknownReference, "'' is not in object 'A'"),
         ("map f : A -> B { a -> }", UnknownReference, "'' is not in object 'B'"),
         ("map f : A -> B { a -> x ; a -> y }", NonTotalMap, "element 'a' assigned twice"),
+        ("map f : A -> B { a -> x ; b -> q ; (a,b) -> y }", UnknownReference,
+         "'q' is not in object 'B'"),
+        ("map f : A -> B { }", NonTotalMap, "element 'a' has no assignment"),
         ("graph g on A { a -- z }", UnknownReference, "'z' is not in object 'A'"),
     ],
 )
@@ -210,6 +220,87 @@ def test_malformed_bodies_raise_pinned_errors(declaration, error, message):
 def test_map_entries_tolerate_blank_entries_and_tight_arrows():
     ws = parse_workspace(_MALFORMED_HEAD + "map f : A -> B { a->x ;; b -> x ; (a,b)->y ; }\n")
     assert ws.maps["f"].table == {"a": "x", "b": "x", "(a,b)": "y"}
+
+
+@pytest.mark.parametrize(
+    "declaration, expected",
+    [
+        ("relation R : A ~ B { (a,x) (a,x) }", (("a", "x"),)),
+        ("relation R : A ~ B { (b,y) (a,x) (a,y) }", (("a", "x"), ("a", "y"), ("b", "y"))),
+        ("relation R : A ~ B { }", ()),
+        ("relation R : N ~ B { }", ()),
+        ("map f : A -> B { b -> y ; a -> x ; (a,b) -> x }", ("x", "y", "x")),
+        ("map f : N -> B { }", ()),
+    ],
+)
+def test_bodies_off_the_serialized_form_parse_as_the_loop_reads_them(declaration, expected):
+    """Repeated or out-of-order pairs and a map listing its domain out of
+    order are valid input, read into canonical form."""
+    ws = parse_workspace(_MALFORMED_HEAD + "object N { }\n" + declaration + "\n")
+    parsed = ws.relations["R"].pairs if "R" in ws.relations else ws.maps["f"].values
+    assert parsed == expected
+
+
+def _parse_by_loops(text):
+    """parse_workspace with the bulk paths off, so every body takes the loop."""
+    with mock.patch.object(workspace, "_bulk_map", lambda *args: None), mock.patch.object(
+        workspace, "_bulk_relation", lambda *args: None
+    ):
+        return parse_workspace(text)
+
+
+@st.composite
+def serialized_texts(draw):
+    """A serialized workspace over atoms and composites, then a map and a
+    relation written in the serialized form but off it: the domain in drawn
+    order, the pairs in drawn order with repeats."""
+    a_names = draw(st.lists(element_names, unique=True, max_size=5))
+    c_names = draw(st.lists(element_names, unique=True, min_size=1, max_size=4))
+    a, c = FinSet("A", tuple(a_names)), FinSet("C", tuple(c_names))
+    f = FinMap(a, c, tuple(draw(st.sampled_from(c_names)) for _ in a_names))
+    cells = [(x, z) for x in a_names for z in c_names]
+    pairs = draw(st.lists(st.sampled_from(cells), max_size=8)) if cells else []
+    ws = Workspace(
+        objects={"A": a, "C": c},
+        maps={"f": f},
+        relations={"R": Relation.from_pairs(a, c, pairs)},
+        bundles={"p": Bundle(f)},
+    )
+    entries = draw(st.permutations(list(zip(a_names, f.values))))
+    return (
+        serialize_workspace(ws)
+        + f"map g : A -> C {{ {' ; '.join(f'{x} -> {z}' for x, z in entries)} }}\n"
+        + f"relation S : A ~ C {{ {' '.join(f'({x},{z})' for x, z in pairs)} }}\n"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(serialized_texts())
+def test_bulk_and_loop_parsing_agree(text):
+    assert parse_workspace(text) == _parse_by_loops(text)
+
+
+_GRAPH_TEXTS = {
+    "p3": FIXTURE.read_text(),
+    "path": serialize_workspace(path_graph_workspace(12, 2)),
+    "complete": serialize_workspace(complete_graph_workspace(5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", _GRAPH_TEXTS)
+def test_bulk_and_loop_parsing_agree_on_graphs(name):
+    assert parse_workspace(_GRAPH_TEXTS[name]) == _parse_by_loops(_GRAPH_TEXTS[name])
+
+
+@pytest.mark.parametrize("name", ["path", "complete"])
+def test_serialized_bodies_take_the_bulk_path(name, monkeypatch):
+    def loop_reached(*args):
+        raise AssertionError("a serialized body took the loop")
+
+    monkeypatch.setattr(workspace, "_split_pair", loop_reached)
+    monkeypatch.setattr(workspace, "_map_by_entries", loop_reached)
+    text = _GRAPH_TEXTS[name]
+    assert serialize_workspace(parse_workspace(text)) == text
 
 
 def test_headers_name_objects_by_their_workspace_key():

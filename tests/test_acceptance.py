@@ -48,6 +48,7 @@ from finjet.polyfun import (
     slice_homs,
 )
 from finjet.suites import (
+    _Checker,
     adjunction_instance_ok,
     beck_chevalley_check,
     check_global_functor,
@@ -253,10 +254,9 @@ def test_criterion_5_yoneda_roundtrip_and_uniqueness():
 
 def test_criterion_6_phi_composition_and_square():
     for index in range(100):
-        passed, failed, counterexample = check_phi_laws(
-            rng_for(SEED, "acceptance-phi", index), 3, 3
-        )
-        assert failed == 0, counterexample
+        t = _Checker()
+        check_phi_laws(t, rng_for(SEED, "acceptance-phi", index), 3, 2)
+        assert t.failed == 0, t.counterexample
     _report(6, "stacked transport and vertical square, 100 configurations")
 
 
@@ -373,10 +373,9 @@ def test_criterion_9_distributivity_terminality():
 
 def test_criterion_10_global_functor_laws():
     for index in range(100):
-        passed, failed, counterexample = check_global_functor(
-            rng_for(SEED, "acceptance-global", index), 3, 2
-        )
-        assert failed == 0, counterexample
+        t = _Checker()
+        check_global_functor(t, rng_for(SEED, "acceptance-global", index), 3, 2)
+        assert t.failed == 0, t.counterexample
     _report(10, "global jet functor laws, 100 chains of length 3")
 
 

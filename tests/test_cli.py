@@ -440,10 +440,8 @@ def test_check_jobs_flag_is_deterministic():
 def test_check_failure_exits_1(monkeypatch):
     import finjet.suites as suites
 
-    def broken(rng, max_obj, max_fiber):
-        t = suites._Checker()
+    def broken(t, rng, max_obj, max_fiber):
         t.check(False, "deliberately failing probe suite")
-        return t.outcome()
 
     monkeypatch.setitem(suites.SUITES, "broken", broken)
     code, text = run(["check", "--suite", "broken", "--trials", "3"])
@@ -460,10 +458,10 @@ def test_raising_instance_is_a_counted_failure_at_any_jobs(monkeypatch):
     import finjet.suites as suites
     from finjet.instances import rng_for
 
-    def raising(rng, max_obj, max_fiber):
+    def raising(t, rng, max_obj, max_fiber):
         if rng.random() < 0.5:
             raise ValueError("deliberately raising probe suite")
-        return 1, 0, None
+        t.check(True, "unused")
 
     monkeypatch.setitem(suites.SUITES, "raising", raising)
     # Two CPUs, so --jobs 2 runs on a real pool on any host.

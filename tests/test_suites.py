@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
+import finjet.instances as instances
 import finjet.suites as suites
 from finjet.cli import main
 from finjet.finset import FinMap, FinSet, pullback
-from finjet.instances import rng_for
-from finjet.suites import SUITES, SuiteReport, _Checker, run_suites
+from finjet.suites import CAPS, SUITES, SuiteReport, _Checker, _instance, run_suites
 from finjet.workspace import parse_workspace, serialize_workspace
 
 
@@ -57,7 +57,9 @@ def test_checker_workspace_parses_and_holds_every_datum_drawn(monkeypatch, name)
 
     monkeypatch.setattr(_Checker, "outcome", keep)
     for seed in range(4):
-        SUITES[name](rng_for(seed, name, 0), 3, 3)
+        _instance((name, seed, 0, 3, 3))
+    # An instance that raised never reached `outcome`.
+    assert len(checkers) == 4
     for t in checkers:
         text = serialize_workspace(t.ws)
         parsed = parse_workspace(text)
@@ -115,8 +117,40 @@ def test_adjunction_instance_builds_each_square_once(monkeypatch):
             monkeypatch.setattr(module, "pullback", counted)
     for index in range(200):
         built.clear()
-        assert SUITES["adjunction"](rng_for(42, "adjunction", index), 3, 3)[1] == 0
+        assert _instance(("adjunction", 42, index, 3, 3))[1] == 0
         assert len(built) == len(set(built)) == 3, index
+
+
+@pytest.mark.parametrize("name", list(CAPS))
+def test_bounds_past_a_cap_change_nothing(monkeypatch, name):
+    """A suite run past its caps draws the instances of a run at its caps,
+    and no object or fiber bound it draws with exceeds min(bound, cap);
+    phi-laws alone raises its object bound to a floor of 2."""
+    obj_cap, fiber_cap = CAPS[name]
+
+    def outcome(max_obj, max_fiber):
+        r = run_suites([name], seed=42, max_obj=max_obj, max_fiber=max_fiber, trials=5)[0]
+        return r.passed, r.failed, r.first_counterexample
+
+    assert outcome(4, 4) == outcome(min(4, obj_cap), min(4, fiber_cap))
+    seen = {"rand_finset": [], "rand_bundle": []}
+    for draw, bounds in seen.items():
+        original = getattr(instances, draw)
+
+        def recorded(rng, what, bound, *args, original=original, bounds=bounds, **kwargs):
+            bounds.append(bound)
+            return original(rng, what, bound, *args, **kwargs)
+
+        for module in (suites, instances):
+            monkeypatch.setattr(module, draw, recorded)
+    floor = 2 if name == "phi-laws" else 0
+    for max_obj, max_fiber in ((4, 4), (1, 1)):
+        for bounds in seen.values():
+            bounds.clear()
+        outcome(max_obj, max_fiber)
+        # Every bound is a clamp, not a draw: the largest one met is the limit.
+        assert max(seen["rand_finset"]) == max(floor, min(max_obj, obj_cap))
+        assert max(seen["rand_bundle"]) == min(max_fiber, fiber_cap)
 
 
 def _set_cpus(monkeypatch, count):

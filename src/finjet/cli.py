@@ -315,10 +315,7 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
         )
     if args.src_bundle and not args.vertical:
         raise WorkspaceError("--src-bundle needs --vertical")
-    rels = {
-        rel_src.over: relations.EndoRelation.of(rel_src),
-        rel_dst.over: relations.EndoRelation.of(rel_dst),
-    }
+    rels = {r.over: relations.EndoRelation(r) for r in (rel_src, rel_dst)}
     if args.vertical:
         if not args.src_bundle:
             raise WorkspaceError("--vertical needs --src-bundle")

@@ -1,98 +1,21 @@
-"""Exception taxonomy shared by all layers."""
+"""Exception taxonomy shared by all layers: one class per boundary."""
 
 
 class FinjetError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class CompositionMismatch(FinjetError):
-    """Codomain/domain of two maps do not line up."""
-
-
-class NotCommuting(FinjetError):
-    """A required commutation (e.g. a cone over a pullback) fails."""
-
-
-class NotJointlyMonic(FinjetError):
-    """A span whose pairing into the product is not injective."""
-
-
-class StageMismatch(FinjetError):
-    """Two stage objects that were required to agree do not."""
-
-
-class OverMismatch(FinjetError):
-    """Two base objects that were required to agree do not."""
-
-
-class TargetMismatch(FinjetError):
-    """Target object of a partial map does not match."""
-
-
-class NotInSupport(FinjetError):
-    """Evaluation of a partial map at an element outside its support."""
-
-
-class SupportNotContained(FinjetError):
-    """Restriction target support is not contained in the counterimage."""
-
-
-class UnstableLaw(FinjetError):
-    """A value law failed a sampled change-of-stage stability probe."""
-
-
-class NotSymmetric(FinjetError):
-    """An adjacency relation that was required to be symmetric is not."""
-
-
-class NotReflexive(FinjetError):
-    """An endo-relation that was required to be reflexive is not."""
-
-
-class PreservationViolated(FinjetError):
-    """A pair of maps does not carry the source relation into the target."""
-
-
 class ShapeMismatch(FinjetError):
-    """An argument does not fit the structure it is used with."""
-
-
-class NotVertical(FinjetError):
-    """A map between bundle totals that does not commute over the base."""
-
-
-class ChainMismatch(FinjetError):
-    """Two comorphisms that do not compose end to end."""
-
-
-class SquaresNotCommuting(FinjetError):
-    """A span morphism whose squares fail to commute."""
+    """A library call whose arguments do not fit: ends, stages or bases that
+    do not agree, a square that does not commute, a missing property."""
 
 
 class WorkspaceError(FinjetError):
-    """Base for workspace-file diagnostics; carries a source location."""
+    """Outside input that cannot be used; carries its source location."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        where = ""
+        self.line, self.col = line, col
         if line is not None:
             where = f"line {line}" + (f", col {col}" if col is not None else "")
             message = f"{where}: {message}"
         super().__init__(message)
-
-
-class WorkspaceSyntaxError(WorkspaceError):
-    """Text that does not match the workspace grammar."""
-
-
-class UnknownReference(WorkspaceError):
-    """A declaration referring to a name that was never declared."""
-
-
-class NonTotalMap(WorkspaceError):
-    """A map declaration that misses or repeats a domain element."""
-
-
-class DuplicateName(WorkspaceError):
-    """Two declarations of the same kind sharing a name."""

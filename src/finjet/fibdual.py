@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import ChainMismatch, PreservationViolated, ShapeMismatch
+from .errors import ShapeMismatch
 from .finset import FinMap, FinSet, Span, compose, pair_name, pullback
 from .jets import jet_bundle
 from .kripke import canonicalize
@@ -79,9 +79,9 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     `pullback_vertical`.
     """
     if c1.dst != c2.src:
-        raise ChainMismatch("comorphisms do not chain end to end")
+        raise ShapeMismatch("comorphisms do not chain end to end")
     if c1.over.cod != c2.over.dom:
-        raise ChainMismatch("base maps do not compose")
+        raise ShapeMismatch("base maps do not compose")
     f, v1, v2 = c1.over, c1.vertical.arrow, c2.vertical.arrow
     base = compose(c2.over, f)
     sq = pullback(base, c2.dst.map)
@@ -117,7 +117,7 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     except KeyError as exc:
         raise ShapeMismatch(f"no endo-relation assigned to object {exc.args[0].name!r}")
     if check_preserves(c.over, c.over, rel_src.base, rel_dst.base) is None:
-        raise PreservationViolated("base map does not preserve the endo-relations")
+        raise ShapeMismatch("base map does not preserve the endo-relations")
     f, v = c.over, c.vertical.arrow
     jb_src = jet_bundle(rel_src.base, c.src.map)
     jb_dst = jet_bundle(rel_dst.base, c.dst.map)

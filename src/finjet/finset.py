@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import CompositionMismatch, NotCommuting, NotJointlyMonic
+from .errors import ShapeMismatch
 
 
 class cached_property:
@@ -190,9 +190,7 @@ def element(a: FinSet, x: str) -> FinMap:
 def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f (maps compose right to left)."""
     if f.cod != g.dom:
-        raise CompositionMismatch(
-            f"cannot compose: {f.cod.name!r} is not {g.dom.name!r}"
-        )
+        raise ShapeMismatch(f"cannot compose: {f.cod.name!r} is not {g.dom.name!r}")
     at, table = g.dom.index, g.values
     return FinMap._make(f.dom, g.cod, tuple([table[at[v]] for v in f.values]))
 
@@ -238,9 +236,9 @@ def is_jointly_monic(s: Span) -> bool:
 def span_leq(s: Span, s2: Span) -> Optional[FinMap]:
     """The unique mediating map s.apex -> s2.apex commuting with both legs, if any."""
     if not is_jointly_monic(s) or not is_jointly_monic(s2):
-        raise NotJointlyMonic("span_leq requires jointly monic spans")
+        raise ShapeMismatch("span_leq requires jointly monic spans")
     if s.left.cod != s2.left.cod or s.right.cod != s2.right.cod:
-        raise CompositionMismatch("spans do not share their ends")
+        raise ShapeMismatch("spans do not share their ends")
     lookup = {(s2.left(m), s2.right(m)): m for m in s2.apex}
     values = []
     for m in s.apex:
@@ -279,9 +277,7 @@ def pullback(f: FinMap, p: FinMap) -> Span:
     reads each a's partners off p's fiber index, which keeps B order.
     """
     if f.cod != p.cod:
-        raise CompositionMismatch(
-            f"pullback legs land in {f.cod.name!r} and {p.cod.name!r}"
-        )
+        raise ShapeMismatch(f"pullback legs land in {f.cod.name!r} and {p.cod.name!r}")
     pairs = [
         (a, b)
         for a, c in zip(f.dom.elements, f.values)
@@ -298,16 +294,16 @@ def pair_into_pullback(a: FinMap, b: FinMap, pb: Span) -> FinMap:
     share one), so both legs are compared at the element found.
     """
     if a.dom != b.dom:
-        raise CompositionMismatch("cone legs must share their stage")
+        raise ShapeMismatch("cone legs must share their stage")
     if a.cod != pb.left.cod or b.cod != pb.right.cod:
-        raise CompositionMismatch("cone legs do not match the pullback legs")
+        raise ShapeMismatch("cone legs do not match the pullback legs")
     at, lefts, rights = pb.apex.index.get, pb.left.values, pb.right.values
     values = []
     for x, u, w in zip(a.dom.elements, a.values, b.values):
         m = pair_name(u, w)
         i = at(m)
         if i is None or lefts[i] != u or rights[i] != w:
-            raise NotCommuting(f"cone does not commute at {x!r}")
+            raise ShapeMismatch(f"cone does not commute at {x!r}")
         values.append(m)
     return FinMap._make(a.dom, pb.apex, tuple(values))
 

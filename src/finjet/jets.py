@@ -7,13 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import (
-    NotReflexive,
-    NotVertical,
-    PreservationViolated,
-    ShapeMismatch,
-    WorkspaceError,
-)
+from .errors import ShapeMismatch, WorkspaceError
 from .finset import FinMap, FinSet, Span, cached_property, compose, pair_name, pullback
 from .kripke import (
     PartialMapAtStage,
@@ -131,7 +125,7 @@ def restrict_jet(j: SectionJet, alpha: FinMap) -> SectionJet:
 def map_jet(j: SectionJet, r_map: FinMap, p: FinMap) -> SectionJet:
     """Push a jet of q forward along a vertical r_map: total(q) -> total(p)."""
     if compose(p, r_map) != j.bundle:
-        raise NotVertical("map does not commute over the base")
+        raise ShapeMismatch("map does not commute over the base")
     pm = PartialMapAtStage(j.support, p.dom, tuple(r_map(v) for v in j.underlying.values))
     return SectionJet(pm, p, j.relation, j.at)
 
@@ -179,9 +173,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
     for a, x in support.pairs:
         image = (mor.f(a), x)
         if image not in table:
-            raise PreservationViolated(
-                f"image of ({a},{x}) escapes the jet's support"
-            )
+            raise ShapeMismatch(f"image of ({a},{x}) escapes the jet's support")
         values.append(pair_name(a, table[image]))
     return _make_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
 
@@ -290,14 +282,14 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
     if jb_q.relation != jb_p.relation:
         raise ShapeMismatch("jet bundles built from different relations")
     if compose(jb_p.bundle, r_map) != jb_q.bundle:
-        raise NotVertical("map does not commute over the base")
+        raise ShapeMismatch("map does not commute over the base")
     return jb_q.sections.push_along(r_map, jb_p.sections)
 
 
 def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
     """The value of a jet at its own base point, available by reflexivity."""
     if not r.reflexive:
-        raise NotReflexive("jet values at the base need a reflexive relation")
+        raise ShapeMismatch("jet values at the base need a reflexive relation")
     if j.relation != r.base:
         raise ShapeMismatch("jet does not belong to this relation")
     return value(j.underlying, j.at, FinMap.identity(j.stage))

@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import (
-    NotInSupport,
-    NotJointlyMonic,
-    OverMismatch,
-    StageMismatch,
-    SupportNotContained,
-    TargetMismatch,
-    UnstableLaw,
-)
+from .errors import ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
@@ -91,7 +83,12 @@ class SubobjectAtStage:
         its one integer position (index in over) * len(stage) + (index in
         stage), which dedups and orders it."""
         oi, si, width = over.index, stage.index, len(stage)
-        keyed = {oi[a] * width + si[x]: (a, x) for a, x in pairs}
+        keyed = {}
+        for a, x in pairs:
+            try:
+                keyed[oi[a] * width + si[x]] = (a, x)
+            except KeyError:
+                return cls(over, stage, ((a, x),))  # raises: the pair escapes
         return cls(over, stage, tuple(map(keyed.__getitem__, sorted(keyed))))
 
     @classmethod
@@ -157,7 +154,7 @@ class SubobjectAtStage:
 def canonicalize(s: Span) -> SubobjectAtStage:
     """Canonical pair-set of a jointly monic span A <- M -> X."""
     if not is_jointly_monic(s):
-        raise NotJointlyMonic("span does not represent a subobject")
+        raise ShapeMismatch("span does not represent a subobject")
     return SubobjectAtStage.from_pairs(
         s.left.cod, s.right.cod, ((s.left(m), s.right(m)) for m in s.apex)
     )
@@ -165,9 +162,9 @@ def canonicalize(s: Span) -> SubobjectAtStage:
 
 def _require_same_ends(u: SubobjectAtStage, u2: SubobjectAtStage) -> None:
     if u.over != u2.over:
-        raise OverMismatch("subobjects over different objects")
+        raise ShapeMismatch("subobjects over different objects")
     if u.stage != u2.stage:
-        raise StageMismatch("subobjects at different stages")
+        raise ShapeMismatch("subobjects at different stages")
 
 
 def sub_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
@@ -178,7 +175,7 @@ def sub_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:
 def change_of_stage(u: SubobjectAtStage, alpha: FinMap) -> SubobjectAtStage:
     """Pull the stage back along alpha: Y -> X."""
     if alpha.cod != u.stage:
-        raise StageMismatch(
+        raise ShapeMismatch(
             f"map into {alpha.cod.name!r} cannot change stage {u.stage.name!r}"
         )
     return SubobjectAtStage._from_stage_major(
@@ -191,7 +188,7 @@ def change_of_stage(u: SubobjectAtStage, alpha: FinMap) -> SubobjectAtStage:
 def counterimage(f: FinMap, u: SubobjectAtStage) -> SubobjectAtStage:
     """Pull the A-end back along f: A' -> A."""
     if f.cod != u.over:
-        raise OverMismatch(
+        raise ShapeMismatch(
             f"map into {f.cod.name!r} cannot take counterimage over {u.over.name!r}"
         )
     return SubobjectAtStage._from_stage_major(
@@ -206,11 +203,11 @@ def member(a: FinMap, alpha: FinMap, u: SubobjectAtStage) -> Optional[FinMap]:
     the unique map Y -> u.span.apex through which (a, alpha) factors, or None
     when some pair (a(y), alpha(y)) is not in u."""
     if a.cod != u.over:
-        raise OverMismatch("element does not land in the subobject's object")
+        raise ShapeMismatch("element does not land in the subobject's object")
     if alpha.cod != u.stage:
-        raise StageMismatch("stage change does not land in the subobject's stage")
+        raise ShapeMismatch("stage change does not land in the subobject's stage")
     if a.dom != alpha.dom:
-        raise StageMismatch("element and stage change defined at different stages")
+        raise ShapeMismatch("element and stage change defined at different stages")
     pairs = u.pair_set
     values = []
     for key in zip(a.values, alpha.values):
@@ -291,20 +288,20 @@ def value(s: PartialMapAtStage, a: FinMap, alpha: FinMap) -> FinMap:
     """The element s(a): Y -> E, defined when a is a member of the support."""
     through = member(a, alpha, s.support)
     if through is None:
-        raise NotInSupport("element is not a member of the partial map's support")
+        raise ShapeMismatch("element is not a member of the partial map's support")
     return compose(s.leg, through)
 
 
 def postcompose(q: FinMap, s: PartialMapAtStage) -> PartialMapAtStage:
     if q.dom != s.target:
-        raise TargetMismatch("map does not start at the partial map's target")
+        raise ShapeMismatch("map does not start at the partial map's target")
     return PartialMapAtStage(s.support, q.cod, tuple(q(v) for v in s.values))
 
 
 def precompose(s: PartialMapAtStage, f: FinMap) -> PartialMapAtStage:
     """Restrict along f: A' -> A; the support becomes the counterimage."""
     if f.cod != s.support.over:
-        raise OverMismatch("map does not land in the partial map's object")
+        raise ShapeMismatch("map does not land in the partial map's object")
     support = counterimage(f, s.support)
     return PartialMapAtStage(
         support, s.target, tuple(s.table[(f(a2), x)] for a2, x in support.pairs)
@@ -328,11 +325,11 @@ def restrict_section(
     jet is a partial section, and `jets.phi` is its restriction to a monad.
     """
     if f.cod != t.support.over:
-        raise OverMismatch("map does not land in the section's base")
+        raise ShapeMismatch("map does not land in the section's base")
     if u2.over != f.dom or u2.stage != t.support.stage:
-        raise StageMismatch("target support lives over the wrong ends")
+        raise ShapeMismatch("target support lives over the wrong ends")
     if not sub_leq(u2, counterimage(f, t.support)):
-        raise SupportNotContained(
+        raise ShapeMismatch(
             "target support is not contained in the counterimage of the support"
         )
     square = pullback(f, t.bundle)
@@ -376,9 +373,7 @@ def yoneda_construct(u: SubobjectAtStage, law: ValueLaw) -> PartialMapAtStage:
             via_composite = compose(tabulated, beta)
             via_law = law(compose(legs.left, beta), compose(legs.right, beta))
             if via_composite != via_law:
-                raise UnstableLaw(
-                    f"law is not stable along the probe {beta!r}"
-                )
+                raise ShapeMismatch(f"law is not stable along the probe {beta!r}")
     return PartialMapAtStage(u, tabulated.cod, tabulated.values)
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import NotVertical, ShapeMismatch, SquaresNotCommuting
+from .errors import ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
@@ -63,7 +63,7 @@ class SliceMorphism:
         if self.arrow.dom != self.src.total or self.arrow.cod != self.dst.total:
             raise ShapeMismatch("arrow does not run between the bundle totals")
         if compose(self.dst.map, self.arrow) != self.src.map:
-            raise NotVertical("arrow does not commute over the base")
+            raise ShapeMismatch("arrow does not commute over the base")
 
     @staticmethod
     def _make(src, dst, arrow) -> "SliceMorphism":
@@ -116,7 +116,7 @@ def pullback_bundle(f: FinMap, p: Bundle) -> Bundle:
 def pullback_vertical(v: SliceMorphism, sq_src: Span, sq_dst: Span) -> SliceMorphism:
     """f*(v): the pullback functor on a vertical map; sq_src and sq_dst are
     the canonical squares of v's source and target along one map f.  It
-    builds no square, and a cone that misses sq_dst raises NotCommuting."""
+    builds no square, and a cone that misses sq_dst raises ShapeMismatch."""
     arrow = pair_into_pullback(
         sq_src.left, compose(v.arrow, sq_src.right), sq_dst
     )
@@ -384,9 +384,9 @@ class SpanMorphism:
 
     def __post_init__(self):
         if compose(self.dst.left, self.on_mid) != compose(self.on_left, self.src.left):
-            raise SquaresNotCommuting("left square does not commute")
+            raise ShapeMismatch("left square does not commute")
         if compose(self.dst.right, self.on_mid) != compose(self.on_right, self.src.right):
-            raise SquaresNotCommuting("right square does not commute")
+            raise ShapeMismatch("right square does not commute")
 
     def right_square_is_pullback(self) -> bool:
         return is_pullback_square(self.src.right, self.on_mid, self.on_right, self.dst.right)

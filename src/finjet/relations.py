@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotSymmetric, OverMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .finset import FinMap, FinSet, cached_property, compose, element, pair_name
 from .kripke import SubobjectAtStage, change_of_stage
 
@@ -19,7 +19,7 @@ def monad(r: Relation, b: FinMap) -> SubobjectAtStage:
     """The neighborhood of the element b: X -> A0, as a subobject of A at X:
     the relation moved to the stage X along b."""
     if b.cod != r.stage:
-        raise OverMismatch("element does not land in the relation's destination")
+        raise ShapeMismatch("element does not land in the relation's destination")
     return change_of_stage(r, b)
 
 
@@ -45,21 +45,20 @@ def _require_endo(r: Relation) -> None:
 
 @dataclass(frozen=True)
 class EndoRelation:
-    """An endo-relation together with its verified reflexivity/symmetry flags."""
+    """An endo-relation; reflexivity and symmetry are read off its pair-set."""
 
     base: Relation
-    reflexive: bool
-    symmetric: bool
 
     def __post_init__(self):
-        if self.base.over != self.base.stage:
-            raise ShapeMismatch("endo-relation must have equal ends")
-        if self.reflexive != is_reflexive(self.base) or self.symmetric != is_symmetric(self.base):
-            raise ValueError("endo-relation flags disagree with the pair-set")
+        _require_endo(self.base)
 
-    @classmethod
-    def of(cls, base: Relation) -> "EndoRelation":
-        return cls(base, is_reflexive(base), is_symmetric(base))
+    @cached_property
+    def reflexive(self) -> bool:
+        return is_reflexive(self.base)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return is_symmetric(self.base)
 
     @property
     def carrier(self) -> FinSet:
@@ -144,9 +143,8 @@ def check_preserves(
 
 def ball_relation(adjacency: Relation, radius: int) -> EndoRelation:
     """Pairs at graph distance <= radius in adjacency (plus the diagonal)."""
-    _require_endo(adjacency)
     if not is_symmetric(adjacency):
-        raise NotSymmetric("ball relations need a symmetric adjacency")
+        raise ShapeMismatch("ball relations need a symmetric adjacency")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     neighbors: dict[str, list[str]] = {a: [] for a in adjacency.over}
@@ -167,4 +165,4 @@ def ball_relation(adjacency: Relation, radius: int) -> EndoRelation:
                     queue.append(nxt)
         pairs.extend((other, start) for other in dist)
     base = Relation.from_pairs(adjacency.over, adjacency.over, pairs)
-    return EndoRelation(base, True, True)
+    return EndoRelation(base)

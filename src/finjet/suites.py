@@ -767,7 +767,15 @@ def check_beck_chevalley(t: _Checker, rng: random.Random, max_obj: int, max_fibe
         on_mid=sq.right,
         on_right=g,
     )
-    t.check(sm.right_square_is_pullback(), "pulled-back span square is not a pullback")
+    none = FinSet("M0", ())  # over it, a square on g is a pullback only when sq is empty
+    nothing = Span(FinMap(none, b, ()), FinMap(none, a0, ()))
+    on_mid = FinMap(none, legs.apex, ())
+    empty = polyfun.SpanMorphism(nothing, legs, FinMap.identity(b), on_mid, g)
+    t.check(
+        sm.right_square_is_pullback()
+        and (len(sq.apex) == 0 or not empty.right_square_is_pullback()),
+        "pulled-back span square is not a pullback",
+    )
     y = t.put("y", rand_bundle(rng, b, max_fiber, tag="y"))
     mate = polyfun.mate_transform(sm, y)
     inverse = polyfun.invert_slice(mate) if mate.is_iso() else None
@@ -784,10 +792,25 @@ def check_terminality(t: _Checker, rng: random.Random, max_obj: int, max_fiber: 
     adjacency = t.put("adj", rand_adjacency(rng, carrier))
     ball = t.put("R", ball_relation(adjacency, 1))
     p = t.put("p", rand_bundle(rng, carrier, max_fiber, tag="e"))
+    span = ball.base.span
+    wrong = _moved_entry(fibdual.generic_section_vertical(span, p))
     t.check(
-        fibdual.distributivity_terminal(ball.base.span, p, max_total=3),
+        fibdual.distributivity_terminal(span, p, max_total=3)
+        and not (wrong and fibdual.distributivity_terminal(span, p, wrong, max_total=3)),
         "generic jet is not terminal among comorphisms over the span",
     )
+
+
+def _moved_entry(v: SliceMorphism) -> Optional[SliceMorphism]:
+    """v with its first entry that has a rival in its fiber sent there, or None.
+    So moved, the generic jet changes a nonempty, non-vacuous block: never terminal."""
+    values = v.arrow.values
+    for i, value in enumerate(values):
+        for other in v.dst.fiber(v.dst.map(value)):
+            if other != value:
+                moved = FinMap(v.arrow.dom, v.arrow.cod, values[:i] + (other,) + values[i + 1 :])
+                return SliceMorphism(v.src, v.dst, moved)
+    return None
 
 
 def _global_jet_checks(

@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (
-    DuplicateName,
-    NonTotalMap,
-    UnknownReference,
-    WorkspaceSyntaxError,
-)
+from .errors import WorkspaceError
 from .finset import FinMap, FinSet
 from .polyfun import Bundle
 from .relations import Relation
@@ -58,14 +53,14 @@ class Workspace:
     @staticmethod
     def _get(table, name, kind, line_no=None):
         if name not in table:
-            raise UnknownReference(f"unknown {kind} {name!r}", line_no)
+            raise WorkspaceError(f"unknown {kind} {name!r}", line_no)
         return table[name]
 
 
 def _brace_body(rest: str, line_no: int) -> tuple[str, str]:
     """Split "head { body }" into (head, body)."""
     if "{" not in rest or not rest.rstrip().endswith("}"):
-        raise WorkspaceSyntaxError("expected a brace-delimited body", line_no)
+        raise WorkspaceError("expected a brace-delimited body", line_no)
     head, _, tail = rest.partition("{")
     body = tail.rstrip()
     body = body[: body.rindex("}")]
@@ -76,7 +71,7 @@ def _split_pair(token: str, line_no: int) -> tuple[str, str]:
     """Split "(a,b)" at its top-level comma: one `partition` when the inner
     text holds no parenthesis, else a scan that tracks the nesting depth."""
     if not (token.startswith("(") and token.endswith(")")):
-        raise WorkspaceSyntaxError(f"expected a pair, got {token!r}", line_no)
+        raise WorkspaceError(f"expected a pair, got {token!r}", line_no)
     inner = token[1:-1]
     if "(" not in inner and ")" not in inner:
         a, comma, b = inner.partition(",")
@@ -91,7 +86,7 @@ def _split_pair(token: str, line_no: int) -> tuple[str, str]:
                 depth -= 1
             elif ch == "," and depth == 0:
                 return inner[:i], inner[i + 1 :]
-    raise WorkspaceSyntaxError(f"pair {token!r} has no top-level comma", line_no)
+    raise WorkspaceError(f"pair {token!r} has no top-level comma", line_no)
 
 
 _RESERVED = "(),|;"
@@ -166,15 +161,15 @@ def parse_workspace(text: str) -> Workspace:
         elif keyword == "bundle":
             _parse_bundle(ws, rest, line_no)
         else:
-            raise WorkspaceSyntaxError(f"unknown declaration {keyword!r}", line_no)
+            raise WorkspaceError(f"unknown declaration {keyword!r}", line_no)
     return ws
 
 
 def _declare(table: dict, name: str, value, kind: str, line_no: int) -> None:
     if not name:
-        raise WorkspaceSyntaxError(f"missing {kind} name", line_no)
+        raise WorkspaceError(f"missing {kind} name", line_no)
     if name in table:
-        raise DuplicateName(f"{kind} {name!r} declared twice", line_no)
+        raise WorkspaceError(f"{kind} {name!r} declared twice", line_no)
     table[name] = value
 
 
@@ -184,13 +179,13 @@ def _parse_object(ws: Workspace, rest: str, line_no: int) -> None:
     if _has_reserved(body):
         for token in elements:
             if not _is_element_name(token):
-                raise WorkspaceSyntaxError(
+                raise WorkspaceError(
                     f"{token!r} is not an element name: use an atom without ( ) , | ; -> "
                     "or a composite (x,y) or (x|<10 lowercase hex digits>)",
                     line_no,
                 )
     if len(set(elements)) != len(elements):
-        raise WorkspaceSyntaxError("duplicate element in object", line_no)
+        raise WorkspaceError("duplicate element in object", line_no)
     _declare(ws.objects, head, FinSet(head, elements), "object", line_no)
 
 
@@ -199,7 +194,7 @@ def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
     name, _, ends = head.partition(":")
     name = name.strip()
     if "->" not in ends:
-        raise WorkspaceSyntaxError("map header needs '<obj> -> <obj>'", line_no)
+        raise WorkspaceError("map header needs '<obj> -> <obj>'", line_no)
     dom_name, _, cod_name = ends.partition("->")
     dom = ws._get(ws.objects, dom_name.strip(), "object", line_no)
     cod = ws._get(ws.objects, cod_name.strip(), "object", line_no)
@@ -233,19 +228,19 @@ def _map_by_entries(body: str, dom: FinSet, cod: FinSet, line_no: int) -> FinMap
         if not arrow:
             entry = entry.strip()
             if entry:
-                raise WorkspaceSyntaxError(f"map entry {entry!r} needs '->'", line_no)
+                raise WorkspaceError(f"map entry {entry!r} needs '->'", line_no)
             continue
         src, dst = src.strip(), dst.strip()
         if src not in dom_index:
-            raise UnknownReference(f"{src!r} is not in object {dom.name!r}", line_no)
+            raise WorkspaceError(f"{src!r} is not in object {dom.name!r}", line_no)
         if dst not in cod_index:
-            raise UnknownReference(f"{dst!r} is not in object {cod.name!r}", line_no)
+            raise WorkspaceError(f"{dst!r} is not in object {cod.name!r}", line_no)
         if src in table:
-            raise NonTotalMap(f"element {src!r} assigned twice", line_no)
+            raise WorkspaceError(f"element {src!r} assigned twice", line_no)
         table[src] = dst
     if len(table) != len(dom):
         missing = next(e for e in dom if e not in table)
-        raise NonTotalMap(f"element {missing!r} has no assignment", line_no)
+        raise WorkspaceError(f"element {missing!r} has no assignment", line_no)
     return FinMap.from_table(dom, cod, table)
 
 
@@ -254,7 +249,7 @@ def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
     name, _, ends = head.partition(":")
     name = name.strip()
     if "~" not in ends:
-        raise WorkspaceSyntaxError("relation header needs '<obj> ~ <obj>'", line_no)
+        raise WorkspaceError("relation header needs '<obj> ~ <obj>'", line_no)
     src_name, _, dst_name = ends.partition("~")
     src = ws._get(ws.objects, src_name.strip(), "object", line_no)
     dst = ws._get(ws.objects, dst_name.strip(), "object", line_no)
@@ -288,9 +283,9 @@ def _relation_by_pairs(body: str, src: FinSet, dst: FinSet, line_no: int) -> Rel
     for token in body.split():
         a, b = _split_pair(token, line_no)
         if a not in src_index:
-            raise UnknownReference(f"{a!r} is not in object {src.name!r}", line_no)
+            raise WorkspaceError(f"{a!r} is not in object {src.name!r}", line_no)
         if b not in dst_index:
-            raise UnknownReference(f"{b!r} is not in object {dst.name!r}", line_no)
+            raise WorkspaceError(f"{b!r} is not in object {dst.name!r}", line_no)
         pairs.append((a, b))
     return Relation.from_pairs(src, dst, pairs)
 
@@ -299,22 +294,20 @@ def _parse_graph(ws: Workspace, rest: str, line_no: int) -> None:
     head, body = _brace_body(rest, line_no)
     name, _, obj_name = head.partition(" on ")
     if not obj_name:
-        raise WorkspaceSyntaxError("graph header needs 'on <obj>'", line_no)
+        raise WorkspaceError("graph header needs 'on <obj>'", line_no)
     carrier = ws._get(ws.objects, obj_name.strip(), "object", line_no)
     tokens = body.split()
     if len(tokens) % 3 != 0:
-        raise WorkspaceSyntaxError("graph body must be '<id> -- <id>' edges", line_no)
+        raise WorkspaceError("graph body must be '<id> -- <id>' edges", line_no)
     index = carrier.index
     pairs = []
     for i in range(0, len(tokens), 3):
         a, dashes, b = tokens[i : i + 3]
         if dashes != "--":
-            raise WorkspaceSyntaxError(f"expected '--', got {dashes!r}", line_no)
+            raise WorkspaceError(f"expected '--', got {dashes!r}", line_no)
         for v in (a, b):
             if v not in index:
-                raise UnknownReference(
-                    f"{v!r} is not in object {carrier.name!r}", line_no
-                )
+                raise WorkspaceError(f"{v!r} is not in object {carrier.name!r}", line_no)
         pairs.append((a, b))
         pairs.append((b, a))
     _declare(
@@ -329,7 +322,7 @@ def _parse_graph(ws: Workspace, rest: str, line_no: int) -> None:
 def _parse_bundle(ws: Workspace, rest: str, line_no: int) -> None:
     name, eq, map_name = rest.partition("=")
     if not eq:
-        raise WorkspaceSyntaxError("bundle declaration needs '= <mapname>'", line_no)
+        raise WorkspaceError("bundle declaration needs '= <mapname>'", line_no)
     target = ws._get(ws.maps, map_name.strip(), "map", line_no)
     _declare(ws.bundles, name.strip(), Bundle(target), "bundle", line_no)
 

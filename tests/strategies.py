@@ -88,5 +88,6 @@ def fixture_p3():
 def fixture_p3_parts():
     """(A, E, p, ball relation) of the path fixture, as plain values."""
     ws = fixture_p3()
-    ball = EndoRelation(ws.relations["R"], True, True)
+    ball = EndoRelation(ws.relations["R"])
+    assert ball.reflexive and ball.symmetric
     return ws.objects["A"], ws.objects["E"], ws.maps["p"], ball

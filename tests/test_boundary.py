@@ -14,7 +14,7 @@ import pytest
 
 import finjet
 from finjet import reference
-from finjet.errors import NotVertical, ShapeMismatch
+from finjet.errors import ShapeMismatch
 from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
 from finjet.finset import FinMap, FinSet, Span, element
 from finjet.jets import PhiContext, SectionJet, enumerate_jets
@@ -59,6 +59,10 @@ REJECTIONS = [
      ValueError, "pair (a,z) escapes A x A"),
     ("relation-order", lambda: Relation(A, A, (("b", "a"), ("a", "a"))),
      ValueError, "pairs not in canonical order; use from_pairs"),
+    ("relation-from-pairs", lambda: Relation.from_pairs(A, A, [("a", "a"), ("a", "z")]),
+     ValueError, "pair (a,z) escapes A x A"),
+    ("subobject-from-pairs", lambda: SubobjectAtStage.from_pairs(A, X, iter([("z", "x")])),
+     ValueError, "pair (z,x) escapes A x X"),
     ("partial-map-short", lambda: PartialMapAtStage(SUPPORT, E, ("a0",)),
      ValueError, "value table does not cover the support"),
     ("partial-map-escapes", lambda: PartialMapAtStage(SUPPORT, E, ("a0", "zz")),
@@ -95,7 +99,7 @@ REJECTIONS = [
      ShapeMismatch, "arrow does not run between the bundle totals"),
     ("slice-morphism-vertical",
      lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), FinMap.constant(E, E, "b0")),
-     NotVertical, "arrow does not commute over the base"),
+     ShapeMismatch, "arrow does not commute over the base"),
     ("comorphism-ends",
      lambda: Comorphism(ID_A, Bundle.identity(E), Bundle(P_MAP), SliceMorphism.identity(PULLED)),
      ShapeMismatch, "bundles do not sit over the ends of the base map"),
@@ -319,3 +323,28 @@ def test_distributivity_rejects_a_wrong_ended_candidate():
     eps = generic_section_vertical(span, Bundle(P_MAP))
     with pytest.raises(ShapeMismatch, match=r"candidate does not run from d\*\(J\(p\)\) to c\*\(p\)"):
         distributivity_terminal(span, Bundle(P_MAP), candidate=SliceMorphism.identity(eps.dst))
+
+
+ERROR_CLASSES = {"FinjetError", "ShapeMismatch", "WorkspaceError"}
+RAISED = {"ShapeMismatch", "WorkspaceError", "ValueError", "SystemExit"}
+
+
+def test_one_error_class_per_boundary():
+    """`errors.py` holds the base class and one class per boundary:
+    `ShapeMismatch` for a library call whose arguments do not fit,
+    `WorkspaceError` for outside input. No module imports any other name from
+    it, and every `raise` in the package names one of those two, `ValueError`
+    (a broken constructor invariant, a bug) or `SystemExit`."""
+    package = Path(finjet.__file__).parent
+    defined = ast.parse((package / "errors.py").read_text()).body
+    assert {node.name for node in defined if isinstance(node, ast.ClassDef)} == ERROR_CLASSES
+    imported, raised = set(), set()
+    for path in [*sorted(package.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "errors":
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Raise) and path.parent == package:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(call) if call is not None else "<bare raise>")
+    assert imported <= ERROR_CLASSES
+    assert raised <= RAISED

@@ -17,7 +17,7 @@ import finjet
 
 from finjet import jets, polyfun
 from finjet.cli import main
-from finjet.errors import WorkspaceSyntaxError
+from finjet.errors import WorkspaceError
 from finjet.finset import FinMap, FinSet, pullback
 from finjet.polyfun import Bundle
 from finjet.relations import Relation
@@ -371,12 +371,17 @@ def test_map_separators_in_element_names_are_a_parse_error(tmp_path, capsys, nam
     # labels hash entries joined by ";", so it would also blur them.
     path = tmp_path / "sep.ws"
     path.write_text(f"object A {{ {name} z }}\n")
-    with pytest.raises(WorkspaceSyntaxError):
+    message = (
+        f"line 1: {name!r} is not an element name: use an atom without ( ) , | ; -> "
+        "or a composite (x,y) or (x|<10 lowercase hex digits>)"
+    )
+    with pytest.raises(WorkspaceError) as err:
         parse_workspace(path.read_text())
+    assert str(err.value) == message
     code, text = run(["-w", str(path), "pullback", "--left", "f", "--right", "f"])
     assert code == 2
     assert text == ""
-    assert capsys.readouterr().err.startswith(f"error: line 1: {name!r} is not an element name")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch, tmp_path):
@@ -541,7 +546,7 @@ def _classify_off_by_one_element(real):
 
 def _always_true(real):
     """A predicate that holds of everything."""
-    return lambda *args: True
+    return lambda *args, **kwargs: True
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -558,8 +563,13 @@ def _always_true(real):
          "a bare pullback square is not recognized as Cartesian"),
         ("global-functor", "polyfun", "SliceMorphism.is_iso", _always_true,
          "a bare pullback square is not recognized as Cartesian"),
+        ("terminality", "fibdual", "distributivity_terminal", _always_true,
+         "generic jet is not terminal among comorphisms over the span"),
+        ("beck-chevalley", "polyfun", "SpanMorphism.right_square_is_pullback", _always_true,
+         "pulled-back span square is not a pullback"),
     ],
-    ids=["phi", "classify", "is_monic", "is_cartesian", "is_iso"],
+    ids=["phi", "classify", "is_monic", "is_cartesian", "is_iso", "distributivity_terminal",
+         "right_square_is_pullback"],
 )
 def test_wrong_library_result_is_a_counted_failure(
     monkeypatch, capsys, jobs, suite, module, name, mutant, reason

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import finjet.jets as jets_module
 import finjet.kripke as kripke
 import finjet.polyfun as polyfun_module
-from finjet.errors import NotReflexive, NotVertical, ShapeMismatch, WorkspaceError
+from finjet.errors import ShapeMismatch, WorkspaceError
 from finjet.fibdual import cartesian_comorphism, global_jet
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
 from finjet.instances import (
@@ -294,7 +294,7 @@ def test_cluex_identity_vertical_reduces_to_phi_equality():
 
 def test_map_jet_requires_verticality():
     j = nth_jet(R, point(A, "a"), P_MAP, 0)
-    with pytest.raises(NotVertical):
+    with pytest.raises(ShapeMismatch, match="^map does not commute over the base$"):
         map_jet(j, FinMap.identity(E), FinMap(E, A, tuple("a" for _ in E)))
 
 
@@ -328,14 +328,14 @@ def test_reflexive_value_on_fixture():
 
 
 def test_reflexive_value_diagonal_is_the_jet():
-    diag = EndoRelation.of(Relation.diagonal(A))
+    diag = EndoRelation(Relation.diagonal(A))
     for j in enumerate_jets(diag.base, point(A, "a"), P_MAP):
         assert reflexive_value(diag, j).values == (j.table[("a", "*")],)
 
 
 def test_reflexive_value_requires_reflexivity():
-    not_reflexive = EndoRelation.of(Relation.from_pairs(A, A, [("a", "b"), ("b", "a")]))
-    with pytest.raises(NotReflexive):
+    not_reflexive = EndoRelation(Relation.from_pairs(A, A, [("a", "b"), ("b", "a")]))
+    with pytest.raises(ShapeMismatch, match="^jet values at the base need a reflexive relation$"):
         reflexive_value(not_reflexive, nth_jet(R, point(A, "a"), P_MAP, 0))
 
 
@@ -363,8 +363,8 @@ def mediating_map(morphism, p):
     morphism with f0 = f: the vertical part of the global jet functor's
     image of the Cartesian comorphism of p along f."""
     rels = {
-        morphism.f.dom: EndoRelation.of(morphism.rel_src),
-        morphism.f.cod: EndoRelation.of(morphism.rel_dst),
+        morphism.f.dom: EndoRelation(morphism.rel_src),
+        morphism.f.cod: EndoRelation(morphism.rel_dst),
     }
     return global_jet(cartesian_comorphism(morphism.f, Bundle(p)), rels).vertical
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finjet.errors import NotVertical, ShapeMismatch, SquaresNotCommuting
+from finjet.errors import ShapeMismatch
 from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback
 from finjet.instances import rand_bundle, rand_finset, rand_map, trim_bundle
 from finjet.polyfun import (
@@ -55,7 +55,7 @@ def small_bundle(base, sizes, tag="w"):
 
 def test_slice_morphism_requires_verticality():
     q = small_bundle(A, (1, 1, 1))
-    with pytest.raises(NotVertical):
+    with pytest.raises(ShapeMismatch, match="^arrow does not commute over the base$"):
         SliceMorphism(
             q, P, FinMap(q.total, P.total, ("b0", "b0", "b0"))
         )
@@ -332,7 +332,7 @@ def test_mate_non_invertible_when_square_collapses():
 
 def test_span_morphism_rejects_non_commuting():
     legs = BALL.base.span
-    with pytest.raises(SquaresNotCommuting):
+    with pytest.raises(ShapeMismatch, match="^left square does not commute$"):
         SpanMorphism(
             src=legs,
             dst=legs,

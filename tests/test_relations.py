@@ -6,7 +6,7 @@ import finjet.relations as relations_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finjet.errors import NotSymmetric, ShapeMismatch
+from finjet.errors import ShapeMismatch
 from finjet.finset import FinMap, FinSet, all_maps, compose
 from finjet.kripke import change_of_stage, counterimage, sub_leq
 from finjet.relations import (
@@ -169,7 +169,7 @@ def test_ball_matches_bfs_oracle():
 
 def test_ball_requires_symmetry():
     asym = Relation.from_pairs(A, A, [("a1", "a2")])
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ShapeMismatch, match="^ball relations need a symmetric adjacency$"):
         ball_relation(asym, 1)
 
 
@@ -200,11 +200,13 @@ def test_reflexivity_via_monad_membership():
 
 
 def test_endo_relation_flag_validation():
-    diag = Relation.diagonal(A)
-    with pytest.raises(ValueError):
-        EndoRelation(diag, False, True)
-    with pytest.raises(ShapeMismatch):
-        EndoRelation(Relation.full(A, B), True, True)
+    # The flags are read off the pair-set, so they cannot disagree with it.
+    diag = EndoRelation(Relation.diagonal(A))
+    assert diag.reflexive and diag.symmetric
+    one_way = EndoRelation(Relation.from_pairs(A, A, [("a1", "a2")]))
+    assert not one_way.reflexive and not one_way.symmetric
+    with pytest.raises(ShapeMismatch, match="^operation requires an endo-relation$"):
+        EndoRelation(Relation.full(A, B))
 
 
 def test_graph_morphism_preserves_equal_radius_balls():

@@ -1,7 +1,7 @@
 """Finite-set stage semantics, graph-ball neighborhoods, and section-jet bundles."""
 
 from .finset import FinMap, FinSet, Span, UNIT
-from .kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
+from .kripke import PartialMapAtStage, SubobjectAtStage
 from .polyfun import Bundle, DependentProduct, SliceMorphism
 from .relations import EndoRelation, Relation, RelationMorphism
 from .jets import JetBundle, PhiContext, SectionJet
@@ -14,7 +14,6 @@ __all__ = [
     "Span",
     "UNIT",
     "PartialMapAtStage",
-    "PartialSection",
     "SubobjectAtStage",
     "Bundle",
     "DependentProduct",

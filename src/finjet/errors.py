@@ -13,9 +13,8 @@ class ShapeMismatch(FinjetError):
 class WorkspaceError(FinjetError):
     """Outside input that cannot be used; carries its source location."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line, self.col = line, col
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
         if line is not None:
-            where = f"line {line}" + (f", col {col}" if col is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)

@@ -10,19 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import ShapeMismatch
 from .finset import FinMap, FinSet, Span, compose, pair_name, pullback
 from .jets import jet_bundle
 from .kripke import canonicalize
-from .polyfun import (
-    Bundle,
-    SectionTables,
-    SliceMorphism,
-    pullback_bundle,
-    relabel_identity,
-)
+from .polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
 from .relations import EndoRelation, check_preserves
 
 
@@ -133,83 +127,69 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     return Comorphism._make(f, src, dst, vertical)
 
 
-def generic_section_vertical(span: Span, p: Bundle) -> SliceMorphism:
-    """The generic section jet as the vertical part of its comorphism over d.
+def generic_section_comorphism(span: Span, p: Bundle) -> Comorphism:
+    """The generic section jet as a comorphism over d, from c*(p) to J(p),
+    where the span is (c, d).
 
-    For the span (c, d), maps d*(J(p)) into c*(p) by evaluating each total
-    element's own table at the span point it is paired with.
+    Its vertical eps: d*(J(p)) -> c*(p) evaluates each total element's own
+    table at the span point it is paired with.  J(p) and the two squares are
+    built once, here.
     """
     c, d = span.left, span.right
     jb = jet_bundle(canonicalize(span), p.map)
-    return _generic_section_on(c, jb.sections, pullback(d, jb.projection), pullback(c, p.map))
+    sq_d, sq_c = pullback(d, jb.projection), pullback(c, p.map)
+    values = tuple(
+        pair_name(m, jb.sections.table_of(t)[c(m)])
+        for m, t in zip(sq_d.left.values, sq_d.right.values)
+    )
+    src = Bundle(sq_c.left)
+    vertical = SliceMorphism._make(Bundle(sq_d.left), src, FinMap._make(sq_d.apex, sq_c.apex, values))
+    return Comorphism._make(d, src, Bundle(jb.projection), vertical)
 
 
-def _generic_section_on(
-    c: FinMap, sections: SectionTables, sq_d: Span, sq_c: Span
-) -> SliceMorphism:
-    """`generic_section_vertical` on the jet tables of J(p) and the squares
-    d*(J(p)) and c*(p), built by the caller."""
-    values = []
-    for m, t in zip(sq_d.left.values, sq_d.right.values):
-        values.append(pair_name(m, sections.table_of(t)[c(m)]))
-    arrow = FinMap(sq_d.apex, sq_c.apex, tuple(values))
-    return SliceMorphism(Bundle(sq_d.left), Bundle(sq_c.left), arrow)
+def distributivity_terminal(c: Comorphism, max_total: int) -> bool:
+    """Whether c's vertical eps: d*(t0) -> q makes its target t0 the
+    dependent product of its source q along d = c.over.
 
-
-def distributivity_terminal(
-    span: Span,
-    p: Bundle,
-    candidate: Optional[SliceMorphism] = None,
-    max_total: int = 4,
-) -> bool:
-    """Whether the generic section jet is terminal among comorphisms over d
-    from c*(p), where the span is (c, d).
-
-    The candidate bundles t are J(p) itself and every bundle over d's
-    codomain with at most max_total elements.  The candidate eps (by default
-    the true generic section jet) is terminal when, for every t and every
-    vertical v: d*(t) -> c*(p), exactly one u: t -> J(p) has
-    eps o d*(u) = v.
+    The test bundles t are t0 itself and every bundle over d's codomain
+    with at most max_total elements.  eps is terminal when, for every t and
+    every vertical v: d*(t) -> q, exactly one u: t -> t0 has
+    eps o d*(u) = v.  For `generic_section_comorphism(span, p)` this is the
+    terminality of the generic section jet among comorphisms over d from
+    c*(p); for a dependent product's counit it holds by construction.
 
     This is decided fiber by fiber.  The transpose u |-> eps o d*(u) splits
     into one block per element x of t, the map at b = t(x)
 
-        phi_b: J(p)_b -> prod over m in d^-1(b) of c*(p)_m,  j |-> (eps<m, j>)_m.
+        phi_b: (t0)_b -> prod over m in d^-1(b) of q_m,  j |-> (eps<m, j>)_m.
 
-    If some c*(p)_m over t's image is empty, there is no v and t passes
+    If some q_m over t's image is empty, there is no v and t passes
     vacuously.  Otherwise every block has a nonempty codomain, and a product
     of such maps is a bijection iff every block is, so t passes iff phi_t(x)
     is a bijection for every x in t.  Each phi_b is read once off eps's
     table: eps is vertical, so its values at b lie in the product, and phi_b
     is a bijection iff they are distinct and as many as the product has
-    elements.  A candidate that does not run from d*(J(p)) to c*(p) raises
-    ShapeMismatch.  `reference.distributivity_terminal_brute` enumerates
-    every u and v instead; the tests compare the two.
+    elements.  `reference.distributivity_terminal_brute` enumerates every u
+    and v instead; the tests compare the two.
     """
-    c, d = span.left, span.right
-    jb = jet_bundle(canonicalize(span), p.map)
-    sq_eps, sq_c = pullback(d, jb.projection), pullback(c, p.map)
-    epsilon = candidate or _generic_section_on(c, jb.sections, sq_eps, sq_c)
-    pulled_c = Bundle(sq_c.left)
-    if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
-        raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
-    eps = epsilon.arrow.table
+    d, q, t0 = c.over, c.src, c.dst
+    eps = c.vertical.arrow.table
     vacuous: dict[str, bool] = {}
     bijective: dict[str, bool] = {}
     for b in d.cod:
         over = d.fiber(b)
-        sizes = [len(pulled_c.fiber(m)) for m in over]
-        jets_b = jb.fiber(b)
-        images = {tuple(eps[pair_name(m, j)] for m in over) for j in jets_b}
+        sizes = [len(q.fiber(m)) for m in over]
+        fiber = t0.fiber(b)
+        images = {tuple(eps[pair_name(m, j)] for m in over) for j in fiber}
         vacuous[b] = 0 in sizes
-        bijective[b] = len(images) == len(jets_b) == math.prod(sizes)
+        bijective[b] = len(images) == len(fiber) == math.prod(sizes)
 
     def passes(image: tuple[str, ...]) -> bool:
         return any(vacuous[b] for b in image) or all(bijective[b] for b in image)
 
     # Every map of each size into d's codomain; over an empty codomain only
     # the empty bundle remains.
-    return passes(jb.projection.values) and all(
+    return passes(t0.map.values) and all(
         passes(values)
         for size in range(max_total + 1)
         for values in itertools.product(d.cod.elements, repeat=size)

@@ -9,13 +9,7 @@ from typing import Mapping, Optional
 
 from .errors import ShapeMismatch, WorkspaceError
 from .finset import FinMap, FinSet, Span, cached_property, compose, pair_name, pullback
-from .kripke import (
-    PartialMapAtStage,
-    PartialSection,
-    SubobjectAtStage,
-    stage_restrict,
-    value,
-)
+from .kripke import PartialMapAtStage, SubobjectAtStage, stage_restrict
 from .polyfun import (
     Bundle,
     PolynomialProduct,
@@ -24,18 +18,27 @@ from .polyfun import (
     polynomial_product,
     section_tables,
 )
-from .relations import EndoRelation, Relation, RelationMorphism, monad
+from .relations import Relation, RelationMorphism, monad
 
 
 @dataclass(frozen=True)
-class SectionJet(PartialSection):
-    """A partial section of the bundle whose support is exactly the monad of `at`."""
+class SectionJet:
+    """A partial map that splits the bundle p: E -> A over its support, which
+    is exactly the monad of `at`."""
 
+    underlying: PartialMapAtStage
+    bundle: FinMap  # p: E -> A
     relation: Relation  # from A to A0
     at: FinMap  # b: X -> A0
 
     def __post_init__(self):
-        super().__post_init__()
+        if self.bundle.dom != self.underlying.target:
+            raise ValueError("bundle total is not the partial map's target")
+        if self.bundle.cod != self.support.over:
+            raise ValueError("bundle base is not the partial map's object")
+        for (a, _), e in zip(self.support.pairs, self.underlying.values):
+            if self.bundle(e) != a:
+                raise ValueError(f"value {e!r} is not in the fiber over {a!r}")
         if self.at.cod != self.relation.stage:
             raise ShapeMismatch("base element does not land in the relation's destination")
         _require_over(self.relation, self.bundle)
@@ -51,6 +54,10 @@ class SectionJet(PartialSection):
         d["relation"] = relation
         d["at"] = at
         return obj
+
+    @property
+    def support(self) -> SubobjectAtStage:
+        return self.underlying.support
 
     @property
     def stage(self) -> FinSet:
@@ -284,15 +291,6 @@ def jet_on_vertical(jb_q: JetBundle, jb_p: JetBundle, r_map: FinMap) -> FinMap:
     if compose(jb_p.bundle, r_map) != jb_q.bundle:
         raise ShapeMismatch("map does not commute over the base")
     return jb_q.sections.push_along(r_map, jb_p.sections)
-
-
-def reflexive_value(r: EndoRelation, j: SectionJet) -> FinMap:
-    """The value of a jet at its own base point, available by reflexivity."""
-    if not r.reflexive:
-        raise ShapeMismatch("jet values at the base need a reflexive relation")
-    if j.relation != r.base:
-        raise ShapeMismatch("jet does not belong to this relation")
-    return value(j.underlying, j.at, FinMap.identity(j.stage))
 
 
 def polynomial_product_iso(

@@ -23,7 +23,6 @@ from .finset import (
     is_jointly_monic,
     pair_name,
     probe_stage,
-    pullback,
 )
 
 
@@ -241,18 +240,6 @@ class PartialMapAtStage:
         d["values"] = values
         return obj
 
-    @classmethod
-    def from_table(
-        cls,
-        support: SubobjectAtStage,
-        target: FinSet,
-        table: Mapping[tuple[str, str], str],
-    ) -> "PartialMapAtStage":
-        pairs = support.pairs
-        if len(table) != len(pairs) or not all(map(table.__contains__, pairs)):
-            raise ValueError("value table does not match the support pairs")
-        return cls(support, target, tuple(table[p] for p in pairs))
-
     @cached_property
     def table(self) -> Mapping[tuple[str, str], str]:
         return dict(zip(self.support.pairs, self.values))
@@ -261,27 +248,6 @@ class PartialMapAtStage:
     def leg(self) -> FinMap:
         """The value table as a map out of the canonical apex."""
         return FinMap(self.support.span.apex, self.target, self.values)
-
-
-@dataclass(frozen=True)
-class PartialSection:
-    """A partial map that splits the bundle p: E -> A over its support."""
-
-    underlying: PartialMapAtStage
-    bundle: FinMap  # p: E -> A
-
-    def __post_init__(self):
-        if self.bundle.dom != self.underlying.target:
-            raise ValueError("bundle total is not the partial map's target")
-        if self.bundle.cod != self.underlying.support.over:
-            raise ValueError("bundle base is not the partial map's object")
-        for (a, _), e in zip(self.underlying.support.pairs, self.underlying.values):
-            if self.bundle(e) != a:
-                raise ValueError(f"value {e!r} is not in the fiber over {a!r}")
-
-    @property
-    def support(self) -> SubobjectAtStage:
-        return self.underlying.support
 
 
 def value(s: PartialMapAtStage, a: FinMap, alpha: FinMap) -> FinMap:
@@ -313,32 +279,6 @@ def stage_restrict(s: PartialMapAtStage, alpha: FinMap) -> PartialMapAtStage:
     support = change_of_stage(s.support, alpha)
     values = tuple(s.table[(a, alpha(y))] for a, y in support.pairs)
     return PartialMapAtStage._make(support, s.target, values)
-
-
-def restrict_section(
-    t: PartialSection, f: FinMap, u2: SubobjectAtStage
-) -> PartialSection:
-    """Restrict a partial section of p along f: A' -> A to the support u2.
-
-    The result is a partial section of the canonical pullback of p along f;
-    its value at (a', x) is the matching pair (a', t(f(a'), x)).  A section
-    jet is a partial section, and `jets.phi` is its restriction to a monad.
-    """
-    if f.cod != t.support.over:
-        raise ShapeMismatch("map does not land in the section's base")
-    if u2.over != f.dom or u2.stage != t.support.stage:
-        raise ShapeMismatch("target support lives over the wrong ends")
-    if not sub_leq(u2, counterimage(f, t.support)):
-        raise ShapeMismatch(
-            "target support is not contained in the counterimage of the support"
-        )
-    square = pullback(f, t.bundle)
-    table = {
-        (a2, x): pair_name(a2, t.underlying.table[(f(a2), x)])
-        for a2, x in u2.pairs
-    }
-    restricted = PartialMapAtStage.from_table(u2, square.apex, table)
-    return PartialSection(restricted, square.left)
 
 
 def extensionality_leq(u: SubobjectAtStage, u2: SubobjectAtStage) -> bool:

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .errors import ShapeMismatch
-from .fibdual import Comorphism, _generic_section_on
+from .fibdual import Comorphism
 from .finset import (
     FinMap,
     FinSet,
-    Span,
     all_maps,
     compose,
     element,
@@ -32,7 +30,6 @@ from .jets import JetBundle, PhiContext, SectionJet, classify, jet_bundle, phi, 
 from .kripke import (
     PartialMapAtStage,
     SubobjectAtStage,
-    canonicalize,
     counterimage,
     sub_leq,
     value,
@@ -217,35 +214,23 @@ def vertical_comorphism(v: SliceMorphism) -> Comorphism:
     )
 
 
-def distributivity_terminal_brute(
-    span: Span,
-    p: Bundle,
-    candidate: Optional[SliceMorphism] = None,
-    max_total: int = 4,
-) -> bool:
+def distributivity_terminal_brute(c: Comorphism, max_total: int) -> bool:
     """`fibdual.distributivity_terminal` by enumeration.
 
-    The span is (c, d).  Enumerates every bundle over d's codomain with at
-    most max_total elements (plus the jet bundle itself) and every vertical
-    from its pullback into c*(p), and requires exactly one mediating
-    vertical through the candidate (by default the true generic section
-    jet).  A candidate that does not run from d*(J(p)) to c*(p) raises
-    ShapeMismatch.
+    With d = c.over, q = c.src and eps = c.vertical: d*(t0) -> q, where t0
+    = c.dst, enumerates every bundle t over d's codomain with at most
+    max_total elements (plus t0 itself) and every vertical from d*(t) into
+    q, and requires exactly one u: t -> t0 with eps o d*(u) = v.
     """
-    c, d = span.left, span.right
-    jb = jet_bundle(canonicalize(span), p.map)
-    jet_total = Bundle(jb.projection)
-    sq_eps, sq_c = pullback(d, jb.projection), pullback(c, p.map)
-    epsilon = candidate or _generic_section_on(c, jb.sections, sq_eps, sq_c)
-    pulled_c = Bundle(sq_c.left)
-    if epsilon.src != Bundle(sq_eps.left) or epsilon.dst != pulled_c:
-        raise ShapeMismatch("candidate does not run from d*(J(p)) to c*(p)")
-    # eps at each pair (m, j) of d*(J(p)), read off the square's legs rather
-    # than its element names; the shape guard puts eps's domain in apex order.
+    d, q, t0 = c.over, c.src, c.dst
+    # eps at each pair (m, j) of d*(t0), read off the legs of a square built
+    # here rather than off its element names; the comorphism's shape check
+    # puts eps's domain in the square's order.
+    sq_eps = pullback(d, t0.map)
     pairs = zip(sq_eps.left.values, sq_eps.right.values)
-    eps_at = dict(zip(pairs, epsilon.arrow.values))
+    eps_at = dict(zip(pairs, c.vertical.arrow.values))
     base = d.cod
-    candidates: list[Bundle] = [jet_total]
+    candidates: list[Bundle] = [t0]
     for size in range(max_total + 1):
         carrier = FinSet(f"cand{size}", tuple(f"t{i}" for i in range(size)))
         if size == 0:
@@ -259,7 +244,7 @@ def distributivity_terminal_brute(
         sq_t = pullback(d, t.map)
         points = [(sq_t.left(x), sq_t.right(x)) for x in sq_t.apex]
         spots = {tt: i for i, tt in enumerate(t.total.elements)}
-        u_options = [jet_total.fiber(t.map(tt)) for tt in t.total]
+        u_options = [t0.fiber(t.map(tt)) for tt in t.total]
         transposed: dict[tuple[str, ...], int] = {}
         if all(u_options):
             for u_values in itertools.product(*u_options):
@@ -268,7 +253,7 @@ def distributivity_terminal_brute(
                     for m, tt in points
                 )
                 transposed[key] = transposed.get(key, 0) + 1
-        v_options = [pulled_c.fiber(m) for m, _ in points]
+        v_options = [q.fiber(m) for m, _ in points]
         if not all(v_options):
             # No verticals out of this pullback; nothing to mediate.
             continue

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ShapeMismatch
-from .finset import FinMap, FinSet, cached_property, compose, element, pair_name
+from .finset import FinMap, cached_property, compose, element, pair_name
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -45,24 +45,12 @@ def _require_endo(r: Relation) -> None:
 
 @dataclass(frozen=True)
 class EndoRelation:
-    """An endo-relation; reflexivity and symmetry are read off its pair-set."""
+    """A relation from an object to itself."""
 
     base: Relation
 
     def __post_init__(self):
         _require_endo(self.base)
-
-    @cached_property
-    def reflexive(self) -> bool:
-        return is_reflexive(self.base)
-
-    @cached_property
-    def symmetric(self) -> bool:
-        return is_symmetric(self.base)
-
-    @property
-    def carrier(self) -> FinSet:
-        return self.base.over
 
 
 @dataclass(frozen=True)

@@ -792,24 +792,26 @@ def check_terminality(t: _Checker, rng: random.Random, max_obj: int, max_fiber: 
     adjacency = t.put("adj", rand_adjacency(rng, carrier))
     ball = t.put("R", ball_relation(adjacency, 1))
     p = t.put("p", rand_bundle(rng, carrier, max_fiber, tag="e"))
-    span = ball.base.span
-    wrong = _moved_entry(fibdual.generic_section_vertical(span, p))
+    eps = fibdual.generic_section_comorphism(ball.base.span, p)
+    wrong = _moved_entry(eps)
     t.check(
-        fibdual.distributivity_terminal(span, p, max_total=3)
-        and not (wrong and fibdual.distributivity_terminal(span, p, wrong, max_total=3)),
+        fibdual.distributivity_terminal(eps, 3)
+        and not (wrong and fibdual.distributivity_terminal(wrong, 3)),
         "generic jet is not terminal among comorphisms over the span",
     )
 
 
-def _moved_entry(v: SliceMorphism) -> Optional[SliceMorphism]:
-    """v with its first entry that has a rival in its fiber sent there, or None.
-    So moved, the generic jet changes a nonempty, non-vacuous block: never terminal."""
+def _moved_entry(c: fibdual.Comorphism) -> Optional[fibdual.Comorphism]:
+    """c with the first entry of its vertical that has a rival in its fiber
+    sent there, or None.  So moved, the generic jet changes a nonempty,
+    non-vacuous block: never terminal."""
+    v = c.vertical
     values = v.arrow.values
     for i, value in enumerate(values):
         for other in v.dst.fiber(v.dst.map(value)):
             if other != value:
                 moved = FinMap(v.arrow.dom, v.arrow.cod, values[:i] + (other,) + values[i + 1 :])
-                return SliceMorphism(v.src, v.dst, moved)
+                return fibdual.Comorphism(c.over, c.src, c.dst, SliceMorphism(v.src, v.dst, moved))
     return None
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from finjet.finset import FinMap, FinSet, pair_name
 from finjet.polyfun import Bundle
-from finjet.relations import EndoRelation, Relation, ball_relation
+from finjet.relations import EndoRelation, Relation, ball_relation, is_reflexive, is_symmetric
 from finjet.workspace import Workspace
 
 
@@ -89,5 +89,5 @@ def fixture_p3_parts():
     """(A, E, p, ball relation) of the path fixture, as plain values."""
     ws = fixture_p3()
     ball = EndoRelation(ws.relations["R"])
-    assert ball.reflexive and ball.symmetric
+    assert is_reflexive(ball.base) and is_symmetric(ball.base)
     return ws.objects["A"], ws.objects["E"], ws.maps["p"], ball

@@ -9,7 +9,7 @@ import itertools
 import time
 
 from finjet.cli import main as cli_main
-from finjet.fibdual import distributivity_terminal, generic_section_vertical
+from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_comorphism
 from finjet.finset import FinMap, FinSet, Span, all_maps, compose, pullback
 from finjet.instances import (
     rand_bundle,
@@ -353,8 +353,9 @@ def test_criterion_9_distributivity_terminality():
     a, e, p_map, ball = fixture_p3_parts()
     span = ball.base.span
     p = Bundle(p_map)
-    assert distributivity_terminal(span, p, max_total=4)
-    epsilon = generic_section_vertical(span, p)
+    eps = generic_section_comorphism(span, p)
+    assert distributivity_terminal(eps, max_total=4)
+    epsilon = eps.vertical
     values = list(epsilon.arrow.values)
     for i, current in enumerate(values):
         fiber = epsilon.dst.fiber(epsilon.dst.map(current))
@@ -367,7 +368,7 @@ def test_criterion_9_distributivity_terminality():
         FinMap(epsilon.arrow.dom, epsilon.arrow.cod, tuple(values)),
     )
     assert perturbed != epsilon
-    assert not distributivity_terminal(span, p, candidate=perturbed, max_total=4)
+    assert not distributivity_terminal(Comorphism(eps.over, eps.src, eps.dst, perturbed), max_total=4)
     _report(9, "distributivity terminality on the path fixture, bound 4")
 
 

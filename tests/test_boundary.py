@@ -15,12 +15,18 @@ import pytest
 import finjet
 from finjet import reference
 from finjet.errors import ShapeMismatch
-from finjet.fibdual import Comorphism, distributivity_terminal, generic_section_vertical
-from finjet.finset import FinMap, FinSet, Span, element
-from finjet.jets import PhiContext, SectionJet, enumerate_jets
-from finjet.kripke import PartialMapAtStage, PartialSection, SubobjectAtStage
-from finjet.polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
-from finjet.relations import Relation, RelationMorphism
+from finjet.fibdual import Comorphism, generic_section_comorphism
+from finjet.finset import FinMap, FinSet, Span, element, pair_into_pullback, pullback, span_leq
+from finjet.jets import PhiContext, SectionJet, classify, enumerate_jets, jet_bundle, phi
+from finjet.kripke import PartialMapAtStage, SubobjectAtStage
+from finjet.polyfun import (
+    Bundle,
+    SliceMorphism,
+    adjunction_bijection,
+    pullback_bundle,
+    relabel_identity,
+)
+from finjet.relations import Relation, RelationMorphism, check_preserves
 from strategies import fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
@@ -28,14 +34,13 @@ R = BALL.base
 X = FinSet("X", ("x",))
 ONE_A = FinSet("A1", ("a",))
 IDENTITY = RelationMorphism.identity(R)
-SUPPORT = SubobjectAtStage(A, X, (("a", "x"), ("b", "x")))
-PARTIAL = PartialMapAtStage(SUPPORT, E, ("a0", "b0"))
+SUPPORT = SubobjectAtStage(A, X, (("a", "x"), ("b", "x")))  # also a relation from A to X
 ID_A = FinMap.identity(A)
 PULLED = pullback_bundle(ID_A, Bundle(P_MAP))  # id*(p), over A
 
 
-def _jet():
-    return enumerate_jets(R, element(A, "b"), P_MAP)[0]
+def _jet(at="b", relation=R, bundle=P_MAP):
+    return enumerate_jets(relation, element(A, at), bundle)[0]
 
 
 REJECTIONS = [
@@ -67,15 +72,13 @@ REJECTIONS = [
      ValueError, "value table does not cover the support"),
     ("partial-map-escapes", lambda: PartialMapAtStage(SUPPORT, E, ("a0", "zz")),
      ValueError, "value 'zz' not in target 'E'"),
-    ("partial-map-from-table", lambda: PartialMapAtStage.from_table(SUPPORT, E, {("a", "x"): "a0"}),
-     ValueError, "value table does not match the support pairs"),
-    ("partial-section-total", lambda: PartialSection(PARTIAL, ID_A),
+    ("partial-section-total", lambda: SectionJet(_jet().underlying, ID_A, R, element(A, "b")),
      ValueError, "bundle total is not the partial map's target"),
     ("partial-section-base",
-     lambda: PartialSection(PARTIAL, FinMap(E, ONE_A, ("a",) * 5)),
+     lambda: SectionJet(_jet().underlying, FinMap(E, ONE_A, ("a",) * 5), R, element(A, "b")),
      ValueError, "bundle base is not the partial map's object"),
     ("partial-section-fiber",
-     lambda: PartialSection(PartialMapAtStage(SUPPORT, E, ("a0", "c0")), P_MAP),
+     lambda: SectionJet(PartialMapAtStage(_jet("a").support, E, ("a0", "c0")), P_MAP, R, element(A, "a")),
      ValueError, "value 'c0' is not in the fiber over 'b'"),
     ("section-jet-fiber",
      lambda: SectionJet(PartialMapAtStage(_jet().support, E, ("a0", "c0", "c0")), P_MAP, R, element(A, "b")),
@@ -121,6 +124,68 @@ def test_public_constructors_reject_bad_input(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
     assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+D_ONE = FinMap.constant(A, ONE_A, "a")  # d: A -> A1
+ADJUNCTION = adjunction_bijection(ID_A, Bundle(P_MAP), Bundle(P_MAP))
+X_TO_A = FinMap(X, A, ("a",))
+
+# Each two-part guard `A or B`, called once with only A wrong and once with
+# only B wrong, so weakening the guard to `A and B` lets one call through.
+GUARD_HALVES = [
+    ("phi-relation",
+     lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "b"), _jet(relation=Relation.full(A, A))),
+     "jet does not belong to the context's target data"),
+    ("phi-bundle",
+     lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "b"), _jet(bundle=ID_A)),
+     "jet does not belong to the context's target data"),
+    ("classify-relation",
+     lambda: classify(jet_bundle(R, P_MAP), _jet(relation=Relation.full(A, A))),
+     "jet does not belong to this jet bundle"),
+    ("classify-bundle", lambda: classify(jet_bundle(R, P_MAP), _jet(bundle=ID_A)),
+     "jet does not belong to this jet bundle"),
+    ("span-leq-left", lambda: span_leq(R.span, Relation.full(X, A).span),
+     "spans do not share their ends"),
+    ("span-leq-right", lambda: span_leq(R.span, SUPPORT.span), "spans do not share their ends"),
+    ("pair-into-pullback-left",
+     lambda: pair_into_pullback(FinMap(X, E, ("a0",)), FinMap(X, E, ("a0",)), pullback(ID_A, P_MAP)),
+     "cone legs do not match the pullback legs"),
+    ("pair-into-pullback-right",
+     lambda: pair_into_pullback(X_TO_A, X_TO_A, pullback(ID_A, P_MAP)),
+     "cone legs do not match the pullback legs"),
+    ("slice-morphism-arrow-dom", lambda: SliceMorphism(Bundle(P_MAP), Bundle.identity(A), ID_A),
+     "arrow does not run between the bundle totals"),
+    ("slice-morphism-arrow-cod", lambda: SliceMorphism(Bundle.identity(A), Bundle(P_MAP), ID_A),
+     "arrow does not run between the bundle totals"),
+    ("to-total-src", lambda: ADJUNCTION.to_total(SliceMorphism.identity(ADJUNCTION.product.result)),
+     "morphism is not y -> product"),
+    ("to-total-dst", lambda: ADJUNCTION.to_total(SliceMorphism.identity(ADJUNCTION.left)),
+     "morphism is not y -> product"),
+    ("adjunction-left", lambda: adjunction_bijection(D_ONE, Bundle(P_MAP), Bundle(P_MAP)),
+     "bundles do not sit over the ends of the map"),
+    ("adjunction-right", lambda: adjunction_bijection(D_ONE, Bundle.identity(ONE_A), Bundle.identity(ONE_A)),
+     "bundles do not sit over the ends of the map"),
+    ("preserves-source-over", lambda: check_preserves(X_TO_A, X_TO_A, SUPPORT, R),
+     "maps do not start at the source relation's ends"),
+    ("preserves-source-stage", lambda: check_preserves(ID_A, ID_A, SUPPORT, R),
+     "maps do not start at the source relation's ends"),
+    ("preserves-target-over",
+     lambda: check_preserves(FinMap.constant(A, X, "x"), FinMap.constant(A, X, "x"), R, SUPPORT),
+     "maps do not end at the target relation's ends"),
+    ("preserves-target-stage", lambda: check_preserves(ID_A, ID_A, R, SUPPORT),
+     "maps do not end at the target relation's ends"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [case[1:] for case in GUARD_HALVES],
+    ids=[case[0] for case in GUARD_HALVES],
+)
+def test_each_half_of_a_two_part_guard_rejects_alone(call, message):
+    with pytest.raises(ShapeMismatch) as excinfo:
+        call()
     assert str(excinfo.value) == message
 
 
@@ -173,7 +238,6 @@ def test_each_builder_writes_its_fields_and_matches_the_constructor():
     the checked one and hashes the same."""
     classes = _builder_classes()
     assert set(classes) == set(VALID_FIELDS)
-    assert set(PartialSection.__dataclass_fields__) < set(SectionJet.__dataclass_fields__)
     for name, cls in classes.items():
         fields = list(cls.__dataclass_fields__)
         sentinels = [object() for _ in fields]
@@ -252,6 +316,44 @@ def test_every_reference_route_is_used():
     assert routes and unused == []
 
 
+def _unreferenced(sources: dict[str, str]) -> set[str]:
+    """The module-level functions and classes that no module references by
+    an AST name, attribute or import alias outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = set()  # (module, enclosing top-level definition, name read)
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add((module, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((module, owner, node.attr))
+                elif isinstance(node, ast.alias):
+                    refs.add((module, owner, node.name.split(".")[-1]))
+    return {
+        f"{module}: {top.name}"
+        for module, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not any(n == top.name and (m, o) != (module, top.name) for m, o, n in refs)
+    }
+
+
+def test_every_library_definition_is_used_by_the_library():
+    """Code that only the tests reach checks nothing the library does.
+    `reference.py` is exempt: its routes are read by the suites and tests
+    (`test_every_reference_route_is_used`)."""
+    package = Path(finjet.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert {entry for entry in _unreferenced(sources) if not entry.startswith("reference.py: ")} == set()
+    example = {
+        "a.py": "def f(): pass\ndef g(): return g()\nclass C: pass",
+        "b.py": "from .a import C\nimport a\nx = a.f",
+    }
+    assert _unreferenced(example) == {"a.py: g"}
+
+
 def _unused_imports(tree: ast.Module) -> set[str]:
     """The names a module imports and never reads; a name listed in
     `__all__` counts as read."""
@@ -319,10 +421,11 @@ def test_only_canonical_span_names_a_set_by_pair_name():
 
 
 def test_distributivity_rejects_a_wrong_ended_candidate():
-    span = R.span
-    eps = generic_section_vertical(span, Bundle(P_MAP))
-    with pytest.raises(ShapeMismatch, match=r"candidate does not run from d\*\(J\(p\)\) to c\*\(p\)"):
-        distributivity_terminal(span, Bundle(P_MAP), candidate=SliceMorphism.identity(eps.dst))
+    """`distributivity_terminal` takes a comorphism, whose constructor
+    rejects a vertical that does not run from d*(J(p)) to c*(p)."""
+    eps = generic_section_comorphism(R.span, Bundle(P_MAP))
+    with pytest.raises(ShapeMismatch, match="^vertical part does not start at the canonical pullback$"):
+        Comorphism(eps.over, eps.src, eps.dst, SliceMorphism.identity(eps.src))
 
 
 ERROR_CLASSES = {"FinjetError", "ShapeMismatch", "WorkspaceError"}

@@ -10,7 +10,7 @@ from finjet.fibdual import (
     cartesian_comorphism,
     comorphism_compose,
     distributivity_terminal,
-    generic_section_vertical,
+    generic_section_comorphism,
     global_jet,
     identity_comorphism,
     is_cartesian,
@@ -29,6 +29,7 @@ from finjet.polyfun import (
     Bundle,
     SliceMorphism,
     compose_slice,
+    dependent_product,
     pullback_bundle,
     pullback_vertical,
     relabel_identity,
@@ -241,29 +242,29 @@ def test_global_jet_names_an_object_without_a_relation():
 
 def test_distributivity_terminal_diagonal_trivial():
     diag = Relation.diagonal(A)
-    assert distributivity_terminal(diag.span, Bundle.identity(A), max_total=2)
+    assert distributivity_terminal(generic_section_comorphism(diag.span, Bundle.identity(A)), max_total=2)
 
 
 def test_distributivity_terminal_p3_small_bound():
-    assert distributivity_terminal(BALL.base.span, P, max_total=2)
+    assert distributivity_terminal(generic_section_comorphism(BALL.base.span, P), max_total=2)
+
+
+def test_generic_section_comorphism_is_checked_shape():
+    """The builder's unchecked comorphism is the one the checked constructor
+    accepts: over d, from c*(p) to J(p)."""
+    span = BALL.base.span
+    eps = generic_section_comorphism(span, P)
+    assert eps == Comorphism(eps.over, eps.src, eps.dst, eps.vertical)
+    assert eps.over == span.right
+    assert eps.src == pullback_bundle(span.left, P)
+    assert eps.dst == Bundle(jet_bundle(BALL.base, P_MAP).projection)
+    v = eps.vertical
+    assert v == SliceMorphism(v.src, v.dst, FinMap(v.arrow.dom, v.arrow.cod, v.arrow.values))
 
 
 def test_distributivity_rejects_perturbed_generic_jet():
-    span = BALL.base.span
-    epsilon = generic_section_vertical(span, P)
-    values = list(epsilon.arrow.values)
-    swapped = None
-    for i, value in enumerate(values):
-        fiber = epsilon.dst.fiber(epsilon.dst.map(value))
-        if len(fiber) > 1:
-            swapped = i
-            values[i] = next(e for e in fiber if e != value)
-            break
-    assert swapped is not None
-    perturbed = SliceMorphism(
-        epsilon.src, epsilon.dst, FinMap(epsilon.arrow.dom, epsilon.arrow.cod, tuple(values))
-    )
-    assert not distributivity_terminal(span, P, candidate=perturbed, max_total=2)
+    mutants = single_entry_mutations(generic_section_comorphism(BALL.base.span, P))
+    assert mutants and not any(distributivity_terminal(c, max_total=2) for c in mutants)
 
 
 def test_distributivity_requires_jointly_monic_span():
@@ -271,11 +272,13 @@ def test_distributivity_requires_jointly_monic_span():
     left = FinMap.constant(two, A, "a")
     right = FinMap.constant(two, A, "a")
     with pytest.raises(ShapeMismatch, match="^span does not represent a subobject$"):
-        distributivity_terminal(Span(left, right), P, max_total=1)
+        generic_section_comorphism(Span(left, right), P)
 
 
-def single_entry_mutations(epsilon):
-    """Every vertical that differs from epsilon at exactly one element."""
+def single_entry_mutations(c):
+    """Every comorphism that differs from c only in its vertical, at exactly
+    one element."""
+    epsilon = c.vertical
     values = epsilon.arrow.values
     out = []
     for i, value in enumerate(values):
@@ -283,7 +286,7 @@ def single_entry_mutations(epsilon):
             if other != value:
                 moved = values[:i] + (other,) + values[i + 1 :]
                 arrow = FinMap(epsilon.arrow.dom, epsilon.arrow.cod, moved)
-                out.append(SliceMorphism(epsilon.src, epsilon.dst, arrow))
+                out.append(Comorphism(c.over, c.src, c.dst, SliceMorphism(epsilon.src, epsilon.dst, arrow)))
     return out
 
 
@@ -305,10 +308,28 @@ def test_distributivity_terminal_matches_the_enumeration(seed, ball, max_total, 
     else:
         relation = rand_relation(rng, carrier, carrier)
     p = rand_bundle(rng, carrier, 2)
-    span = relation.span
-    mutants = single_entry_mutations(generic_section_vertical(span, p))
+    eps = generic_section_comorphism(relation.span, p)
+    mutants = single_entry_mutations(eps)
     # No mutation, or none possible, checks the true generic section jet.
-    candidate = mutants[mutation % len(mutants)] if mutants and mutation is not None else None
-    assert distributivity_terminal(
-        span, p, candidate=candidate, max_total=max_total
-    ) == distributivity_terminal_brute(span, p, candidate=candidate, max_total=max_total)
+    c = mutants[mutation % len(mutants)] if mutants and mutation is not None else eps
+    assert distributivity_terminal(c, max_total) == distributivity_terminal_brute(c, max_total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**16))
+def test_a_dependent_product_counit_is_terminal(seed, mutation):
+    """The counit of d_*(q) makes d_*(q) the dependent product of q along d;
+    the counit with one entry moved within its fiber never does.  Both
+    verdicts agree with the enumeration."""
+    rng = random.Random(seed)
+    d = rand_map(rng, rand_finset(rng, "M", 2), rand_finset(rng, "B", 2, min_size=1))
+    q = rand_bundle(rng, d.dom, 2)
+    dp = dependent_product(d, q)
+    counit = Comorphism(d, q, dp.result, dp.counit)
+    assert distributivity_terminal(counit, 2)
+    assert distributivity_terminal_brute(counit, 2)
+    mutants = single_entry_mutations(counit)
+    if mutants:
+        moved = mutants[mutation % len(mutants)]
+        assert not distributivity_terminal(moved, 2)
+        assert not distributivity_terminal_brute(moved, 2)

@@ -33,7 +33,6 @@ from finjet.jets import (
     nth_jet,
     phi,
     polynomial_product_iso,
-    reflexive_value,
     restrict_jet,
 )
 from finjet.polyfun import Bundle, polynomial_product
@@ -320,29 +319,35 @@ def test_jet_on_vertical_fiber_collapse_recount():
     assert [len(jb_small.fiber(a0)) for a0 in A] == [1, 1, 1]
 
 
+def value_at_base(j):
+    """The value of a jet at its own base point, defined when the relation
+    puts each base point in its own monad, as a reflexive one does."""
+    return kripke.value(j.underlying, j.at, FinMap.identity(j.stage))
+
+
 def test_reflexive_value_on_fixture():
     for j in enumerate_jets(R, point(A, "b"), P_MAP):
-        got = reflexive_value(BALL, j)
+        got = value_at_base(j)
         assert P_MAP(got("*")) == "b"
         assert got("*") == j.table[("b", "*")]
 
 
 def test_reflexive_value_diagonal_is_the_jet():
-    diag = EndoRelation(Relation.diagonal(A))
-    for j in enumerate_jets(diag.base, point(A, "a"), P_MAP):
-        assert reflexive_value(diag, j).values == (j.table[("a", "*")],)
+    diag = Relation.diagonal(A)
+    for j in enumerate_jets(diag, point(A, "a"), P_MAP):
+        assert value_at_base(j).values == (j.table[("a", "*")],)
 
 
 def test_reflexive_value_requires_reflexivity():
-    not_reflexive = EndoRelation(Relation.from_pairs(A, A, [("a", "b"), ("b", "a")]))
-    with pytest.raises(ShapeMismatch, match="^jet values at the base need a reflexive relation$"):
-        reflexive_value(not_reflexive, nth_jet(R, point(A, "a"), P_MAP, 0))
+    not_reflexive = Relation.from_pairs(A, A, [("a", "b"), ("b", "a")])
+    with pytest.raises(ShapeMismatch, match="^element is not a member of the partial map's support$"):
+        value_at_base(nth_jet(not_reflexive, point(A, "a"), P_MAP, 0))
 
 
 def test_reflexive_value_empty_stage():
     empty = FinSet("X0", ())
     j = enumerate_jets(R, FinMap(empty, A, ()), P_MAP)[0]
-    assert reflexive_value(BALL, j).values == ()
+    assert value_at_base(j).values == ()
 
 
 def test_beck_chevalley_identity_and_constant():
@@ -484,8 +489,9 @@ def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
 
 
 def test_transport_is_restriction_to_the_source_monad():
-    # A jet is a partial section, so restricting it along f to the monad of
-    # a0 is a second route to phi: same table, same pulled-back bundle.
+    # The jet restricted along f (`kripke.precompose`) to the monad of a0 is
+    # a second route to phi: each value of phi is the pullback element whose
+    # legs are the point and the restricted jet's value there.
     jets_seen = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -494,10 +500,15 @@ def test_transport_is_restriction_to_the_source_monad():
         ctx = PhiContext(morphism, rand_bundle(rng, f.cod, 2).map)
         stage = FinSet("X", tuple(f"x{i}" for i in range(rng.randint(0, 2))))
         a0 = rand_map(rng, stage, f0.dom)
+        support = monad(rel_src, a0)
+        legs = ctx.square
         for j in enumerate_jets(rel_dst, compose(f0, a0), ctx.bundle):
-            restricted = kripke.restrict_section(j, f, monad(rel_src, a0))
+            restricted = kripke.precompose(j.underlying, f).table
             moved = phi(ctx, a0, j)
-            assert (restricted.underlying, restricted.bundle) == (moved.underlying, moved.bundle)
+            assert (moved.support, moved.bundle) == (support, ctx.pulled)
+            assert {pair: (legs.left(v), legs.right(v)) for pair, v in moved.table.items()} == {
+                (a, x): (a, restricted[(a, x)]) for a, x in support.pairs
+            }
             jets_seen += 1
     assert jets_seen > 0
 

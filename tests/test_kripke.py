@@ -12,12 +12,10 @@ from finjet.finset import (
     all_maps,
     compose,
     pair_into_pullback,
-    pullback,
     span_leq,
 )
 from finjet.kripke import (
     PartialMapAtStage,
-    PartialSection,
     SubobjectAtStage,
     canonicalize,
     change_of_stage,
@@ -27,7 +25,6 @@ from finjet.kripke import (
     member,
     postcompose,
     precompose,
-    restrict_section,
     stage_restrict,
     sub_leq,
     value,
@@ -328,50 +325,44 @@ def test_member_stable_under_change_of_stage(u):
 
 
 def make_section():
-    """A total section of p restricted to a partial support."""
+    """A partial map that splits p over a partial support, and p."""
     e = FinSet("E", ("a1.e0", "a1.e1", "a2.e0"))
     p = FinMap(e, A, ("a1", "a1", "a2"))
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a1", "x2"), ("a2", "x1")])
-    pm = PartialMapAtStage.from_table(
-        u, e, {("a1", "x1"): "a1.e0", ("a1", "x2"): "a1.e1", ("a2", "x1"): "a2.e0"}
-    )
-    return PartialSection(pm, p)
+    return PartialMapAtStage(u, e, ("a1.e0", "a1.e1", "a2.e0")), p
 
 
 def test_value_pointwise_and_empty():
-    t = make_section()
+    s, _ = make_section()
     y = FinSet("Y", ("y1", "y2"))
     a = FinMap(y, A, ("a1", "a2"))
     alpha = FinMap(y, X, ("x2", "x1"))
-    assert value(t.underlying, a, alpha).values == ("a1.e1", "a2.e0")
+    assert value(s, a, alpha).values == ("a1.e1", "a2.e0")
     empty = FinSet("Y0", ())
-    assert value(
-        t.underlying, FinMap(empty, A, ()), FinMap(empty, X, ())
-    ).values == ()
+    assert value(s, FinMap(empty, A, ()), FinMap(empty, X, ())).values == ()
 
 
 def test_value_outside_support_raises():
-    t = make_section()
+    s, _ = make_section()
     y = FinSet("Y", ("y",))
     with pytest.raises(ShapeMismatch, match="^element is not a member of the partial map's support$"):
-        value(t.underlying, FinMap(y, A, ("a3",)), FinMap(y, X, ("x1",)))
+        value(s, FinMap(y, A, ("a3",)), FinMap(y, X, ("x1",)))
 
 
 def test_value_stability():
-    t = make_section()
+    s, _ = make_section()
     y = FinSet("Y", ("y1", "y2"))
     z = FinSet("Z", ("z1", "z2"))
     a = FinMap(y, A, ("a1", "a1"))
     alpha = FinMap(y, X, ("x1", "x2"))
     for beta in all_maps(z, y):
-        assert compose(value(t.underlying, a, alpha), beta) == value(
-            t.underlying, compose(a, beta), compose(alpha, beta)
+        assert compose(value(s, a, alpha), beta) == value(
+            s, compose(a, beta), compose(alpha, beta)
         )
 
 
 def test_postcompose_identity_and_constant():
-    t = make_section()
-    s = t.underlying
+    s, _ = make_section()
     assert postcompose(FinMap.identity(s.target), s) == s
     f = FinSet("F", ("f",))
     collapsed = postcompose(FinMap.constant(s.target, f, "f"), s)
@@ -380,7 +371,7 @@ def test_postcompose_identity_and_constant():
 
 
 def test_precompose_identity_and_disjoint():
-    s = make_section().underlying
+    s, _ = make_section()
     assert precompose(s, FinMap.identity(A)) == s
     a2 = FinSet("A2", ("p",))
     f = FinMap(a2, A, ("a3",))
@@ -388,7 +379,7 @@ def test_precompose_identity_and_disjoint():
 
 
 def test_pre_post_commute():
-    s = make_section().underlying
+    s, _ = make_section()
     a2 = FinSet("A2", ("p", "q"))
     f_cod = FinSet("F", ("f1", "f2"))
     q = FinMap(s.target, f_cod, ("f1", "f2", "f1"))
@@ -397,59 +388,10 @@ def test_pre_post_commute():
 
 
 def test_precompose_support_is_counterimage():
-    s = make_section().underlying
+    s, _ = make_section()
     a2 = FinSet("A2", ("p", "q"))
     for f in all_maps(a2, A):
         assert precompose(s, f).support == counterimage(f, s.support)
-
-
-def test_restrict_section_identity():
-    t = make_section()
-    u = t.support
-    back = restrict_section(t, FinMap.identity(A), u)
-    sq = pullback(FinMap.identity(A), t.bundle)
-    by_pair = dict(zip(zip(sq.left.values, sq.right.values), sq.apex.elements))
-    for (a, x), e in t.underlying.table.items():
-        assert back.underlying.table[(a, x)] == by_pair[(a, e)]
-
-
-def test_restrict_section_to_empty():
-    t = make_section()
-    a2 = FinSet("A2", ("p",))
-    f = FinMap(a2, A, ("a1",))
-    restricted = restrict_section(t, f, SubobjectAtStage.empty(a2, X))
-    assert restricted.underlying.values == ()
-
-
-def test_restrict_section_requires_containment():
-    t = make_section()
-    a2 = FinSet("A2", ("p",))
-    f = FinMap(a2, A, ("a3",))
-    with pytest.raises(ShapeMismatch, match="^target support is not contained in the counterimage of the support$"):
-        restrict_section(t, f, SubobjectAtStage.full(a2, X))
-
-
-def test_restrict_section_associative():
-    t = make_section()
-    a2 = FinSet("A2", ("p", "q"))
-    a3 = FinSet("A3", ("r",))
-    f = FinMap(a2, A, ("a1", "a2"))
-    f2 = FinMap(a3, a2, ("p",))
-    u1 = counterimage(f, t.support)
-    u2 = counterimage(compose(f, f2), t.support)
-    once = restrict_section(t, compose(f, f2), u2)
-    twice = restrict_section(restrict_section(t, f, u1), f2, u2)
-    # Compare through the re-association of nested pairs.
-    sq_f = pullback(f, t.bundle)
-    sq_ff2 = pullback(compose(f, f2), t.bundle)
-    sq_nested = pullback(f2, sq_f.left)
-    flat_by_pair = dict(
-        zip(zip(sq_ff2.left.values, sq_ff2.right.values), sq_ff2.apex.elements)
-    )
-    for (a3el, x), nested in twice.underlying.table.items():
-        inner = sq_nested.right(nested)
-        flat = flat_by_pair[(a3el, sq_f.right(inner))]
-        assert once.underlying.table[(a3el, x)] == flat
 
 
 @given(subobjects(A, X), subobjects(A, X))
@@ -522,7 +464,7 @@ def test_yoneda_evaluates_the_law_at_every_probe(n):
 
 
 def test_stage_restrict_matches_value():
-    s = make_section().underlying
+    s, _ = make_section()
     y = FinSet("Y", ("y1", "y2"))
     for alpha in all_maps(y, X):
         moved = stage_restrict(s, alpha)

@@ -191,7 +191,7 @@ def test_elementwise_criteria_agree(r):
 def test_reflexivity_via_monad_membership():
     _, adj = path_adjacency()
     ball = ball_relation(adj, 1)
-    carrier = ball.carrier
+    carrier = ball.base.over
     for size in (1, 2):
         stage = FinSet("S", tuple(f"s{i}" for i in range(size)))
         for a0 in all_maps(stage, carrier):
@@ -200,11 +200,12 @@ def test_reflexivity_via_monad_membership():
 
 
 def test_endo_relation_flag_validation():
-    # The flags are read off the pair-set, so they cannot disagree with it.
+    # An endo-relation keeps only its base; its properties are read off the
+    # base's pair-set.
     diag = EndoRelation(Relation.diagonal(A))
-    assert diag.reflexive and diag.symmetric
+    assert is_reflexive(diag.base) and is_symmetric(diag.base)
     one_way = EndoRelation(Relation.from_pairs(A, A, [("a1", "a2")]))
-    assert not one_way.reflexive and not one_way.symmetric
+    assert not is_reflexive(one_way.base) and not is_symmetric(one_way.base)
     with pytest.raises(ShapeMismatch, match="^operation requires an endo-relation$"):
         EndoRelation(Relation.full(A, B))
 

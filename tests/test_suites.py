@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import finjet.fibdual as fibdual
 import finjet.instances as instances
 import finjet.suites as suites
 from finjet.cli import main
@@ -208,3 +209,27 @@ def test_jobs_are_clamped_to_available_cpus(monkeypatch, pools, affinity, cpu_co
     assert code == 0 and "result=PASS" in out.getvalue()
     assert pools == expected
 
+
+
+def test_one_terminality_instance_builds_one_jet_bundle(monkeypatch):
+    """A terminality instance that decides both the generic jet and a moved
+    one builds J(p) once, not once per decision."""
+    calls = {"jet_bundle": 0, "distributivity_terminal": 0}
+
+    def counted(name):
+        real = getattr(fibdual, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fibdual, name, counted(name))
+    for index in range(20):
+        calls.update(jet_bundle=0, distributivity_terminal=0)
+        assert _instance(("terminality", 42, index, 2, 2)) == (1, 0, None)
+        if calls["distributivity_terminal"] == 2:
+            break
+    assert calls == {"jet_bundle": 1, "distributivity_terminal": 2}

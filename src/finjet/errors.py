@@ -11,10 +11,10 @@ class ShapeMismatch(FinjetError):
 
 
 class WorkspaceError(FinjetError):
-    """Outside input that cannot be used; carries its source location."""
+    """Outside input that cannot be used; the message names its source line
+    when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

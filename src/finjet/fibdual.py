@@ -119,7 +119,7 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     values = []
     for a0, t in zip(sq.left.values, sq.right.values):
         tab = jb_dst.sections.table_of(t)
-        moved = {a: v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0)}
+        moved = tuple(v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0))
         values.append(jb_src.sections.element_for(a0, moved))
     src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
     arrow = FinMap._make(sq.apex, src.total, tuple(values))

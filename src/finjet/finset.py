@@ -155,10 +155,6 @@ class FinMap:
     def identity(cls, a: FinSet) -> "FinMap":
         return cls._make(a, a, a.elements)
 
-    @classmethod
-    def constant(cls, dom: FinSet, cod: FinSet, value: str) -> "FinMap":
-        return cls(dom, cod, (value,) * len(dom))
-
     @property
     def table(self) -> dict[str, str]:
         return dict(zip(self.dom.elements, self.values))

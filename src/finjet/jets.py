@@ -189,12 +189,13 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
 class JetBundle:
     """The bundle over A0 whose fiber at a0 collects all section jets at a0.
 
-    `sections` holds every jet table over the relation's columns, keyed in
-    the relation's source order; its elements, named "(a0|hash-of-table)",
-    are the `total`.  The generic section jet lives at stage `total` and
-    evaluates each element's own table.  It is built on first use, because
-    its support, the monad of the projection, is larger than the bundle and
-    only the law checks read it; once built, it is kept.
+    `sections` holds every jet table over the relation's columns: its
+    values at a0's column, in the relation's source order.  Its elements,
+    named "(a0|hash-of-table)", are the `total`.  The generic section jet
+    lives at stage `total` and evaluates each element's own table.  It is
+    built on first use, because its support, the monad of the projection,
+    is larger than the bundle and only the law checks read it; once built,
+    it is kept.
     """
 
     relation: Relation  # from A to A0
@@ -249,11 +250,9 @@ def classify_point(j: SectionJet) -> str:
     """
     if len(j.stage) != 1:
         raise ShapeMismatch("a jet at a one-point stage names one element")
-    (x,) = j.stage.elements
-    a0 = j.at(x)
-    table = j.table
-    at_x = {a: table[(a, x)] for a in j.relation.column(a0)}
-    return jet_fiber(j.relation, j.bundle, a0).element_for(a0, at_x)
+    (a0,) = j.at.values
+    # At one point, the monad's pairs list a0's column in order.
+    return jet_fiber(j.relation, j.bundle, a0).element_for(a0, j.underlying.values)
 
 
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:
@@ -270,7 +269,7 @@ def classify(jb: JetBundle, j: SectionJet) -> FinMap:
     values = []
     for x in j.stage:
         a0 = j.at(x)
-        at_x = {a: table[(a, x)] for a in jb.relation.column(a0)}
+        at_x = tuple(table[(a, x)] for a in jb.relation.column(a0))
         values.append(jb.sections.element_for(a0, at_x))
     return FinMap._make(j.stage, jb.total, tuple(values))
 
@@ -304,14 +303,15 @@ def polynomial_product_iso(
     each section's values in p off the square c*(p) that the polynomial
     product holds.
     """
-    legs = r.span
-    poly = polynomial_product(legs, Bundle(p))
+    poly = polynomial_product(r.span, Bundle(p))
     jb = jet_bundle(r, p)
+    # d's fiber over a0 lists the apex pairs (a, a0) in the order of a0's
+    # column, so a section's values in p are its jet table in order.
     to_total = poly.square.right
-    values = []
-    for _, a0, tab in poly.product.sections.entries():
-        table = {legs.left(m): to_total(z) for m, z in tab}
-        values.append(jb.sections.element_for(a0, table))
+    values = [
+        jb.sections.element_for(a0, tuple(map(to_total, tab)))
+        for _, a0, tab in poly.product.sections.entries()
+    ]
     result = poly.product.result
     arrow = FinMap._make(result.total, jb.total, tuple(values))
     return poly, jb, SliceMorphism(result, Bundle(jb.projection), arrow)

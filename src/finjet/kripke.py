@@ -109,14 +109,6 @@ class SubobjectAtStage:
         return cls._make(over, stage, tuple(sorted(pairs, key=lambda pair: at(pair[0]))))
 
     @classmethod
-    def full(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
-        return cls(over, stage, tuple((a, x) for a in over for x in stage))
-
-    @classmethod
-    def empty(cls, over: FinSet, stage: FinSet) -> "SubobjectAtStage":
-        return cls(over, stage, ())
-
-    @classmethod
     def diagonal(cls, a: FinSet) -> "SubobjectAtStage":
         return cls(a, a, tuple((x, x) for x in a))
 

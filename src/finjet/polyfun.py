@@ -129,39 +129,38 @@ def relabel_identity(p: Bundle) -> SliceMorphism:
     return SliceMorphism(Bundle(sq.left), p, sq.right)
 
 
-SectionTable = tuple[tuple[str, str], ...]
-
-
 @dataclass(frozen=True)
 class SectionTables:
     """Every section of a bundle over each fiber of a family, with its table.
 
     `fibers` maps each base point b to the points its sections are defined
     on, in order.  The sections are the elements of `projection.dom`, named
-    "(b|hash-of-table)" and projected to b; `tables` holds each one's table,
-    aligned with them and keyed in fiber order.  Jet bundles and dependent
-    products are both built on this.
+    "(b|hash-of-table)" and projected to b; `tables` holds each one's table
+    as its values at the points of its fiber, in fiber order, aligned with
+    the sections.  Jet bundles and dependent products are both built on this.
     """
 
     fibers: Mapping[str, tuple[str, ...]]
     projection: FinMap  # sections -> base points
-    tables: tuple[SectionTable, ...]
+    tables: tuple[tuple[str, ...], ...]  # values at fibers[b], in order
 
     @cached_property
-    def _by_table(self) -> Mapping[tuple[str, SectionTable], str]:
+    def _by_table(self) -> Mapping[tuple[str, tuple[str, ...]], str]:
         return {(b, tab): el for el, b, tab in self.entries()}
 
-    def entries(self) -> Iterator[tuple[str, str, SectionTable]]:
+    def entries(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
         """(section, base point, table) for every section, in order."""
         return zip(self.projection.dom.elements, self.projection.values, self.tables)
 
     def table_of(self, el: str) -> dict[str, str]:
-        return dict(self.tables[self.projection.dom.index[el]])
+        """The section el's table keyed by the points of its fiber."""
+        i = self.projection.dom.index[el]
+        return dict(zip(self.fibers[self.projection.values[i]], self.tables[i]))
 
-    def element_for(self, b: str, table: Mapping[str, str]) -> str:
-        """The section over b with the given value at each point of b's fiber;
-        KeyError when there is none."""
-        return self._by_table[(b, tuple((m, table[m]) for m in self.fibers[b]))]
+    def element_for(self, b: str, values: tuple[str, ...]) -> str:
+        """The section over b with the given values at the points of b's
+        fiber, in order; KeyError when there is none."""
+        return self._by_table[(b, values)]
 
     def push_along(self, arrow: FinMap, dst: "SectionTables") -> FinMap:
         """The map sending each section to the section of `dst` over the same
@@ -171,12 +170,9 @@ class SectionTables:
         vertical map are all this map."""
         if dst.fibers != self.fibers:
             raise ShapeMismatch("section tables over different fibers")
-        image = dict(zip(arrow.dom.elements, arrow.values))
+        image = arrow.table.__getitem__
         by_table = dst._by_table
-        values = tuple(
-            by_table[(b, tuple([(m, image[e]) for m, e in tab]))]
-            for _, b, tab in self.entries()
-        )
+        values = tuple(by_table[(b, tuple(map(image, tab)))] for _, b, tab in self.entries())
         return FinMap._make(self.projection.dom, dst.projection.dom, values)
 
     def evaluations(self, points: FinSet) -> tuple[str, ...]:
@@ -185,8 +181,8 @@ class SectionTables:
         pullback of `projection` along the map that sends each point to its
         base point."""
         rows: dict[str, list[str]] = {m: [] for m in points}
-        for tab in self.tables:
-            for m, v in tab:
+        for _, b, tab in self.entries():
+            for m, v in zip(self.fibers[b], tab):
                 rows[m].append(v)
         return tuple(itertools.chain.from_iterable(rows.values()))
 
@@ -196,22 +192,22 @@ def section_tables(
 ) -> SectionTables:
     """Every section of q over fibers[b], for each base point b in the order
     of `fibers`: the product of q's fibers over b's points, last point
-    fastest.  One product runs over per-point lists of (point, value) pairs,
-    which the tables share, and a second, in step, over the "point:value"
-    fragments that `table_label` joins.  The labels go into one FinSet
-    called `name`, so a label collision raises ValueError.
+    fastest.  The tables are that product itself; a second product, in
+    step, runs over the "point:value" fragments that `table_label` joins.
+    The labels go into one FinSet called `name`, so a label collision
+    raises ValueError.
 
     This order is a contract: `cli._table_texts` renders the same product
     over the same fibers and aligns its texts with the sections by position,
     and the pinned output digests in the CLI tests hold both to it."""
     labels: list[str] = []
     bases: list[str] = []
-    tables: list[SectionTable] = []
+    tables: list[tuple[str, ...]] = []
     for b, points in fibers.items():
         options = [q.fiber(m) for m in points]
         fragments = [[f"{m}:{v}" for v in vs] for m, vs in zip(points, options)]
         labels += [table_label(b, entries) for entries in itertools.product(*fragments)]
-        tables += itertools.product(*([(m, v) for v in vs] for m, vs in zip(points, options)))
+        tables += itertools.product(*options)
         bases += [b] * (len(tables) - len(bases))
     total = FinSet(name, tuple(labels))
     return SectionTables(fibers, FinMap._make(total, base, tuple(bases)), tuple(tables))
@@ -298,7 +294,7 @@ class AdjunctionBijection:
         values = []
         for w in self.left.total:
             b = self.left.map(w)
-            table = {mm: m.arrow(pair_name(mm, w)) for mm in self.along.fiber(b)}
+            table = tuple(m.arrow(pair_name(mm, w)) for mm in self.along.fiber(b))
             values.append(self.product.sections.element_for(b, table))
         arrow = FinMap._make(self.left.total, self.product.result.total, tuple(values))
         return SliceMorphism._make(self.left, self.product.result, arrow)
@@ -408,10 +404,10 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
         b2 = sq_g.left(x)
         t = sq_g.right(x)
         section = dp.sections.table_of(t)
-        table = {}
-        for m2 in sm.src.right.fiber(b2):
-            e = sq_c.right(section[sm.on_mid(m2)])
-            table[m2] = pair_name(m2, pair_name(sm.src.left(m2), e))
+        table = tuple(
+            pair_name(m2, pair_name(sm.src.left(m2), sq_c.right(section[sm.on_mid(m2)])))
+            for m2 in sm.src.right.fiber(b2)
+        )
         values.append(dp2.sections.element_for(b2, table))
     arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
     return SliceMorphism(Bundle(sq_g.left), dp2.result, arrow)

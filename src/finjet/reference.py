@@ -109,6 +109,16 @@ def is_symmetric_elementwise(r: Relation) -> bool:
     return True
 
 
+def ball_elementwise(adjacency: Relation, radius: int) -> frozenset[tuple[str, str]]:
+    """`relations.ball_relation` as iterated relation composition: the
+    diagonal composed `radius` times with the adjacency, each step keeping
+    the shorter walks.  A loop only adds a diagonal pair."""
+    ball = {(a, a) for a in adjacency.over}
+    for _ in range(radius):
+        ball |= {(a, c) for a, b in ball for b2, c in adjacency.pairs if b == b2}
+    return frozenset(ball)
+
+
 def preserves_by_monads(f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation) -> bool:
     """`relations.check_preserves` as the monad criterion: the monad of every
     point lands in the counterimage of its image's monad."""
@@ -154,26 +164,28 @@ def section_tables_by_zip(
     name: str, base: FinSet, fibers: Mapping[str, tuple[str, ...]], q: FinMap
 ) -> SectionTables:
     """`polyfun.section_tables` one section at a time: each choice of values
-    is zipped with the points into a fresh table, and the label is hashed
-    from that table's (point, value) pairs."""
+    is its table, and the label is hashed from the choice zipped with the
+    points."""
     labels, bases, tables = [], [], []
     for b, points in fibers.items():
         for choice in itertools.product(*(q.fiber(m) for m in points)):
-            tab = tuple(zip(points, choice))
-            labels.append(table_label(b, (f"{m}:{v}" for m, v in tab)))
+            labels.append(table_label(b, (f"{m}:{v}" for m, v in zip(points, choice))))
             bases.append(b)
-            tables.append(tab)
+            tables.append(choice)
     projection = FinMap(FinSet(name, tuple(labels)), base, tuple(bases))
     return SectionTables(fibers, projection, tuple(tables))
 
 
 def push_along_by_lookup(src: SectionTables, arrow: FinMap, dst: SectionTables) -> FinMap:
     """`SectionTables.push_along` one section at a time: each pushed table
-    is built as a dict and named through `element_for`."""
-    values = tuple(
-        dst.element_for(b, {m: arrow(e) for m, e in tab}) for _, b, tab in src.entries()
-    )
-    return FinMap(src.projection.dom, dst.projection.dom, values)
+    is built as a dict and matched by a scan of `dst`'s sections over the
+    same base point, each read through `table_of`."""
+    values = []
+    for el, b, _ in src.entries():
+        pushed = {m: arrow(e) for m, e in src.table_of(el).items()}
+        (match,) = [t for t in dst.projection.fiber(b) if dst.table_of(t) == pushed]
+        values.append(match)
+    return FinMap(src.projection.dom, dst.projection.dom, tuple(values))
 
 
 def flatten_pullback(outer: FinMap, inner: FinMap, p: Bundle) -> SliceMorphism:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ShapeMismatch
-from .finset import FinMap, cached_property, compose, element, pair_name
+from .finset import FinMap, compose, element
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -77,10 +77,6 @@ class RelationMorphism:
         d["rel_dst"] = rel_dst
         return obj
 
-    @classmethod
-    def identity(cls, r: Relation) -> "RelationMorphism":
-        return cls(FinMap.identity(r.over), FinMap.identity(r.stage), r, r)
-
     def then(self, outer: "RelationMorphism") -> "RelationMorphism":
         if outer.rel_src != self.rel_dst:
             raise ShapeMismatch("relation morphisms do not chain")
@@ -89,15 +85,6 @@ class RelationMorphism:
             compose(outer.f0, self.f0),
             self.rel_src,
             outer.rel_dst,
-        )
-
-    @cached_property
-    def mid(self) -> FinMap:
-        """The induced map between the canonical span apexes."""
-        return FinMap(
-            self.rel_src.span.apex,
-            self.rel_dst.span.apex,
-            tuple(pair_name(self.f(a), self.f0(a0)) for a, a0 in self.rel_src.pairs),
         )
 
 

@@ -38,9 +38,6 @@ class Workspace:
     relations: dict[str, Relation] = field(default_factory=dict)
     bundles: dict[str, Bundle] = field(default_factory=dict)
 
-    def object(self, name: str) -> FinSet:
-        return self._get(self.objects, name, "object")
-
     def map(self, name: str) -> FinMap:
         return self._get(self.maps, name, "map")
 

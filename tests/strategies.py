@@ -38,6 +38,21 @@ element_names = st.recursive(
 )
 
 
+def constant_map(dom, cod, value):
+    """The map dom -> cod with the one value `value`."""
+    return FinMap(dom, cod, (value,) * len(dom))
+
+
+def full_subobject(over, stage):
+    """Every pair of over x stage: the full relation from over to stage."""
+    return Relation(over, stage, tuple((a, x) for a in over for x in stage))
+
+
+def empty_subobject(over, stage):
+    """No pair of over x stage: the empty relation from over to stage."""
+    return Relation(over, stage, ())
+
+
 def _graph_workspace(n, fiber_size, relations):
     """Vertices v0..v(n-1) as A, every fiber of p: E -> A of size fiber_size,
     the identity id: A -> A, the relations that `relations(A)` returns and
@@ -66,7 +81,7 @@ def path_graph_workspace(n, fiber_size):
 
 def complete_graph_workspace(n, fiber_size):
     """Complete graph K_n with the full relation as R."""
-    return _graph_workspace(n, fiber_size, lambda a: {"R": Relation.full(a, a)})
+    return _graph_workspace(n, fiber_size, lambda a: {"R": full_subobject(a, a)})
 
 
 def fixture_p3():

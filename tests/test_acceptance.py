@@ -55,7 +55,7 @@ from finjet.suites import (
     check_phi_laws,
     product_of_fibers,
 )
-from strategies import fixture_p3_parts
+from strategies import constant_map, fixture_p3_parts
 
 SEED = 42
 
@@ -329,10 +329,10 @@ def test_criterion_8_beck_chevalley_and_mates():
     one = FinSet("One", ("*",))
     collapsing = SpanMorphism(
         src=legs,
-        dst=Span(legs.left, FinMap.constant(legs.apex, one, "*")),
+        dst=Span(legs.left, constant_map(legs.apex, one, "*")),
         on_left=FinMap.identity(a),
         on_mid=FinMap.identity(legs.apex),
-        on_right=FinMap.constant(a, one, "*"),
+        on_right=constant_map(a, one, "*"),
     )
     assert not collapsing.right_square_is_pullback()
     bad_mate = mate_transform(collapsing, Bundle(p_map))

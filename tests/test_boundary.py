@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,15 +28,15 @@ from finjet.polyfun import (
     relabel_identity,
 )
 from finjet.relations import Relation, RelationMorphism, check_preserves
-from strategies import fixture_p3_parts
+from strategies import constant_map, fixture_p3_parts, full_subobject
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
 X = FinSet("X", ("x",))
 ONE_A = FinSet("A1", ("a",))
-IDENTITY = RelationMorphism.identity(R)
-SUPPORT = SubobjectAtStage(A, X, (("a", "x"), ("b", "x")))  # also a relation from A to X
 ID_A = FinMap.identity(A)
+IDENTITY = RelationMorphism(ID_A, ID_A, R, R)
+SUPPORT = SubobjectAtStage(A, X, (("a", "x"), ("b", "x")))  # also a relation from A to X
 PULLED = pullback_bundle(ID_A, Bundle(P_MAP))  # id*(p), over A
 
 
@@ -87,7 +88,7 @@ REJECTIONS = [
      lambda: SectionJet(_jet().underlying, P_MAP, R, FinMap(X, ONE_A, ("a",))),
      ShapeMismatch, "base element does not land in the relation's destination"),
     ("section-jet-bundle",
-     lambda: SectionJet(_jet().underlying, P_MAP, Relation.full(E, A), element(A, "b")),
+     lambda: SectionJet(_jet().underlying, P_MAP, full_subobject(E, A), element(A, "b")),
      ShapeMismatch, "bundle does not live over the relation's source"),
     ("section-jet-support",
      lambda: SectionJet(_jet().underlying, P_MAP, R, element(A, "a")),
@@ -101,7 +102,7 @@ REJECTIONS = [
      lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), FinMap.identity(A)),
      ShapeMismatch, "arrow does not run between the bundle totals"),
     ("slice-morphism-vertical",
-     lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), FinMap.constant(E, E, "b0")),
+     lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), constant_map(E, E, "b0")),
      ShapeMismatch, "arrow does not commute over the base"),
     ("comorphism-ends",
      lambda: Comorphism(ID_A, Bundle.identity(E), Bundle(P_MAP), SliceMorphism.identity(PULLED)),
@@ -127,7 +128,7 @@ def test_public_constructors_reject_bad_input(build, error, message):
     assert str(excinfo.value) == message
 
 
-D_ONE = FinMap.constant(A, ONE_A, "a")  # d: A -> A1
+D_ONE = constant_map(A, ONE_A, "a")  # d: A -> A1
 ADJUNCTION = adjunction_bijection(ID_A, Bundle(P_MAP), Bundle(P_MAP))
 X_TO_A = FinMap(X, A, ("a",))
 
@@ -135,17 +136,17 @@ X_TO_A = FinMap(X, A, ("a",))
 # only B wrong, so weakening the guard to `A and B` lets one call through.
 GUARD_HALVES = [
     ("phi-relation",
-     lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "b"), _jet(relation=Relation.full(A, A))),
+     lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "b"), _jet(relation=full_subobject(A, A))),
      "jet does not belong to the context's target data"),
     ("phi-bundle",
      lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "b"), _jet(bundle=ID_A)),
      "jet does not belong to the context's target data"),
     ("classify-relation",
-     lambda: classify(jet_bundle(R, P_MAP), _jet(relation=Relation.full(A, A))),
+     lambda: classify(jet_bundle(R, P_MAP), _jet(relation=full_subobject(A, A))),
      "jet does not belong to this jet bundle"),
     ("classify-bundle", lambda: classify(jet_bundle(R, P_MAP), _jet(bundle=ID_A)),
      "jet does not belong to this jet bundle"),
-    ("span-leq-left", lambda: span_leq(R.span, Relation.full(X, A).span),
+    ("span-leq-left", lambda: span_leq(R.span, full_subobject(X, A).span),
      "spans do not share their ends"),
     ("span-leq-right", lambda: span_leq(R.span, SUPPORT.span), "spans do not share their ends"),
     ("pair-into-pullback-left",
@@ -171,7 +172,7 @@ GUARD_HALVES = [
     ("preserves-source-stage", lambda: check_preserves(ID_A, ID_A, SUPPORT, R),
      "maps do not start at the source relation's ends"),
     ("preserves-target-over",
-     lambda: check_preserves(FinMap.constant(A, X, "x"), FinMap.constant(A, X, "x"), R, SUPPORT),
+     lambda: check_preserves(constant_map(A, X, "x"), constant_map(A, X, "x"), R, SUPPORT),
      "maps do not end at the target relation's ends"),
     ("preserves-target-stage", lambda: check_preserves(ID_A, ID_A, R, SUPPORT),
      "maps do not end at the target relation's ends"),
@@ -316,42 +317,66 @@ def test_every_reference_route_is_used():
     assert routes and unused == []
 
 
+def _reads(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is read inside node: as an AST name, attribute
+    or import alias, or, with `attributes_only`, as an attribute alone."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.Name) and not attributes_only:
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.alias) and not attributes_only:
+            reads[sub.name.split(".")[-1]] += 1
+    return reads
+
+
 def _unreferenced(sources: dict[str, str]) -> set[str]:
-    """The module-level functions and classes that no module references by
-    an AST name, attribute or import alias outside their own definition."""
+    """The module-level functions and classes that no module reads by an
+    AST name, attribute or import alias outside their own definition, and
+    the class-level functions and properties, dunders aside, that no module
+    reads as an attribute outside their own body.  A member is reached only
+    as an attribute, so a bare name (the builtin `object`, say) does not
+    reach a member of that name."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = set()  # (module, enclosing top-level definition, name read)
+    names = sum((_reads(tree) for tree in trees.values()), Counter())
+    attributes = sum((_reads(tree, True) for tree in trees.values()), Counter())
+    unused = set()
     for module, tree in trees.items():
         for top in tree.body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    refs.add((module, owner, node.id))
-                elif isinstance(node, ast.Attribute):
-                    refs.add((module, owner, node.attr))
-                elif isinstance(node, ast.alias):
-                    refs.add((module, owner, node.name.split(".")[-1]))
-    return {
-        f"{module}: {top.name}"
-        for module, tree in trees.items()
-        for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-        and not any(n == top.name and (m, o) != (module, top.name) for m, o, n in refs)
-    }
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                if names[top.name] == _reads(top)[top.name]:
+                    unused.add(f"{module}: {top.name}")
+            if isinstance(top, ast.ClassDef):
+                unused.update(
+                    f"{module}: {top.name}.{member.name}"
+                    for member in top.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                    and attributes[member.name] == _reads(member, True)[member.name]
+                )
+    return unused
 
 
 def test_every_library_definition_is_used_by_the_library():
-    """Code that only the tests reach checks nothing the library does.
+    """Code that only the tests reach checks nothing the library does: no
+    module-level definition and no method or property of a class.
     `reference.py` is exempt: its routes are read by the suites and tests
     (`test_every_reference_route_is_used`)."""
     package = Path(finjet.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert {entry for entry in _unreferenced(sources) if not entry.startswith("reference.py: ")} == set()
     example = {
-        "a.py": "def f(): pass\ndef g(): return g()\nclass C: pass",
-        "b.py": "from .a import C\nimport a\nx = a.f",
+        "a.py": (
+            "def f(): pass\ndef g(): return g()\nclass C:\n"
+            "    def __init__(self): pass\n"
+            "    def m(self): return self.m()\n"
+            "    @property\n    def p(self): return object\n"
+            "    @classmethod\n    def q(cls): pass\n"
+        ),
+        "b.py": "from .a import C\nimport a\nx = a.f\ny = C.q()\np",
     }
-    assert _unreferenced(example) == {"a.py: g"}
+    assert _unreferenced(example) == {"a.py: g", "a.py: C.m", "a.py: C.p"}
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:

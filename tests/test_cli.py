@@ -68,13 +68,13 @@ def _reference_rows(command: str, ws: Workspace) -> list[tuple[str, ...]]:
     if command == "jetbundle":
         sections = jets.jet_bundle(rel, bundle.map).sections
         return [
-            ("element", el, b, " ".join(f"{m}->{v}" for m, v in sorted(tab)))
-            for el, b, tab in sections.entries()
+            ("element", el, b, " ".join(map("->".join, sorted(sections.table_of(el).items()))))
+            for el, b, _ in sections.entries()
         ]
     sections = polyfun.polynomial_product(rel.span, bundle).product.sections
     return [
-        ("element", el, b, " ".join(map("->".join, tab)))
-        for el, b, tab in sections.entries()
+        ("element", el, b, " ".join(map("->".join, sections.table_of(el).items())))
+        for el, b, _ in sections.entries()
     ]
 
 

@@ -43,7 +43,7 @@ from finjet.reference import (
 )
 from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
 from finjet.suites import _random_vertical
-from strategies import fixture_p3_parts
+from strategies import constant_map, fixture_p3_parts, full_subobject
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)
@@ -158,7 +158,7 @@ def test_global_jet_vertical_agrees_with_fiber_functor():
 def test_global_jet_requires_preservation():
     f, ball_a, ball_b, p_b = two_point_setup()
     wrong = EndoRelation(Relation.diagonal(f.cod))
-    full_a = EndoRelation(Relation.full(A, A))
+    full_a = EndoRelation(full_subobject(A, A))
     with pytest.raises(ShapeMismatch, match="^base map does not preserve the endo-relations$"):
         global_jet(
             cartesian_comorphism(f, p_b), {A: full_a, f.cod: wrong}
@@ -269,8 +269,8 @@ def test_distributivity_rejects_perturbed_generic_jet():
 
 def test_distributivity_requires_jointly_monic_span():
     two = FinSet("M", ("m1", "m2"))
-    left = FinMap.constant(two, A, "a")
-    right = FinMap.constant(two, A, "a")
+    left = constant_map(two, A, "a")
+    right = constant_map(two, A, "a")
     with pytest.raises(ShapeMismatch, match="^span does not represent a subobject$"):
         generic_section_comorphism(Span(left, right), P)
 

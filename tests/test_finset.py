@@ -24,7 +24,13 @@ from finjet.finset import (
 )
 from finjet.jets import jet_bundle
 from finjet.kripke import SubobjectAtStage
-from strategies import element_names, fixture_p3_parts, maps_into, shuffled_finsets
+from strategies import (
+    constant_map,
+    element_names,
+    fixture_p3_parts,
+    maps_into,
+    shuffled_finsets,
+)
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2", "b3"))
@@ -95,8 +101,8 @@ def test_pullback_all_to_point():
     a = FinSet("A", ("a1", "a2"))
     b = FinSet("B", ("b1",))
     c = FinSet("C", ("c",))
-    f = FinMap.constant(a, c, "c")
-    p = FinMap.constant(b, c, "c")
+    f = constant_map(a, c, "c")
+    p = constant_map(b, c, "c")
     pb = pullback(f, p)
     assert pb.apex.elements == ("(a1,b1)", "(a2,b1)")
 
@@ -261,7 +267,7 @@ def test_pullback_of_monic_is_monic():
 def test_is_monic():
     assert is_monic(FinMap.identity(A))
     two = FinSet("T", ("t1", "t2"))
-    assert not is_monic(FinMap.constant(two, C, "c1"))
+    assert not is_monic(constant_map(two, C, "c1"))
 
 
 @given(finmaps(A, C))
@@ -274,13 +280,13 @@ def test_is_monic_matches_quadratic_scan(f):
 
 
 def test_jointly_monic_one_leg_suffices():
-    s = Span(FinMap.identity(A), FinMap.constant(A, C, "c1"))
+    s = Span(FinMap.identity(A), constant_map(A, C, "c1"))
     assert is_jointly_monic(s)
 
 
 def test_jointly_monic_fails_on_constant_legs():
     two = FinSet("T", ("t1", "t2"))
-    s = Span(FinMap.constant(two, A, "a1"), FinMap.constant(two, C, "c1"))
+    s = Span(constant_map(two, A, "a1"), constant_map(two, C, "c1"))
     assert not is_jointly_monic(s)
 
 
@@ -292,22 +298,22 @@ def test_jointly_monic_matches_pairing_injectivity(left, right):
 
 
 def test_span_leq_reflexive():
-    s = Span(FinMap.identity(A), FinMap.constant(A, C, "c1"))
+    s = Span(FinMap.identity(A), constant_map(A, C, "c1"))
     assert span_leq(s, s) == FinMap.identity(A)
 
 
 def test_span_leq_from_empty():
     empty = FinSet("M", ())
     s = Span(FinMap(empty, A, ()), FinMap(empty, C, ()))
-    s2 = Span(FinMap.identity(A), FinMap.constant(A, C, "c1"))
+    s2 = Span(FinMap.identity(A), constant_map(A, C, "c1"))
     mu = span_leq(s, s2)
     assert mu is not None and mu.dom == empty
 
 
 def test_span_leq_requires_joint_monicity():
     two = FinSet("T", ("t1", "t2"))
-    bad = Span(FinMap.constant(two, A, "a1"), FinMap.constant(two, C, "c1"))
-    good = Span(FinMap.identity(A), FinMap.constant(A, C, "c1"))
+    bad = Span(constant_map(two, A, "a1"), constant_map(two, C, "c1"))
+    good = Span(FinMap.identity(A), constant_map(A, C, "c1"))
     with pytest.raises(ShapeMismatch, match="^span_leq requires jointly monic spans$"):
         span_leq(bad, good)
 

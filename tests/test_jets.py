@@ -10,7 +10,7 @@ import finjet.kripke as kripke
 import finjet.polyfun as polyfun_module
 from finjet.errors import ShapeMismatch, WorkspaceError
 from finjet.fibdual import cartesian_comorphism, global_jet
-from finjet.finset import FinMap, FinSet, all_maps, compose, element, pullback
+from finjet.finset import FinMap, FinSet, all_maps, compose, element, pair_name, pullback
 from finjet.instances import (
     rand_adjacency,
     rand_ball_pair,
@@ -47,7 +47,7 @@ from finjet.relations import (
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
 from finjet.workspace import parse_workspace
-from strategies import complete_graph_workspace, fixture_p3_parts
+from strategies import complete_graph_workspace, constant_map, fixture_p3_parts, full_subobject
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -90,10 +90,8 @@ def test_jet_bundle_diagonal_relation_is_the_bundle():
     diag = Relation.diagonal(A)
     jb = jet_bundle(diag, P_MAP)
     assert [len(jb.fiber(a0)) for a0 in A] == [2, 1, 2]
-    for t in jb.total:
-        a0 = jb.projection(t)
-        (entry,) = jb.sections.table_of(t).items()
-        assert entry[0] == a0 and P_MAP(entry[1]) == a0
+    for t, a0, (e,) in jb.sections.entries():
+        assert jb.sections.table_of(t) == {a0: e} and P_MAP(e) == a0
 
 
 def test_jet_bundle_of_identity_bundle():
@@ -105,7 +103,7 @@ RELATIONS = {
     "ball": R,
     "diagonal": Relation.diagonal(A),
     "empty": Relation.from_pairs(A, A, []),
-    "full": Relation.full(A, A),
+    "full": full_subobject(A, A),
 }
 
 
@@ -125,16 +123,19 @@ def _poly_sections(rel):
     ids=list(RELATIONS) + [f"{name}-poly" for name in RELATIONS],
 )
 def test_element_for_names_every_element_by_its_table(rel, build):
+    """A table is its values at the points of its fiber, in fiber order, and
+    names its section; a value moved out of its point's fiber names none."""
     sections, q = build(rel)
     for t, b, tab in sections.entries():
-        table = sections.table_of(t)
-        assert table == dict(tab)
-        assert sections.element_for(b, table) == t
-        for m in table:
+        points = sections.fibers[b]
+        assert all(type(v) is str for v in tab)
+        assert tab == tuple(sections.table_of(t)[m] for m in points)
+        assert sections.element_for(b, tab) == t
+        for k, m in enumerate(points):
             for e in q.dom:
                 if q(e) != m:
                     with pytest.raises(KeyError):
-                        sections.element_for(b, {**table, m: e})
+                        sections.element_for(b, tab[:k] + (e,) + tab[k + 1 :])
 
 
 def test_classify_singleton_and_empty_stage():
@@ -245,7 +246,7 @@ def test_phi_counts_and_injectivity_on_fixture():
 
 
 def test_phi_preservation_violation_raises():
-    loose = Relation.full(A, A)
+    loose = full_subobject(A, A)
     sparse = Relation.from_pairs(A, A, [("a", "a")])
     with pytest.raises(ValueError):
         # Not a morphism at all: constructing the context must already fail.
@@ -353,7 +354,7 @@ def test_reflexive_value_empty_stage():
 def test_beck_chevalley_identity_and_constant():
     assert beck_chevalley_check(FinMap.identity(A), R, P_MAP, max_stage=1)
     a0 = FinSet("A0", ("z1", "z2"))
-    constant = FinMap.constant(a0, A, "b")
+    constant = constant_map(a0, A, "b")
     assert beck_chevalley_check(constant, R, P_MAP, max_stage=1)
 
 
@@ -414,7 +415,11 @@ def test_mate_agrees_with_jet_transport_through_iso():
         src=morphism.rel_src.span,
         dst=morphism.rel_dst.span,
         on_left=morphism.f,
-        on_mid=morphism.mid,
+        on_mid=FinMap(
+            morphism.rel_src.span.apex,
+            morphism.rel_dst.span.apex,
+            tuple(pair_name(morphism.f(a), morphism.f0(a0)) for a, a0 in morphism.rel_src.pairs),
+        ),
         on_right=morphism.f0,
     )
     mate = mate_transform(sm, Bundle(p_big))
@@ -538,7 +543,7 @@ def _relation(kind, rng, a):
         return Relation.diagonal(a)
     a0 = rand_finset(rng, "A0", 3, min_size=1)
     if kind == "full":
-        return Relation.full(a, a0)
+        return full_subobject(a, a0)
     if kind == "empty":
         return Relation.from_pairs(a, a0, [])
     return rand_relation(rng, a, a0)
@@ -619,7 +624,7 @@ def test_classify_point_matches_the_full_bundle(ws):
         assert named == [classify(jb, j)("*") for j in here]
         assert named == list(jb.fiber(a0))
         assert list(jet_fiber(rel, p, a0).entries()) == [
-            (t, a0, tuple(jb.sections.table_of(t).items())) for t in jb.fiber(a0)
+            entry for entry in jb.sections.entries() if entry[1] == a0
         ]
 
 

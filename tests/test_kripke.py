@@ -31,7 +31,13 @@ from finjet.kripke import (
     yoneda_construct,
 )
 from finjet.relations import Relation, monad
-from strategies import maps_into, shuffled_finsets
+from strategies import (
+    constant_map,
+    empty_subobject,
+    full_subobject,
+    maps_into,
+    shuffled_finsets,
+)
 
 A = FinSet("A", ("a1", "a2", "a3"))
 X = FinSet("X", ("x1", "x2"))
@@ -70,7 +76,7 @@ def test_canonicalize_diagonal():
 def test_canonicalize_rejects_non_monic():
     two = FinSet("M", ("m1", "m2"))
     with pytest.raises(ShapeMismatch, match="^span does not represent a subobject$"):
-        canonicalize(Span(FinMap.constant(two, A, "a1"), FinMap.constant(two, X, "x1")))
+        canonicalize(Span(constant_map(two, A, "a1"), constant_map(two, X, "x1")))
 
 
 def test_equivalent_spans_share_canonical_form():
@@ -93,14 +99,14 @@ def test_sub_leq_matches_span_leq(u, u2):
 def test_sub_leq_trivialities():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1")])
     assert sub_leq(u, u)
-    assert sub_leq(SubobjectAtStage.empty(A, X), u)
+    assert sub_leq(empty_subobject(A, X), u)
 
 
 def test_change_of_stage_identity_and_empty():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a2", "x2")])
     assert change_of_stage(u, FinMap.identity(X)) == u
     empty = FinSet("Y", ())
-    assert change_of_stage(u, FinMap(empty, X, ())) == SubobjectAtStage.empty(A, empty)
+    assert change_of_stage(u, FinMap(empty, X, ())) == empty_subobject(A, empty)
 
 
 @given(subobjects(A, X))
@@ -128,10 +134,10 @@ def test_change_of_stage_functorial(u):
 def test_counterimage_identity_and_full():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1")])
     assert counterimage(FinMap.identity(A), u) == u
-    full = SubobjectAtStage.full(A, X)
+    full = full_subobject(A, X)
     a2 = FinSet("A2", ("p", "q"))
     f = FinMap(a2, A, ("a1", "a3"))
-    assert counterimage(f, full) == SubobjectAtStage.full(a2, X)
+    assert counterimage(f, full) == full_subobject(a2, X)
 
 
 @given(subobjects(A, X))
@@ -194,7 +200,7 @@ def test_stage_joins_edge_cases():
         for alpha in (FinMap(empty, x, ()), FinMap(y, x, ("x0", "x1", "x0"))):
             for f in (FinMap(empty, a, ()), FinMap(y, a, ("a1", "a1", "a2"))):
                 assert_joins_match_nested_loops(r, alpha, u, alpha, f)
-    nothing = SubobjectAtStage.empty(empty, empty)
+    nothing = empty_subobject(empty, empty)
     none = FinMap(empty, empty, ())
     assert_joins_match_nested_loops(Relation(empty, empty, ()), none, nothing, none, none)
 
@@ -245,7 +251,7 @@ def test_subobject_rejects_a_repeated_pair():
 
 
 def test_member_empty_stage_is_vacuous():
-    u = SubobjectAtStage.empty(A, X)
+    u = empty_subobject(A, X)
     empty = FinSet("Y", ())
     through = member(FinMap(empty, A, ()), FinMap(empty, X, ()), u)
     assert through is not None and through.values == ()
@@ -272,7 +278,7 @@ def subobjects_with_probes(draw):
     stage = draw(shuffled_finsets("X", 3))
     cells = [(a, x) for a in over for x in stage]
     if not cells:
-        return SubobjectAtStage.empty(over, stage), []
+        return empty_subobject(over, stage), []
     u = SubobjectAtStage.from_pairs(over, stage, draw(st.lists(st.sampled_from(cells), unique=True)))
     point = st.sampled_from(cells)
     if u.pairs:
@@ -365,7 +371,7 @@ def test_postcompose_identity_and_constant():
     s, _ = make_section()
     assert postcompose(FinMap.identity(s.target), s) == s
     f = FinSet("F", ("f",))
-    collapsed = postcompose(FinMap.constant(s.target, f, "f"), s)
+    collapsed = postcompose(constant_map(s.target, f, "f"), s)
     assert set(collapsed.values) == {"f"}
     assert collapsed.support == s.support
 
@@ -375,7 +381,7 @@ def test_precompose_identity_and_disjoint():
     assert precompose(s, FinMap.identity(A)) == s
     a2 = FinSet("A2", ("p",))
     f = FinMap(a2, A, ("a3",))
-    assert precompose(s, f).support == SubobjectAtStage.empty(a2, X)
+    assert precompose(s, f).support == empty_subobject(a2, X)
 
 
 def test_pre_post_commute():
@@ -407,8 +413,8 @@ def test_extensionality_counterexample_pair():
 
 
 def test_extensionality_stage_mismatch():
-    u = SubobjectAtStage.empty(A, X)
-    other = SubobjectAtStage.empty(A, FinSet("Y", ("y",)))
+    u = empty_subobject(A, X)
+    other = empty_subobject(A, FinSet("Y", ("y",)))
     with pytest.raises(ShapeMismatch, match="^subobjects at different stages$"):
         extensionality_leq(u, other)
 
@@ -421,13 +427,13 @@ def test_yoneda_roundtrip(s):
 
 def test_yoneda_constant_law():
     u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a3", "x2")])
-    law = lambda a, alpha: FinMap.constant(a.dom, E, "e1")
+    law = lambda a, alpha: constant_map(a.dom, E, "e1")
     s = yoneda_construct(u, law)
     assert set(s.values) == {"e1"}
 
 
 def test_yoneda_empty_support():
-    u = SubobjectAtStage.empty(A, X)
+    u = empty_subobject(A, X)
     law = lambda a, alpha: FinMap(a.dom, E, tuple("e1" for _ in a.dom))
     s = yoneda_construct(u, law)
     assert s.values == ()
@@ -439,7 +445,7 @@ def test_yoneda_rejects_unstable_law():
     def law(a, alpha):
         # Depends on the stage's size, so it cannot commute with probes.
         pick = "e1" if len(a.dom) % 2 == 0 else "e2"
-        return FinMap.constant(a.dom, E, pick)
+        return constant_map(a.dom, E, pick)
 
     with pytest.raises(ShapeMismatch) as raised:
         yoneda_construct(u, law)
@@ -457,7 +463,7 @@ def test_yoneda_evaluates_the_law_at_every_probe(n):
 
     def law(a, alpha):
         calls.append(a.dom)
-        return FinMap.constant(a.dom, E, "e1")
+        return constant_map(a.dom, E, "e1")
 
     yoneda_construct(u, law)
     assert len(calls) == 1 + n + n * n

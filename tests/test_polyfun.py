@@ -34,7 +34,7 @@ from finjet.reference import (
     push_along_by_lookup,
     section_tables_by_zip,
 )
-from strategies import fixture_p3_parts
+from strategies import constant_map, fixture_p3_parts
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 P = Bundle(P_MAP)
@@ -96,7 +96,7 @@ def test_dependent_product_identity_map():
     dp = dependent_product(FinMap.identity(M), q)
     assert len(dp.result.total) == len(q.total)
     for el, b, tab in dp.sections.entries():
-        assert len(tab) == 1 and tab[0][0] == b
+        assert dp.sections.table_of(el) == {b: tab[0]} and len(tab) == 1
 
 
 def test_dependent_product_empty_fiber_of_map():
@@ -264,8 +264,8 @@ def test_polynomial_jet_diagonal_span():
 
 def test_polynomial_jet_accepts_non_monic_span():
     doubled = FinSet("M2", ("m1", "m2"))
-    left = FinMap.constant(doubled, A, "a")
-    right = FinMap.constant(doubled, A, "a")
+    left = constant_map(doubled, A, "a")
+    right = constant_map(doubled, A, "a")
     poly = polynomial_product(Span(left, right), P).product.result
     # Two span points over the same pair: sections choose a fiber point twice.
     assert sum(1 for el in poly.total if poly.map(el) == "a") == 4
@@ -320,10 +320,10 @@ def test_mate_non_invertible_when_square_collapses():
     one = FinSet("One", ("*",))
     sm = SpanMorphism(
         src=legs,
-        dst=Span(legs.left, FinMap.constant(legs.apex, one, "*")),
+        dst=Span(legs.left, constant_map(legs.apex, one, "*")),
         on_left=FinMap.identity(A),
         on_mid=FinMap.identity(legs.apex),
-        on_right=FinMap.constant(A, one, "*"),
+        on_right=constant_map(A, one, "*"),
     )
     assert not sm.right_square_is_pullback()
     mate = mate_transform(sm, P)
@@ -337,7 +337,7 @@ def test_span_morphism_rejects_non_commuting():
             src=legs,
             dst=legs,
             on_left=FinMap.identity(A),
-            on_mid=FinMap.constant(legs.apex, legs.apex, legs.apex.elements[0]),
+            on_mid=constant_map(legs.apex, legs.apex, legs.apex.elements[0]),
             on_right=FinMap.identity(A),
         )
 

@@ -21,6 +21,7 @@ from finjet.relations import (
     monad_at,
 )
 from finjet.reference import is_reflexive_elementwise, is_symmetric_elementwise, preserves_by_monads
+from strategies import full_subobject
 
 A = FinSet("A", ("a1", "a2", "a3"))
 B = FinSet("B", ("b1", "b2"))
@@ -43,7 +44,7 @@ def test_monad_diagonal_is_graph_of_element():
 
 
 def test_monad_full_relation():
-    full = Relation.full(A, B)
+    full = full_subobject(A, B)
     b = FinMap(X, B, ("b1", "b2"))
     assert monad(full, b) == change_of_stage(
         monad(full, FinMap.identity(B)), b
@@ -82,7 +83,7 @@ def test_check_preserves_identity():
 
 
 def test_check_preserves_fails_full_to_sparse():
-    full = Relation.full(A, B)
+    full = full_subobject(A, B)
     sparse = Relation.from_pairs(A, B, [("a1", "b1")])
     assert check_preserves(FinMap.identity(A), FinMap.identity(B), full, sparse) is None
 
@@ -131,8 +132,8 @@ def test_ball_radius_zero_is_diagonal():
 
 def test_ball_radius_beyond_diameter_is_full():
     carrier, adj = path_adjacency()
-    assert ball_relation(adj, 2).base == Relation.full(carrier, carrier)
-    assert ball_relation(adj, 5).base == Relation.full(carrier, carrier)
+    assert ball_relation(adj, 2).base == full_subobject(carrier, carrier)
+    assert ball_relation(adj, 5).base == full_subobject(carrier, carrier)
 
 
 def test_ball_radius_one_on_path():
@@ -207,7 +208,7 @@ def test_endo_relation_flag_validation():
     one_way = EndoRelation(Relation.from_pairs(A, A, [("a1", "a2")]))
     assert not is_reflexive(one_way.base) and not is_symmetric(one_way.base)
     with pytest.raises(ShapeMismatch, match="^operation requires an endo-relation$"):
-        EndoRelation(Relation.full(A, B))
+        EndoRelation(full_subobject(A, B))
 
 
 def test_graph_morphism_preserves_equal_radius_balls():
@@ -268,5 +269,5 @@ def test_check_preserves_runs_without_counterimages(monkeypatch):
     monkeypatch.setattr(relations_module, "counterimage", refuse, raising=False)
     r = Relation.from_pairs(A, B, [("a1", "b1"), ("a2", "b2")])
     assert check_preserves(FinMap.identity(A), FinMap.identity(B), r, r) is not None
-    full = Relation.full(A, B)
+    full = full_subobject(A, B)
     assert check_preserves(FinMap.identity(A), FinMap.identity(B), full, r) is None

@@ -212,8 +212,8 @@ def test_jobs_are_clamped_to_available_cpus(monkeypatch, pools, affinity, cpu_co
 
 
 def test_one_terminality_instance_builds_one_jet_bundle(monkeypatch):
-    """A terminality instance that decides both the generic jet and a moved
-    one builds J(p) once, not once per decision."""
+    """A terminality instance that decides the generic jet and a moved one
+    (at two bounds) builds J(p) once, not once per decision."""
     calls = {"jet_bundle": 0, "distributivity_terminal": 0}
 
     def counted(name):
@@ -230,6 +230,6 @@ def test_one_terminality_instance_builds_one_jet_bundle(monkeypatch):
     for index in range(20):
         calls.update(jet_bundle=0, distributivity_terminal=0)
         assert _instance(("terminality", 42, index, 2, 2)) == (1, 0, None)
-        if calls["distributivity_terminal"] == 2:
+        if calls["distributivity_terminal"] == 3:
             break
-    assert calls == {"jet_bundle": 1, "distributivity_terminal": 2}
+    assert calls == {"jet_bundle": 1, "distributivity_terminal": 3}

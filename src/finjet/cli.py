@@ -7,6 +7,7 @@ error (an exception that is a bug in finjet, reported as one line on stderr).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import operator
@@ -15,7 +16,7 @@ from typing import IO, Callable, Iterator, Optional
 
 from . import fibdual, jets, polyfun, relations
 from .errors import FinjetError, WorkspaceError
-from .finset import FinMap, compose, element, pullback
+from .finset import compose, element, pullback
 from .workspace import Workspace, parse_workspace
 
 
@@ -181,22 +182,16 @@ def _jet_records(j: jets.SectionJet) -> str:
     return " ".join(f"({a},{x})->{e}" for (a, x), e in sorted(j.table.items()))
 
 
-def _render_element(row: tuple[str, ...]) -> str:
-    """The text line of a jetbundle or polyjet row (element, base point, table)."""
-    _, el, b, table = row
-    return f"  {el} over {b}: {table}"
-
-
-def _table_texts(sections: polyfun.SectionTables, q: FinMap, sort: bool) -> Iterator[str]:
+def _table_texts(sections: polyfun.SectionTables, sort: bool) -> Iterator[str]:
     """Every section's table as "point->value" words joined by spaces, in the
-    order of `sections.entries()`.
+    order of `sections.projection.dom`.
 
     Each word is rendered once per base point, and the texts join them in
     the product that `polyfun.section_tables` enumerates: one block per base
     point, last point fastest.  With `sort`, a text lists its words by point
     name rather than in the fiber's order.
     """
-    fibers = q.fibers
+    fibers = sections.q.fibers
     for points in sections.fibers.values():
         texts = itertools.product(*([f"{m}->{v}" for v in fibers[m]] for m in points))
         # A fiber out of name order has at least two points, so itemgetter
@@ -221,24 +216,36 @@ def _cmd_jets(ws: Workspace, args, out) -> int:
     )
 
 
+def _emit_sections(
+    out: IO[str], format_: str, sections: polyfun.SectionTables, title: str, sort: bool
+) -> int:
+    """Write the jetbundle or polyjet output with one write, as `_emit`
+    does: each row straight from a section's label, base point and
+    `_table_texts` text.  Only the text format counts the sections over each
+    base point, for its header; neither format reads the tables."""
+    proj = sections.projection
+    rows = zip(proj.dom.elements, proj.values, _table_texts(sections, sort), strict=True)
+    if format_ == "records":
+        lines = [f"element\t{el}\t{b}\t{text}" for el, b, text in rows]
+    else:
+        counts = collections.Counter(proj.values)
+        sizes = "/".join(str(counts[b]) for b in proj.cod)
+        lines = [
+            f"{title}: {len(proj.dom)} elements, fibers {sizes}",
+            *(f"  {el} over {b}: {text}" for el, b, text in rows),
+        ]
+    out.write("\n".join([*lines, ""]))
+    return 0
+
+
 def _cmd_jetbundle(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
     jb = jets.jet_bundle(rel, bundle.map)
-    sizes = "/".join(str(len(jb.fiber(a0))) for a0 in rel.stage)
     # A table lists its base point's column in relation order; its row lists
     # the words by point name.
-    texts = _table_texts(jb.sections, jb.bundle, sort=True)
-    rows = [
-        ("element", t, a0, text)
-        for (t, a0, _), text in zip(jb.sections.entries(), texts, strict=True)
-    ]
-    return _emit(
-        out,
-        args.format,
-        rows,
-        f"jet bundle over {rel.stage.name}: {len(jb.total)} elements, fibers {sizes}",
-        _render_element,
+    return _emit_sections(
+        out, args.format, jb.sections, f"jet bundle over {rel.stage.name}", sort=True
     )
 
 
@@ -281,19 +288,8 @@ def _cmd_polyjet(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
     dp = polyfun.polynomial_product(rel.span, bundle).product
-    sizes = "/".join(str(len(dp.result.fiber(b))) for b in rel.stage)
-    texts = _table_texts(dp.sections, dp.input.map, sort=False)
-    rows = [
-        ("element", el, b, text)
-        for (el, b, _), text in zip(dp.sections.entries(), texts, strict=True)
-    ]
-    return _emit(
-        out,
-        args.format,
-        rows,
-        f"polynomial jet bundle over {rel.stage.name}: "
-        f"{len(dp.result.total)} elements, fibers {sizes}",
-        _render_element,
+    return _emit_sections(
+        out, args.format, dp.sections, f"polynomial jet bundle over {rel.stage.name}", sort=False
     )
 
 

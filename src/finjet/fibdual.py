@@ -101,7 +101,9 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     a |-> <a, t(f(a))>) and the jet functor of the fiber on c's vertical v:
     each <a0, t> of f*(J(p)) goes to the jet over a0 with table
     a |-> v(<a, t(f(a))>), named by one lookup.  Preservation puts every
-    f(a) in t's table.  The tests compare this with the composite of
+    f(a) in the column of f(a0), which t's table lists in order, so t(f(a))
+    is read by position: the positions are found once per a0, and t's table
+    is read as it is stored.  The tests compare this with the composite of
     `reference.pointwise_cartesian_image` (`phi` then `classify`) and of
     `jet_on_vertical`.
     """
@@ -116,10 +118,16 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     jb_src = jet_bundle(rel_src.base, c.src.map)
     jb_dst = jet_bundle(rel_dst.base, c.dst.map)
     sq = pullback(f, jb_dst.projection)
+    dst_columns = jb_dst.sections.fibers
+    reads = {}
+    for a0, column in rel_src.base.columns.items():
+        where = {m: i for i, m in enumerate(dst_columns[f(a0)])}
+        reads[a0] = [(a, where[f(a)]) for a in column]
+    tables, index = jb_dst.sections.tables, jb_dst.total.index
     values = []
     for a0, t in zip(sq.left.values, sq.right.values):
-        tab = jb_dst.sections.table_of(t)
-        moved = tuple(v(pair_name(a, tab[f(a)])) for a in rel_src.base.column(a0))
+        tab = tables[index[t]]
+        moved = tuple(v(pair_name(a, tab[i])) for a, i in reads[a0])
         values.append(jb_src.sections.element_for(a0, moved))
     src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
     arrow = FinMap._make(sq.apex, src.total, tuple(values))
@@ -138,8 +146,11 @@ def generic_section_comorphism(span: Span, p: Bundle) -> Comorphism:
     c, d = span.left, span.right
     jb = jet_bundle(canonicalize(span), p.map)
     sq_d, sq_c = pullback(d, jb.projection), pullback(c, p.map)
+    tables, index, columns = jb.sections.tables, jb.total.index, jb.sections.fibers
+    # The position of c(m) in the column of d(m), where t's table holds t(c(m)).
+    at = {m: columns[b].index(c(m)) for m, b in zip(d.dom, d.values)}
     values = tuple(
-        pair_name(m, jb.sections.table_of(t)[c(m)])
+        pair_name(m, tables[index[t]][at[m]])
         for m, t in zip(sq_d.left.values, sq_d.right.values)
     )
     src = Bundle(sq_c.left)

@@ -131,18 +131,30 @@ def relabel_identity(p: Bundle) -> SliceMorphism:
 
 @dataclass(frozen=True)
 class SectionTables:
-    """Every section of a bundle over each fiber of a family, with its table.
+    """Every section of a bundle q over each fiber of a family.
 
     `fibers` maps each base point b to the points its sections are defined
     on, in order.  The sections are the elements of `projection.dom`, named
-    "(b|hash-of-table)" and projected to b; `tables` holds each one's table
+    "(b|hash-of-table)" and projected to b.  `tables` holds each one's table
     as its values at the points of its fiber, in fiber order, aligned with
-    the sections.  Jet bundles and dependent products are both built on this.
+    the sections; it is derived from q on first read, because a caller that
+    prints only labels never needs it.  Jet bundles and dependent products
+    are both built on this.
     """
 
     fibers: Mapping[str, tuple[str, ...]]
     projection: FinMap  # sections -> base points
-    tables: tuple[tuple[str, ...], ...]  # values at fibers[b], in order
+    q: FinMap  # the bundle the sections choose values in
+
+    @cached_property
+    def tables(self) -> tuple[tuple[str, ...], ...]:
+        """Values at fibers[b], in order: per base point, the product of
+        q's fibers over b's points, last point fastest."""
+        fiber = self.q.fibers.__getitem__
+        tables: list[tuple[str, ...]] = []
+        for points in self.fibers.values():
+            tables += itertools.product(*map(fiber, points))
+        return tuple(tables)
 
     @cached_property
     def _by_table(self) -> Mapping[tuple[str, tuple[str, ...]], str]:
@@ -192,25 +204,22 @@ def section_tables(
 ) -> SectionTables:
     """Every section of q over fibers[b], for each base point b in the order
     of `fibers`: the product of q's fibers over b's points, last point
-    fastest.  The tables are that product itself; a second product, in
-    step, runs over the "point:value" fragments that `table_label` joins.
-    The labels go into one FinSet called `name`, so a label collision
-    raises ValueError.
+    fastest.  Only the labels and base points are built here, from the same
+    product over the "point:value" fragments that `table_label` joins; the
+    tables follow on first read of `SectionTables.tables`.  The labels go
+    into one FinSet called `name`, so a label collision raises ValueError.
 
     This order is a contract: `cli._table_texts` renders the same product
     over the same fibers and aligns its texts with the sections by position,
     and the pinned output digests in the CLI tests hold both to it."""
     labels: list[str] = []
     bases: list[str] = []
-    tables: list[tuple[str, ...]] = []
     for b, points in fibers.items():
-        options = [q.fiber(m) for m in points]
-        fragments = [[f"{m}:{v}" for v in vs] for m, vs in zip(points, options)]
+        fragments = [[f"{m}:{v}" for v in q.fiber(m)] for m in points]
         labels += [table_label(b, entries) for entries in itertools.product(*fragments)]
-        tables += itertools.product(*options)
-        bases += [b] * (len(tables) - len(bases))
+        bases += [b] * (len(labels) - len(bases))
     total = FinSet(name, tuple(labels))
-    return SectionTables(fibers, FinMap._make(total, base, tuple(bases)), tuple(tables))
+    return SectionTables(fibers, FinMap._make(total, base, tuple(bases)), q)
 
 
 @dataclass(frozen=True)

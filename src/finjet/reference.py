@@ -162,18 +162,18 @@ def pointwise_cartesian_image(
 
 def section_tables_by_zip(
     name: str, base: FinSet, fibers: Mapping[str, tuple[str, ...]], q: FinMap
-) -> SectionTables:
+) -> tuple[FinMap, tuple[tuple[str, ...], ...]]:
     """`polyfun.section_tables` one section at a time: each choice of values
     is its table, and the label is hashed from the choice zipped with the
-    points."""
+    points.  Returns the projection and the tables, aligned with its domain,
+    for comparison with `SectionTables.tables`, which derives them from q."""
     labels, bases, tables = [], [], []
     for b, points in fibers.items():
         for choice in itertools.product(*(q.fiber(m) for m in points)):
             labels.append(table_label(b, (f"{m}:{v}" for m, v in zip(points, choice))))
             bases.append(b)
             tables.append(choice)
-    projection = FinMap(FinSet(name, tuple(labels)), base, tuple(bases))
-    return SectionTables(fibers, projection, tuple(tables))
+    return FinMap(FinSet(name, tuple(labels)), base, tuple(bases)), tuple(tables)
 
 
 def push_along_by_lookup(src: SectionTables, arrow: FinMap, dst: SectionTables) -> FinMap:

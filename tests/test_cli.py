@@ -385,8 +385,10 @@ def test_map_separators_in_element_names_are_a_parse_error(tmp_path, capsys, nam
 
 
 def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch, tmp_path):
+    """Nor do jetbundle and polyjet read the section tables: they print
+    labels, base points and texts rendered from the fibers."""
     from finjet.jets import JetBundle
-    from finjet.polyfun import DependentProduct
+    from finjet.polyfun import DependentProduct, SectionTables
 
     path = tmp_path / "p3_id.ws"
     path.write_text(Path(FIXTURE).read_text() + "map id : A -> A { a -> a ; b -> b ; c -> c }\n")
@@ -409,6 +411,11 @@ def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch,
     monkeypatch.setattr(DependentProduct, "counit", property(refuse))
     assert [run(argv) for argv in argvs] == expected
     assert all(code == 0 for code, _ in expected)
+    # dualjet transports tables, so only jetbundle and polyjet go on.
+    monkeypatch.setattr(SectionTables, "tables", property(refuse), raising=False)
+    for argv, result in zip(argvs, expected):
+        if "dualjet" not in argv:
+            assert run(argv) == result
 
 
 def test_check_single_suite_deterministic():
@@ -761,6 +768,32 @@ def test_records_output_on_complete_graph_is_pinned(tmp_path, n, argv, digest):
     path = tmp_path / f"k{n}.ws"
     path.write_text(serialize_workspace(complete_graph_workspace(n, 2)))
     code, text = run(["-w", str(path), "--format", "records", *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the text output of jetbundle and polyjet on K_5 and dualjet on
+# K_4, fibers 2, pinned from the implementation that built every table and
+# counted the header from the projection's fiber index.
+GOLDEN_COMPLETE_TEXT_DIGESTS = [
+    ("jetbundle", 5, ["jetbundle", "--relation", "R", "--bundle", "p"],
+     "7c7ec43c76d743c2c6f654e05975226d66f723fe67d90dcd1f4af73fadbf7d28"),
+    ("polyjet", 5, ["polyjet", "--relation", "R", "--bundle", "p"],
+     "9de3fe2fa21a2e875f979d5f29e289bfc9922c4d3ecfe499beffd5e7446515ae"),
+    ("dualjet", 4, ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+     "2fbe1089108b36aa651c86adbef87685abba7e2c0f0caac3f5f9bd73ce8d594a"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest",
+    [case[1:] for case in GOLDEN_COMPLETE_TEXT_DIGESTS],
+    ids=[case[0] for case in GOLDEN_COMPLETE_TEXT_DIGESTS],
+)
+def test_text_output_on_complete_graph_is_pinned(tmp_path, n, argv, digest):
+    path = tmp_path / f"k{n}.ws"
+    path.write_text(serialize_workspace(complete_graph_workspace(n, 2)))
+    code, text = run(["-w", str(path), *argv])
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 

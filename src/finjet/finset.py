@@ -145,13 +145,6 @@ class FinMap:
         return obj
 
     @classmethod
-    def from_table(cls, dom: FinSet, cod: FinSet, table: Mapping[str, str]) -> "FinMap":
-        missing = [e for e in dom if e not in table]
-        if missing:
-            raise ValueError(f"map table missing {missing[0]!r}")
-        return cls(dom, cod, tuple(table[e] for e in dom))
-
-    @classmethod
     def identity(cls, a: FinSet) -> "FinMap":
         return cls._make(a, a, a.elements)
 
@@ -306,11 +299,6 @@ def pair_into_pullback(a: FinMap, b: FinMap, pb: Span) -> FinMap:
 
 def all_maps(dom: FinSet, cod: FinSet) -> Iterator[FinMap]:
     """Every map dom -> cod, in lexicographic order of value tuples."""
-    if len(dom) == 0:
-        yield FinMap._make(dom, cod, ())
-        return
-    if len(cod) == 0:
-        return
     for values in itertools.product(cod.elements, repeat=len(dom)):
         yield FinMap._make(dom, cod, values)
 

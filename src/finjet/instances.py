@@ -102,9 +102,7 @@ def rand_subobject(rng: random.Random, over: FinSet, stage: FinSet) -> Subobject
 
 def rand_partial_map(
     rng: random.Random, support: SubobjectAtStage, target: FinSet
-) -> Optional[PartialMapAtStage]:
-    if len(target) == 0 and len(support.pairs) > 0:
-        return None
+) -> PartialMapAtStage:
     values = tuple(rng.choice(target.elements) for _ in support.pairs)
     return PartialMapAtStage(support, target, values)
 

@@ -41,10 +41,6 @@ class Bundle:
     def base(self) -> FinSet:
         return self.map.cod
 
-    @classmethod
-    def identity(cls, a: FinSet) -> "Bundle":
-        return cls(FinMap.identity(a))
-
     def fiber(self, a: str) -> tuple[str, ...]:
         return self.map.fiber(a)
 
@@ -100,8 +96,6 @@ def invert_slice(m: SliceMorphism) -> SliceMorphism:
 def slice_homs(src: Bundle, dst: Bundle) -> Iterator[SliceMorphism]:
     """Every slice morphism src -> dst, in lexicographic order of value tables."""
     candidates = [dst.fiber(src.map(e)) for e in src.total]
-    if any(len(c) == 0 for c in candidates):
-        return
     for values in itertools.product(*candidates):
         yield SliceMorphism._make(src, dst, FinMap._make(src.total, dst.total, values))
 

@@ -245,11 +245,6 @@ def distributivity_terminal_brute(c: Comorphism, max_total: int) -> bool:
     candidates: list[Bundle] = [t0]
     for size in range(max_total + 1):
         carrier = FinSet(f"cand{size}", tuple(f"t{i}" for i in range(size)))
-        if size == 0:
-            candidates.append(Bundle(FinMap(carrier, base, ())))
-            continue
-        if len(base) == 0:
-            continue
         for values in itertools.product(base.elements, repeat=size):
             candidates.append(Bundle(FinMap(carrier, base, values)))
     for t in candidates:

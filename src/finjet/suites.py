@@ -504,16 +504,11 @@ def check_classify(t: _Checker, rng: random.Random, max_obj: int, max_fiber: int
                 )
 
 
-def _random_vertical(
-    rng: random.Random, src: Bundle, dst: Bundle
-) -> Optional[SliceMorphism]:
-    values = []
-    for e in src.total:
-        fiber = dst.fiber(src.map(e))
-        if not fiber:
-            return None
-        values.append(rng.choice(fiber))
-    return SliceMorphism(src, dst, FinMap(src.total, dst.total, tuple(values)))
+def _random_vertical(rng: random.Random, src: Bundle, dst: Bundle) -> SliceMorphism:
+    """A vertical src -> dst with one value drawn per element; every fiber of
+    dst over src's image must be nonempty."""
+    values = tuple(rng.choice(dst.fiber(src.map(e))) for e in src.total)
+    return SliceMorphism(src, dst, FinMap(src.total, dst.total, values))
 
 
 def maps_over(pb: Span, a0: FinMap) -> tuple[FinMap, ...]:
@@ -654,7 +649,7 @@ def check_phi_laws(t: _Checker, rng: random.Random, max_obj: int, max_fiber: int
     pb_bundle = t.put("q", rand_bundle(rng, fm.cod, max_fiber, min_fiber=1, tag="q"))
     top = t.put("r", rand_bundle(rng, fm.cod, max_fiber, tag="r"))
     r_map = t.put("r_map", _random_vertical(rng, top, pb_bundle))
-    if r_map is not None and classical is not None:
+    if classical is not None:
         a0c = t.put("a0c", rand_map(rng, probe_stage(rng.randint(0, 2)), fm.dom))
         cluex_law(t, classical, r_map.arrow, pb_bundle.map, a0c)
     base = t.put("base", rand_map(rng, probe_stage(2), f0.dom))

@@ -65,24 +65,19 @@ def _brace_body(rest: str, line_no: int) -> tuple[str, str]:
 
 
 def _split_pair(token: str, line_no: int) -> tuple[str, str]:
-    """Split "(a,b)" at its top-level comma: one `partition` when the inner
-    text holds no parenthesis, else a scan that tracks the nesting depth."""
+    """Split "(a,b)" at its top-level comma, by a scan that tracks the
+    nesting depth."""
     if not (token.startswith("(") and token.endswith(")")):
         raise WorkspaceError(f"expected a pair, got {token!r}", line_no)
     inner = token[1:-1]
-    if "(" not in inner and ")" not in inner:
-        a, comma, b = inner.partition(",")
-        if comma:
-            return a, b
-    else:
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return inner[:i], inner[i + 1 :]
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return inner[:i], inner[i + 1 :]
     raise WorkspaceError(f"pair {token!r} has no top-level comma", line_no)
 
 
@@ -238,7 +233,7 @@ def _map_by_entries(body: str, dom: FinSet, cod: FinSet, line_no: int) -> FinMap
     if len(table) != len(dom):
         missing = next(e for e in dom if e not in table)
         raise WorkspaceError(f"element {missing!r} has no assignment", line_no)
-    return FinMap.from_table(dom, cod, table)
+    return FinMap(dom, cod, tuple(map(table.__getitem__, dom.elements)))
 
 
 def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:

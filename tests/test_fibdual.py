@@ -242,7 +242,7 @@ def test_global_jet_names_an_object_without_a_relation():
 
 def test_distributivity_terminal_diagonal_trivial():
     diag = Relation.diagonal(A)
-    assert distributivity_terminal(generic_section_comorphism(diag.span, Bundle.identity(A)), max_total=2)
+    assert distributivity_terminal(generic_section_comorphism(diag.span, Bundle(FinMap.identity(A))), max_total=2)
 
 
 def test_distributivity_terminal_p3_small_bound():
@@ -313,6 +313,14 @@ def test_distributivity_terminal_matches_the_enumeration(seed, ball, max_total, 
     # No mutation, or none possible, checks the true generic section jet.
     c = mutants[mutation % len(mutants)] if mutants and mutation is not None else eps
     assert distributivity_terminal(c, max_total) == distributivity_terminal_brute(c, max_total)
+
+
+def test_distributivity_terminal_over_an_empty_base():
+    """Over an empty base only the empty bundle is tested, and it passes."""
+    empty = FinSet("A", ())
+    eps = generic_section_comorphism(Relation(empty, empty, ()).span, Bundle(FinMap(FinSet("E", ()), empty, ())))
+    for max_total in range(3):
+        assert distributivity_terminal(eps, max_total) is distributivity_terminal_brute(eps, max_total) is True
 
 
 @settings(max_examples=100, deadline=None)

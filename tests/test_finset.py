@@ -257,6 +257,14 @@ def test_pair_into_pullback_compares_legs_behind_a_shared_name():
         pair_into_pullback(FinMap(x, a, ("x,y",)), FinMap(x, b, ("z",)), pb)
 
 
+def test_all_maps_out_of_and_into_the_empty_set():
+    """The empty set has one map into any set, and a nonempty set none into it."""
+    empty = FinSet("N", ())
+    assert list(all_maps(empty, A)) == [FinMap(empty, A, ())]
+    assert list(all_maps(A, empty)) == []
+    assert list(all_maps(empty, empty)) == [FinMap(empty, empty, ())]
+
+
 def test_pullback_of_monic_is_monic():
     f = FinMap(FinSet("A", ("a1", "a2")), C, ("c1", "c2"))
     for p in all_maps(B, C):

@@ -213,11 +213,18 @@ def test_adjunction_bijection_roundtrips_and_counts():
 def test_adjunction_terminal_left_gives_sections():
     d = FinMap(M, B, ("u", "v", "u"))
     q = small_bundle(M, (1, 2, 1), tag="q")
-    y = Bundle.identity(B)
+    y = Bundle(FinMap.identity(B))
     bij = adjunction_bijection(d, y, q)
     upper = list(slice_homs(y, bij.product.result))
     lower = list(slice_homs(bij.pulled_left, q))
     assert len(upper) == len(lower) == 1 * 2 * 1
+
+
+def test_slice_homs_from_an_empty_total_and_across_an_empty_fiber():
+    empty = small_bundle(A, (0, 0, 0), tag="z")
+    assert list(slice_homs(empty, P)) == [SliceMorphism(empty, P, FinMap(empty.total, P.total, ()))]
+    gap = small_bundle(A, (1, 0, 1), tag="g")
+    assert list(slice_homs(small_bundle(A, (0, 1, 0)), gap)) == []
 
 
 def test_adjunction_empty_hom_sets():
@@ -250,7 +257,7 @@ def test_triangle_identities():
     assert tri2 == SliceMorphism.identity(dp.result)
     # A product of anything but d*(y) has no unit at y.
     with pytest.raises(ShapeMismatch, match=r"morphism is not d\*\(y\) -> q"):
-        AdjunctionBijection(y, dependent_product(d, Bundle.identity(M)), sq_y).to_base(ident)
+        AdjunctionBijection(y, dependent_product(d, Bundle(FinMap.identity(M))), sq_y).to_base(ident)
 
 
 def test_polynomial_jet_diagonal_span():
@@ -273,7 +280,7 @@ def test_polynomial_jet_accepts_non_monic_span():
 
 def test_polynomial_jet_identity_bundle():
     legs = BALL.base.span
-    poly = polynomial_product(legs, Bundle.identity(A)).product.result
+    poly = polynomial_product(legs, Bundle(FinMap.identity(A))).product.result
     assert all(
         sum(1 for el in poly.total if poly.map(el) == a0) == 1 for a0 in A
     )

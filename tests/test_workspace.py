@@ -205,6 +205,14 @@ _MALFORMED_HEAD = "object A { a b (a,b) }\nobject B { x y }\n"
         ("map f : A -> B { a -> x ; b -> q ; (a,b) -> y }", "'q' is not in object 'B'"),
         ("map f : A -> B { }", "element 'a' has no assignment"),
         ("graph g on A { a -- z }", "'z' is not in object 'A'"),
+        ("relation R : A ~ B (a,x)", "expected a brace-delimited body"),
+        ("object { a }", "missing object name"),
+        ("object C { a a }", "duplicate element in object"),
+        ("map f : A B { a -> x }", "map header needs '<obj> -> <obj>'"),
+        ("relation R : A B { (a,x) }", "relation header needs '<obj> ~ <obj>'"),
+        ("graph g A { a -- b }", "graph header needs 'on <obj>'"),
+        ("graph g on A { a -- }", "graph body must be '<id> -- <id>' edges"),
+        ("bundle q f", "bundle declaration needs '= <mapname>'"),
     ],
 )
 def test_malformed_bodies_raise_pinned_errors(declaration, message):

@@ -252,8 +252,11 @@ def _cmd_jetbundle(ws: Workspace, args, out) -> int:
 def _cmd_classify(ws: Workspace, args, out) -> int:
     rel = ws.relation(args.relation)
     bundle = ws.bundle(args.bundle)
-    base = _point(rel.stage, args.point)
-    target = jets.classify_point(jets.nth_jet(rel, base, bundle.map, args.index))
+    _point(rel.stage, args.point)
+    # Jet i at the point classifies as label i of the point's fiber.
+    labels = jets.jet_fiber(rel, bundle.map, args.point).projection.dom.elements
+    jets.check_index(args.index, len(labels), args.point)
+    target = labels[args.index]
     return _emit(
         out,
         args.format,

@@ -7,7 +7,6 @@ Equality of comorphisms is then table equality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -74,8 +73,6 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     """
     if c1.dst != c2.src:
         raise ShapeMismatch("comorphisms do not chain end to end")
-    if c1.over.cod != c2.over.dom:
-        raise ShapeMismatch("base maps do not compose")
     f, v1, v2 = c1.over, c1.vertical.arrow, c2.vertical.arrow
     base = compose(c2.over, f)
     sq = pullback(base, c2.dst.map)
@@ -180,8 +177,15 @@ def distributivity_terminal(c: Comorphism, max_total: int) -> bool:
     is a bijection for every x in t.  Each phi_b is read once off eps's
     table: eps is vertical, so its values at b lie in the product, and phi_b
     is a bijection iff they are distinct and as many as the product has
-    elements.  `reference.distributivity_terminal_brute` enumerates every u
-    and v instead; the tests compare the two.
+    elements.
+
+    So only the bad points, those neither vacuous nor bijective, decide the
+    test bundles beyond t0.  At max_total = 0 the only one is the empty
+    bundle, which passes.  From max_total = 1 on, the one-element bundle on
+    a bad point fails and a bundle without one passes, so every such bound
+    gives one verdict: no point of d's codomain is bad.
+    `reference.distributivity_terminal_brute` enumerates every t, u and v
+    instead; the tests compare the two.
     """
     d, q, t0 = c.over, c.src, c.dst
     eps = c.vertical.arrow.table
@@ -195,13 +199,6 @@ def distributivity_terminal(c: Comorphism, max_total: int) -> bool:
         vacuous[b] = 0 in sizes
         bijective[b] = len(images) == len(fiber) == math.prod(sizes)
 
-    def passes(image: tuple[str, ...]) -> bool:
-        return any(vacuous[b] for b in image) or all(bijective[b] for b in image)
-
-    # Every map of each size into d's codomain; over an empty codomain only
-    # the empty bundle remains.
-    return passes(t0.map.values) and all(
-        passes(values)
-        for size in range(max_total + 1)
-        for values in itertools.product(d.cod.elements, repeat=size)
-    )
+    image = t0.map.values
+    t0_passes = any(vacuous[b] for b in image) or all(bijective[b] for b in image)
+    return t0_passes and (max_total < 1 or all(vacuous[b] or bijective[b] for b in d.cod))

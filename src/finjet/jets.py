@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import ShapeMismatch, WorkspaceError
 from .finset import FinMap, FinSet, Span, cached_property, compose, pair_name, pullback
@@ -99,21 +99,23 @@ def enumerate_jets(r: Relation, b: FinMap, p: FinMap) -> tuple[SectionJet, ...]:
     )
 
 
-def nth_jet(
-    r: Relation, b: FinMap, p: FinMap, i: int, where: Optional[str] = None
-) -> SectionJet:
+def check_index(i: int, count: int, where: str) -> None:
+    """Raise WorkspaceError unless 0 <= i < count, naming the `count` jets
+    and `where` they sit."""
+    if not 0 <= i < count:
+        raise WorkspaceError(f"index {i} out of range; {count} jets at {where}")
+
+
+def nth_jet(r: Relation, b: FinMap, p: FinMap, i: int, where: str) -> SectionJet:
     """enumerate_jets(r, b, p)[i], decoded without building the other jets.
 
     i is read as a mixed-radix number over p's fibers above the monad pairs,
     last pair fastest, which is the enumeration order.  An i outside the
     jets raises WorkspaceError with their count (1 for an empty monad, 0
-    when a fiber is empty) and `where` they sit (default: b's values).
+    when a fiber is empty) and `where` they sit.
     """
     support, options = _jet_choices(r, b, p)
-    count = math.prod(map(len, options))
-    if not 0 <= i < count:
-        place = ",".join(b.values) if where is None else where
-        raise WorkspaceError(f"index {i} out of range; {count} jets at {place}")
+    check_index(i, math.prod(map(len, options)), where)
     choice = [""] * len(options)
     for k in reversed(range(len(options))):
         i, digit = divmod(i, len(options[k]))
@@ -176,12 +178,9 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
         raise ShapeMismatch("jet is not based at the image of the given element")
     support = monad(mor.rel_src, a0)
     table = j.table
-    values = []
-    for a, x in support.pairs:
-        image = (mor.f(a), x)
-        if image not in table:
-            raise ShapeMismatch(f"image of ({a},{x}) escapes the jet's support")
-        values.append(pair_name(a, table[image]))
+    # mor preserves the relations, so (f(a), x) is in the monad of f0(a0(x)),
+    # which is j's support.
+    values = [pair_name(a, table[(mor.f(a), x)]) for a, x in support.pairs]
     return _make_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
 
 
@@ -232,7 +231,9 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
 
 def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:
     """The fiber of jet_bundle(r, p) over the point a0, built alone: the
-    section tables of its jets, with the bundle's element labels.
+    section tables of its jets, with the bundle's element labels.  Its i-th
+    label names enumerate_jets(r, element(r.stage, a0), p)[i], since both
+    take the product of p's fibers over a0's column, last point fastest.
 
     The labels still go into a FinSet, so a collision among them raises
     ValueError.  Labels over different points cannot collide, since each
@@ -243,25 +244,13 @@ def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:
     return section_tables(f"J({p.dom.name})", r.stage, {a0: r.column(a0)}, p)
 
 
-def classify_point(j: SectionJet) -> str:
-    """The element of jet_bundle(j.relation, j.bundle) that a jet at a
-    one-point stage names, that is classify(jb, j)("*"), read off the fiber
-    over its base point alone.  The `classify` tests compare the two.
-    """
-    if len(j.stage) != 1:
-        raise ShapeMismatch("a jet at a one-point stage names one element")
-    (a0,) = j.at.values
-    # At one point, the monad's pairs list a0's column in order.
-    return jet_fiber(j.relation, j.bundle, a0).element_for(a0, j.underlying.values)
-
-
 def classify(jb: JetBundle, j: SectionJet) -> FinMap:
     """The unique map into the total whose pullback of the generic jet is j.
 
     Each stage point is named by one lookup of its base point and table in
     the jet bundle's element index.  The `classify` suite checks that
-    restricting the generic jet along the result rebuilds j.  For one jet at
-    an ordinary point, `classify_point` needs only that point's fiber.
+    restricting the generic jet along the result rebuilds j.  The i-th jet
+    at an ordinary point a0 names the i-th element of `jet_fiber` over a0.
     """
     if j.relation != jb.relation or j.bundle != jb.bundle:
         raise ShapeMismatch("jet does not belong to this jet bundle")

@@ -9,7 +9,6 @@ seed and bounds regardless of worker process count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -511,12 +510,6 @@ def _random_vertical(rng: random.Random, src: Bundle, dst: Bundle) -> SliceMorph
     return SliceMorphism(src, dst, FinMap(src.total, dst.total, values))
 
 
-def maps_over(pb: Span, a0: FinMap) -> tuple[FinMap, ...]:
-    """All maps from a0's stage into a pullback apex whose left leg is a0."""
-    per_point = [pb.left.fiber(a) for a in a0.values]
-    return tuple(FinMap._make(a0.dom, pb.apex, vs) for vs in itertools.product(*per_point))
-
-
 def beck_chevalley_check(g: FinMap, r: Relation, q: FinMap, max_stage: int) -> bool:
     """Whether the pulled-back jet bundle represents jets along g, by construction.
 
@@ -539,7 +532,7 @@ def beck_chevalley_check(g: FinMap, r: Relation, q: FinMap, max_stage: int) -> b
     for stage in stages:
         for a0 in all_maps(stage, g.dom):
             jets_here = jets.enumerate_jets(r, compose(g, a0), q)
-            over = maps_over(sq, a0)
+            over = [h.arrow for h in slice_homs(Bundle(a0), Bundle(sq.left))]
             if len(jets_here) != len(over):
                 return False
             seen = set()

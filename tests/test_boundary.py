@@ -18,7 +18,16 @@ from finjet import reference
 from finjet.errors import ShapeMismatch
 from finjet.fibdual import Comorphism, generic_section_comorphism
 from finjet.finset import FinMap, FinSet, Span, element, pair_into_pullback, pullback, span_leq
-from finjet.jets import PhiContext, SectionJet, classify, enumerate_jets, jet_bundle, phi
+from finjet.jets import (
+    PhiContext,
+    SectionJet,
+    classify,
+    enumerate_jets,
+    jet_bundle,
+    jet_on_vertical,
+    phi,
+    restrict_jet,
+)
 from finjet.kripke import PartialMapAtStage, SubobjectAtStage
 from finjet.polyfun import (
     Bundle,
@@ -93,6 +102,18 @@ REJECTIONS = [
      ValueError, "support is not the monad of the base element"),
     ("phi-context-bundle", lambda: PhiContext(IDENTITY, FinMap.identity(E)),
      ShapeMismatch, "bundle does not live over the target relation's source"),
+    ("restrict-jet-stage", lambda: restrict_jet(_jet(), ID_A),
+     ShapeMismatch, "stage change does not land at the jet's stage"),
+    ("phi-base", lambda: phi(PhiContext(IDENTITY, P_MAP), element(E, "a0"), _jet()),
+     ShapeMismatch, "base element does not land in the source relation's destination"),
+    ("phi-image", lambda: phi(PhiContext(IDENTITY, P_MAP), element(A, "a"), _jet("b")),
+     ShapeMismatch, "jet is not based at the image of the given element"),
+    ("jet-on-vertical-relations",
+     lambda: jet_on_vertical(jet_bundle(R, P_MAP), jet_bundle(full_subobject(A, A), P_MAP), FinMap.identity(E)),
+     ShapeMismatch, "jet bundles built from different relations"),
+    ("jet-on-vertical-base",
+     lambda: jet_on_vertical(jet_bundle(R, P_MAP), jet_bundle(R, P_MAP), constant_map(E, E, "b0")),
+     ShapeMismatch, "map does not commute over the base"),
     ("slice-morphism-bases",
      lambda: SliceMorphism(Bundle(P_MAP), Bundle(FinMap.identity(E)), FinMap.identity(E)),
      ShapeMismatch, "slice morphism between bundles over different bases"),

@@ -277,8 +277,10 @@ TWO_POINT = (
          "map g runs from A to B, but relations S and R need a map from B to A"),
         (("R", "R"), ["--map", "id", "--bundle", "p", "--src-bundle", "p"],
          "--src-bundle needs --vertical"),
+        (("R", "R"), ["--map", "id", "--bundle", "p", "--vertical", "id"],
+         "--vertical needs --src-bundle"),
     ],
-    ids=["map-from-the-bundle", "wrong-codomain", "reversed", "src-bundle-alone"],
+    ids=["map-from-the-bundle", "wrong-codomain", "reversed", "src-bundle-alone", "vertical-alone"],
 )
 def test_dualjet_rejects_a_map_off_the_relations_and_a_lone_src_bundle(tmp_path, capsys, relations, extra, message):
     path = tmp_path / "p3_two_point.ws"
@@ -385,8 +387,8 @@ def test_map_separators_in_element_names_are_a_parse_error(tmp_path, capsys, nam
 
 
 def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch, tmp_path):
-    """Nor do jetbundle and polyjet read the section tables: they print
-    labels, base points and texts rendered from the fibers."""
+    """Nor do jetbundle, polyjet and classify read the section tables: they
+    print labels, base points and texts rendered from the fibers."""
     from finjet.jets import JetBundle
     from finjet.polyfun import DependentProduct, SectionTables
 
@@ -396,6 +398,7 @@ def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch,
         ["jetbundle", "--relation", "R", "--bundle", "p"],
         ["polyjet", "--relation", "R", "--bundle", "p"],
         ["dualjet", "--relation-src", "R", "--relation-dst", "R", "--map", "id", "--bundle", "p"],
+        ["classify", "--relation", "R", "--bundle", "p", "--point", "b", "--index", "2"],
     ]
     argvs = [
         ["-w", str(path), "--format", format_, *command]
@@ -411,7 +414,7 @@ def test_data_commands_build_neither_the_generic_jet_nor_the_counit(monkeypatch,
     monkeypatch.setattr(DependentProduct, "counit", property(refuse))
     assert [run(argv) for argv in argvs] == expected
     assert all(code == 0 for code, _ in expected)
-    # dualjet transports tables, so only jetbundle and polyjet go on.
+    # dualjet transports tables, so only the other commands go on.
     monkeypatch.setattr(SectionTables, "tables", property(refuse), raising=False)
     for argv, result in zip(argvs, expected):
         if "dualjet" not in argv:
@@ -921,6 +924,18 @@ def test_phi_bundle_off_the_target_relation_exits_2(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err == "error: bundle does not live over the target relation's source\n"
+
+
+def test_phi_maps_that_break_the_relation_exit_2(tmp_path, capsys):
+    path = tmp_path / "p3_k.ws"
+    # k sends the pair (a,b) of R to (a,c), which R lacks.
+    path.write_text(Path(FIXTURE).read_text() + "map k : A -> A { a -> a ; b -> c ; c -> a }\n")
+    code, text = run(
+        ["-w", str(path), "phi", "--relation-src", "R", "--relation-dst", "R", "--map", "k",
+         "--map0", "k", "--bundle", "p", "--point", "b", "--index", "0"]
+    )
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: the maps do not preserve the relations\n"
 
 
 def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):

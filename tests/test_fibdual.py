@@ -323,6 +323,20 @@ def test_distributivity_terminal_over_an_empty_base():
         assert distributivity_terminal(eps, max_total) is distributivity_terminal_brute(eps, max_total) is True
 
 
+def test_distributivity_terminal_tells_bound_zero_from_bound_one():
+    """An empty t0 over a point whose product of q's fibers has one element:
+    t0 passes and so does the empty bundle, the only one at bound 0, but the
+    one-element bundle on that point has a vertical and no u."""
+    d = FinMap(FinSet("M", ("m",)), FinSet("B", ("b",)), ("b",))
+    q = Bundle(FinMap(FinSet("Q", ("m0",)), d.dom, ("m",)))
+    t0 = Bundle(FinMap(FinSet("T", ()), d.cod, ()))
+    pulled = pullback_bundle(d, t0)
+    c = Comorphism(d, q, t0, SliceMorphism(pulled, q, FinMap(pulled.total, q.total, ())))
+    for max_total, expected in ((0, True), (1, False), (2, False)):
+        assert distributivity_terminal(c, max_total) is expected
+        assert distributivity_terminal_brute(c, max_total) is expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16))
 def test_a_dependent_product_counit_is_terminal(seed, mutation):

@@ -1,5 +1,6 @@
+import contextlib
+import io
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import finjet.jets as jets_module
 import finjet.kripke as kripke
 import finjet.polyfun as polyfun_module
+from finjet.cli import main
 from finjet.errors import ShapeMismatch, WorkspaceError
 from finjet.fibdual import cartesian_comorphism, global_jet
 from finjet.finset import FinMap, FinSet, all_maps, compose, element, pair_name, pullback
@@ -24,7 +26,6 @@ from finjet.jets import (
     PhiContext,
     SectionJet,
     classify,
-    classify_point,
     enumerate_jets,
     jet_bundle,
     jet_fiber,
@@ -46,8 +47,8 @@ from finjet.relations import (
 )
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
-from finjet.workspace import parse_workspace
-from strategies import complete_graph_workspace, constant_map, fixture_p3_parts, full_subobject
+from finjet.workspace import Workspace, serialize_workspace
+from strategies import constant_map, fixture_p3_parts, full_subobject
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -293,7 +294,7 @@ def test_cluex_identity_vertical_reduces_to_phi_equality():
 
 
 def test_map_jet_requires_verticality():
-    j = nth_jet(R, point(A, "a"), P_MAP, 0)
+    j = nth_jet(R, point(A, "a"), P_MAP, 0, "a")
     with pytest.raises(ShapeMismatch, match="^map does not commute over the base$"):
         map_jet(j, FinMap.identity(E), FinMap(E, A, tuple("a" for _ in E)))
 
@@ -342,7 +343,7 @@ def test_reflexive_value_diagonal_is_the_jet():
 def test_reflexive_value_requires_reflexivity():
     not_reflexive = Relation.from_pairs(A, A, [("a", "b"), ("b", "a")])
     with pytest.raises(ShapeMismatch, match="^element is not a member of the partial map's support$"):
-        value_at_base(nth_jet(not_reflexive, point(A, "a"), P_MAP, 0))
+        value_at_base(nth_jet(not_reflexive, point(A, "a"), P_MAP, 0, "a"))
 
 
 def test_reflexive_value_empty_stage():
@@ -565,7 +566,7 @@ def test_nth_jet_is_the_enumerated_jet(seed, kind, stage_size, max_fiber):
     stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
     b = rand_map(rng, stage, rel.stage)
     enumerated = enumerate_jets(rel, b, p)
-    decoded = [nth_jet(rel, b, p, i) for i in range(len(enumerated))]
+    decoded = [nth_jet(rel, b, p, i, "there") for i in range(len(enumerated))]
     assert decoded == list(enumerated)
     for j in decoded:
         assert SectionJet(j.underlying, j.bundle, j.relation, j.at) == j
@@ -577,15 +578,15 @@ def test_nth_jet_is_the_enumerated_jet(seed, kind, stage_size, max_fiber):
 
 def test_nth_jet_empty_monad_and_empty_fiber():
     empty_rel = Relation.from_pairs(A, A, [])
-    assert nth_jet(empty_rel, point(A, "a"), P_MAP, 0).table == {}
+    assert nth_jet(empty_rel, point(A, "a"), P_MAP, 0, "a").table == {}
     with pytest.raises(WorkspaceError, match=r"^index 1 out of range; 1 jets at a$"):
-        nth_jet(empty_rel, point(A, "a"), P_MAP, 1)
+        nth_jet(empty_rel, point(A, "a"), P_MAP, 1, "a")
     no_b = FinMap(FinSet("E2", ("a0", "c0")), A, ("a", "c"))
     assert enumerate_jets(R, point(A, "a"), no_b) == ()
     with pytest.raises(WorkspaceError, match=r"^index 0 out of range; 0 jets at a$"):
-        nth_jet(R, point(A, "a"), no_b, 0)
+        nth_jet(R, point(A, "a"), no_b, 0, "a")
     with pytest.raises(ShapeMismatch):
-        nth_jet(R, point(A, "a"), FinMap.identity(E), 0)
+        nth_jet(R, point(A, "a"), FinMap.identity(E), 0, "a")
 
 
 @settings(max_examples=80, deadline=None)
@@ -608,42 +609,49 @@ def test_generic_jet_is_built_on_first_use(seed, kind, max_fiber):
     assert jb.generic_jet is generic_jet
 
 
-FIXTURE_WS = parse_workspace(
-    (Path(__file__).resolve().parent.parent / "fixtures" / "p3.ws").read_text()
-)
-K4_WS = complete_graph_workspace(4, 2)
-
-
-@pytest.mark.parametrize("ws", [FIXTURE_WS, K4_WS], ids=["p3", "k4"])
-def test_classify_point_matches_the_full_bundle(ws):
-    rel, p = ws.relations["R"], ws.maps["p"]
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RELATION_KINDS), st.integers(0, 2), st.data())
+def test_jet_i_classifies_as_label_i_of_its_fiber(tmp_path_factory, seed, kind, max_fiber, data):
+    """The i-th jet at a point classifies as the i-th element of the point's
+    fiber, which the classify command prints by position."""
+    rng = random.Random(seed)
+    a = rand_finset(rng, "A", 3, min_size=1)
+    rel = _relation(kind, rng, a)
+    # Fibers of size 0 occur, so some points have no jets.
+    p = rand_bundle(rng, a, max_fiber).map
     jb = jet_bundle(rel, p)
     for a0 in rel.stage:
+        fiber = jet_fiber(rel, p, a0)
         here = enumerate_jets(rel, point(rel.stage, a0), p)
-        named = [classify_point(j) for j in here]
-        assert named == [classify(jb, j)("*") for j in here]
-        assert named == list(jb.fiber(a0))
-        assert list(jet_fiber(rel, p, a0).entries()) == [
+        assert list(fiber.projection.dom) == [classify(jb, j)("*") for j in here] == list(jb.fiber(a0))
+        assert list(fiber.entries()) == [
             entry for entry in jb.sections.entries() if entry[1] == a0
         ]
-
-
-def test_classify_point_needs_a_one_point_stage():
-    stage = FinSet("X", ("x0", "x1"))
-    j = enumerate_jets(R, FinMap(stage, A, ("a", "b")), P_MAP)[0]
-    with pytest.raises(ShapeMismatch):
-        classify_point(j)
+    a0 = data.draw(st.sampled_from(rel.stage.elements))
+    count = len(jb.fiber(a0))
+    i = data.draw(st.integers(0, count - 1)) if count else 0
+    path = tmp_path_factory.mktemp("classify") / "ws.ws"
+    path.write_text(serialize_workspace(Workspace(relations={"R": rel}, bundles={"p": Bundle(p)})))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["-w", str(path), "--format", "records", "classify", "--relation", "R",
+                     "--bundle", "p", "--point", a0, "--index", str(i)], out=out)
+    if count:
+        assert (code, out.getvalue(), err.getvalue()) == (0, f"classified\t{i}\t{jb.fiber(a0)[i]}\n", "")
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"error: index 0 out of range; 0 jets at {a0}\n"
+        )
 
 
 def test_label_collision_inside_one_fiber_still_raises(monkeypatch):
     monkeypatch.setattr(polyfun_module, "table_label", lambda anchor, entries: f"({anchor}|0000000000)")
-    j = nth_jet(R, point(A, "b"), P_MAP, 0)
     with pytest.raises(ValueError, match="duplicate elements"):
-        classify_point(j)
+        jet_fiber(R, P_MAP, "b")
     with pytest.raises(ValueError, match="duplicate elements"):
         jet_bundle(R, P_MAP)
     # One jet per point: the labels differ across fibers, so nothing collides.
     empty_rel = Relation.from_pairs(A, A, [])
-    assert [classify_point(nth_jet(empty_rel, point(A, a0), P_MAP, 0)) for a0 in A] == [
+    assert [jet_fiber(empty_rel, P_MAP, a0).projection.dom.elements[0] for a0 in A] == [
         "(a|0000000000)", "(b|0000000000)", "(c|0000000000)"
     ]

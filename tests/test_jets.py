@@ -48,7 +48,13 @@ from finjet.relations import (
 from finjet.reference import phi_tabulated, pointwise_cartesian_image
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law, phi_compose_law
 from finjet.workspace import Workspace, serialize_workspace
-from strategies import constant_map, fixture_p3_parts, full_subobject
+from strategies import (
+    complete_graph_workspace,
+    constant_map,
+    fixture_p3,
+    fixture_p3_parts,
+    full_subobject,
+)
 
 A, E, P_MAP, BALL = fixture_p3_parts()
 R = BALL.base
@@ -607,6 +613,23 @@ def test_generic_jet_is_built_on_first_use(seed, kind, max_fiber):
     underlying = kripke.PartialMapAtStage(support, p.dom, values)
     assert generic_jet == SectionJet(underlying, p, rel, jb.projection)
     assert jb.generic_jet is generic_jet
+
+
+@pytest.mark.parametrize("ws", [fixture_p3(), complete_graph_workspace(4, 2)], ids=["p3", "k4"])
+def test_classify_point_matches_the_full_bundle(ws):
+    """On the path fixture and on K4, the fiber's labels in position order
+    are the classes of the enumerated jets and the full bundle's fiber."""
+    rel, p = ws.relations["R"], ws.maps["p"]
+    jb = jet_bundle(rel, p)
+    for a0 in rel.stage:
+        here = enumerate_jets(rel, point(rel.stage, a0), p)
+        fiber = jet_fiber(rel, p, a0)
+        named = list(fiber.projection.dom)
+        assert named == [classify(jb, j)("*") for j in here]
+        assert named == list(jb.fiber(a0))
+        assert list(fiber.entries()) == [
+            entry for entry in jb.sections.entries() if entry[1] == a0
+        ]
 
 
 @settings(max_examples=100, deadline=None)

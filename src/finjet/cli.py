@@ -314,7 +314,8 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
         )
     if args.src_bundle and not args.vertical:
         raise WorkspaceError("--src-bundle needs --vertical")
-    rels = {r.over: relations.EndoRelation(r) for r in (rel_src, rel_dst)}
+    relations.require_endo(rel_src)
+    relations.require_endo(rel_dst)
     if args.vertical:
         if not args.src_bundle:
             raise WorkspaceError("--vertical needs --src-bundle")
@@ -325,7 +326,9 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
         com = fibdual.Comorphism(f, src_bundle, bundle, vertical)
     else:
         com = fibdual.cartesian_comorphism(f, bundle)
-    moved = fibdual.global_jet(com, rels)
+    jb_src = jets.jet_bundle(rel_src, com.src.map)
+    jb_dst = jets.jet_bundle(rel_dst, bundle.map)
+    moved = fibdual.global_jet(com, jb_src, jb_dst)
     arrow = moved.vertical.arrow
     return _emit(
         out,

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ShapeMismatch
-from .finset import FinMap, FinSet, Span, compose, pair_name, pullback
-from .jets import jet_bundle
+from .finset import FinMap, Span, compose, pair_name, pullback
+from .jets import JetBundle, jet_bundle
 from .kripke import canonicalize
 from .polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
-from .relations import EndoRelation, check_preserves
+from .relations import check_preserves
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,12 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     return Comorphism._make(base, c1.src, c2.dst, vertical)
 
 
-RelationAssignment = Mapping[FinSet, EndoRelation]
-
-
-def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
+def global_jet(c: Comorphism, jb_src: JetBundle, jb_dst: JetBundle) -> Comorphism:
     """The jet functor on the fibrewise dual, one comorphism at a time.
 
-    Every object in play carries an endo-relation; the base map f must
-    preserve them.  The image runs from J(p') to J(p) over f, where p' and p
-    are c's source and target bundles.  Its vertical part is the composite
+    jb_src and jb_dst are J(p') and J(p), the jet bundles of c's source and
+    target bundles over endo-relations that the base map f preserves.  The
+    image runs from J(p') to J(p) over f.  Its vertical part is the composite
     of the mediating transport (the Cartesian image, phi's value law
     a |-> <a, t(f(a))>) and the jet functor of the fiber on c's vertical v:
     each <a0, t> of f*(J(p)) goes to the jet over a0 with table
@@ -104,20 +100,17 @@ def global_jet(c: Comorphism, relations: RelationAssignment) -> Comorphism:
     `reference.pointwise_cartesian_image` (`phi` then `classify`) and of
     `jet_on_vertical`.
     """
-    try:
-        rel_src = relations[c.over.dom]
-        rel_dst = relations[c.over.cod]
-    except KeyError as exc:
-        raise ShapeMismatch(f"no endo-relation assigned to object {exc.args[0].name!r}")
-    if check_preserves(c.over, c.over, rel_src.base, rel_dst.base) is None:
+    if jb_src.bundle != c.src.map or jb_dst.bundle != c.dst.map:
+        raise ShapeMismatch("jet bundles are not those of the comorphism's ends")
+    rel_src = jb_src.relation
+    # With f0 = f, the preservation check also rejects relations that are not endo.
+    if check_preserves(c.over, c.over, rel_src, jb_dst.relation) is None:
         raise ShapeMismatch("base map does not preserve the endo-relations")
     f, v = c.over, c.vertical.arrow
-    jb_src = jet_bundle(rel_src.base, c.src.map)
-    jb_dst = jet_bundle(rel_dst.base, c.dst.map)
     sq = pullback(f, jb_dst.projection)
     dst_columns = jb_dst.sections.fibers
     reads = {}
-    for a0, column in rel_src.base.columns.items():
+    for a0, column in rel_src.columns.items():
         where = {m: i for i, m in enumerate(dst_columns[f(a0)])}
         reads[a0] = [(a, where[f(a)]) for a in column]
     tables, index = jb_dst.sections.tables, jb_dst.total.index

@@ -8,7 +8,7 @@ from typing import Optional
 from .finset import FinMap, FinSet
 from .kripke import PartialMapAtStage, SubobjectAtStage
 from .polyfun import Bundle
-from .relations import EndoRelation, Relation, ball_relation
+from .relations import Relation, ball_relation
 
 
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
@@ -55,14 +55,14 @@ def induced_adjacency(f: FinMap, adjacency: Relation) -> Relation:
     return Relation.from_pairs(f.dom, f.dom, pairs)
 
 
-def rand_ball_pair(rng: random.Random, max_size: int) -> tuple[FinMap, EndoRelation, EndoRelation]:
+def rand_ball_pair(rng: random.Random, max_size: int) -> tuple[FinMap, Relation, Relation]:
     """A map of graphs with pulled-back adjacency, and the two radius-1 balls."""
     b = rand_finset(rng, "B", max_size, min_size=1)
     a = rand_finset(rng, "A", max_size, min_size=1)
     f = rand_map(rng, a, b)
     adj_b = rand_adjacency(rng, b)
     adj_a = induced_adjacency(f, adj_b)
-    return f, ball_relation(adj_a, 1), ball_relation(adj_b, 1)
+    return f, ball_relation(adj_a, 1).base, ball_relation(adj_b, 1).base
 
 
 def rand_bundle(

@@ -36,7 +36,7 @@ from .kripke import (
     yoneda_construct,
 )
 from .polyfun import Bundle, SectionTables, SliceMorphism, compose_slice, relabel_identity
-from .relations import Relation, RelationMorphism, _require_endo, monad, monad_at
+from .relations import Relation, RelationMorphism, monad, monad_at, require_endo
 
 
 # `brute_force_leq` and the two relation routes probe every stage of size 0
@@ -82,7 +82,7 @@ def is_cartesian_elementwise(c: Comorphism) -> bool:
 def is_reflexive_elementwise(r: Relation) -> bool:
     """`relations.is_reflexive` read off generalized elements: a0 is in its
     own monad."""
-    _require_endo(r)
+    require_endo(r)
     for size in range(MAX_STAGE + 1):
         stage = probe_stage(size)
         for a0 in all_maps(stage, r.over):
@@ -96,7 +96,7 @@ def is_symmetric_elementwise(r: Relation) -> bool:
     """`relations.is_symmetric` read off generalized elements: membership
     swaps sides.  Each probe's monad is built once per stage and read for
     every pair of probes."""
-    _require_endo(r)
+    require_endo(r)
     for size in range(MAX_STAGE + 1):
         stage = probe_stage(size)
         probes = [(a.values, monad(r, a).pair_set) for a in all_maps(stage, r.over)]

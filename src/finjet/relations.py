@@ -29,28 +29,29 @@ def monad_at(r: Relation, b0: str) -> SubobjectAtStage:
 
 
 def is_reflexive(r: Relation) -> bool:
-    _require_endo(r)
+    require_endo(r)
     return all((a, a) in r.pair_set for a in r.over)
 
 
 def is_symmetric(r: Relation) -> bool:
-    _require_endo(r)
+    require_endo(r)
     return all((b, a) in r.pair_set for a, b in r.pairs)
 
 
-def _require_endo(r: Relation) -> None:
+def require_endo(r: Relation) -> None:
     if r.over != r.stage:
         raise ShapeMismatch("operation requires an endo-relation")
 
 
 @dataclass(frozen=True)
 class EndoRelation:
-    """A relation from an object to itself."""
+    """A relation from an object to itself: the record `ball_relation`
+    returns.  Library functions take the plain relation, `base`."""
 
     base: Relation
 
     def __post_init__(self):
-        _require_endo(self.base)
+        require_endo(self.base)
 
 
 @dataclass(frozen=True)

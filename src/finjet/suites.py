@@ -46,7 +46,7 @@ from .instances import (
     trim_bundle,
 )
 from .polyfun import Bundle, SliceMorphism, slice_homs
-from .relations import EndoRelation, Relation, ball_relation
+from .relations import Relation, ball_relation
 from .workspace import Workspace, serialize_workspace
 
 Outcome = tuple[int, int, Optional[str]]
@@ -62,10 +62,10 @@ class _Checker:
 
     `put(name, datum)` records the datum under its workspace kind, chosen by
     type, and returns it; `None` (`rand_map` into an empty set) is not
-    recorded.  Kinds the grammar lacks go in as parts it has: an
-    `EndoRelation` as its base, a partial map as its support relation and
-    `leg` map, a vertical map as its arrow.  `serialize_workspace` declares
-    the objects that maps, relations and bundles carry."""
+    recorded.  Kinds the grammar lacks go in as parts it has: a partial map
+    as its support relation and `leg` map, a vertical map as its arrow.
+    `serialize_workspace` declares the objects that maps, relations and
+    bundles carry."""
 
     def __init__(self):
         self.ws = Workspace()
@@ -74,9 +74,7 @@ class _Checker:
         self.counterexample: Optional[str] = None
 
     def put(self, name: str, datum: _D) -> _D:
-        if isinstance(datum, EndoRelation):
-            self.put(name, datum.base)
-        elif isinstance(datum, SliceMorphism):
+        if isinstance(datum, SliceMorphism):
             self.put(name, datum.arrow)
         elif isinstance(datum, kripke.PartialMapAtStage):
             self.put(name, datum.support)
@@ -379,7 +377,7 @@ def suite_morphisms(t: _Checker, rng: random.Random, max_obj: int, max_fiber: in
     )
     g, ball_a, ball_b = map(t.put, ("g", "ball_a", "ball_b"), rand_ball_pair(rng, max_obj))
     t.check(
-        _checked_preserves(t, g, g, ball_a.base, ball_b.base) is not None,
+        _checked_preserves(t, g, g, ball_a, ball_b) is not None,
         "a graph morphism does not preserve equal-radius balls",
     )
     carrier = rand_finset(rng, "G", max_obj, min_size=1)
@@ -638,7 +636,7 @@ def check_phi_laws(t: _Checker, rng: random.Random, max_obj: int, max_fiber: int
     a0 = t.put("a0", rand_map(rng, probe_stage(rng.randint(0, 2)), f0.dom))
     phi_compose_law(t, upper, lower, p.map, a0)
     fm, ball_a, ball_b = map(t.put, ("fm", "ball_a", "ball_b"), rand_ball_pair(rng, size))
-    classical = _checked_preserves(t, fm, fm, ball_a.base, ball_b.base)
+    classical = _checked_preserves(t, fm, fm, ball_a, ball_b)
     pb_bundle = t.put("q", rand_bundle(rng, fm.cod, max_fiber, min_fiber=1, tag="q"))
     top = t.put("r", rand_bundle(rng, fm.cod, max_fiber, tag="r"))
     r_map = t.put("r_map", _random_vertical(rng, top, pb_bundle))
@@ -773,9 +771,9 @@ def check_beck_chevalley(t: _Checker, rng: random.Random, max_obj: int, max_fibe
 def check_terminality(t: _Checker, rng: random.Random, max_obj: int, max_fiber: int) -> None:
     carrier = rand_finset(rng, "A", max_obj, min_size=1)
     adjacency = t.put("adj", rand_adjacency(rng, carrier))
-    ball = t.put("R", ball_relation(adjacency, 1))
+    ball = t.put("R", ball_relation(adjacency, 1).base)
     p = t.put("p", rand_bundle(rng, carrier, max_fiber, tag="e"))
-    eps = fibdual.generic_section_comorphism(ball.base.span, p)
+    eps = fibdual.generic_section_comorphism(ball.span, p)
     wrong = _moved_entry(eps)
     # The moved entry breaks a block of t0 itself, so `wrong` fails at every
     # bound; at bound 0, t0 is the one test bundle with a nonempty image.
@@ -804,17 +802,16 @@ def _moved_entry(c: fibdual.Comorphism) -> Optional[fibdual.Comorphism]:
 
 
 def _global_jet_checks(
-    t: _Checker, c: fibdual.Comorphism, rels: fibdual.RelationAssignment
+    t: _Checker, c: fibdual.Comorphism, rel_src: Relation, rel_dst: Relation
 ) -> None:
-    """The second derivations behind `fibdual.global_jet(c, rels)`: the monad
-    criterion for its base map, and the pointwise transports its Cartesian
-    image stands for, one per point a0 and jet at f(a0), each `phi` checked
-    against its tabulation and each `classify` by rebuilding the jet in
-    J(f*(p)).  `global_jet` itself builds neither a `PhiContext` nor
-    J(f*(p)): it reads these transports, pushed along c's vertical part, off
-    section tables; the tests compare the two routes."""
-    rel_src = rels[c.over.dom].base
-    rel_dst = rels[c.over.cod].base
+    """The second derivations behind `fibdual.global_jet` on c, whose ends
+    carry the endo-relations rel_src and rel_dst: the monad criterion for its
+    base map, and the pointwise transports its Cartesian image stands for,
+    one per point a0 and jet at f(a0), each `phi` checked against its
+    tabulation and each `classify` by rebuilding the jet in J(f*(p)).
+    `global_jet` itself builds neither a `PhiContext` nor J(f*(p)): it reads
+    these transports, pushed along c's vertical part, off section tables;
+    the tests compare the two routes."""
     morphism = _checked_preserves(t, c.over, c.over, rel_src, rel_dst)
     if morphism is None:
         return
@@ -838,12 +835,6 @@ def check_global_functor(t: _Checker, rng: random.Random, max_obj: int, max_fibe
     adj3 = induced_adjacency(f3, adj4)
     adj2 = induced_adjacency(f2, adj3)
     adj1 = induced_adjacency(f1, adj2)
-    rels = {
-        a4: ball_relation(adj4, 1),
-        a3: ball_relation(adj3, 1),
-        a2: ball_relation(adj2, 1),
-        a1: ball_relation(adj1, 1),
-    }
     p4 = t.put("p4", rand_bundle(rng, a4, max_fiber, min_fiber=1, tag="e4"))
     p3 = t.put("p3", rand_bundle(rng, a3, max_fiber, min_fiber=1, tag="e3"))
     p2 = t.put("p2", rand_bundle(rng, a2, max_fiber, min_fiber=1, tag="e2"))
@@ -857,22 +848,27 @@ def check_global_functor(t: _Checker, rng: random.Random, max_obj: int, max_fibe
     left_assoc = fibdual.comorphism_compose(fibdual.comorphism_compose(c3, c2), c1)
     right_assoc = fibdual.comorphism_compose(c3, fibdual.comorphism_compose(c2, c1))
     t.check(left_assoc == right_assoc, "comorphism composition is not associative")
-    jb1 = jets.jet_bundle(rels[a1].base, p1.map)
+    # J(p_k) over the radius-1 ball of adj_k, built once each.
+    jb1, jb2, jb3, jb4 = (
+        jets.jet_bundle(ball_relation(adj, 1).base, p.map)
+        for adj, p in ((adj1, p1), (adj2, p2), (adj3, p3), (adj4, p4))
+    )
     identity = fibdual.identity_comorphism(p1)
-    for c in (identity, right_assoc, c3, c2, c1):
-        _global_jet_checks(t, c, rels)
+    ends = (
+        (identity, jb1, jb1),
+        (right_assoc, jb1, jb4),
+        (c3, jb3, jb4),
+        (c2, jb2, jb3),
+        (c1, jb1, jb2),
+    )
+    for c, jb_src, jb_dst in ends:
+        _global_jet_checks(t, c, jb_src.relation, jb_dst.relation)
+    moved_identity, whole, moved3, moved2, moved1 = (fibdual.global_jet(*end) for end in ends)
     t.check(
-        fibdual.global_jet(identity, rels)
-        == fibdual.identity_comorphism(Bundle(jb1.projection)),
+        moved_identity == fibdual.identity_comorphism(Bundle(jb1.projection)),
         "jet functor does not preserve the identity comorphism",
     )
-    whole = fibdual.global_jet(right_assoc, rels)
-    steps = fibdual.comorphism_compose(
-        fibdual.global_jet(c3, rels),
-        fibdual.comorphism_compose(
-            fibdual.global_jet(c2, rels), fibdual.global_jet(c1, rels)
-        ),
-    )
+    steps = fibdual.comorphism_compose(moved3, fibdual.comorphism_compose(moved2, moved1))
     t.check(whole == steps, "jet functor does not preserve composition")
     ident = fibdual.comorphism_compose(c1, fibdual.identity_comorphism(p1))
     t.check(ident == c1, "composition with the identity comorphism changes a comorphism")

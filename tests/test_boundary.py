@@ -16,7 +16,7 @@ import pytest
 import finjet
 from finjet import reference
 from finjet.errors import ShapeMismatch
-from finjet.fibdual import Comorphism, generic_section_comorphism
+from finjet.fibdual import Comorphism, generic_section_comorphism, global_jet, identity_comorphism
 from finjet.finset import FinMap, FinSet, Span, element, pair_into_pullback, pullback, span_leq
 from finjet.jets import (
     PhiContext,
@@ -28,15 +28,31 @@ from finjet.jets import (
     phi,
     restrict_jet,
 )
-from finjet.kripke import PartialMapAtStage, SubobjectAtStage
+from finjet.kripke import (
+    PartialMapAtStage,
+    SubobjectAtStage,
+    change_of_stage,
+    counterimage,
+    member,
+    postcompose,
+    precompose,
+    sub_leq,
+    yoneda_construct,
+)
 from finjet.polyfun import (
     Bundle,
     SliceMorphism,
+    SpanMorphism,
     adjunction_bijection,
+    compose_slice,
+    dependent_product,
+    invert_slice,
+    polynomial_product,
     pullback_bundle,
     relabel_identity,
 )
-from finjet.relations import Relation, RelationMorphism, check_preserves
+from finjet.relations import Relation, RelationMorphism, ball_relation, check_preserves, monad
+from finjet.suites import _Checker, beck_chevalley_check, cluex_law
 from strategies import constant_map, fixture_p3_parts, full_subobject
 
 A, E, P_MAP, BALL = fixture_p3_parts()
@@ -132,6 +148,62 @@ REJECTIONS = [
     ("comorphism-end",
      lambda: Comorphism(ID_A, PULLED, Bundle(P_MAP), relabel_identity(Bundle(P_MAP))),
      ShapeMismatch, "vertical part does not end at the source bundle"),
+    ("sub-leq-objects", lambda: sub_leq(SUPPORT, full_subobject(E, X)),
+     ShapeMismatch, "subobjects over different objects"),
+    ("change-of-stage", lambda: change_of_stage(SUPPORT, ID_A),
+     ShapeMismatch, "map into 'A' cannot change stage 'X'"),
+    ("counterimage", lambda: counterimage(FinMap.identity(E), SUPPORT),
+     ShapeMismatch, "map into 'E' cannot take counterimage over 'A'"),
+    ("member-element", lambda: member(element(E, "a0"), element(X, "x"), SUPPORT),
+     ShapeMismatch, "element does not land in the subobject's object"),
+    ("member-stage", lambda: member(element(A, "a"), element(A, "a"), SUPPORT),
+     ShapeMismatch, "stage change does not land in the subobject's stage"),
+    ("member-stages-differ", lambda: member(element(A, "a"), FinMap.identity(X), SUPPORT),
+     ShapeMismatch, "element and stage change defined at different stages"),
+    ("postcompose", lambda: postcompose(ID_A, PartialMapAtStage(SUPPORT, E, ("a0", "b0"))),
+     ShapeMismatch, "map does not start at the partial map's target"),
+    ("precompose", lambda: precompose(PartialMapAtStage(SUPPORT, E, ("a0", "b0")), FinMap.identity(E)),
+     ShapeMismatch, "map does not land in the partial map's object"),
+    ("yoneda-stage", lambda: yoneda_construct(SUPPORT, lambda a, alpha: element(E, "a0")),
+     ValueError, "law did not return an element at the canonical stage"),
+    ("monad-element", lambda: monad(R, element(E, "a0")),
+     ShapeMismatch, "element does not land in the relation's destination"),
+    ("relation-morphisms-chain",
+     lambda: IDENTITY.then(RelationMorphism(ID_A, ID_A, full_subobject(A, A), full_subobject(A, A))),
+     ShapeMismatch, "relation morphisms do not chain"),
+    ("ball-radius", lambda: ball_relation(R, -1),
+     ValueError, "radius must be >= 0"),
+    ("compose-slice", lambda: compose_slice(SliceMorphism.identity(Bundle(P_MAP)), SliceMorphism.identity(PULLED)),
+     ShapeMismatch, "slice morphisms do not chain"),
+    ("invert-slice", lambda: invert_slice(SliceMorphism(Bundle(P_MAP), Bundle(ID_A), P_MAP)),
+     ShapeMismatch, "slice morphism is not invertible"),
+    ("pullback-bundle", lambda: pullback_bundle(FinMap.identity(E), Bundle(P_MAP)),
+     ShapeMismatch, "pullback along a map into a different base"),
+    ("dependent-product", lambda: dependent_product(FinMap.identity(E), Bundle(P_MAP)),
+     ShapeMismatch, "dependent product input must live over the map's domain"),
+    ("polynomial-product",
+     lambda: polynomial_product(Span(FinMap.identity(E), FinMap.identity(E)), Bundle(P_MAP)),
+     ShapeMismatch, "bundle does not live over the left leg's codomain"),
+    ("span-morphism-right",
+     lambda: SpanMorphism(R.span, R.span, ID_A, FinMap.identity(R.span.apex), constant_map(A, A, "a")),
+     ShapeMismatch, "right square does not commute"),
+    ("pair-into-pullback-stage",
+     lambda: pair_into_pullback(element(A, "a"), FinMap.identity(E), pullback(P_MAP, P_MAP)),
+     ShapeMismatch, "cone legs must share their stage"),
+    ("beck-chevalley-base", lambda: beck_chevalley_check(FinMap.identity(E), R, P_MAP, 1),
+     ShapeMismatch, "map does not land in the relation's destination"),
+    ("cluex-law-maps",
+     lambda: cluex_law(
+         _Checker(),
+         RelationMorphism(ID_A, constant_map(A, A, "a"), R, full_subobject(A, A)),
+         FinMap.identity(E),
+         P_MAP,
+         element(A, "a"),
+     ),
+     ShapeMismatch, "classical check needs one map acting on both ends"),
+    ("global-jet-ends",
+     lambda: global_jet(identity_comorphism(Bundle(P_MAP)), jet_bundle(R, ID_A), jet_bundle(R, ID_A)),
+     ShapeMismatch, "jet bundles are not those of the comorphism's ends"),
 ]
 
 
@@ -196,6 +268,12 @@ GUARD_HALVES = [
      "maps do not end at the target relation's ends"),
     ("preserves-target-stage", lambda: check_preserves(ID_A, ID_A, R, SUPPORT),
      "maps do not end at the target relation's ends"),
+    ("global-jet-src",
+     lambda: global_jet(identity_comorphism(Bundle(P_MAP)), jet_bundle(R, ID_A), jet_bundle(R, P_MAP)),
+     "jet bundles are not those of the comorphism's ends"),
+    ("global-jet-dst",
+     lambda: global_jet(identity_comorphism(Bundle(P_MAP)), jet_bundle(R, P_MAP), jet_bundle(R, ID_A)),
+     "jet bundles are not those of the comorphism's ends"),
 ]
 
 

@@ -279,8 +279,19 @@ TWO_POINT = (
          "--src-bundle needs --vertical"),
         (("R", "R"), ["--map", "id", "--bundle", "p", "--vertical", "id"],
          "--vertical needs --src-bundle"),
+        (("T", "S"), ["--map", "g", "--bundle", "pB"], "operation requires an endo-relation"),
+        # g sends the pair (a,b) of R to (u,v), which the diagonal DB lacks.
+        (("R", "DB"), ["--map", "g", "--bundle", "pB"], "base map does not preserve the endo-relations"),
     ],
-    ids=["map-from-the-bundle", "wrong-codomain", "reversed", "src-bundle-alone", "vertical-alone"],
+    ids=[
+        "map-from-the-bundle",
+        "wrong-codomain",
+        "reversed",
+        "src-bundle-alone",
+        "vertical-alone",
+        "not-endo",
+        "not-preserved",
+    ],
 )
 def test_dualjet_rejects_a_map_off_the_relations_and_a_lone_src_bundle(tmp_path, capsys, relations, extra, message):
     path = tmp_path / "p3_two_point.ws"
@@ -289,6 +300,8 @@ def test_dualjet_rejects_a_map_off_the_relations_and_a_lone_src_bundle(tmp_path,
         + TWO_POINT
         + "map id : A -> A { a -> a ; b -> b ; c -> c }\n"
         + "map g : A -> B { a -> u ; b -> v ; c -> u }\n"
+        + "relation T : A ~ B { (a,u) }\n"
+        + "relation DB : B ~ B { (u,u) (v,v) }\n"
     )
     src, dst = relations
     code, text = run(["-w", str(path), "dualjet", "--relation-src", src, "--relation-dst", dst, *extra])
@@ -936,6 +949,17 @@ def test_phi_maps_that_break_the_relation_exit_2(tmp_path, capsys):
     )
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == "error: the maps do not preserve the relations\n"
+
+
+def test_monad_at_a_map_into_another_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "p3_b.ws"
+    # k lands in B, but R's destination is A.
+    path.write_text(
+        Path(FIXTURE).read_text() + "object B { u }\nmap k : A -> B { a -> u ; b -> u ; c -> u }\n"
+    )
+    code, text = run(["-w", str(path), "monad", "--relation", "R", "--at", "k"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: element does not land in the relation's destination\n"
 
 
 def test_classify_label_collision_is_an_internal_error(monkeypatch, capsys):

@@ -41,7 +41,7 @@ from finjet.reference import (
     pointwise_cartesian_image,
     vertical_comorphism,
 )
-from finjet.relations import EndoRelation, Relation, ball_relation, check_preserves
+from finjet.relations import Relation, ball_relation, check_preserves
 from finjet.suites import _random_vertical
 from strategies import constant_map, fixture_p3_parts, full_subobject
 
@@ -133,21 +133,19 @@ def compose_slice_reversed(v1, back):
 
 
 def test_global_jet_identity_law():
-    rels = {A: BALL}
     jb = jet_bundle(BALL.base, P_MAP)
-    assert global_jet(identity_comorphism(P), rels) == identity_comorphism(
+    assert global_jet(identity_comorphism(P), jb, jb) == identity_comorphism(
         Bundle(jb.projection)
     )
 
 
 def test_global_jet_vertical_agrees_with_fiber_functor():
-    rels = {A: BALL}
     smaller = FinSet("E2", ("a.0", "b.0", "c.0"))
     q = Bundle(FinMap(smaller, A, ("a", "b", "c")))
     v = SliceMorphism(P, q, FinMap(E, smaller, ("a.0", "a.0", "b.0", "c.0", "c.0")))
-    moved = global_jet(vertical_comorphism(v), rels)
     jb_p = jet_bundle(BALL.base, P_MAP)
     jb_q = jet_bundle(BALL.base, q.map)
+    moved = global_jet(vertical_comorphism(v), jb_q, jb_p)
     expected_arrow = jet_on_vertical(jb_p, jb_q, v.arrow)
     expected = vertical_comorphism(
         SliceMorphism(Bundle(jb_p.projection), Bundle(jb_q.projection), expected_arrow)
@@ -157,17 +155,15 @@ def test_global_jet_vertical_agrees_with_fiber_functor():
 
 def test_global_jet_requires_preservation():
     f, ball_a, ball_b, p_b = two_point_setup()
-    wrong = EndoRelation(Relation.diagonal(f.cod))
-    full_a = EndoRelation(full_subobject(A, A))
+    cart = cartesian_comorphism(f, p_b)
+    jb_src = jet_bundle(full_subobject(A, A), cart.src.map)
+    jb_dst = jet_bundle(Relation.diagonal(f.cod), p_b.map)
     with pytest.raises(ShapeMismatch, match="^base map does not preserve the endo-relations$"):
-        global_jet(
-            cartesian_comorphism(f, p_b), {A: full_a, f.cod: wrong}
-        )
+        global_jet(cart, jb_src, jb_dst)
 
 
 def test_global_jet_functor_law_on_mixed_chain():
     f, ball_a, ball_b, p_b = two_point_setup()
-    rels = {A: ball_a, f.cod: ball_b}
     cart = cartesian_comorphism(f, p_b)
     smaller = FinSet("E3", ("a.x", "b.x", "c.x"))
     q = Bundle(FinMap(smaller, A, ("a", "b", "c")))
@@ -176,8 +172,11 @@ def test_global_jet_functor_law_on_mixed_chain():
         FinMap.identity(A), q, cart.src, verticals[0]
     )
     whole = comorphism_compose(cart, com_vert)
-    lhs = global_jet(whole, rels)
-    rhs = comorphism_compose(global_jet(cart, rels), global_jet(com_vert, rels))
+    jb_q = jet_bundle(ball_a.base, q.map)
+    jb_pulled = jet_bundle(ball_a.base, cart.src.map)
+    jb_b = jet_bundle(ball_b.base, p_b.map)
+    lhs = global_jet(whole, jb_q, jb_b)
+    rhs = comorphism_compose(global_jet(cart, jb_pulled, jb_b), global_jet(com_vert, jb_q, jb_pulled))
     assert lhs == rhs
 
 
@@ -219,25 +218,18 @@ def test_comorphism_compose_matches_the_reassociation_route(seed, n2, n1, n0):
 def test_global_jet_is_the_cartesian_image_then_the_fiber_functor(seed, empty):
     rng = random.Random(seed)
     f, ball_a, ball_b = rand_ball_pair(rng, 3)
-    rel_src = EndoRelation(Relation.from_pairs(f.dom, f.dom, [])) if empty else ball_a
-    morphism = check_preserves(f, f, rel_src.base, ball_b.base)
+    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a
+    morphism = check_preserves(f, f, rel_src, ball_b)
     # Fibers of size 0 occur, so some monads meet an empty fiber.
     c = random_comorphism(rng, f, rand_bundle(rng, f.cod, 2), "s")
     jb_pulled, cartesian_image = pointwise_cartesian_image(morphism, c.dst)
-    jb_src = jet_bundle(rel_src.base, c.src.map)
+    jb_src = jet_bundle(rel_src, c.src.map)
     moved = jet_on_vertical(jb_pulled, jb_src, c.vertical.arrow)
     vertical_image = vertical_comorphism(
         SliceMorphism(Bundle(jb_pulled.projection), Bundle(jb_src.projection), moved)
     )
     expected = comorphism_compose(cartesian_image, vertical_image)
-    assert global_jet(c, {f.dom: rel_src, f.cod: ball_b}) == expected
-
-
-def test_global_jet_names_an_object_without_a_relation():
-    f, ball_a, ball_b, p_b = two_point_setup()
-    with pytest.raises(ShapeMismatch) as info:
-        global_jet(cartesian_comorphism(f, p_b), {A: ball_a})
-    assert str(info.value) == "no endo-relation assigned to object 'B'"
+    assert global_jet(c, jb_src, jet_bundle(ball_b, c.dst.map)) == expected
 
 
 def test_distributivity_terminal_diagonal_trivial():

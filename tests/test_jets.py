@@ -38,7 +38,6 @@ from finjet.jets import (
 )
 from finjet.polyfun import Bundle, polynomial_product
 from finjet.relations import (
-    EndoRelation,
     Relation,
     RelationMorphism,
     ball_relation,
@@ -375,11 +374,9 @@ def mediating_map(morphism, p):
     """The mediating transport f*(J(p)) -> J(f*(p)) of an endo-relation
     morphism with f0 = f: the vertical part of the global jet functor's
     image of the Cartesian comorphism of p along f."""
-    rels = {
-        morphism.f.dom: EndoRelation(morphism.rel_src),
-        morphism.f.cod: EndoRelation(morphism.rel_dst),
-    }
-    return global_jet(cartesian_comorphism(morphism.f, Bundle(p)), rels).vertical
+    cart = cartesian_comorphism(morphism.f, Bundle(p))
+    jb_src = jet_bundle(morphism.rel_src, cart.src.map)
+    return global_jet(cart, jb_src, jet_bundle(morphism.rel_dst, p)).vertical
 
 
 def test_mediating_map_matches_pointwise_phi():
@@ -394,14 +391,14 @@ def test_mediating_map_matches_pointwise_phi():
 def test_mediating_map_matches_pointwise_phi_on_ball_pairs(seed, stage_size, empty):
     rng = random.Random(seed)
     f, ball_a, ball_b = rand_ball_pair(rng, 3)
-    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a.base
-    morphism = check_preserves(f, f, rel_src, ball_b.base)
+    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a
+    morphism = check_preserves(f, f, rel_src, ball_b)
     # Fibers of size 0 occur, so some monads meet an empty fiber.
     p = rand_bundle(rng, f.cod, 2).map
     jb_src, image = pointwise_cartesian_image(morphism, Bundle(p))
     mediated = mediating_map(morphism, p)
     assert mediated == image.vertical
-    ctx, jb_dst = PhiContext(morphism, p), jet_bundle(ball_b.base, p)
+    ctx, jb_dst = PhiContext(morphism, p), jet_bundle(ball_b, p)
     # At a stage of any size: transporting a generalized element of the
     # pulled-back total agrees with phi and classify on the jet it names.
     sq = pullback(f, jb_dst.projection)
@@ -487,13 +484,13 @@ def test_phi_equals_yoneda_tabulation_on_fixture_morphisms():
 def test_phi_equals_yoneda_tabulation_on_ball_pairs(seed, stage_size, empty):
     rng = random.Random(seed)
     f, ball_a, ball_b = rand_ball_pair(rng, 3)
-    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a.base
-    morphism = check_preserves(f, f, rel_src, ball_b.base)
+    rel_src = Relation.from_pairs(f.dom, f.dom, []) if empty else ball_a
+    morphism = check_preserves(f, f, rel_src, ball_b)
     p = rand_bundle(rng, f.cod, 2).map
     ctx = PhiContext(morphism, p)
     stage = FinSet("X", tuple(f"x{i}" for i in range(stage_size)))
     a0 = rand_map(rng, stage, f.dom)
-    for j in enumerate_jets(ball_b.base, compose(f, a0), p):
+    for j in enumerate_jets(ball_b, compose(f, a0), p):
         moved = phi(ctx, a0, j)
         assert moved.underlying == phi_tabulated(ctx, a0, j)
         if empty or stage_size == 0:

@@ -6,6 +6,8 @@ import pytest
 
 import finjet.fibdual as fibdual
 import finjet.instances as instances
+import finjet.jets as jets
+import finjet.reference as reference
 import finjet.suites as suites
 from finjet.cli import main
 from finjet.finset import FinMap, FinSet, pullback
@@ -233,3 +235,28 @@ def test_one_terminality_instance_builds_one_jet_bundle(monkeypatch):
         if calls["distributivity_terminal"] == 3:
             break
     assert calls == {"jet_bundle": 1, "distributivity_terminal": 3}
+
+
+def test_one_global_functor_instance_builds_each_jet_bundle_once(monkeypatch):
+    """A global-functor instance builds J(p1) to J(p4) once each and one
+    J(f*(p)) per comorphism it checks pointwise: 9 jet bundles.  `global_jet`
+    reads J of its ends from the caller and builds none."""
+    calls = 0
+    real = jets.jet_bundle
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("global_jet built a jet bundle")
+
+    monkeypatch.setattr(jets, "jet_bundle", counted)
+    monkeypatch.setattr(reference, "jet_bundle", counted)
+    monkeypatch.setattr(fibdual, "jet_bundle", refuse)
+    for index in range(3):
+        calls = 0
+        passed, failed, counterexample = _instance(("global-functor", 42, index, 3, 3))
+        assert passed > 0 and (failed, counterexample) == (0, None)
+        assert calls == 9

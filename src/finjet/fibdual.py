@@ -8,18 +8,16 @@ Equality of comorphisms is then table equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ShapeMismatch
-from .finset import FinMap, Span, compose, pair_name, pullback
+from .finset import FinMap, Frozen, Span, compose, pair_name, pullback
 from .jets import JetBundle, jet_bundle
 from .kripke import canonicalize
 from .polyfun import Bundle, SliceMorphism, pullback_bundle, relabel_identity
 from .relations import check_preserves
 
 
-@dataclass(frozen=True)
-class Comorphism:
+class Comorphism(Frozen):
     """An arrow of the fibrewise dual fibration, in canonical vh form."""
 
     over: FinMap  # f: A' -> A
@@ -27,12 +25,16 @@ class Comorphism:
     dst: Bundle  # over A
     vertical: SliceMorphism  # f*(dst) -> src, over A'
 
-    def __post_init__(self):
-        if self.src.base != self.over.dom or self.dst.base != self.over.cod:
+    def __init__(self, over: FinMap, src: Bundle, dst: Bundle, vertical: SliceMorphism):
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "vertical", vertical)
+        if src.base != over.dom or dst.base != over.cod:
             raise ShapeMismatch("bundles do not sit over the ends of the base map")
-        if self.vertical.src != pullback_bundle(self.over, self.dst):
+        if vertical.src != pullback_bundle(over, dst):
             raise ShapeMismatch("vertical part does not start at the canonical pullback")
-        if self.vertical.dst != self.src:
+        if vertical.dst != src:
             raise ShapeMismatch("vertical part does not end at the source bundle")
 
     @staticmethod

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -24,7 +23,7 @@ class cached_property:
     `functools.cached_property` does the same but takes a lock on every
     first access on Python 3.11, which costs more than twice as much; finjet's
     objects are immutable and built by one thread, so no lock is needed.
-    Frozen dataclasses accept the write because it bypasses `__setattr__`,
+    `Frozen` records accept the write because it bypasses `__setattr__`,
     and pickling carries the stored values along with the fields.
     """
 
@@ -38,6 +37,48 @@ class cached_property:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+class Frozen:
+    """Base of finjet's immutable records; it generates no code.
+
+    A record's fields are its class's own annotations, in order (`_fields`).
+    Each record writes its `__init__`: it stores every field with
+    `object.__setattr__`, then checks its invariant.  The base makes
+    assignment and deletion raise AttributeError, hashes the field tuple,
+    prints `Cls(field=value, ...)` and compares field by field; records that
+    a check run compares often write the faster field-tuple `__eq__`.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        # A class body that defines `__eq__` gets `__hash__ = None`.
+        if cls.__hash__ is None:
+            cls.__hash__ = Frozen.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def pair_name(a: str, b: str) -> str:
@@ -57,21 +98,22 @@ def table_label(anchor: str, entries: Iterable[str]) -> str:
     return f"({anchor}|{digest})"
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(Frozen):
     """A named finite set with a fixed element order."""
 
     name: str
     elements: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"duplicate elements in finite set {self.name!r}")
+    def __init__(self, name: str, elements: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"duplicate elements in finite set {name!r}")
 
     def __eq__(self, other) -> bool:
         """Equal name and elements, decided at once for the same object,
-        which is most comparisons (every compose and pullback guard).  The
-        dataclass still generates `__hash__` from both fields."""
+        which is most comparisons (every compose and pullback guard).
+        `Frozen` still supplies `__hash__` from both fields."""
         if self is other:
             return True
         if other.__class__ is not self.__class__:
@@ -105,15 +147,22 @@ def probe_stage(size: int) -> FinSet:
     return FinSet(f"stage{size}", tuple(f"x{i}" for i in range(size)))
 
 
-@dataclass(frozen=True)
-class FinMap:
+class FinMap(Frozen):
     """A total map between finite sets, stored as the value tuple in dom order."""
 
     dom: FinSet
     cod: FinSet
     values: tuple[str, ...]
 
+    def __init__(self, dom: FinSet, cod: FinSet, values: tuple[str, ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
+
     def __post_init__(self):
+        """The constructor's validation, a method of its own under this name
+        because the benchmark's tracer patches it to count and time it."""
         if len(self.values) != len(self.dom):
             raise ValueError("map table does not cover the domain")
         index = self.cod.index
@@ -121,9 +170,14 @@ class FinMap:
             if v not in index:
                 raise ValueError(f"value {v!r} not in codomain {self.cod.name!r}")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.values) == (other.dom, other.cod, other.values)
+        return NotImplemented
+
     @staticmethod
     def _make(dom, cod, values) -> "FinMap":
-        """The map with these fields, without running `__post_init__`.
+        """The map with these fields, without running its validation.
 
         Each trusted class has one such `_make`, taking its fields in
         declaration order, only for values valid by construction: every field
@@ -188,16 +242,22 @@ def is_monic(f: FinMap) -> bool:
     return len(set(f.values)) == len(f.values)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """Two maps out of a shared apex: left: M -> A, right: M -> X."""
 
     left: FinMap
     right: FinMap
 
-    def __post_init__(self):
-        if self.left.dom != self.right.dom:
+    def __init__(self, left: FinMap, right: FinMap):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        if left.dom != right.dom:
             raise ValueError("span legs must share their domain")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
 
     @staticmethod
     def _make(left, right) -> "Span":

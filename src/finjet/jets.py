@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ShapeMismatch, WorkspaceError
-from .finset import FinMap, FinSet, Span, cached_property, compose, pair_name, pullback
+from .finset import FinMap, FinSet, Frozen, Span, cached_property, compose, pair_name, pullback
 from .kripke import PartialMapAtStage, SubobjectAtStage, stage_restrict
 from .polyfun import (
     Bundle,
@@ -21,8 +20,7 @@ from .polyfun import (
 from .relations import Relation, RelationMorphism, monad
 
 
-@dataclass(frozen=True)
-class SectionJet:
+class SectionJet(Frozen):
     """A partial map that splits the bundle p: E -> A over its support, which
     is exactly the monad of `at`."""
 
@@ -31,19 +29,33 @@ class SectionJet:
     relation: Relation  # from A to A0
     at: FinMap  # b: X -> A0
 
-    def __post_init__(self):
-        if self.bundle.dom != self.underlying.target:
+    def __init__(
+        self, underlying: PartialMapAtStage, bundle: FinMap, relation: Relation, at: FinMap
+    ):
+        object.__setattr__(self, "underlying", underlying)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "at", at)
+        support = underlying.support
+        if bundle.dom != underlying.target:
             raise ValueError("bundle total is not the partial map's target")
-        if self.bundle.cod != self.support.over:
+        if bundle.cod != support.over:
             raise ValueError("bundle base is not the partial map's object")
-        for (a, _), e in zip(self.support.pairs, self.underlying.values):
-            if self.bundle(e) != a:
+        for (a, _), e in zip(support.pairs, underlying.values):
+            if bundle(e) != a:
                 raise ValueError(f"value {e!r} is not in the fiber over {a!r}")
-        if self.at.cod != self.relation.stage:
+        if at.cod != relation.stage:
             raise ShapeMismatch("base element does not land in the relation's destination")
-        _require_over(self.relation, self.bundle)
-        if self.support != monad(self.relation, self.at):
+        _require_over(relation, bundle)
+        if support != monad(relation, at):
             raise ValueError("support is not the monad of the base element")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.underlying, self.bundle, self.relation, self.at) == (
+                other.underlying, other.bundle, other.relation, other.at
+            )
+        return NotImplemented
 
     @staticmethod
     def _make(underlying, bundle, relation, at) -> "SectionJet":
@@ -139,15 +151,16 @@ def map_jet(j: SectionJet, r_map: FinMap, p: FinMap) -> SectionJet:
     return SectionJet(pm, p, j.relation, j.at)
 
 
-@dataclass(frozen=True)
-class PhiContext:
+class PhiContext(Frozen):
     """A relation morphism with the canonical pullback of the bundle along f."""
 
     morphism: RelationMorphism
     bundle: FinMap  # p: E -> B, over the target relation's source
 
-    def __post_init__(self):
-        if self.bundle.cod != self.morphism.rel_dst.over:
+    def __init__(self, morphism: RelationMorphism, bundle: FinMap):
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "bundle", bundle)
+        if bundle.cod != morphism.rel_dst.over:
             raise ShapeMismatch("bundle does not live over the target relation's source")
 
     @cached_property
@@ -184,8 +197,7 @@ def phi(ctx: PhiContext, a0: FinMap, j: SectionJet) -> SectionJet:
     return _make_jet(mor.rel_src, a0, support, ctx.pulled, tuple(values))
 
 
-@dataclass(frozen=True)
-class JetBundle:
+class JetBundle(Frozen):
     """The bundle over A0 whose fiber at a0 collects all section jets at a0.
 
     `sections` holds every jet table over the relation's columns: its
@@ -200,6 +212,11 @@ class JetBundle:
     relation: Relation  # from A to A0
     bundle: FinMap  # p: E -> A
     sections: SectionTables  # over the columns of the relation
+
+    def __init__(self, relation: Relation, bundle: FinMap, sections: SectionTables):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "sections", sections)
 
     @property
     def total(self) -> FinSet:

@@ -9,13 +9,13 @@ re-association maps are constructed explicitly instead of being assumed away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
+    Frozen,
     Span,
     cached_property,
     compose,
@@ -27,11 +27,18 @@ from .finset import (
 )
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Frozen):
     """An object of the slice over its codomain: a map E -> A."""
 
     map: FinMap
+
+    def __init__(self, map: FinMap):
+        object.__setattr__(self, "map", map)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.map,) == (other.map,)
+        return NotImplemented
 
     @property
     def total(self) -> FinSet:
@@ -45,20 +52,22 @@ class Bundle:
         return self.map.fiber(a)
 
 
-@dataclass(frozen=True)
-class SliceMorphism:
+class SliceMorphism(Frozen):
     """A map between bundle totals commuting over the shared base."""
 
     src: Bundle
     dst: Bundle
     arrow: FinMap
 
-    def __post_init__(self):
-        if self.src.base != self.dst.base:
+    def __init__(self, src: Bundle, dst: Bundle, arrow: FinMap):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "arrow", arrow)
+        if src.base != dst.base:
             raise ShapeMismatch("slice morphism between bundles over different bases")
-        if self.arrow.dom != self.src.total or self.arrow.cod != self.dst.total:
+        if arrow.dom != src.total or arrow.cod != dst.total:
             raise ShapeMismatch("arrow does not run between the bundle totals")
-        if compose(self.dst.map, self.arrow) != self.src.map:
+        if compose(dst.map, arrow) != src.map:
             raise ShapeMismatch("arrow does not commute over the base")
 
     @staticmethod
@@ -123,8 +132,7 @@ def relabel_identity(p: Bundle) -> SliceMorphism:
     return SliceMorphism(Bundle(sq.left), p, sq.right)
 
 
-@dataclass(frozen=True)
-class SectionTables:
+class SectionTables(Frozen):
     """Every section of a bundle q over each fiber of a family.
 
     `fibers` maps each base point b to the points its sections are defined
@@ -139,6 +147,11 @@ class SectionTables:
     fibers: Mapping[str, tuple[str, ...]]
     projection: FinMap  # sections -> base points
     q: FinMap  # the bundle the sections choose values in
+
+    def __init__(self, fibers: Mapping[str, tuple[str, ...]], projection: FinMap, q: FinMap):
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "q", q)
 
     @cached_property
     def tables(self) -> tuple[tuple[str, ...], ...]:
@@ -216,8 +229,7 @@ def section_tables(
     return SectionTables(fibers, FinMap._make(total, base, tuple(bases)), q)
 
 
-@dataclass(frozen=True)
-class DependentProduct:
+class DependentProduct(Frozen):
     """The right adjoint to pullback along `along`, applied to `input`.
 
     The fiber of `result` at b is the set of sections of `input` over the
@@ -230,6 +242,11 @@ class DependentProduct:
     along: FinMap  # d: M -> B
     input: Bundle  # q over M
     sections: SectionTables  # over the fibers of d
+
+    def __init__(self, along: FinMap, input: Bundle, sections: SectionTables):
+        object.__setattr__(self, "along", along)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "sections", sections)
 
     @property
     def result(self) -> Bundle:
@@ -270,13 +287,17 @@ def dependent_product_map(
     return SliceMorphism._make(dp_src.result, dp_dst.result, arrow)
 
 
-@dataclass(frozen=True)
-class AdjunctionBijection:
+class AdjunctionBijection(Frozen):
     """Explicit mutually inverse transposition maps for pullback -| product."""
 
     left: Bundle  # y over B
     product: DependentProduct  # of q over M along d: M -> B
     square: Span  # of (d, left.map)
+
+    def __init__(self, left: Bundle, product: DependentProduct, square: Span):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "square", square)
 
     @property
     def along(self) -> FinMap:
@@ -321,8 +342,7 @@ def adjunction_bijection(d: FinMap, y: Bundle, q: Bundle) -> AdjunctionBijection
     return AdjunctionBijection(y, dependent_product(d, q), pullback(d, y.map))
 
 
-@dataclass(frozen=True)
-class PolynomialProduct:
+class PolynomialProduct(Frozen):
     """The composite polynomial functor d_*c^* at a bundle p, with the parts
     it is built from: the span (c, d), the canonical square c*(p) and the
     dependent product of the square's left leg along d.  Its one builder is
@@ -333,6 +353,12 @@ class PolynomialProduct:
     p: Bundle  # over A
     square: Span  # canonical pullback of (c, p.map)
     product: DependentProduct  # of square.left along d
+
+    def __init__(self, span: Span, p: Bundle, square: Span, product: DependentProduct):
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "square", square)
+        object.__setattr__(self, "product", product)
 
 
 def polynomial_product(span: Span, p: Bundle) -> PolynomialProduct:
@@ -366,8 +392,7 @@ def polynomial_map(
     return SliceMorphism._make(dp_src.product.result, dp_dst.product.result, arrow)
 
 
-@dataclass(frozen=True)
-class SpanMorphism:
+class SpanMorphism(Frozen):
     """A commuting morphism between two spans (not assumed jointly monic).
 
         A' <--src.left-- M' --src.right--> B'
@@ -381,10 +406,15 @@ class SpanMorphism:
     on_mid: FinMap
     on_right: FinMap
 
-    def __post_init__(self):
-        if compose(self.dst.left, self.on_mid) != compose(self.on_left, self.src.left):
+    def __init__(self, src: Span, dst: Span, on_left: FinMap, on_mid: FinMap, on_right: FinMap):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "on_left", on_left)
+        object.__setattr__(self, "on_mid", on_mid)
+        object.__setattr__(self, "on_right", on_right)
+        if compose(dst.left, on_mid) != compose(on_left, src.left):
             raise ShapeMismatch("left square does not commute")
-        if compose(self.dst.right, self.on_mid) != compose(self.on_right, self.src.right):
+        if compose(dst.right, on_mid) != compose(on_right, src.right):
             raise ShapeMismatch("right square does not commute")
 
     def right_square_is_pullback(self) -> bool:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ShapeMismatch
-from .finset import FinMap, compose, element
+from .finset import FinMap, Frozen, compose, element
 from .kripke import SubobjectAtStage, change_of_stage
 
 # A relation from A to A0 is the subobject of A at stage A0: `over` is the
@@ -43,19 +42,18 @@ def require_endo(r: Relation) -> None:
         raise ShapeMismatch("operation requires an endo-relation")
 
 
-@dataclass(frozen=True)
-class EndoRelation:
+class EndoRelation(Frozen):
     """A relation from an object to itself: the record `ball_relation`
     returns.  Library functions take the plain relation, `base`."""
 
     base: Relation
 
-    def __post_init__(self):
-        require_endo(self.base)
+    def __init__(self, base: Relation):
+        object.__setattr__(self, "base", base)
+        require_endo(base)
 
 
-@dataclass(frozen=True)
-class RelationMorphism:
+class RelationMorphism(Frozen):
     """A pair of maps carrying one relation into another."""
 
     f: FinMap  # A -> B
@@ -63,8 +61,12 @@ class RelationMorphism:
     rel_src: Relation  # from A to A0
     rel_dst: Relation  # from B to B0
 
-    def __post_init__(self):
-        lost = _unpreserved_pair(self.f, self.f0, self.rel_src, self.rel_dst)
+    def __init__(self, f: FinMap, f0: FinMap, rel_src: Relation, rel_dst: Relation):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "rel_src", rel_src)
+        object.__setattr__(self, "rel_dst", rel_dst)
+        lost = _unpreserved_pair(f, f0, rel_src, rel_dst)
         if lost is not None:
             raise ValueError(f"pair ({lost[0]},{lost[1]}) is not preserved")
 

@@ -13,7 +13,6 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from . import fibdual, jets, kripke, polyfun, reference, relations
@@ -21,6 +20,7 @@ from .errors import ShapeMismatch
 from .finset import (
     FinMap,
     FinSet,
+    Frozen,
     Span,
     all_maps,
     compose,
@@ -921,8 +921,7 @@ CAPS: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Frozen):
     suite: str
     seed: int
     max_obj: int
@@ -932,6 +931,20 @@ class SuiteReport:
     passed: int
     failed: int
     first_counterexample: Optional[str]
+
+    def __init__(
+        self, suite, seed, max_obj, max_fiber, trials, instances, passed, failed,
+        first_counterexample,
+    ):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_obj", max_obj)
+        object.__setattr__(self, "max_fiber", max_fiber)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "first_counterexample", first_counterexample)
 
     @property
     def ok(self) -> bool:

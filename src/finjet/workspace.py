@@ -22,7 +22,6 @@ error message, goes through the per-entry reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import WorkspaceError
@@ -31,12 +30,25 @@ from .polyfun import Bundle
 from .relations import Relation
 
 
-@dataclass
 class Workspace:
-    objects: dict[str, FinSet] = field(default_factory=dict)
-    maps: dict[str, FinMap] = field(default_factory=dict)
-    relations: dict[str, Relation] = field(default_factory=dict)
-    bundles: dict[str, Bundle] = field(default_factory=dict)
+    """Named objects, maps, relations and bundles; equal when all four tables are."""
+
+    def __init__(
+        self,
+        objects: Optional[dict[str, FinSet]] = None,
+        maps: Optional[dict[str, FinMap]] = None,
+        relations: Optional[dict[str, Relation]] = None,
+        bundles: Optional[dict[str, Bundle]] = None,
+    ):
+        self.objects = {} if objects is None else objects
+        self.maps = {} if maps is None else maps
+        self.relations = {} if relations is None else relations
+        self.bundles = {} if bundles is None else bundles
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def map(self, name: str) -> FinMap:
         return self._get(self.maps, name, "map")

@@ -315,7 +315,7 @@ def _builder_classes() -> dict[str, type]:
 
 
 def _fields(obj) -> tuple:
-    return tuple(getattr(obj, name) for name in obj.__dataclass_fields__)
+    return tuple(getattr(obj, name) for name in obj._fields)
 
 
 # One valid field tuple per class with a builder, in declaration order.
@@ -338,7 +338,7 @@ def test_each_builder_writes_its_fields_and_matches_the_constructor():
     classes = _builder_classes()
     assert set(classes) == set(VALID_FIELDS)
     for name, cls in classes.items():
-        fields = list(cls.__dataclass_fields__)
+        fields = list(cls._fields)
         sentinels = [object() for _ in fields]
         obj = cls._make(*sentinels)
         assert type(obj) is cls, name
@@ -612,22 +612,33 @@ ERROR_CLASSES = {"FinjetError", "ShapeMismatch", "WorkspaceError"}
 RAISED = {"ShapeMismatch", "WorkspaceError", "ValueError", "SystemExit"}
 
 
+def _raised(node: ast.Raise) -> str:
+    call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(call) if call is not None else "<bare raise>"
+
+
 def test_one_error_class_per_boundary():
     """`errors.py` holds the base class and one class per boundary:
     `ShapeMismatch` for a library call whose arguments do not fit,
     `WorkspaceError` for outside input. No module imports any other name from
     it, and every `raise` in the package names one of those two, `ValueError`
-    (a broken constructor invariant, a bug) or `SystemExit`."""
+    (a broken constructor invariant, a bug) or `SystemExit`, except the
+    frozen guard: the two `AttributeError`s of finset's `Frozen` base."""
     package = Path(finjet.__file__).parent
     defined = ast.parse((package / "errors.py").read_text()).body
     assert {node.name for node in defined if isinstance(node, ast.ClassDef)} == ERROR_CLASSES
-    imported, raised = set(), set()
+    imported, raised, guards = set(), set(), []
     for path in [*sorted(package.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "errors":
                 imported |= {alias.name for alias in node.names}
             elif isinstance(node, ast.Raise) and path.parent == package:
-                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.add(ast.unparse(call) if call is not None else "<bare raise>")
+                raised.add(_raised(node))
+                if _raised(node) == "AttributeError":
+                    guards.append(path.name)
     assert imported <= ERROR_CLASSES
-    assert raised <= RAISED
+    assert raised <= RAISED | {"AttributeError"}
+    finset = ast.parse((package / "finset.py").read_text()).body
+    frozen = next(node for node in finset if isinstance(node, ast.ClassDef) and node.name == "Frozen")
+    in_frozen = [n for n in ast.walk(frozen) if isinstance(n, ast.Raise) and _raised(n) == "AttributeError"]
+    assert guards == ["finset.py"] * len(in_frozen) == ["finset.py"] * 2

@@ -1,15 +1,24 @@
+import importlib
+import inspect
 import itertools
+import os
 import pickle
-from dataclasses import dataclass
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finjet
 from finjet.errors import ShapeMismatch
 from finjet.finset import (
     FinMap,
     FinSet,
+    Frozen,
     Span,
     all_maps,
     cached_property,
@@ -22,8 +31,10 @@ from finjet.finset import (
     pullback,
     span_leq,
 )
-from finjet.jets import jet_bundle
+from finjet.jets import PhiContext, jet_bundle
 from finjet.kripke import SubobjectAtStage
+from finjet.polyfun import Bundle, dependent_product
+from finjet.relations import check_preserves
 from strategies import (
     constant_map,
     element_names,
@@ -350,11 +361,13 @@ def test_span_leq_antisymmetric_up_to_iso():
     assert compose(mu, nu) == FinMap.identity(m2)
 
 
-@dataclass(frozen=True)
-class _Counted:
+class _Counted(Frozen):
     """A frozen record whose cached attribute counts its computations."""
 
     calls: list
+
+    def __init__(self, calls: list):
+        object.__setattr__(self, "calls", calls)
 
     @cached_property
     def value(self) -> int:
@@ -388,3 +401,95 @@ def test_cached_values_survive_pickling():
     assert jb2 == jb and u2 == u
     assert jb2.__dict__["generic_jet"] == generic
     assert (u2.__dict__["pair_set"], u2.__dict__["span"]) == (pair_set, span)
+
+
+MODULES = [importlib.import_module(f"finjet.{m.name}") for m in pkgutil.iter_modules(finjet.__path__)]
+
+
+RECORDS = sorted(
+    (cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("finjet.")),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _bare(cls: type, values: list):
+    """A record of cls holding `values` in its fields, built without its checks."""
+    obj = cls.__new__(cls)
+    vars(obj).update(zip(cls._fields, values))
+    return obj
+
+
+def test_every_annotated_class_is_a_record():
+    """A finjet class with annotated fields is a `Frozen` record, so every
+    test over RECORDS sees it."""
+    annotated = {
+        cls
+        for module in MODULES
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and cls.__annotations__
+    }
+    assert annotated == set(RECORDS) and len(RECORDS) == 19
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_and_compare_by_their_fields(cls):
+    """The constructor takes the fields in declaration order; equal fields give
+    equal records with the hash of the field tuple; assignment and deletion
+    raise; the repr names every field; pickling keeps the record."""
+    params = list(inspect.signature(cls.__init__).parameters)
+    assert params == ["self", *cls._fields]
+    values = [f"{cls.__name__}.{name}" for name in cls._fields]
+    record = _bare(cls, values)
+    assert record == _bare(cls, values)
+    assert hash(record) == hash(_bare(cls, values)) == hash(tuple(values))
+    assert record != _bare(cls, values[:-1] + ["other"])
+    for name in cls._fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, "other")
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert vars(record) == dict(zip(cls._fields, values))
+    if "__repr__" not in vars(cls):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+        assert repr(record) == f"{cls.__name__}({fields})"
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_cached_properties_store_into_the_record():
+    """Every cached property of every record class, read on a real record,
+    lands in the record's `__dict__`, past the frozen guard."""
+    a, e, p, ball = fixture_p3_parts()
+    jb = jet_bundle(ball.base, p)
+    ident = FinMap.identity(a)
+    records = [
+        a,
+        p,
+        ball.base,
+        jb.generic_jet.underlying,
+        PhiContext(check_preserves(ident, ident, ball.base, ball.base), p),
+        jb,
+        jb.sections,
+        dependent_product(p, Bundle(FinMap.identity(e))),
+    ]
+    cached = {
+        cls for cls in RECORDS if any(isinstance(v, cached_property) for v in vars(cls).values())
+    }
+    assert {type(record) for record in records} == cached
+    for record in records:
+        for name, attr in vars(type(record)).items():
+            if isinstance(attr, cached_property):
+                value = getattr(record, name)
+                assert vars(record)[name] is value is getattr(record, name)
+
+
+def test_importing_the_cli_generates_no_code():
+    """The records are plain classes: importing the CLI loads no
+    `dataclasses`, and no module of the package generates code."""
+    code = "import sys, finjet.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(finjet.__file__).parent.parent)},
+    )
+    assert result.stdout == "False\n"
+    for path in Path(finjet.__file__).parent.glob("*.py"):
+        assert not re.search(r"\bexec\(|\bcompile\(|dataclass", path.read_text()), path.name

@@ -454,6 +454,26 @@ def test_yoneda_rejects_unstable_law():
     )
 
 
+@pytest.mark.parametrize("off", ["codomain", "stage"])
+def test_yoneda_rejects_a_law_off_its_codomain_or_stage(off):
+    """Right values at every probe, but into a copy of E or on a copy of
+    the probe stage: unstable all the same."""
+    u = SubobjectAtStage.from_pairs(A, X, [("a1", "x1"), ("a2", "x1")])
+
+    def law(a, alpha):
+        if a.dom == u.span.apex:
+            return constant_map(a.dom, E, "e1")
+        if off == "codomain":
+            return constant_map(a.dom, FinSet("E2", E.elements), "e1")
+        return constant_map(FinSet("Y", a.dom.elements), E, "e1")
+
+    with pytest.raises(ShapeMismatch) as raised:
+        yoneda_construct(u, law)
+    assert str(raised.value) == (
+        "law is not stable along the probe FinMap(stage1->sub(A,X): x0->(a1,x1))"
+    )
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_yoneda_evaluates_the_law_at_every_probe(n):
     # Once on the canonical legs, then once per map from the probe stages of

@@ -179,17 +179,18 @@ class FinMap(Frozen):
     def _make(dom, cod, values) -> "FinMap":
         """The map with these fields, without running its validation.
 
-        Each trusted class has one such `_make`, taking its fields in
-        declaration order, only for values valid by construction: every field
-        comes from validated objects through an operation that preserves
-        validity.  Input a user can reach with raw values (parse_workspace,
-        element, the public constructors and `from_*` methods, the instance
-        generators) always goes through the checked constructor.  An apex
-        element named by `pair_name` is valid when its pair is known to be in
-        the apex: `pair_into_pullback` compares both legs, `member` tests the
-        pair set, and `phi`, `global_jet` and `polynomial_map` pair a point
-        with a value in the fiber over its image.  A test swaps every `_make`
-        for its checked constructor and requires identical output.
+        Eight classes have such a `_make`, taking their fields in declaration
+        order, for values valid by construction: every field comes from
+        validated objects through an operation that preserves validity,
+        after that operation's own guards.  So each property is checked once,
+        by a suite or a test, not on every build.  The rule, which
+        `tests/test_boundary.py` pins both ways: `cli`, `workspace` and
+        `instances`, which take outside input, never call a `_make`; the
+        library modules call a checked constructor only where a raw value
+        may arrive, in `element` and in the escape branch of `from_pairs`
+        (`test_checked_constructors_run_only_at_the_boundary`).  A test
+        swaps every `_make` for its checked constructor and requires
+        identical output.
         """
         obj = object.__new__(FinMap)
         d = obj.__dict__
@@ -295,7 +296,7 @@ def span_leq(s: Span, s2: Span) -> Optional[FinMap]:
         if target is None:
             return None
         values.append(target)
-    return FinMap(s.apex, s2.apex, tuple(values))
+    return FinMap._make(s.apex, s2.apex, tuple(values))
 
 
 def canonical_span(

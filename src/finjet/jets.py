@@ -147,8 +147,7 @@ def map_jet(j: SectionJet, r_map: FinMap, p: FinMap) -> SectionJet:
     """Push a jet of q forward along a vertical r_map: total(q) -> total(p)."""
     if compose(p, r_map) != j.bundle:
         raise ShapeMismatch("map does not commute over the base")
-    pm = PartialMapAtStage(j.support, p.dom, tuple(r_map(v) for v in j.underlying.values))
-    return SectionJet(pm, p, j.relation, j.at)
+    return _make_jet(j.relation, j.at, j.support, p, tuple(map(r_map, j.underlying.values)))
 
 
 class PhiContext(Frozen):
@@ -320,4 +319,4 @@ def polynomial_product_iso(
     ]
     result = poly.product.result
     arrow = FinMap._make(result.total, jb.total, tuple(values))
-    return poly, jb, SliceMorphism(result, Bundle(jb.projection), arrow)
+    return poly, jb, SliceMorphism._make(result, Bundle(jb.projection), arrow)

@@ -99,7 +99,7 @@ class SubobjectAtStage(Frozen):
                 keyed[oi[a] * width + si[x]] = (a, x)
             except KeyError:
                 return cls(over, stage, ((a, x),))  # raises: the pair escapes
-        return cls(over, stage, tuple(map(keyed.__getitem__, sorted(keyed))))
+        return cls._make(over, stage, tuple(map(keyed.__getitem__, sorted(keyed))))
 
     @classmethod
     def _from_stage_major(
@@ -121,7 +121,7 @@ class SubobjectAtStage(Frozen):
 
     @classmethod
     def diagonal(cls, a: FinSet) -> "SubobjectAtStage":
-        return cls(a, a, tuple((x, x) for x in a))
+        return cls._make(a, a, tuple((x, x) for x in a))
 
     @cached_property
     def pair_set(self) -> frozenset[tuple[str, str]]:
@@ -259,7 +259,7 @@ class PartialMapAtStage(Frozen):
     @cached_property
     def leg(self) -> FinMap:
         """The value table as a map out of the canonical apex."""
-        return FinMap(self.support.span.apex, self.target, self.values)
+        return FinMap._make(self.support.span.apex, self.target, self.values)
 
 
 def value(s: PartialMapAtStage, a: FinMap, alpha: FinMap) -> FinMap:
@@ -273,7 +273,7 @@ def value(s: PartialMapAtStage, a: FinMap, alpha: FinMap) -> FinMap:
 def postcompose(q: FinMap, s: PartialMapAtStage) -> PartialMapAtStage:
     if q.dom != s.target:
         raise ShapeMismatch("map does not start at the partial map's target")
-    return PartialMapAtStage(s.support, q.cod, tuple(q(v) for v in s.values))
+    return PartialMapAtStage._make(s.support, q.cod, tuple(q(v) for v in s.values))
 
 
 def precompose(s: PartialMapAtStage, f: FinMap) -> PartialMapAtStage:
@@ -281,9 +281,8 @@ def precompose(s: PartialMapAtStage, f: FinMap) -> PartialMapAtStage:
     if f.cod != s.support.over:
         raise ShapeMismatch("map does not land in the partial map's object")
     support = counterimage(f, s.support)
-    return PartialMapAtStage(
-        support, s.target, tuple(s.table[(f(a2), x)] for a2, x in support.pairs)
-    )
+    values = tuple(s.table[(f(a2), x)] for a2, x in support.pairs)
+    return PartialMapAtStage._make(support, s.target, values)
 
 
 def stage_restrict(s: PartialMapAtStage, alpha: FinMap) -> PartialMapAtStage:
@@ -336,7 +335,7 @@ def yoneda_construct(u: SubobjectAtStage, law: ValueLaw) -> PartialMapAtStage:
             if (via_law.dom, via_law.cod, via_law.values) != expected:
                 beta = FinMap._make(probe, legs.apex, tuple([legs.apex.elements[i] for i in at]))
                 raise ShapeMismatch(f"law is not stable along the probe {beta!r}")
-    return PartialMapAtStage(u, tabulated.cod, tabulated.values)
+    return PartialMapAtStage._make(u, tabulated.cod, tabulated.values)
 
 
 def law_of(s: PartialMapAtStage) -> ValueLaw:

@@ -97,9 +97,8 @@ def invert_slice(m: SliceMorphism) -> SliceMorphism:
     if not m.is_iso():
         raise ShapeMismatch("slice morphism is not invertible")
     back = {v: e for e, v in zip(m.src.total.elements, m.arrow.values)}
-    return SliceMorphism(
-        m.dst, m.src, FinMap(m.dst.total, m.src.total, tuple(back[e] for e in m.dst.total))
-    )
+    arrow = FinMap._make(m.dst.total, m.src.total, tuple(back[e] for e in m.dst.total))
+    return SliceMorphism._make(m.dst, m.src, arrow)
 
 
 def slice_homs(src: Bundle, dst: Bundle) -> Iterator[SliceMorphism]:
@@ -129,7 +128,7 @@ def pullback_vertical(v: SliceMorphism, sq_src: Span, sq_dst: Span) -> SliceMorp
 def relabel_identity(p: Bundle) -> SliceMorphism:
     """The canonical iso id*(p) -> p (pullback along the identity relabels pairs)."""
     sq = pullback(FinMap.identity(p.base), p.map)
-    return SliceMorphism(Bundle(sq.left), p, sq.right)
+    return SliceMorphism._make(Bundle(sq.left), p, sq.right)
 
 
 class SectionTables(Frozen):
@@ -442,5 +441,5 @@ def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:
             for m2 in sm.src.right.fiber(b2)
         )
         values.append(dp2.sections.element_for(b2, table))
-    arrow = FinMap(sq_g.apex, dp2.result.total, tuple(values))
-    return SliceMorphism(Bundle(sq_g.left), dp2.result, arrow)
+    arrow = FinMap._make(sq_g.apex, dp2.result.total, tuple(values))
+    return SliceMorphism._make(Bundle(sq_g.left), dp2.result, arrow)

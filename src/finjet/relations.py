@@ -83,11 +83,8 @@ class RelationMorphism(Frozen):
     def then(self, outer: "RelationMorphism") -> "RelationMorphism":
         if outer.rel_src != self.rel_dst:
             raise ShapeMismatch("relation morphisms do not chain")
-        return RelationMorphism(
-            compose(outer.f, self.f),
-            compose(outer.f0, self.f0),
-            self.rel_src,
-            outer.rel_dst,
+        return RelationMorphism._make(
+            compose(outer.f, self.f), compose(outer.f0, self.f0), self.rel_src, outer.rel_dst
         )
 
 

@@ -321,9 +321,12 @@ def suite_yoneda(t: _Checker, rng: random.Random, max_obj: int, max_fiber: int) 
     q_cod = rand_finset(rng, "F", max_obj, min_size=1)
     q = t.put("q", rand_map(rng, e, q_cod))
     if f is not None:
+        pre, post = kripke.precompose(s, f), kripke.postcompose(q, s)
+        legs = pre.support.span
         t.check(
-            kripke.postcompose(q, kripke.precompose(s, f))
-            == kripke.precompose(kripke.postcompose(q, s), f),
+            kripke.postcompose(q, pre) == kripke.precompose(post, f)
+            and post.leg == compose(q, s.leg)
+            and pre.leg == kripke.value(s, compose(f, legs.left), legs.right),
             "pre- and post-composition do not commute",
         )
 
@@ -761,7 +764,8 @@ def check_beck_chevalley(t: _Checker, rng: random.Random, max_obj: int, max_fibe
     mate = polyfun.mate_transform(sm, y)
     inverse = polyfun.invert_slice(mate) if mate.is_iso() else None
     t.check(
-        inverse is not None
+        compose(mate.dst.map, mate.arrow) == mate.src.map
+        and inverse is not None
         and polyfun.compose_slice(inverse, mate) == SliceMorphism.identity(mate.src)
         and polyfun.compose_slice(mate, inverse) == SliceMorphism.identity(mate.dst),
         "mate along a pullback square is not invertible",

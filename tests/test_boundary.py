@@ -1,7 +1,7 @@
 """Validation at the boundary: the checked constructors keep rejecting bad
 input with their messages, the unchecked `_make` builders build exactly what
-the checked constructors build, and the modules that take outside input
-never call a builder."""
+the checked constructors build, and checked constructors run only where
+outside input arrives."""
 
 import ast
 import importlib
@@ -288,12 +288,6 @@ def test_each_half_of_a_two_part_guard_rejects_alone(call, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("module", ["cli", "workspace", "instances"])
-def test_outside_input_never_takes_the_trusted_path(module):
-    source = (Path(finjet.__file__).parent / f"{module}.py").read_text()
-    assert "._make(" not in source
-
-
 def test_every_unchecked_build_is_a_class_builder():
     """The only unchecked builds are the `_make` builders, one `object.__new__`
     each: no module keeps a generic helper that builds any class without its
@@ -347,6 +341,67 @@ def test_each_builder_writes_its_fields_and_matches_the_constructor():
         built, checked = cls._make(*valid), cls(*valid)
         assert built == checked, name
         assert hash(built) == hash(checked), name
+
+
+def _resolve(module, node, owner):
+    """What the called expression `node` names in `module`: a global, an
+    attribute of one, or `owner` for `cls`."""
+    if isinstance(node, ast.Name):
+        return owner if node.id == "cls" else getattr(module, node.id, None)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(module, node.value, owner), node.attr, None)
+    return None
+
+
+def _checked_builds(module, builders: set[type]) -> list[str]:
+    """Where `module` calls the checked constructor of one of `builders`:
+    the dotted name of each enclosing function, ending in ".except" inside an
+    exception handler."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_owner = scope, owner
+            if isinstance(child, ast.ClassDef):
+                inner, inner_owner = scope + [child.name], getattr(module, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.ExceptHandler):
+                inner = scope + ["except"]
+            elif isinstance(child, ast.Call) and _resolve(module, child.func, owner) in builders:
+                found.append(".".join(scope))
+            visit(child, inner, inner_owner)
+
+    visit(ast.parse(inspect.getsource(module)), [], None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["cli", "workspace", "instances"])
+def test_outside_input_never_takes_the_trusted_path(module):
+    """The modules that take outside input never name a `_make`."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"finjet.{module}")))
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "_make" for n in ast.walk(tree))
+
+
+def test_checked_constructors_run_only_at_the_boundary():
+    """The library builds every derived value through `_make`, after its own
+    guards, and calls a checked constructor only where a raw value may
+    arrive: `element`'s point, and the escaping pair that `from_pairs` hands
+    to the constructor for its message."""
+    builders = set(_builder_classes().values())
+    library = ("finset", "kripke", "relations", "polyfun", "jets", "fibdual")
+    checked = {
+        name: _checked_builds(importlib.import_module(f"finjet.{name}"), builders)
+        for name in library
+    }
+    assert checked == {
+        "finset": ["element"],
+        "kripke": ["SubobjectAtStage.from_pairs.except"],
+        "relations": [],
+        "polyfun": [],
+        "jets": [],
+        "fibdual": [],
+    }
 
 
 def _uses_functools_cached_property(tree: ast.Module) -> bool:

@@ -567,6 +567,28 @@ def _classify_off_by_one_element(real):
     return classify
 
 
+def _values_reversed(real):
+    """A partial-map operation that lists its values in reverse pair order."""
+    from finjet.kripke import PartialMapAtStage
+
+    def reversed_values(*args):
+        built = real(*args)
+        return PartialMapAtStage(built.support, built.target, built.values[::-1])
+
+    return reversed_values
+
+
+def _every_value_the_first(real):
+    """A partial-map operation that gives every pair its first value."""
+    from finjet.kripke import PartialMapAtStage
+
+    def first_values(*args):
+        built = real(*args)
+        return PartialMapAtStage(built.support, built.target, built.values[:1] * len(built.values))
+
+    return first_values
+
+
 def _always_true(real):
     """A predicate that holds of everything."""
     return lambda *args, **kwargs: True
@@ -618,6 +640,23 @@ def test_wrong_library_result_is_a_counted_failure(
     counterexample = parse_workspace("\n".join(line[2:] for line in body.splitlines()))
     if suite == "phi-laws":
         assert counterexample.bundles["p"].map.cod.name == "C"
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("precompose", _values_reversed), ("postcompose", _every_value_the_first)],
+    ids=["precompose", "postcompose"],
+)
+def test_yoneda_kills_a_wrong_composite_of_a_partial_map(monkeypatch, name, mutant):
+    """The composites of a partial map are built without the constructor's
+    check; yoneda's second routes read each one's leg, so a composite with
+    its values misplaced fails the suite at the default bounds."""
+    import finjet.kripke as kripke
+
+    monkeypatch.setattr(kripke, name, mutant(getattr(kripke, name)))
+    code, text = run(["check", "--suite", "yoneda", "--seed", "42"])
+    assert code == 1
+    assert "counterexample:\n  # pre- and post-composition do not commute\n" in text
 
 
 def test_data_commands_do_not_load_the_process_pool():

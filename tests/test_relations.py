@@ -82,6 +82,25 @@ def test_check_preserves_identity():
     assert isinstance(m, RelationMorphism)
 
 
+def test_then_composes_both_maps_and_keeps_the_outer_relations():
+    """`then` builds its result without the constructor's check, so its four
+    fields are pinned here, on maps that no swap or misordering would keep."""
+    b0 = FinSet("B0", ("u", "v"))
+    c, c0 = FinSet("C", ("c1", "c2")), FinSet("C0", ("w",))
+    f, f0 = FinMap(A, B, ("b2", "b1", "b2")), FinMap(X, b0, ("v", "u"))
+    g, g0 = FinMap(B, c, ("c2", "c1")), FinMap(b0, c0, ("w", "w"))
+    rel_a = Relation.from_pairs(A, X, [("a1", "x1"), ("a2", "x2")])
+    rel_b = Relation.from_pairs(B, b0, [(f(a), f0(x)) for a, x in rel_a.pairs])
+    rel_c = Relation.from_pairs(c, c0, [(g(b), g0(y)) for b, y in rel_b.pairs])
+    inner = RelationMorphism(f, f0, rel_a, rel_b)
+    outer = RelationMorphism(g, g0, rel_b, rel_c)
+    both = inner.then(outer)
+    assert type(both) is RelationMorphism
+    assert (both.f, both.f0) == (compose(g, f), compose(g0, f0))
+    assert (both.rel_src, both.rel_dst) == (rel_a, rel_c)
+    assert both == RelationMorphism(compose(g, f), compose(g0, f0), rel_a, rel_c)
+
+
 def test_check_preserves_fails_full_to_sparse():
     full = full_subobject(A, B)
     sparse = Relation.from_pairs(A, B, [("a1", "b1")])

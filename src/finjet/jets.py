@@ -209,13 +209,15 @@ class JetBundle(Frozen):
     """
 
     relation: Relation  # from A to A0
-    bundle: FinMap  # p: E -> A
-    sections: SectionTables  # over the columns of the relation
+    sections: SectionTables  # of p: E -> A, over the columns of the relation
 
-    def __init__(self, relation: Relation, bundle: FinMap, sections: SectionTables):
+    def __init__(self, relation: Relation, sections: SectionTables):
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "sections", sections)
+
+    @property
+    def bundle(self) -> FinMap:
+        return self.sections.q
 
     @property
     def total(self) -> FinSet:
@@ -242,7 +244,7 @@ def jet_bundle(r: Relation, p: FinMap) -> JetBundle:
     All labels go into one FinSet, so a label collision raises ValueError.
     """
     _require_over(r, p)
-    return JetBundle(r, p, section_tables(f"J({p.dom.name})", r.stage, r.columns, p))
+    return JetBundle(r, section_tables(f"J({p.dom.name})", r.stage, r.columns, p))
 
 
 def jet_fiber(r: Relation, p: FinMap, a0: str) -> SectionTables:

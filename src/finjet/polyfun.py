@@ -239,13 +239,15 @@ class DependentProduct(Frozen):
     """
 
     along: FinMap  # d: M -> B
-    input: Bundle  # q over M
-    sections: SectionTables  # over the fibers of d
+    sections: SectionTables  # of q over M, over the fibers of d
 
-    def __init__(self, along: FinMap, input: Bundle, sections: SectionTables):
+    def __init__(self, along: FinMap, sections: SectionTables):
         object.__setattr__(self, "along", along)
-        object.__setattr__(self, "input", input)
         object.__setattr__(self, "sections", sections)
+
+    @property
+    def input(self) -> Bundle:
+        return Bundle(self.sections.q)
 
     @property
     def result(self) -> Bundle:
@@ -271,7 +273,7 @@ def dependent_product(d: FinMap, q: Bundle) -> DependentProduct:
     sections = section_tables(
         f"sec({d.dom.name}->{d.cod.name};{q.total.name})", d.cod, d.fibers, q.map
     )
-    return DependentProduct(d, q, sections)
+    return DependentProduct(d, sections)
 
 
 def dependent_product_map(

@@ -6,8 +6,11 @@ outside input arrives."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -590,8 +593,8 @@ def test_every_library_definition_is_used_by_the_library():
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
-    """The names a module imports and never reads; a name listed in
-    `__all__` counts as read."""
+    """The names a module imports and never reads; a name only listed in
+    `__all__` is not read, so a re-export counts as unused."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -602,8 +605,6 @@ def _unused_imports(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
-            read.update(ast.literal_eval(node.value))
     return imported - read
 
 
@@ -617,7 +618,46 @@ def test_every_imported_name_is_used():
     }
     assert unused == set()
     assert _unused_imports(ast.parse("import os.path\nfrom a import b as c, d\nd()")) == {"os", "c"}
-    assert _unused_imports(ast.parse("from a import b\n__all__ = ['b']")) == set()
+    assert _unused_imports(ast.parse("from a import b\n__all__ = ['b']")) == {"b"}
+
+
+# What importing each module loads of finjet: the module and the layers it
+# imports, directly or through another layer.  The package loads none.
+LOADS = {
+    "finjet": "",
+    "finjet.errors": "errors",
+    "finjet.finset": "errors finset",
+    "finjet.kripke": "errors finset kripke",
+    "finjet.relations": "errors finset kripke relations",
+    "finjet.polyfun": "errors finset polyfun",
+    "finjet.jets": "errors finset kripke polyfun relations jets",
+    "finjet.fibdual": "errors finset kripke polyfun relations jets fibdual",
+    "finjet.workspace": "errors finset kripke polyfun relations workspace",
+    "finjet.instances": "errors finset kripke polyfun relations instances",
+    "finjet.reference": "errors finset kripke polyfun relations jets fibdual reference",
+    "finjet.cli": "errors finset kripke polyfun relations jets fibdual workspace cli",
+    "finjet.suites": (
+        "errors finset kripke polyfun relations jets fibdual workspace instances reference suites"
+    ),
+}
+
+
+def test_each_module_loads_only_the_layers_it_imports():
+    assert set(LOADS) == {"finjet"} | {
+        f"finjet.{info.name}" for info in pkgutil.iter_modules(finjet.__path__)
+    }
+    src = Path(finjet.__file__).resolve().parent.parent
+    probe = (
+        "import importlib, sys; importlib.import_module(sys.argv[1]); "
+        "print(*(m[len('finjet.'):] for m in sys.modules if m.startswith('finjet.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for module, expected in LOADS.items():
+        done = subprocess.run(
+            [sys.executable, "-c", probe, module], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert set(done.stdout.split()) == set(expected.split()), module
 
 
 def _pair_named_finsets(tree: ast.Module) -> list[str]:

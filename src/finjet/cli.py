@@ -323,7 +323,7 @@ def _cmd_dualjet(ws: Workspace, args, out) -> int:
         vertical = polyfun.SliceMorphism(
             polyfun.pullback_bundle(f, bundle), src_bundle, ws.map(args.vertical)
         )
-        com = fibdual.Comorphism(f, src_bundle, bundle, vertical)
+        com = fibdual.Comorphism(f, bundle, vertical)
     else:
         com = fibdual.cartesian_comorphism(f, bundle)
     jb_src = jets.jet_bundle(rel_src, com.src.map)

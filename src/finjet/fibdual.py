@@ -18,45 +18,45 @@ from .relations import check_preserves
 
 
 class Comorphism(Frozen):
-    """An arrow of the fibrewise dual fibration, in canonical vh form."""
+    """An arrow of the fibrewise dual fibration, in canonical vh form: its
+    source bundle, over A', is where the vertical part ends."""
 
     over: FinMap  # f: A' -> A
-    src: Bundle  # over A'
     dst: Bundle  # over A
     vertical: SliceMorphism  # f*(dst) -> src, over A'
 
-    def __init__(self, over: FinMap, src: Bundle, dst: Bundle, vertical: SliceMorphism):
+    def __init__(self, over: FinMap, dst: Bundle, vertical: SliceMorphism):
         object.__setattr__(self, "over", over)
-        object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "vertical", vertical)
-        if src.base != over.dom or dst.base != over.cod:
+        if dst.base != over.cod:
             raise ShapeMismatch("bundles do not sit over the ends of the base map")
         if vertical.src != pullback_bundle(over, dst):
             raise ShapeMismatch("vertical part does not start at the canonical pullback")
-        if vertical.dst != src:
-            raise ShapeMismatch("vertical part does not end at the source bundle")
 
     @staticmethod
-    def _make(over, src, dst, vertical) -> "Comorphism":
+    def _make(over, dst, vertical) -> "Comorphism":
         obj = object.__new__(Comorphism)
         d = obj.__dict__
         d["over"] = over
-        d["src"] = src
         d["dst"] = dst
         d["vertical"] = vertical
         return obj
 
+    @property
+    def src(self) -> Bundle:
+        return self.vertical.dst
+
 
 def identity_comorphism(p: Bundle) -> Comorphism:
     ident = FinMap.identity(p.base)
-    return Comorphism._make(ident, p, p, relabel_identity(p))
+    return Comorphism._make(ident, p, relabel_identity(p))
 
 
 def cartesian_comorphism(f: FinMap, p: Bundle) -> Comorphism:
     """The comorphism presented by a bare pullback square (identity vertical)."""
     pulled = pullback_bundle(f, p)
-    return Comorphism._make(f, pulled, p, SliceMorphism.identity(pulled))
+    return Comorphism._make(f, p, SliceMorphism.identity(pulled))
 
 
 def is_cartesian(c: Comorphism) -> bool:
@@ -83,7 +83,7 @@ def comorphism_compose(c2: Comorphism, c1: Comorphism) -> Comorphism:
     )
     arrow = FinMap._make(sq.apex, c1.src.total, values)
     vertical = SliceMorphism._make(Bundle(sq.left), c1.src, arrow)
-    return Comorphism._make(base, c1.src, c2.dst, vertical)
+    return Comorphism._make(base, c2.dst, vertical)
 
 
 def global_jet(c: Comorphism, jb_src: JetBundle, jb_dst: JetBundle) -> Comorphism:
@@ -124,7 +124,7 @@ def global_jet(c: Comorphism, jb_src: JetBundle, jb_dst: JetBundle) -> Comorphis
     src, dst = Bundle(jb_src.projection), Bundle(jb_dst.projection)
     arrow = FinMap._make(sq.apex, src.total, tuple(values))
     vertical = SliceMorphism._make(Bundle(sq.left), src, arrow)
-    return Comorphism._make(f, src, dst, vertical)
+    return Comorphism._make(f, dst, vertical)
 
 
 def generic_section_comorphism(span: Span, p: Bundle) -> Comorphism:
@@ -147,7 +147,7 @@ def generic_section_comorphism(span: Span, p: Bundle) -> Comorphism:
     )
     src = Bundle(sq_c.left)
     vertical = SliceMorphism._make(Bundle(sq_d.left), src, FinMap._make(sq_d.apex, sq_c.apex, values))
-    return Comorphism._make(d, src, Bundle(jb.projection), vertical)
+    return Comorphism._make(d, Bundle(jb.projection), vertical)
 
 
 def distributivity_terminal(c: Comorphism, max_total: int) -> bool:

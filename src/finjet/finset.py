@@ -362,25 +362,3 @@ def all_maps(dom: FinSet, cod: FinSet) -> Iterator[FinMap]:
     """Every map dom -> cod, in lexicographic order of value tuples."""
     for values in itertools.product(cod.elements, repeat=len(dom)):
         yield FinMap._make(dom, cod, values)
-
-
-def is_pullback_square(
-    top: FinMap, left: FinMap, right: FinMap, bottom: FinMap
-) -> bool:
-    """Whether (top, right) exhibits top.dom as the pullback of bottom along right.
-
-    Square:  top.dom --top--> right.dom
-               |left             |right
-             bottom.dom --bottom--> .
-    Commutation plus bijectivity of the pairing onto the matching pairs.
-    """
-    if compose(right, top) != compose(bottom, left):
-        return False
-    seen = set()
-    for m in top.dom:
-        key = (left(m), top(m))
-        if key in seen:
-            return False
-        seen.add(key)
-    matching = sum(len(right.fiber(c)) for c in bottom.values)
-    return len(seen) == matching

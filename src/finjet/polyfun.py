@@ -19,7 +19,7 @@ from .finset import (
     Span,
     cached_property,
     compose,
-    is_pullback_square,
+    is_jointly_monic,
     pair_into_pullback,
     pair_name,
     pullback,
@@ -419,7 +419,13 @@ class SpanMorphism(Frozen):
             raise ShapeMismatch("right square does not commute")
 
     def right_square_is_pullback(self) -> bool:
-        return is_pullback_square(self.src.right, self.on_mid, self.on_right, self.dst.right)
+        """Whether M' is the pullback of dst.right along on_right.  The square
+        commutes by construction, so this asks that M' pair injectively into
+        the matching pairs and be as many as they are."""
+        matching = sum(len(self.on_right.fiber(b)) for b in self.dst.right.values)
+        return len(self.on_mid.dom) == matching and is_jointly_monic(
+            Span._make(self.on_mid, self.src.right)
+        )
 
 
 def mate_transform(sm: SpanMorphism, y: Bundle) -> SliceMorphism:

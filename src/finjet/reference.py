@@ -157,7 +157,7 @@ def pointwise_cartesian_image(
         values.append(classify(jb_pulled, phi(ctx, element(morphism.f0.dom, a0), jet))("*"))
     pulled = Bundle(jb_pulled.projection)
     vertical = SliceMorphism(Bundle(sq.left), pulled, FinMap(sq.apex, jb_pulled.total, tuple(values)))
-    return jb_pulled, Comorphism(morphism.f0, pulled, Bundle(jb_dst.projection), vertical)
+    return jb_pulled, Comorphism(morphism.f0, Bundle(jb_dst.projection), vertical)
 
 
 def section_tables_by_zip(
@@ -221,9 +221,7 @@ def vertical_comorphism(v: SliceMorphism) -> Comorphism:
     slice morphism v: q -> q' becomes a comorphism from q' to q.
     """
     ident = FinMap.identity(v.src.base)
-    return Comorphism(
-        ident, v.dst, v.src, compose_slice(v, relabel_identity(v.src))
-    )
+    return Comorphism(ident, v.src, compose_slice(v, relabel_identity(v.src)))
 
 
 def distributivity_terminal_brute(c: Comorphism, max_total: int) -> bool:

@@ -804,7 +804,7 @@ def _moved_entry(c: fibdual.Comorphism) -> Optional[fibdual.Comorphism]:
         for other in v.dst.fiber(v.dst.map(value)):
             if other != value:
                 moved = FinMap(v.arrow.dom, v.arrow.cod, values[:i] + (other,) + values[i + 1 :])
-                return fibdual.Comorphism(c.over, c.src, c.dst, SliceMorphism(v.src, v.dst, moved))
+                return fibdual.Comorphism(c.over, c.dst, SliceMorphism(v.src, v.dst, moved))
     return None
 
 
@@ -850,7 +850,7 @@ def check_global_functor(t: _Checker, rng: random.Random, max_obj: int, max_fibe
     for k, (f, src, dst) in enumerate(((f1, p1, p2), (f2, p2, p3), (f3, p3, p4)), start=1):
         # Every fiber of src is nonempty, so a random vertical exists.
         vertical = t.put(f"v{k}", _random_vertical(rng, polyfun.pullback_bundle(f, dst), src))
-        chain.append(fibdual.Comorphism(f, src, dst, vertical))
+        chain.append(fibdual.Comorphism(f, dst, vertical))
     c1, c2, c3 = chain
     left_assoc = fibdual.comorphism_compose(fibdual.comorphism_compose(c3, c2), c1)
     right_assoc = fibdual.comorphism_compose(c3, fibdual.comorphism_compose(c2, c1))

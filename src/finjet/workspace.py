@@ -193,15 +193,21 @@ def _parse_object(ws: Workspace, rest: str, line_no: int) -> None:
     _declare(ws.objects, head, FinSet(head, elements), "object", line_no)
 
 
-def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
+def _arrow_header(
+    ws: Workspace, rest: str, line_no: int, kind: str, sep: str
+) -> tuple[str, FinSet, FinSet, str]:
+    """The name, the two objects and the body of `<name> : <obj> <sep> <obj> { ... }`."""
     head, body = _brace_body(rest, line_no)
     name, _, ends = head.partition(":")
-    name = name.strip()
-    if "->" not in ends:
-        raise WorkspaceError("map header needs '<obj> -> <obj>'", line_no)
-    dom_name, _, cod_name = ends.partition("->")
-    dom = ws._get(ws.objects, dom_name.strip(), "object", line_no)
-    cod = ws._get(ws.objects, cod_name.strip(), "object", line_no)
+    if sep not in ends:
+        raise WorkspaceError(f"{kind} header needs '<obj> {sep} <obj>'", line_no)
+    left, _, right = ends.partition(sep)
+    objects = (ws._get(ws.objects, end.strip(), "object", line_no) for end in (left, right))
+    return (name.strip(), *objects, body)
+
+
+def _parse_map(ws: Workspace, rest: str, line_no: int) -> None:
+    name, dom, cod, body = _arrow_header(ws, rest, line_no, "map", "->")
     fmap = _bulk_map(body, dom, cod)
     if fmap is None:
         fmap = _map_by_entries(body, dom, cod, line_no)
@@ -249,14 +255,7 @@ def _map_by_entries(body: str, dom: FinSet, cod: FinSet, line_no: int) -> FinMap
 
 
 def _parse_relation(ws: Workspace, rest: str, line_no: int) -> None:
-    head, body = _brace_body(rest, line_no)
-    name, _, ends = head.partition(":")
-    name = name.strip()
-    if "~" not in ends:
-        raise WorkspaceError("relation header needs '<obj> ~ <obj>'", line_no)
-    src_name, _, dst_name = ends.partition("~")
-    src = ws._get(ws.objects, src_name.strip(), "object", line_no)
-    dst = ws._get(ws.objects, dst_name.strip(), "object", line_no)
+    name, src, dst, body = _arrow_header(ws, rest, line_no, "relation", "~")
     rel = _bulk_relation(body, src, dst)
     if rel is None:
         rel = _relation_by_pairs(body, src, dst, line_no)

@@ -368,7 +368,7 @@ def test_criterion_9_distributivity_terminality():
         FinMap(epsilon.arrow.dom, epsilon.arrow.cod, tuple(values)),
     )
     assert perturbed != epsilon
-    assert not distributivity_terminal(Comorphism(eps.over, eps.src, eps.dst, perturbed), max_total=4)
+    assert not distributivity_terminal(Comorphism(eps.over, eps.dst, perturbed), max_total=4)
     _report(9, "distributivity terminality on the path fixture, bound 4")
 
 

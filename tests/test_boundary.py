@@ -52,7 +52,6 @@ from finjet.polyfun import (
     invert_slice,
     polynomial_product,
     pullback_bundle,
-    relabel_identity,
 )
 from finjet.relations import Relation, RelationMorphism, ball_relation, check_preserves, monad
 from finjet.suites import _Checker, beck_chevalley_check, cluex_law
@@ -143,14 +142,11 @@ REJECTIONS = [
      lambda: SliceMorphism(Bundle(P_MAP), Bundle(P_MAP), constant_map(E, E, "b0")),
      ShapeMismatch, "arrow does not commute over the base"),
     ("comorphism-ends",
-     lambda: Comorphism(ID_A, Bundle(FinMap.identity(E)), Bundle(P_MAP), SliceMorphism.identity(PULLED)),
+     lambda: Comorphism(ID_A, Bundle(FinMap.identity(E)), SliceMorphism.identity(PULLED)),
      ShapeMismatch, "bundles do not sit over the ends of the base map"),
     ("comorphism-start",
-     lambda: Comorphism(ID_A, Bundle(P_MAP), Bundle(P_MAP), SliceMorphism.identity(Bundle(P_MAP))),
+     lambda: Comorphism(ID_A, Bundle(P_MAP), SliceMorphism.identity(Bundle(P_MAP))),
      ShapeMismatch, "vertical part does not start at the canonical pullback"),
-    ("comorphism-end",
-     lambda: Comorphism(ID_A, PULLED, Bundle(P_MAP), relabel_identity(Bundle(P_MAP))),
-     ShapeMismatch, "vertical part does not end at the source bundle"),
     ("sub-leq-objects", lambda: sub_leq(SUPPORT, full_subobject(E, X)),
      ShapeMismatch, "subobjects over different objects"),
     ("change-of-stage", lambda: change_of_stage(SUPPORT, ID_A),
@@ -180,6 +176,8 @@ REJECTIONS = [
      ShapeMismatch, "slice morphisms do not chain"),
     ("invert-slice", lambda: invert_slice(SliceMorphism(Bundle(P_MAP), Bundle(ID_A), P_MAP)),
      ShapeMismatch, "slice morphism is not invertible"),
+    ("pullback-legs", lambda: pullback(ID_A, FinMap.identity(E)),
+     ShapeMismatch, "pullback legs land in 'A' and 'E'"),
     ("pullback-bundle", lambda: pullback_bundle(FinMap.identity(E), Bundle(P_MAP)),
      ShapeMismatch, "pullback along a map into a different base"),
     ("dependent-product", lambda: dependent_product(FinMap.identity(E), Bundle(P_MAP)),
@@ -323,7 +321,7 @@ VALID_FIELDS = {
     "PartialMapAtStage": lambda: (SUPPORT, E, ("a0", "b0")),
     "SectionJet": lambda: _fields(_jet()),
     "SliceMorphism": lambda: (Bundle(P_MAP), Bundle(P_MAP), FinMap.identity(E)),
-    "Comorphism": lambda: (ID_A, PULLED, Bundle(P_MAP), SliceMorphism.identity(PULLED)),
+    "Comorphism": lambda: (ID_A, Bundle(P_MAP), SliceMorphism.identity(PULLED)),
     "RelationMorphism": lambda: (ID_A, ID_A, R, R),
 }
 
@@ -697,10 +695,10 @@ def test_only_canonical_span_names_a_set_by_pair_name():
 
 def test_distributivity_rejects_a_wrong_ended_candidate():
     """`distributivity_terminal` takes a comorphism, whose constructor
-    rejects a vertical that does not run from d*(J(p)) to c*(p)."""
+    rejects a vertical that does not start at d*(J(p))."""
     eps = generic_section_comorphism(R.span, Bundle(P_MAP))
     with pytest.raises(ShapeMismatch, match="^vertical part does not start at the canonical pullback$"):
-        Comorphism(eps.over, eps.src, eps.dst, SliceMorphism.identity(eps.src))
+        Comorphism(eps.over, eps.dst, SliceMorphism.identity(eps.src))
 
 
 ERROR_CLASSES = {"FinjetError", "ShapeMismatch", "WorkspaceError"}

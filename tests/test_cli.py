@@ -379,6 +379,16 @@ def test_colliding_pair_names_are_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: 'a,b' is not an element name")
 
 
+def test_pullback_of_maps_into_different_objects_exits_2(tmp_path, capsys):
+    """`pullback`'s own guard: without it the join looks 'a' up among B's
+    fibers and fails with an internal KeyError."""
+    path = tmp_path / "legs.ws"
+    path.write_text("object A { a }\nobject B { b }\nmap f : A -> A { a -> a }\nmap g : B -> B { b -> b }\n")
+    code, text = run(["-w", str(path), "pullback", "--left", "f", "--right", "g"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: pullback legs land in 'A' and 'B'\n"
+
+
 @pytest.mark.parametrize("name", ["a;b", "a->b"])
 def test_map_separators_in_element_names_are_a_parse_error(tmp_path, capsys, name):
     # A map body splits its entries at ";" and each entry at "->", so an

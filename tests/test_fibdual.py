@@ -77,9 +77,9 @@ def test_trusted_comorphisms_match_the_checked_constructor(seed, n_base, n_dom):
     dom = rand_finset(rng, "A1", n_dom, min_size=n_dom)
     f = rand_map(rng, dom, base)
     p = rand_bundle(rng, base, 2)
-    assert identity_comorphism(p) == Comorphism(FinMap.identity(base), p, p, relabel_identity(p))
+    assert identity_comorphism(p) == Comorphism(FinMap.identity(base), p, relabel_identity(p))
     pulled = pullback_bundle(f, p)
-    assert cartesian_comorphism(f, p) == Comorphism(f, pulled, p, SliceMorphism.identity(pulled))
+    assert cartesian_comorphism(f, p) == Comorphism(f, p, SliceMorphism.identity(pulled))
 
 
 def test_vertical_comorphism_not_cartesian_when_collapsing():
@@ -168,9 +168,7 @@ def test_global_jet_functor_law_on_mixed_chain():
     smaller = FinSet("E3", ("a.x", "b.x", "c.x"))
     q = Bundle(FinMap(smaller, A, ("a", "b", "c")))
     verticals = list(slice_homs(pullback_bundle(FinMap.identity(A), cart.src), q))
-    com_vert = Comorphism(
-        FinMap.identity(A), q, cart.src, verticals[0]
-    )
+    com_vert = Comorphism(FinMap.identity(A), cart.src, verticals[0])
     whole = comorphism_compose(cart, com_vert)
     jb_q = jet_bundle(ball_a.base, q.map)
     jb_pulled = jet_bundle(ball_a.base, cart.src.map)
@@ -190,7 +188,7 @@ def random_comorphism(rng, f, p, tag):
             elements.append(f"{a}.{tag}{i}")
             values.append(a)
     src = Bundle(FinMap(FinSet(f"E{tag}", tuple(elements)), f.dom, tuple(values)))
-    return Comorphism(f, src, p, _random_vertical(rng, pulled, src))
+    return Comorphism(f, p, _random_vertical(rng, pulled, src))
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,7 +208,7 @@ def test_comorphism_compose_matches_the_reassociation_route(seed, n2, n1, n0):
     route = compose_slice(
         c1.vertical, compose_slice(lifted, nest_pullback(c2.over, c1.over, c2.dst))
     )
-    assert comorphism_compose(c2, c1) == Comorphism(compose(g, f), c1.src, c2.dst, route)
+    assert comorphism_compose(c2, c1) == Comorphism(compose(g, f), c2.dst, route)
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,7 +244,7 @@ def test_generic_section_comorphism_is_checked_shape():
     accepts: over d, from c*(p) to J(p)."""
     span = BALL.base.span
     eps = generic_section_comorphism(span, P)
-    assert eps == Comorphism(eps.over, eps.src, eps.dst, eps.vertical)
+    assert eps == Comorphism(eps.over, eps.dst, eps.vertical)
     assert eps.over == span.right
     assert eps.src == pullback_bundle(span.left, P)
     assert eps.dst == Bundle(jet_bundle(BALL.base, P_MAP).projection)
@@ -278,7 +276,7 @@ def single_entry_mutations(c):
             if other != value:
                 moved = values[:i] + (other,) + values[i + 1 :]
                 arrow = FinMap(epsilon.arrow.dom, epsilon.arrow.cod, moved)
-                out.append(Comorphism(c.over, c.src, c.dst, SliceMorphism(epsilon.src, epsilon.dst, arrow)))
+                out.append(Comorphism(c.over, c.dst, SliceMorphism(epsilon.src, epsilon.dst, arrow)))
     return out
 
 
@@ -323,7 +321,7 @@ def test_distributivity_terminal_tells_bound_zero_from_bound_one():
     q = Bundle(FinMap(FinSet("Q", ("m0",)), d.dom, ("m",)))
     t0 = Bundle(FinMap(FinSet("T", ()), d.cod, ()))
     pulled = pullback_bundle(d, t0)
-    c = Comorphism(d, q, t0, SliceMorphism(pulled, q, FinMap(pulled.total, q.total, ())))
+    c = Comorphism(d, t0, SliceMorphism(pulled, q, FinMap(pulled.total, q.total, ())))
     for max_total, expected in ((0, True), (1, False), (2, False)):
         assert distributivity_terminal(c, max_total) is expected
         assert distributivity_terminal_brute(c, max_total) is expected
@@ -339,7 +337,7 @@ def test_a_dependent_product_counit_is_terminal(seed, mutation):
     d = rand_map(rng, rand_finset(rng, "M", 2), rand_finset(rng, "B", 2, min_size=1))
     q = rand_bundle(rng, d.dom, 2)
     dp = dependent_product(d, q)
-    counit = Comorphism(d, q, dp.result, dp.counit)
+    counit = Comorphism(d, dp.result, dp.counit)
     assert distributivity_terminal(counit, 2)
     assert distributivity_terminal_brute(counit, 2)
     mutants = single_entry_mutations(counit)

@@ -25,7 +25,6 @@ from finjet.finset import (
     compose,
     is_jointly_monic,
     is_monic,
-    is_pullback_square,
     pair_into_pullback,
     pair_name,
     pullback,
@@ -33,7 +32,7 @@ from finjet.finset import (
 )
 from finjet.jets import PhiContext, jet_bundle
 from finjet.kripke import SubobjectAtStage
-from finjet.polyfun import Bundle, dependent_product
+from finjet.polyfun import Bundle, SpanMorphism, dependent_product
 from finjet.relations import check_preserves
 from strategies import (
     constant_map,
@@ -163,15 +162,32 @@ def assert_pullback_is_nested_loop_join(f, p):
     assert pb.right.values == tuple(b for _, b in pairs)
     for c in p.cod:
         assert p.fiber(c) == tuple(b for b in p.dom if p(b) == c)
-    assert is_pullback_square(pb.right, pb.left, p, f)
+    assert _over_f(pb.left, pb.right, f, p).right_square_is_pullback()
     if pairs:
+        # One matching pair short: the apex pairs injectively but is too small.
         short = FinSet("M", pb.apex.elements[:-1])
-        assert not is_pullback_square(
-            FinMap(short, p.dom, pb.right.values[:-1]),
-            FinMap(short, f.dom, pb.left.values[:-1]),
-            p,
-            f,
-        )
+        assert not _over_f(
+            FinMap(short, f.dom, pb.left.values[:-1]), FinMap(short, p.dom, pb.right.values[:-1]), f, p
+        ).right_square_is_pullback()
+    if len(pairs) > 1:
+        # The first pair again in place of the last: as many as the matching
+        # pairs, but not injective.
+        left, top = (leg.values[:-1] + leg.values[:1] for leg in (pb.left, pb.right))
+        assert not _over_f(
+            FinMap(pb.apex, f.dom, left), FinMap(pb.apex, p.dom, top), f, p
+        ).right_square_is_pullback()
+
+
+def _over_f(left, top, f, p):
+    """The span morphism over the identity of f's domain whose right square
+    has top over p and left over f:
+
+        A <--left-- M --top--> B
+        |id         |left      |p
+        A <--id---- A ---f---> C
+    """
+    ident = FinMap.identity(f.dom)
+    return SpanMorphism(Span(left, top), Span(ident, f), ident, left, p)
 
 
 @given(st.data())
